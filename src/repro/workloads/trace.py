@@ -8,7 +8,6 @@ inputs across schemes and runs.
 
 from __future__ import annotations
 
-import io
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -23,33 +22,76 @@ from repro.workloads.profiles import WorkloadProfile, get_profile
 class _LazyRecords(Sequence):
     """Record list backed by (addresses, data) arrays, built on demand.
 
-    Shared-memory traces attach to another process's buffers; materializing
-    ``n_writes`` :class:`WriteRecord` objects up front would copy everything
-    the shared mapping exists to avoid.  This view constructs records only
-    when the serial loop actually asks for them; the chunked loop reads the
-    arrays directly and never touches it.
+    Generated and shared-memory traces hold their writes as arrays;
+    materializing ``n_writes`` :class:`WriteRecord` objects up front would
+    copy everything the arrays exist to avoid.  Indexing one record builds
+    just that record.  Iterating or slicing builds the whole list once and
+    keeps it, so a trace replayed by many per-write runs pays for it once;
+    the chunked loop reads the arrays directly and never touches it.
+    Compares equal to a record list holding the same records.
     """
 
     def __init__(self, addresses: np.ndarray, data: np.ndarray) -> None:
         self._addresses = addresses
         self._data = data
+        self._list: list[WriteRecord] | None = None
+
+    def _records(self) -> list[WriteRecord]:
+        if self._list is None:
+            blob = self._data.tobytes()
+            lb = self._data.shape[1]
+            self._list = [
+                WriteRecord(address, blob[i * lb: (i + 1) * lb])
+                for i, address in enumerate(self._addresses.tolist())
+            ]
+        return self._list
 
     def __len__(self) -> int:
         return int(self._addresses.shape[0])
 
     def __getitem__(self, index):
-        if isinstance(index, slice):
-            rng = range(*index.indices(len(self)))
-            return [
-                WriteRecord(int(self._addresses[i]), self._data[i].tobytes())
-                for i in rng
-            ]
+        if self._list is not None or isinstance(index, slice):
+            return self._records()[index]
         return WriteRecord(
             int(self._addresses[index]), self._data[index].tobytes()
         )
 
+    def __iter__(self):
+        return iter(self._records())
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, _LazyRecords):
+            return np.array_equal(
+                self._addresses, other._addresses
+            ) and np.array_equal(self._data, other._data)
+        if isinstance(other, list):
+            return self._records() == other
+        return NotImplemented
+
+
 _MAGIC = b"DEUCETRC"
 _VERSION = 1
+#: Records per ``tobytes`` block when saving, bounding the staging copy.
+_SAVE_BLOCK = 1 << 16
+
+
+def _record_dtype(line_bytes: int) -> np.dtype:
+    """One on-disk record: 8-byte little-endian address, then the line."""
+    return np.dtype([("address", "<u8"), ("data", np.uint8, (line_bytes,))])
+
+
+def _pack(addresses: np.ndarray, data: np.ndarray, line_bytes: int) -> bytes:
+    block = np.empty(len(addresses), dtype=_record_dtype(line_bytes))
+    block["address"] = addresses
+    block["data"] = data
+    return block.tobytes()
+
+
+def _rows(blob: bytes, n: int, line_bytes: int) -> np.ndarray:
+    """``n`` concatenated lines as a read-only ``(n, line_bytes)`` array."""
+    if not n:
+        return np.empty((0, line_bytes), dtype=np.uint8)
+    return np.frombuffer(blob, dtype=np.uint8).reshape(n, line_bytes)
 
 
 @dataclass
@@ -105,12 +147,14 @@ class Trace:
         of iterating :class:`WriteRecord` objects.
         """
         if self._arrays is None:
-            n = len(self.records)
-            addresses = np.empty(n, dtype=np.int64)
-            data = np.empty((n, self.line_bytes), dtype=np.uint8)
-            for i, rec in enumerate(self.records):
-                addresses[i] = rec.address
-                data[i] = np.frombuffer(rec.data, dtype=np.uint8)
+            records = self.records
+            n = len(records)
+            addresses = np.fromiter(
+                (rec.address for rec in records), dtype=np.int64, count=n
+            )
+            data = _rows(
+                b"".join(rec.data for rec in records), n, self.line_bytes
+            )
             self._arrays = (addresses, data)
         return self._arrays
 
@@ -123,12 +167,11 @@ class Trace:
         if self._init_arrays is None:
             addrs = sorted(self.initial)
             init_addresses = np.asarray(addrs, dtype=np.int64)
-            if addrs:
-                init_data = np.frombuffer(
-                    b"".join(self.initial[a] for a in addrs), dtype=np.uint8
-                ).reshape(len(addrs), self.line_bytes)
-            else:
-                init_data = np.empty((0, self.line_bytes), dtype=np.uint8)
+            init_data = _rows(
+                b"".join(self.initial[a] for a in addrs),
+                len(addrs),
+                self.line_bytes,
+            )
             self._init_arrays = (init_addresses, init_data)
         return self._init_arrays
 
@@ -146,14 +189,15 @@ class Trace:
     ) -> "Trace":
         """Build a trace view over preexisting arrays without copying.
 
-        Used by the shared-memory sweep path: the arrays may live in a
-        ``multiprocessing.shared_memory`` buffer owned by another process.
-        ``records`` stays lazy, so nothing is materialized unless the
-        serial loop iterates it.
+        Used by the generator, trace files and the shared-memory sweep
+        path: the arrays may live in a ``multiprocessing.shared_memory``
+        buffer owned by another process.  ``records`` stays lazy, so
+        nothing is materialized unless the serial loop iterates it.
         """
+        blob = init_data.tobytes()
         initial = {
-            int(init_addresses[i]): init_data[i].tobytes()
-            for i in range(init_addresses.shape[0])
+            address: blob[i * line_bytes: (i + 1) * line_bytes]
+            for i, address in enumerate(init_addresses.tolist())
         }
         return cls(
             profile_name=profile_name,
@@ -169,14 +213,21 @@ class Trace:
     # -- serialization -------------------------------------------------------
 
     def save(self, path: str | Path) -> None:
-        """Write the trace to a binary file."""
+        """Write the trace to a binary file.
+
+        Format version 1: magic, a 4-byte header length, the JSON header,
+        then one (8-byte little-endian address, line) record per initial
+        line in address order, then one per writeback in trace order.
+        """
+        init_addresses, init_data = self.initial_arrays()
+        addresses, data = self.write_arrays()
         meta: dict[str, object] = {
             "version": _VERSION,
             "profile": self.profile_name,
             "seed": self.seed,
             "line_bytes": self.line_bytes,
-            "n_initial": len(self.initial),
-            "n_records": len(self.records),
+            "n_initial": len(init_addresses),
+            "n_records": len(addresses),
         }
         if self.phases:
             # Optional key: files without it load with phases=() and old
@@ -187,43 +238,50 @@ class Trace:
             fh.write(_MAGIC)
             fh.write(len(header).to_bytes(4, "little"))
             fh.write(header)
-            for addr in sorted(self.initial):
-                fh.write(addr.to_bytes(8, "little"))
-                fh.write(self.initial[addr])
-            for rec in self.records:
-                fh.write(rec.address.to_bytes(8, "little"))
-                fh.write(rec.data)
+            fh.write(_pack(init_addresses, init_data, self.line_bytes))
+            for start in range(0, len(addresses), _SAVE_BLOCK):
+                end = start + _SAVE_BLOCK
+                fh.write(
+                    _pack(addresses[start:end], data[start:end], self.line_bytes)
+                )
 
     @classmethod
     def load(cls, path: str | Path) -> "Trace":
         """Read a trace previously written by :meth:`save`."""
         with open(path, "rb") as fh:
-            data = fh.read()
-        buf = io.BytesIO(data)
-        if buf.read(8) != _MAGIC:
+            blob = fh.read()
+        if blob[:8] != _MAGIC:
             raise ValueError(f"{path}: not a DEUCE trace file")
-        header_len = int.from_bytes(buf.read(4), "little")
-        header = json.loads(buf.read(header_len))
+        header_len = int.from_bytes(blob[8:12], "little")
+        header = json.loads(blob[12: 12 + header_len])
         if header["version"] != _VERSION:
             raise ValueError(f"unsupported trace version {header['version']}")
         line_bytes = header["line_bytes"]
-        initial = {}
-        for _ in range(header["n_initial"]):
-            addr = int.from_bytes(buf.read(8), "little")
-            initial[addr] = buf.read(line_bytes)
-        records = []
-        for _ in range(header["n_records"]):
-            addr = int.from_bytes(buf.read(8), "little")
-            records.append(WriteRecord(addr, buf.read(line_bytes)))
-        return cls(
-            profile_name=header["profile"],
-            seed=header["seed"],
-            line_bytes=line_bytes,
-            initial=initial,
-            records=records,
-            phases=tuple(
-                (str(n), int(s)) for n, s in header.get("phases", ())
-            ),
+        dtype = _record_dtype(line_bytes)
+        offset = 12 + header_len
+        blocks = []
+        for key in ("n_initial", "n_records"):
+            count = header[key]
+            if offset + count * dtype.itemsize > len(blob):
+                raise ValueError(f"{path}: truncated trace file")
+            block = np.frombuffer(blob, dtype=dtype, count=count, offset=offset)
+            offset += block.nbytes
+            blocks.append(
+                (
+                    block["address"].astype(np.int64),
+                    np.ascontiguousarray(block["data"]),
+                )
+            )
+        (init_addresses, init_data), (addresses, data) = blocks
+        return cls.from_arrays(
+            header["profile"],
+            header["seed"],
+            line_bytes,
+            init_addresses,
+            init_data,
+            addresses,
+            data,
+            phases=tuple(header.get("phases", ())),
         )
 
 
@@ -248,7 +306,8 @@ def generate_trace(
     when ``profile`` is a name (a config's ``workload_params``).  Profiles
     that synthesize their own stream (KV request engines) are dispatched
     through their ``generate_trace`` method; everything else runs the
-    statistical :class:`TraceGenerator`.
+    statistical :class:`TraceGenerator`, whose arrays back the trace
+    directly.
     """
     if isinstance(profile, str):
         profile = get_profile(profile, params)
@@ -262,25 +321,14 @@ def generate_trace(
             abort_every=abort_every,
         )
     gen = TraceGenerator(profile, seed=seed, line_bytes=line_bytes)
-    trace = Trace(
-        profile_name=profile.name,
-        seed=seed,
-        line_bytes=line_bytes,
-        initial=gen.initial_lines(),
+    addresses, data = gen.generate(
+        n_writes, abort=abort, abort_every=abort_every
     )
-    if abort is None:
-        trace.records = list(gen.writes(n_writes))
-        return trace
-    from repro.obs.instruments import RunAborted
-
-    records: list[WriteRecord] = []
-    append = records.append
-    next_write = gen.next_write
-    for i in range(n_writes):
-        if i % abort_every == 0 and abort():
-            raise RunAborted(
-                f"trace generation aborted at write {i}/{n_writes}"
-            )
-        append(next_write())
-    trace.records = records
-    return trace
+    return Trace.from_arrays(
+        profile.name,
+        seed,
+        line_bytes,
+        *gen.initial_arrays(),
+        addresses,
+        data,
+    )
