@@ -118,35 +118,45 @@ class TestFleetExecutor:
         assert set(restored) == {config_signature(c) for c in configs}
 
 
-def _spawn_worker(tmp_path: Path) -> tuple[subprocess.Popen, str]:
-    """Start a real ``deuce-sim serve`` worker on an ephemeral port."""
+def _spawn_worker(tmp_path: Path, name: str) -> tuple[subprocess.Popen, str]:
+    """Start a real ``deuce-sim serve`` worker on an ephemeral port.
+
+    The worker logs one line per request, so its output goes to
+    ``<name>.log`` rather than a pipe: a pipe nobody drains fills up
+    and blocks the worker's request handlers mid-sweep.
+    """
     env = dict(os.environ)
     repo_src = str(Path(__file__).resolve().parents[2] / "src")
     env["PYTHONPATH"] = repo_src + os.pathsep + env.get("PYTHONPATH", "")
-    proc = subprocess.Popen(
-        [
-            sys.executable, "-m", "repro.cli", "serve",
-            "--port", "0", "--no-ledger", "--job-workers", "2",
-        ],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.STDOUT,
-        env=env,
-        cwd=tmp_path,
-        text=True,
-    )
+    log_path = tmp_path / f"{name}.log"
+    with open(log_path, "w") as log:
+        proc = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro.cli", "serve",
+                "--port", "0", "--no-ledger", "--job-workers", "2",
+            ],
+            stdout=log,
+            stderr=subprocess.STDOUT,
+            env=env,
+            cwd=tmp_path,
+        )
     deadline = time.monotonic() + 30
-    line = ""
     while time.monotonic() < deadline:
-        line = proc.stdout.readline()
-        if "listening on" in line:
-            break
+        match = re.search(
+            r"listening on (http://[\w.:]+)", log_path.read_text()
+        )
+        if match:
+            return proc, match.group(1)
         if proc.poll() is not None:
             raise AssertionError(
-                "worker died on startup: " + line + proc.stdout.read()
+                "worker died on startup: " + log_path.read_text()
             )
-    match = re.search(r"listening on (http://[\w.:]+)", line)
-    assert match, f"no listen line from worker within 30s: {line!r}"
-    return proc, match.group(1)
+        time.sleep(0.05)
+    proc.kill()
+    proc.wait(timeout=10)
+    raise AssertionError(
+        f"no listen line from worker within 30s: {log_path.read_text()!r}"
+    )
 
 
 class TestWorkerDeath:
@@ -165,8 +175,8 @@ class TestWorkerDeath:
         session = Session(ledger=False)
         procs = []
         try:
-            for _ in range(2):
-                procs.append(_spawn_worker(tmp_path))
+            for i in range(2):
+                procs.append(_spawn_worker(tmp_path, f"worker-{i}"))
             urls = [url for _, url in procs]
             executor = FleetExecutor(
                 urls,
@@ -206,7 +216,6 @@ class TestWorkerDeath:
                 if proc.poll() is None:
                     proc.send_signal(signal.SIGKILL)
                 proc.wait(timeout=10)
-                proc.stdout.close()
 
         reference = session.sweep(configs, workers=1)
         assert len(fleet) == len(configs)
