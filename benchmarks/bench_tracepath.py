@@ -3,12 +3,12 @@
 The write-path vectorization work (``bench_writepath.py``) sped up one
 ``Deuce.write`` call; this benchmark measures the next layer — the runner
 consuming whole trace chunks through ``scheme.write_batch`` with batched
-pad streams and scatter-add wear accumulation — against the per-write
-loop (``chunk_size=1``), which is how the runner executed before the
-batched path existed.
+pad streams and scatter-add wear accumulation — against the scalar
+reference (``chunk_size=1``), where every scheme runs its own
+``install()``/``write()`` one write at a time.
 
 The suite is the regression gate's pinned config (``baselines/``:
-workload mcf, 2000 writes, seed 0) for every batch-capable scheme, run
+workload mcf, 2000 writes, seed 0) for every registered scheme, run
 end-to-end through :func:`repro.sim.runner.run`.  Both sides are timed
 best-of-N (simulation wall times on shared runners spread ~30%, so a
 single rep of either side would make the ratio noise).  Before any ratio
@@ -21,6 +21,7 @@ root copy) via :func:`common.record` for CI consumption.
 
 from __future__ import annotations
 
+from repro import registry
 from repro.sim.config import SimConfig
 from repro.sim.runner import run
 
@@ -30,9 +31,10 @@ WORKLOAD = "mcf"
 N_WRITES = 2_000
 SEED = 0
 
-#: Schemes whose ``supports_write_batch`` is true; the rest fall back to
-#: the per-write loop at any chunk size and would measure nothing.
-SCHEMES = ("deuce", "encr-dcw", "noencr-dcw")
+#: Every registered scheme runs the chunked loop, so every one is checked
+#: for bit-identity against the scalar reference.  Schemes without a
+#: vectorized ``write_batch`` loop ``write()`` and show little speedup.
+SCHEMES = registry.SCHEMES.names
 
 #: The default chunk size plus the whole pinned trace as one chunk.
 CHUNK_SIZES = (SimConfig("mcf", "deuce").chunk_size, N_WRITES)
@@ -83,7 +85,7 @@ def test_tracepath_throughput():
             )
             chunk_s, chunk_res = _best_of(chunked_cfg)
             # Parity oracle: every aggregate, histogram, and wear count
-            # must match the per-write loop exactly.
+            # must match the scalar reference exactly.
             assert _comparable(chunk_res) == _comparable(serial_res), (
                 f"{scheme} chunk_size={chunk_size} diverged from serial"
             )

@@ -103,9 +103,9 @@ class ObsOptions:
         job/sweep span and align it on the wall clock.
     per_write_spans:
         With ``trace_out`` set, emit one span per write (full-fidelity
-        traces; forces the serial write loop).  The job service sets this
-        False so traced runs keep the chunked fast path with one span per
-        chunk.
+        traces; runs at chunk size 1, the scalar reference).  The job
+        service sets this False so traced runs keep the configured chunk
+        size with one span per chunk.
     """
 
     metrics_out: str | None = None
@@ -186,8 +186,8 @@ class Session:
         """The run's observability bundle from session state.
 
         Returns ``(instruments, metrics, tracer, phases)``; all ``None``
-        when nothing would observe the run, so the runner takes its
-        uninstrumented fast path.  With the ledger on, a metrics registry
+        when nothing would observe the run, so the runner skips every
+        timer, span and sample.  With the ledger on, a metrics registry
         and a phase-accumulating tracer are always live: the manifest needs
         per-phase wall times and summary counters even when no output path
         was given.

@@ -864,8 +864,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=SimConfig("mcf", "deuce").chunk_size,
         metavar="N",
         help="writes handed to the scheme's batched write path at once "
-        "(1 forces the per-write loop; results are bit-identical at any "
-        "value)",
+        "(>= 1; 1 runs the scalar install/write reference; results are "
+        "bit-identical at any value)",
     )
     p_run.add_argument(
         "--metrics-out",
@@ -947,8 +947,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=SimConfig("mcf", "deuce").chunk_size,
         metavar="N",
-        help="batched write-path chunk size for every cell (1 forces the "
-        "per-write loop; results are bit-identical at any value)",
+        help="batched write-path chunk size for every cell (>= 1; 1 runs "
+        "the scalar install/write reference; results are bit-identical at "
+        "any value)",
     )
     p_sweep.add_argument(
         "--workers",

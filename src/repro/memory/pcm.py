@@ -63,33 +63,6 @@ def slots_for_write(
     return slots_for_positions(positions, line_bits, slot_bits)
 
 
-def slots_for_batch(
-    n_writes: int,
-    data_positions: np.ndarray,
-    data_rows: np.ndarray,
-    meta_positions: np.ndarray,
-    meta_rows: np.ndarray,
-    line_bits: int,
-    slot_bits: int = SLOT_BITS,
-) -> np.ndarray:
-    """Per-write slot counts for a whole chunk (vectorized).
-
-    Builds a (write, region) presence matrix and sums it per row — the
-    batched form of :func:`slots_for_write` for a
-    :class:`~repro.schemes.batch.BatchOutcome`'s flat position arrays.
-    """
-    n_regions = -(-line_bits // slot_bits)
-    presence = np.zeros((n_writes, n_regions), dtype=bool)
-    if data_positions.size:
-        regions = np.minimum(data_positions // slot_bits, n_regions - 1)
-        presence[data_rows, regions] = True
-    if meta_positions.size:
-        # Metadata bits ride along with the last region (positions are
-        # >= line_bits after the offset, hence always clamped).
-        presence[meta_rows, n_regions - 1] = True
-    return presence.sum(axis=1, dtype=np.int64)
-
-
 def slots_for_batch_diffs(
     data_diff: np.ndarray,
     meta_diff: np.ndarray | None,
@@ -98,9 +71,9 @@ def slots_for_batch_diffs(
 ) -> np.ndarray:
     """Per-write slot counts straight from a chunk's packed diff matrices.
 
-    Equivalent to :func:`slots_for_batch` over the expanded bit positions,
-    but works on the ``(m, line_bytes)`` byte diff: a region is occupied iff
-    any of its bytes differ, one ``reduceat`` per chunk.  Requires
+    The batched form of :func:`slots_for_write`, working on the
+    ``(m, line_bytes)`` byte diff: a region is occupied iff any of its
+    bytes differ, one ``reduceat`` per chunk.  Requires
     byte-aligned regions (``slot_bits % 8 == 0``, true for the hardware's
     128-bit slots).
     """
@@ -231,7 +204,10 @@ class PcmArray:
         ``*_rows`` the row each belongs to.  ``rotations``, when given, is
         the per-row HWL rotation (static within a chunk — the runner cuts
         chunks at rotation changes).  Equivalent to ``m`` sequential
-        :meth:`apply_write` calls; returns the total flip count.
+        :meth:`apply_write` calls; returns the total flip count.  The
+        runner applies chunks through :meth:`apply_batch_diffs` instead;
+        this form has no caller in ``repro`` but is still wrapped by name
+        in ``benchmarks/layers/spans.py``.
         """
         m = int(addresses.shape[0])
         if meta_positions.size:

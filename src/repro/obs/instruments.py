@@ -4,9 +4,9 @@ One :class:`Instruments` object carries every backend a run might report
 into: a metrics registry, a tracer, the sampling interval, and an optional
 heartbeat callback (used by the parallel sweep engine to stream per-cell
 progress).  The default instance is fully disabled — every backend null —
-and :attr:`Instruments.enabled` is False, which the runner uses to take the
-uninstrumented fast path so a disabled run is bit-identical to, and as fast
-as, one with no observability code at all.
+and :attr:`Instruments.enabled` is False, which the runner uses to skip
+timers, samples, heartbeats and abort polls.  Instrumentation only reads
+simulation state, so results are bit-identical either way.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from repro.obs.tracing import NULL_TRACER, NullTracer, Tracer
 class RunAborted(RuntimeError):
     """A run stopped cooperatively because its abort check fired.
 
-    Raised by the instrumented write loop when ``Instruments.abort``
+    Raised by the runner's write loop when ``Instruments.abort``
     returns True (job cancellation, deadline exceeded).  ``writes_done``
     records how far the run got.
     """
@@ -62,15 +62,16 @@ class Instruments:
         Writes between abort polls; ``0`` auto-sizes (~every 512 writes).
     per_write_spans:
         When tracing is live, emit one span per write (full-fidelity JSONL
-        traces).  Set False when the trace sink only aggregates per-phase
-        totals (the run ledger's default), which frees the runner to execute
-        chunked with one span per chunk under the same span names.
+        traces); the runner then uses chunk size 1, the scalar reference.
+        Set False when the trace sink only aggregates per-phase totals (the
+        run ledger's default), so the runner keeps the configured chunk
+        size and emits one span per chunk under the same span names.
     profile:
         Optional :class:`~repro.obs.profile.PhaseProfile` the runner
-        accumulates per-phase time into (pad precompute, batch diff,
-        scatter-add accumulate, checkpoint, trace-gen).  Reuses timestamps
-        the chunked loop already takes, so enabling it costs ~two dict ops
-        per chunk phase and never changes simulation state.
+        accumulates per-phase time into (scheme write, wear rotation, PCM
+        apply, accumulate, checkpoint, trace-gen).  Reuses timestamps the
+        write loop already takes, so enabling it costs ~two dict ops per
+        chunk phase and never changes simulation state.
     """
 
     metrics: MetricsRegistry = field(default_factory=lambda: NULL_METRICS)

@@ -115,11 +115,12 @@ class Histogram:
     def observe_many(self, total: float, count: int) -> None:
         """Fold ``count`` observations summing to ``total`` in one call.
 
-        Used by the chunked write loop, which times a whole chunk and
-        attributes it to its writes: counts and sums stay exactly what the
-        per-write path would record, while min/max are updated with the
-        chunk mean (per-observation extremes are not recoverable from a
-        chunk-level timing).
+        Counts and sums stay exactly what ``count`` separate
+        :meth:`observe` calls would record, while min/max are updated with
+        the mean (per-observation extremes are not recoverable).  The write
+        loop fills ``scheme.write_s``, ``wear.rotation_s`` and
+        ``pcm.apply_s`` with one call each at the end of a run, so for
+        those timers min and max are the run mean.
         """
         if count <= 0:
             return

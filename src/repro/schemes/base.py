@@ -119,12 +119,6 @@ class WriteScheme(ABC):
     #: first constructor argument.
     requires_pads: ClassVar[bool] = True
 
-    #: Whether :meth:`write_batch` is a genuinely vectorized implementation.
-    #: The chunked runner only batches schemes that set this; for the rest
-    #: the generic per-write fallback below exists for tests and tooling but
-    #: is slower than the serial loop.
-    supports_write_batch: ClassVar[bool] = False
-
     def __init__(self, line_bytes: int = 64) -> None:
         if line_bytes <= 0:
             raise ValueError("line_bytes must be positive")
@@ -195,18 +189,23 @@ class WriteScheme(ABC):
 
         Parameters are ``(m,)`` int64 addresses and ``(m, line_bytes)``
         uint8 payloads, in trace order.  The default implementation loops
-        :meth:`write` and packs the outcomes; vectorized schemes override
-        it (and set :attr:`supports_write_batch`) to process the whole
-        chunk as one array program.  Either way the result is bit-identical
-        to ``m`` sequential :meth:`write` calls.
+        :meth:`write` and packs the outcomes; a scheme gets a fast path by
+        overriding this method alone, processing the whole chunk as one
+        array program.  Either way the result is bit-identical to ``m``
+        sequential :meth:`write` calls.  The runner's ``chunk_size=1``
+        reference calls this default directly, past any override, so an
+        override is always checked against :meth:`write`.
         """
         from repro.schemes.batch import BatchOutcome
 
         return BatchOutcome.from_outcomes(
-            [
+            (
                 self.write(int(addresses[i]), data[i].tobytes())
                 for i in range(len(addresses))
-            ]
+            ),
+            len(addresses),
+            self.line_bytes,
+            self.metadata_bits_per_line,
         )
 
     @abstractmethod

@@ -12,7 +12,7 @@ The helpers here implement the address-group plumbing every batchable scheme
 shares: stable-sort the chunk by address so each line's writes become one
 contiguous run, carry the per-line stored image through the run with
 shift-by-one previous-row gathers, and diff consecutive stored images into
-flip counts and bit positions in one wide pass.  Rows of a
+flip counts and packed diff matrices in one wide pass.  Rows of a
 :class:`BatchOutcome` are in the scheme's internal (sorted) order — every
 consumer aggregates over the chunk, so row order never affects results.
 """
@@ -21,51 +21,17 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
 from repro.memory import bitops
 
+if TYPE_CHECKING:
+    from repro.schemes.base import WriteOutcome
+
 _EMPTY_I64 = np.zeros(0, dtype=np.int64)
 _EMPTY_BOOL = np.zeros(0, dtype=bool)
-
-# Ragged lookup tables for set-bit extraction: for each byte value, the
-# MSB-first indices of its set bits (matching ``np.unpackbits`` order),
-# concatenated, with per-value offsets and counts.  Extracting flipped
-# positions through these tables touches only the nonzero diff bytes
-# instead of unpacking the whole chunk to bits.
-_BITS_TABLE = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1)
-_BIT_COUNTS = _BITS_TABLE.sum(axis=1).astype(np.int64)
-_BIT_OFFSETS = np.zeros(257, dtype=np.int64)
-np.cumsum(_BIT_COUNTS, out=_BIT_OFFSETS[1:])
-_BIT_INDICES = np.nonzero(_BITS_TABLE)[1].astype(np.int64)
-del _BITS_TABLE
-
-
-def bit_positions(diff: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rows and bit positions of every set bit in a ``(m, n)`` byte diff.
-
-    Identical output (values and order) to
-    ``np.nonzero(np.unpackbits(diff, axis=1))`` but sparse: only the nonzero
-    bytes are expanded, via the ragged per-byte-value tables above.  On
-    realistic write chunks (a few flipped words per line) this is several
-    times faster than unpacking every byte.
-    """
-    flat = np.flatnonzero(diff)
-    if flat.size == 0:
-        return _EMPTY_I64, _EMPTY_I64
-    nz = diff.reshape(-1)[flat]
-    counts = _BIT_COUNTS[nz]
-    total = int(counts.sum())
-    starts = np.zeros(flat.size, dtype=np.int64)
-    np.cumsum(counts[:-1], out=starts[1:])
-    within = np.arange(total, dtype=np.int64) - np.repeat(starts, counts)
-    bit = _BIT_INDICES[np.repeat(_BIT_OFFSETS[nz], counts) + within]
-    n_cols = diff.shape[1]
-    rows = np.repeat(flat // n_cols, counts)
-    positions = np.repeat(flat % n_cols, counts) * 8 + bit
-    return rows, positions
 
 
 @dataclass(slots=True)
@@ -84,16 +50,11 @@ class BatchOutcome:
         The packed per-write diffs: ``data_diff`` is the ``(m, line_bytes)``
         XOR of consecutive stored images, ``meta_diff`` the ``(m, n_words)``
         boolean metadata diff (or ``None`` for schemes without metadata).
-        The wear and slot accumulators consume these directly — flat bit
-        positions are only materialized on demand.
-    data_positions / data_rows:
-        Flat flipped data-bit positions and the row each belongs to
-        (lazily expanded from ``data_diff`` on first access).
-    meta_positions / meta_rows:
-        Same for metadata bits (positions relative to the metadata region).
+        The wear and slot accumulators consume these directly.  Only
+        :func:`empty_batch` leaves ``data_diff`` unset.
     mode_counts:
         Contribution to ``RunResult.mode_histogram`` (empty-mode writes
-        excluded, matching the serial loop).
+        excluded).
     """
 
     addresses: np.ndarray
@@ -107,111 +68,53 @@ class BatchOutcome:
     mode_switched: np.ndarray
     data_diff: np.ndarray | None = None
     meta_diff: np.ndarray | None = None
-    _data_positions: np.ndarray | None = field(default=None, repr=False)
-    _data_rows: np.ndarray | None = field(default=None, repr=False)
-    _meta_positions: np.ndarray | None = field(default=None, repr=False)
-    _meta_rows: np.ndarray | None = field(default=None, repr=False)
     mode_counts: dict[str, int] = field(default_factory=dict)
 
-    @property
-    def n_writes(self) -> int:
-        return int(self.addresses.shape[0])
-
-    @property
-    def data_positions(self) -> np.ndarray:
-        if self._data_positions is None:
-            self._expand_data()
-        return self._data_positions
-
-    @property
-    def data_rows(self) -> np.ndarray:
-        if self._data_rows is None:
-            self._expand_data()
-        return self._data_rows
-
-    @property
-    def meta_positions(self) -> np.ndarray:
-        if self._meta_positions is None:
-            self._expand_meta()
-        return self._meta_positions
-
-    @property
-    def meta_rows(self) -> np.ndarray:
-        if self._meta_rows is None:
-            self._expand_meta()
-        return self._meta_rows
-
-    def _expand_data(self) -> None:
-        if self.data_diff is None:
-            self._data_rows = self._data_positions = _EMPTY_I64
-        else:
-            rows, positions = bit_positions(self.data_diff)
-            self._data_rows, self._data_positions = rows, positions
-
-    def _expand_meta(self) -> None:
-        if self.meta_diff is None or self.meta_diff.size == 0:
-            self._meta_rows = self._meta_positions = _EMPTY_I64
-        else:
-            rows, positions = np.nonzero(self.meta_diff)
-            self._meta_rows = rows.astype(np.int64, copy=False)
-            self._meta_positions = positions.astype(np.int64, copy=False)
-
     @classmethod
-    def from_outcomes(cls, outcomes: Sequence) -> "BatchOutcome":
-        """Pack scalar :class:`WriteOutcome` objects into one batch.
+    def from_outcomes(
+        cls,
+        outcomes: Iterable[WriteOutcome],
+        m: int,
+        line_bytes: int,
+        meta_bits: int,
+    ) -> "BatchOutcome":
+        """Pack ``m`` scalar :class:`WriteOutcome` objects into one batch.
 
-        The generic ``write_batch`` fallback and the property tests use
-        this; the vectorized schemes build their batches directly.
+        ``outcomes`` is consumed one at a time: each write's flipped bits
+        are set in the diff matrices as it arrives, so no outcome outlives
+        its row and a chunk needs ``m * (8 * line_bytes + meta_bits)``
+        bytes of scratch however many bits flip.  The generic
+        ``write_batch`` fallback uses this; the vectorized schemes build
+        their batches directly.
         """
-        m = len(outcomes)
-        addresses = np.fromiter(
-            (o.address for o in outcomes), dtype=np.int64, count=m
-        )
-        data_rows = np.concatenate(
-            [np.full(o.flipped_data_positions.size, i, dtype=np.int64)
-             for i, o in enumerate(outcomes)]
-        ) if m else _EMPTY_I64
-        meta_rows = np.concatenate(
-            [np.full(o.flipped_meta_positions.size, i, dtype=np.int64)
-             for i, o in enumerate(outcomes)]
-        ) if m else _EMPTY_I64
-        modes = Counter(o.mode for o in outcomes if o.mode)
+        data_bits = np.zeros((m, 8 * line_bytes), dtype=bool)
+        meta_diff = np.zeros((m, meta_bits), dtype=bool)
+        rows = []
+        modes: Counter = Counter()
+        for i, o in enumerate(outcomes):
+            data_bits[i, o.flipped_data_positions] = True
+            if o.flipped_meta_positions.size:
+                meta_diff[i, o.flipped_meta_positions] = True
+            rows.append((
+                o.address, o.data_flips, o.metadata_flips, o.set_flips,
+                o.reset_flips, o.words_reencrypted, o.full_line_reencrypted,
+                o.epoch_reset, o.mode_switched,
+            ))
+            if o.mode:
+                modes[o.mode] += 1
+        cols = np.array(rows, dtype=np.int64).reshape(m, 9).T
         return cls(
-            addresses=addresses,
-            data_flips=np.fromiter(
-                (o.data_flips for o in outcomes), dtype=np.int64, count=m
-            ),
-            meta_flips=np.fromiter(
-                (o.metadata_flips for o in outcomes), dtype=np.int64, count=m
-            ),
-            set_flips=np.fromiter(
-                (o.set_flips for o in outcomes), dtype=np.int64, count=m
-            ),
-            reset_flips=np.fromiter(
-                (o.reset_flips for o in outcomes), dtype=np.int64, count=m
-            ),
-            words_reencrypted=np.fromiter(
-                (o.words_reencrypted for o in outcomes), dtype=np.int64,
-                count=m,
-            ),
-            full_line_reencrypted=np.fromiter(
-                (o.full_line_reencrypted for o in outcomes), dtype=bool,
-                count=m,
-            ),
-            epoch_reset=np.fromiter(
-                (o.epoch_reset for o in outcomes), dtype=bool, count=m
-            ),
-            mode_switched=np.fromiter(
-                (o.mode_switched for o in outcomes), dtype=bool, count=m
-            ),
-            _data_positions=np.concatenate(
-                [o.flipped_data_positions for o in outcomes]
-            ).astype(np.int64, copy=False) if m else _EMPTY_I64,
-            _data_rows=data_rows,
-            _meta_positions=np.concatenate(
-                [o.flipped_meta_positions for o in outcomes]
-            ).astype(np.int64, copy=False) if m else _EMPTY_I64,
-            _meta_rows=meta_rows,
+            addresses=cols[0],
+            data_flips=cols[1],
+            meta_flips=cols[2],
+            set_flips=cols[3],
+            reset_flips=cols[4],
+            words_reencrypted=cols[5],
+            full_line_reencrypted=cols[6].astype(bool),
+            epoch_reset=cols[7].astype(bool),
+            mode_switched=cols[8].astype(bool),
+            data_diff=np.packbits(data_bits, axis=1),
+            meta_diff=meta_diff if meta_bits else None,
             mode_counts=dict(modes),
         )
 

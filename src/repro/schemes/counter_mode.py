@@ -33,8 +33,6 @@ class EncryptedDCW(WriteScheme):
 
     name = "encr-dcw"
 
-    supports_write_batch = True
-
     def __init__(self, pads: PadSource, line_bytes: int = 64) -> None:
         super().__init__(line_bytes)
         self.pads = pads

@@ -29,8 +29,6 @@ class PlainDCW(WriteScheme):
 
     requires_pads = False
 
-    supports_write_batch = True
-
     @property
     def metadata_bits_per_line(self) -> int:
         return 0

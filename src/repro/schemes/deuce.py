@@ -98,8 +98,6 @@ class Deuce(WriteScheme):
 
     name = "deuce"
 
-    supports_write_batch = True
-
     config_fields = {
         "line_bytes": "line_bytes",
         "word_bytes": "word_bytes",

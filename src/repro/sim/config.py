@@ -90,12 +90,12 @@ class SimConfig:
         Capacity (in cached line pads) of the LRU pad cache wrapped around
         the pad source; ``0`` disables caching.
     chunk_size:
-        Writes the runner hands to ``scheme.write_batch`` at once when the
-        scheme supports it.  ``1`` forces the serial per-write loop.
-        Results are bit-identical at any value (chunks are cut at
-        checkpoint, sampling, heartbeat, and wear-leveler boundaries, and
-        epoch resets are handled inside the batch); larger chunks amortize
-        dispatch overhead across the whole batch.
+        Writes the runner hands to ``scheme.write_batch`` at once, for
+        every scheme; ``1`` runs the scalar install/write reference.  Must
+        be at least 1.  Results are bit-identical at any value (chunks are
+        cut at checkpoint, sampling, heartbeat, and wear-leveler
+        boundaries, and epoch resets are handled inside the batch); larger
+        chunks amortize dispatch overhead across the whole batch.
     workload_params:
         Per-workload parameter overrides (a KV profile's ``n_keys``,
         ``zipf_alpha``, mix weights, ...), validated against the
@@ -146,6 +146,10 @@ class SimConfig:
                     f"got {self.key!r} (not valid hex)"
                 ) from None
             object.__setattr__(self, "key", decoded)
+        if self.chunk_size < 1:
+            raise ConfigError(
+                f"config key 'chunk_size' must be >= 1, got {self.chunk_size}"
+            )
 
     def with_(self, **changes: object) -> "SimConfig":
         """A modified copy (dataclasses.replace convenience).

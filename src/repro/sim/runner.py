@@ -7,15 +7,21 @@ n_writes, seed, line_bytes) so that every scheme in a comparison sees the
 *identical* writeback stream, which is what makes per-workload bars
 comparable across schemes.
 
+Write loop: one loop (:func:`_write_loop`) serves every scheme.  It cuts
+the trace into chunks of ``config.chunk_size`` writes and hands each chunk
+to ``scheme.write_batch`` (vectorized for some schemes, a loop over
+``write()`` for the rest).  ``chunk_size=1`` is the scalar reference: every
+scheme then runs its own ``install()``/``write()``, one write per chunk,
+which is what the parity tests compare the vectorized kernels against.
+
 Observability: :func:`run` accepts an optional
-:class:`~repro.obs.instruments.Instruments` bundle.  When every backend is
-null (the default), the untouched fast write loop runs and results are
-bit-identical to uninstrumented code; when any backend is live, an
-instrumented loop additionally records per-phase timers, per-write spans
-(``scheme.write`` / ``pad.fetch`` / ``wear.rotation`` / ``pcm.apply``),
+:class:`~repro.obs.instruments.Instruments` bundle.  A live bundle adds
+per-phase timers, spans (``scheme.write`` / ``pad.fetch`` /
+``wear.rotation`` / ``pcm.apply``, one per chunk, or one per write when
+``per_write_spans`` asks for them, which forces the chunk size to 1),
 interval samples into ``RunResult.series``, and periodic heartbeats.
-Instrumentation only ever *reads* simulation state, so both loops produce
-identical results (there is a test for this).
+Instrumentation only ever *reads* simulation state, so results are
+identical with or without it (there is a test for this).
 """
 
 from __future__ import annotations
@@ -24,16 +30,12 @@ import json
 import threading
 import time
 from collections import OrderedDict
+from functools import partial
 
 import numpy as np
 
 from repro.crypto.pads import CachingPadSource, make_pad_source
-from repro.memory.pcm import (
-    PcmArray,
-    slots_for_batch,
-    slots_for_batch_diffs,
-    slots_for_write,
-)
+from repro.memory.pcm import PcmArray, slots_for_batch_diffs
 from repro.schemes.batch import BatchOutcome
 from repro.obs.instruments import (
     DISABLED,
@@ -41,9 +43,10 @@ from repro.obs.instruments import (
     InstrumentedPadSource,
     RunAborted,
 )
+from repro.obs.profile import PhaseProfile
 from repro.obs.sampling import IntervalSampler
 from repro import registry
-from repro.schemes.base import WriteOutcome, WriteScheme
+from repro.schemes.base import WriteScheme
 from repro.sim.checkpoint import (
     CheckpointError,
     RunCheckpoint,
@@ -133,39 +136,14 @@ def _find_pad_cache(pads) -> CachingPadSource | None:
     return None
 
 
-def _accumulate(
-    result: RunResult, outcome: WriteOutcome, line_bits: int
-) -> int:
-    """Fold one write outcome into the running aggregates; returns slots.
-
-    Shared by the plain and instrumented write loops so the two can never
-    diverge in what they count.
-    """
-    result.total_flips += outcome.total_flips
-    result.data_flips += outcome.data_flips
-    result.meta_flips += outcome.metadata_flips
-    result.set_flips += outcome.set_flips
-    result.reset_flips += outcome.reset_flips
-    slots = slots_for_write(outcome, line_bits)
-    result.total_slots += slots
-    result.slot_histogram[slots] += 1
-    result.total_words_reencrypted += outcome.words_reencrypted
-    result.full_reencryptions += int(outcome.full_line_reencrypted)
-    result.epoch_resets += int(outcome.epoch_reset)
-    result.mode_switches += int(outcome.mode_switched)
-    if outcome.mode:
-        result.mode_histogram[outcome.mode] += 1
-    return slots
-
-
 def _accumulate_batch(
     result: RunResult, batch: BatchOutcome, line_bits: int
 ) -> None:
-    """Fold a whole chunk's outcomes into the aggregates at once.
+    """Fold a whole chunk's outcomes into the run's aggregates.
 
-    Every count a :func:`_accumulate` loop would produce, computed as array
-    sums and one ``bincount`` for the slot histogram — bit-identical to
-    folding the chunk's writes one at a time.
+    Flip, re-encryption and mode counts are array sums; the slot histogram
+    is one ``bincount``.  The result does not depend on how the trace was
+    cut into chunks.
     """
     data = int(batch.data_flips.sum())
     meta = int(batch.meta_flips.sum())
@@ -174,19 +152,7 @@ def _accumulate_batch(
     result.meta_flips += meta
     result.set_flips += int(batch.set_flips.sum())
     result.reset_flips += int(batch.reset_flips.sum())
-    if batch.data_diff is not None:
-        slots = slots_for_batch_diffs(
-            batch.data_diff, batch.meta_diff, line_bits
-        )
-    else:
-        slots = slots_for_batch(
-            batch.n_writes,
-            batch.data_positions,
-            batch.data_rows,
-            batch.meta_positions,
-            batch.meta_rows,
-            line_bits,
-        )
+    slots = slots_for_batch_diffs(batch.data_diff, batch.meta_diff, line_bits)
     result.total_slots += int(slots.sum())
     for n_slots, count in enumerate(np.bincount(slots).tolist()):
         if count:
@@ -203,12 +169,12 @@ class _PhaseTracker:
     """Fires :meth:`RunResult.record_phase` at exact phase boundaries.
 
     Built from the trace's ``phases`` declaration; each phase's end is the
-    next phase's start (the last ends at ``n_records``).  Loops call
-    :meth:`note` with the count of writes folded in so far; because the
-    chunked loop also cuts chunks at :attr:`next_end`, ``note`` always
-    sees the boundary index exactly and the cumulative snapshot is
-    bit-identical across all three write loops.  On resume, phases the
-    checkpoint already recorded are not re-recorded.
+    next phase's start (the last ends at ``n_records``).  The write loop
+    calls :meth:`note` with the count of writes folded in so far; because
+    it also cuts chunks at :attr:`next_end`, ``note`` always sees the
+    boundary index exactly and the cumulative snapshot is bit-identical
+    at any chunk size.  On resume, phases the checkpoint already recorded
+    are not re-recorded.
     """
 
     def __init__(
@@ -267,8 +233,7 @@ def run(
         line size); omitted, the cached generator is used.
     instruments:
         Optional observability bundle (metrics, tracing, sampling,
-        heartbeats).  ``None`` (or a fully-null bundle) takes the
-        uninstrumented fast path; results are identical either way.
+        heartbeats).  Results are identical with or without it.
     checkpoint_dir / checkpoint_every:
         When ``checkpoint_every > 0``, snapshot all mutable state into
         ``checkpoint_dir`` every that many writes (crash-safe; see
@@ -322,27 +287,17 @@ def run(
         # (cache hits included).
         scheme.pads = InstrumentedPadSource(scheme.pads, obs.metrics, tracer)
 
-    # The chunked loop replicates every observable the instrumented loop
-    # records except per-write trace spans, so it runs whenever the scheme
-    # can batch and nobody asked for write-granular spans.  Decided before
-    # install: the chunked path also installs the working set through one
-    # batched pad call, while ``chunk_size=1`` keeps the per-write
-    # reference behaviour end to end.
-    use_chunked = (
-        config.chunk_size > 1
-        and scheme.supports_write_batch
-        and not (tracer.enabled and obs.per_write_spans)
+    # Per-write spans need one write per chunk; otherwise the config's
+    # chunk size holds.
+    chunk_size = (
+        1 if tracer.enabled and obs.per_write_spans else config.chunk_size
     )
+    install, write = _kernels(scheme, chunk_size)
     addresses = trace.addresses()
     ti0 = time.perf_counter() if profile is not None else 0.0
     if checkpoint is None:
         with tracer.span("install", lines=len(addresses)):
-            if use_chunked:
-                init_addresses, init_data = trace.initial_arrays()
-                scheme.install_batch(init_addresses, init_data)
-            else:
-                for addr in addresses:
-                    scheme.install(addr, trace.initial[addr])
+            install(*trace.initial_arrays())
         if profile is not None:
             profile.add("install", time.perf_counter() - ti0)
     else:
@@ -368,9 +323,9 @@ def run(
     vwl = getattr(leveler, "startgap", None) or getattr(
         leveler, "refresh", None
     )
-    # The chunked loop never consults the line index without a wear
-    # leveler, so skip building it for that combination.
-    if use_chunked and isinstance(leveler, NoWearLeveler):
+    # The write loop never consults the line index without a wear
+    # leveler, so skip building it then.
+    if isinstance(leveler, NoWearLeveler):
         line_index: dict[int, int] = {}
     else:
         line_index = {addr: i % region for i, addr in enumerate(addresses)}
@@ -407,23 +362,11 @@ def run(
     tracker = (
         _PhaseTracker(trace, result, start=start) if trace.phases else None
     )
-    if use_chunked:
-        _write_loop_chunked(
-            config, trace, scheme, pcm, leveler, vwl, line_index, result, obs,
-            pad_cache, start=start, checkpointer=checkpointer,
-            tracker=tracker,
-        )
-    elif obs.enabled:
-        _write_loop_instrumented(
-            config, trace, scheme, pcm, leveler, vwl, line_index, result, obs,
-            pad_cache, start=start, checkpointer=checkpointer,
-            tracker=tracker,
-        )
-    else:
-        _write_loop(
-            config, trace, scheme, pcm, leveler, vwl, line_index, result,
-            start=start, checkpointer=checkpointer, tracker=tracker,
-        )
+    _write_loop(
+        config, trace, write, chunk_size, pcm, leveler, vwl, line_index,
+        result, obs, pad_cache, start=start, checkpointer=checkpointer,
+        tracker=tracker,
+    )
 
     result.wear = pcm.summary()
     result.lifetime = lifetime_report(
@@ -447,60 +390,41 @@ def run(
     return result
 
 
-def _write_loop(
-    config: SimConfig,
-    trace: Trace,
-    scheme: WriteScheme,
-    pcm: PcmArray,
-    leveler,
-    vwl,
-    line_index: dict[int, int],
-    result: RunResult,
-    start: int = 0,
-    checkpointer: RunCheckpointer | None = None,
-    tracker: "_PhaseTracker | None" = None,
-) -> None:
-    """The uninstrumented hot loop — nothing here but the simulation.
-
-    ``start`` skips already-applied writes on resume.  With a checkpointer
-    or phase tracker the loop pays one counter and one call per write;
-    without either the original zero-overhead body runs.
-    """
-    line_bits = 8 * config.line_bytes
-    records = trace.records if not start else trace.records[start:]
-    if checkpointer is None and tracker is None:
-        for record in records:
-            outcome = scheme.write(record.address, record.data)
-            rotation = leveler.rotation(line_index[record.address])
-            pcm.apply_write(outcome, rotation=rotation)
-            if vwl is not None:
-                vwl.on_write()
-            _accumulate(result, outcome, line_bits)
-        return
-    i = start
-    for record in records:
-        outcome = scheme.write(record.address, record.data)
-        rotation = leveler.rotation(line_index[record.address])
-        pcm.apply_write(outcome, rotation=rotation)
-        if vwl is not None:
-            vwl.on_write()
-        _accumulate(result, outcome, line_bits)
-        i += 1
-        if tracker is not None:
-            tracker.note(i)
-        if checkpointer is not None:
-            checkpointer.maybe(i)
-
-
 def _next_multiple(i: int, every: int) -> int:
     """The smallest multiple of ``every`` strictly greater than ``i``."""
     return (i // every + 1) * every
 
 
-def _write_loop_chunked(
+def _kernels(scheme: WriteScheme, chunk_size: int):
+    """The ``(install, write)`` pair the run uses, picked by chunk size.
+
+    Above 1, the scheme's own ``install_batch`` / ``write_batch``.  At 1,
+    the base-class fallbacks, which loop the scalar ``install()`` /
+    ``write()`` even for schemes with vectorized kernels, so the parity
+    tests compare those kernels against the scalar code rather than
+    against themselves.
+    """
+    if chunk_size > 1:
+        return scheme.install_batch, scheme.write_batch
+    return (
+        partial(WriteScheme.install_batch, scheme),
+        partial(WriteScheme.write_batch, scheme),
+    )
+
+
+#: Write-loop phases whose profile totals also feed a metrics timer.
+_TIMED_PHASES = (
+    ("scheme.write", "scheme.write_s"),
+    ("wear.rotation", "wear.rotation_s"),
+    ("pcm.apply", "pcm.apply_s"),
+)
+
+
+def _write_loop(
     config: SimConfig,
     trace: Trace,
-    scheme: WriteScheme,
+    write,
+    chunk_size: int,
     pcm: PcmArray,
     leveler,
     vwl,
@@ -512,11 +436,12 @@ def _write_loop_chunked(
     checkpointer: RunCheckpointer | None = None,
     tracker: "_PhaseTracker | None" = None,
 ) -> None:
-    """The batched write loop: whole trace chunks through ``write_batch``.
+    """The write loop: the trace in chunks of ``chunk_size`` through ``write``.
 
-    Chunks are cut so that every interval-triggered side effect — abort
-    polls, checkpoint saves, interval samples, heartbeats, and wear-leveler
-    gap movements — lands exactly where the serial loops put it:
+    ``write`` is the kernel :func:`_kernels` picked.  Chunks are cut so
+    that every interval-triggered side effect (abort polls, checkpoint
+    saves, interval samples, heartbeats, phase boundaries, and
+    wear-leveler gap movements) lands on the same write at any chunk size:
 
     * sample/heartbeat/checkpoint intervals fire *after* the write at each
       multiple, so a chunk never crosses a multiple (it ends on one);
@@ -524,33 +449,31 @@ def _write_loop_chunked(
       never contains one (the poll runs at the top of the next chunk);
     * a Start-Gap/Security-Refresh event fires at most once per chunk, as
       its final write, keeping the HWL rotation constant across the chunk
-      (the serial loop computes each write's rotation before notifying the
-      leveler, so the triggering write itself still uses the old rotation).
+      (the triggering write itself still uses the old rotation).
 
-    Everything else (epoch resets, pad-cache traffic, flip accounting) is
-    handled inside ``write_batch`` bit-identically to the serial path.
-    Metrics use ``observe_many`` so timer/counter counts match the
-    per-write loop; when tracing is live, one span per chunk is emitted
-    under the serial span names (the loop is only selected with tracing on
-    when ``per_write_spans`` is off).
+    Epoch resets, pad-cache traffic and flip accounting happen inside the
+    kernel.  Phase times go into one :class:`PhaseProfile`; the metrics
+    timers are filled from it when the loop ends.  With tracing live,
+    each chunk gets one span per phase; at ``chunk_size=1`` those spans
+    carry the write's address, mode and rotation, and epoch resets and
+    mode switches become events.
     """
     line_bits = 8 * config.line_bytes
     addresses_arr, data_arr = trace.write_arrays()
     n_records = int(addresses_arr.shape[0])
-    chunk_size = config.chunk_size
     no_rotation = isinstance(leveler, NoWearLeveler)
     enabled = obs.enabled
     metrics = obs.metrics
     tracer = obs.tracer
     tracing = tracer.enabled
-    profile = obs.profile
+    per_write = tracing and chunk_size == 1
+    profile = (
+        PhaseProfile()
+        if obs.profile is not None or metrics.enabled
+        else None
+    )
     perf = time.perf_counter
 
-    t_write = t_rotate = t_pcm = None
-    if enabled:
-        t_write = metrics.timer("scheme.write_s")
-        t_rotate = metrics.timer("wear.rotation_s")
-        t_pcm = metrics.timer("pcm.apply_s")
     sampler = None
     sample_every = 0
     if enabled and obs.sample_interval > 0:
@@ -586,13 +509,13 @@ def _write_loop_chunked(
         if vwl is not None:
             end = min(end, i + vwl.writes_until_event)
         if tracker is not None and tracker.next_end is not None:
-            # End chunks on phase boundaries so the cumulative snapshot
-            # lands exactly where the serial loops take it.
+            # End chunks on phase boundaries so the cumulative
+            # snapshot lands exactly on the boundary write.
             end = min(end, tracker.next_end)
         k = end - i
 
         t0 = perf()
-        batch = scheme.write_batch(addresses_arr[i:end], data_arr[i:end])
+        batch = write(addresses_arr[i:end], data_arr[i:end])
         t1 = perf()
         if no_rotation:
             rotations = None
@@ -605,22 +528,10 @@ def _write_loop_chunked(
             )
             rotations = per_line[inv]
         t2 = perf()
-        if batch.data_diff is not None:
-            pcm.apply_batch_diffs(
-                batch.addresses,
-                batch.data_diff,
-                batch.meta_diff,
-                rotations=rotations,
-            )
-        else:
-            pcm.apply_batch(
-                batch.addresses,
-                batch.data_positions,
-                batch.data_rows,
-                batch.meta_positions,
-                batch.meta_rows,
-                rotations=rotations,
-            )
+        pcm.apply_batch_diffs(
+            batch.addresses, batch.data_diff, batch.meta_diff,
+            rotations=rotations,
+        )
         t3 = perf()
         if vwl is not None:
             vwl.advance(k)
@@ -630,35 +541,53 @@ def _write_loop_chunked(
             tracker.note(i)
 
         if profile is not None:
-            # Reuses the t0..t3 stamps the loop already takes; the only
-            # extra clock read covers the scatter-add accumulate phase.
+            # Reuses the t0..t3 stamps; the only extra clock read
+            # covers the accumulate phase.
             t4 = perf()
             profile.add("scheme.write", t1 - t0, k)
             profile.add("wear.rotation", t2 - t1, k)
             profile.add("pcm.apply", t3 - t2, k)
             profile.add("accumulate", t4 - t3, k)
-        if enabled:
-            t_write.observe_many(t1 - t0, k)
-            t_rotate.observe_many(t2 - t1, k)
-            t_pcm.observe_many(t3 - t2, k)
-            if tracing:
-                tracer.span_event(
-                    "scheme.write", t0, t1 - t0, write=i, n=k,
-                    flips=int(batch.data_flips.sum() + batch.meta_flips.sum()),
-                )
-                tracer.span_event("wear.rotation", t1, t2 - t1, write=i, n=k)
-                tracer.span_event("pcm.apply", t2, t3 - t2, write=i, n=k)
+        if per_write:
+            addr = int(batch.addresses[0])
+            mode = next(iter(batch.mode_counts), "")
+            tracer.span_event(
+                "scheme.write", t0, t1 - t0, write=i, addr=addr,
+                flips=int(batch.data_flips[0] + batch.meta_flips[0]),
+                mode=mode,
+            )
+            tracer.span_event("wear.rotation", t1, t2 - t1, write=i)
+            tracer.span_event(
+                "pcm.apply", t2, t3 - t2, write=i,
+                rotation=0 if rotations is None else int(rotations[0]),
+            )
+            if batch.epoch_reset[0]:
+                tracer.event("epoch.reset", write=i, addr=addr)
+            if batch.mode_switched[0]:
+                tracer.event("mode.switch", write=i, addr=addr, mode=mode)
+        elif tracing:
+            tracer.span_event(
+                "scheme.write", t0, t1 - t0, write=i, n=k,
+                flips=int(batch.data_flips.sum() + batch.meta_flips.sum()),
+            )
+            tracer.span_event("wear.rotation", t1, t2 - t1, write=i, n=k)
+            tracer.span_event("pcm.apply", t2, t3 - t2, write=i, n=k)
         if checkpointer is not None:
+            tc0 = perf()
+            checkpointer.maybe(i)
             if profile is not None:
-                tc0 = perf()
-                checkpointer.maybe(i)
                 profile.add("checkpoint", perf() - tc0)
-            else:
-                checkpointer.maybe(i)
         if sample_every and i % sample_every == 0:
             sampler.record(i)
         if hb_every and i % hb_every == 0:
             heartbeat(i, n_records)
+
+    if profile is not None:
+        for phase, timer in _TIMED_PHASES:
+            seconds, count = profile.phases.get(phase, (0.0, 0))
+            metrics.timer(timer).observe_many(seconds, int(count))
+        if obs.profile is not None:
+            obs.profile.merge(profile)
 
     if enabled:
         metrics.gauge("run.write_loop_s").set(perf() - loop_t0)
@@ -675,126 +604,6 @@ def _write_loop_chunked(
             metrics.counter("pad.cache_misses").inc(pad_cache.misses)
         if sampler is not None:
             result.series = sampler.finalize(n_records)
-
-
-def _write_loop_instrumented(
-    config: SimConfig,
-    trace: Trace,
-    scheme: WriteScheme,
-    pcm: PcmArray,
-    leveler,
-    vwl,
-    line_index: dict[int, int],
-    result: RunResult,
-    obs: Instruments,
-    pad_cache: CachingPadSource | None,
-    start: int = 0,
-    checkpointer: RunCheckpointer | None = None,
-    tracker: "_PhaseTracker | None" = None,
-) -> None:
-    """The observed write loop: timers, spans, samples, heartbeats.
-
-    Instrumentation is read-only, so this loop produces the same
-    :class:`RunResult` aggregates as :func:`_write_loop` on the same inputs.
-    """
-    line_bits = 8 * config.line_bytes
-    metrics = obs.metrics
-    tracer = obs.tracer
-    tracing = tracer.enabled
-    perf = time.perf_counter
-
-    t_write = metrics.timer("scheme.write_s")
-    t_rotate = metrics.timer("wear.rotation_s")
-    t_pcm = metrics.timer("pcm.apply_s")
-
-    n_records = len(trace.records)
-    sampler = None
-    if obs.sample_interval > 0:
-        sampler = IntervalSampler(
-            obs.sample_interval, result, pcm, pad_cache
-        )
-        sample_every = obs.sample_interval
-    heartbeat = obs.heartbeat
-    if heartbeat is not None:
-        hb_every = obs.heartbeat_every or max(1, n_records // 10)
-    abort = obs.abort
-    if abort is not None:
-        abort_every = obs.abort_every or max(1, min(512, n_records // 10))
-
-    loop_t0 = perf()
-    i = start
-    records = trace.records if not start else trace.records[start:]
-    for record in records:
-        i += 1
-        if abort is not None and i % abort_every == 0 and abort():
-            raise RunAborted(
-                f"run aborted before write {i}/{n_records} "
-                f"({config.workload}/{config.scheme})",
-                writes_done=i - 1,
-            )
-        t0 = perf()
-        outcome = scheme.write(record.address, record.data)
-        t1 = perf()
-        rotation = leveler.rotation(line_index[record.address])
-        t2 = perf()
-        pcm.apply_write(outcome, rotation=rotation)
-        t3 = perf()
-        if vwl is not None:
-            vwl.on_write()
-        t_write.observe(t1 - t0)
-        t_rotate.observe(t2 - t1)
-        t_pcm.observe(t3 - t2)
-        if obs.profile is not None:
-            obs.profile.add("scheme.write", t1 - t0)
-            obs.profile.add("wear.rotation", t2 - t1)
-            obs.profile.add("pcm.apply", t3 - t2)
-        _accumulate(result, outcome, line_bits)
-        if tracker is not None:
-            tracker.note(i)
-        if checkpointer is not None:
-            checkpointer.maybe(i)
-        if tracing:
-            tracer.span_event(
-                "scheme.write",
-                t0,
-                t1 - t0,
-                write=i,
-                addr=record.address,
-                flips=outcome.total_flips,
-                mode=outcome.mode,
-            )
-            tracer.span_event("wear.rotation", t1, t2 - t1, write=i)
-            tracer.span_event(
-                "pcm.apply", t2, t3 - t2, write=i, rotation=rotation
-            )
-            if outcome.epoch_reset:
-                tracer.event(
-                    "epoch.reset", write=i, addr=record.address
-                )
-            if outcome.mode_switched:
-                tracer.event(
-                    "mode.switch",
-                    write=i,
-                    addr=record.address,
-                    mode=outcome.mode,
-                )
-        if sampler is not None and i % sample_every == 0:
-            sampler.record(i)
-        if heartbeat is not None and i % hb_every == 0:
-            heartbeat(i, n_records)
-
-    metrics.gauge("run.write_loop_s").set(perf() - loop_t0)
-    metrics.counter("run.writes").inc(result.n_writes)
-    metrics.counter("run.flips").inc(result.total_flips)
-    metrics.counter("run.slots").inc(result.total_slots)
-    metrics.counter("run.epoch_resets").inc(result.epoch_resets)
-    metrics.counter("run.mode_switches").inc(result.mode_switches)
-    metrics.counter("run.full_reencryptions").inc(result.full_reencryptions)
-    if pad_cache is not None:
-        metrics.counter("pad.cache_hits").inc(pad_cache.hits)
-        metrics.counter("pad.cache_misses").inc(pad_cache.misses)
-    if sampler is not None:
-        result.series = sampler.finalize(n_records)
 
 
 def run_suite(

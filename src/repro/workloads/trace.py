@@ -192,7 +192,7 @@ class Trace:
         Used by the generator, trace files and the shared-memory sweep
         path: the arrays may live in a ``multiprocessing.shared_memory``
         buffer owned by another process.  ``records`` stays lazy, so
-        nothing is materialized unless the serial loop iterates it.
+        nothing is materialized unless a caller iterates it.
         """
         blob = init_data.tobytes()
         initial = {

@@ -219,6 +219,15 @@ class TestKvThroughTheEnvelope:
             in body["error"]
         )
 
+    def test_chunk_size_below_one_rejected_naming_the_field(self, service):
+        bad = dict(KV_CONFIG, chunk_size=0)
+        status, body = _post_error(
+            f"{service}/v1/jobs",
+            {"kind": "run", "config": bad, "options": {}},
+        )
+        assert status == 400
+        assert "config key 'chunk_size' must be >= 1, got 0" in body["error"]
+
     def test_decode_matches_from_dict_for_kv(self):
         spec, deprecated = JobSpec.decode(
             {"kind": "run", "config": KV_CONFIG, "options": {}}

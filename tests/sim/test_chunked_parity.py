@@ -1,11 +1,13 @@
-"""Chunked write path == serial write path, bit for bit.
+"""Chunked write path == scalar reference, bit for bit.
 
-The chunked loop (``chunk_size > 1``) batches writes through
-``scheme.write_batch`` with precomputed pad streams and scatter-add
-accumulation; ``chunk_size=1`` is the per-write reference loop.  These
-tests pin the documented equality contract: every aggregate, the sampled
-series, the wear profile, and checkpoint/resume continuations are
-bit-identical at any chunk size.
+Above ``chunk_size=1`` the write loop hands chunks to
+``scheme.write_batch`` (vectorized for some schemes, a loop over
+``write()`` for the rest) with precomputed pad streams and scatter-add
+accumulation; ``chunk_size=1`` is the scalar reference, where every
+scheme runs its own ``install()``/``write()``.  These tests pin the
+documented equality contract for every registered scheme: every
+aggregate, the sampled series, the wear profile, and checkpoint/resume
+continuations are bit-identical at any chunk size.
 """
 
 from __future__ import annotations
@@ -15,13 +17,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro import registry
 from repro.obs.instruments import Instruments
 from repro.sim.config import SimConfig
 from repro.sim.runner import run
 
-#: Every scheme with a batch implementation (the chunked path engages for
-#: these; anything else silently falls back to the serial loop).
-BATCH_SCHEMES = ("deuce", "encr-dcw", "noencr-dcw")
+SCHEMES = registry.SCHEMES.names
 
 BASE = dict(workload="mcf", n_writes=800, seed=0)
 
@@ -50,18 +51,52 @@ def run_pair(**overrides):
 
 
 class TestChunkedMatchesSerial:
-    @pytest.mark.parametrize("scheme", BATCH_SCHEMES)
+    @pytest.mark.parametrize("scheme", SCHEMES)
     def test_aggregates_identical(self, scheme):
         serial, chunked = run_pair(scheme=scheme)
         assert comparable(serial) == comparable(chunked)
 
-    @pytest.mark.parametrize("scheme", BATCH_SCHEMES)
+    @pytest.mark.parametrize("scheme", SCHEMES)
     def test_wear_profile_identical(self, scheme):
         serial, chunked = run_pair(scheme=scheme)
         assert np.array_equal(
             serial.wear.position_writes, chunked.wear.position_writes
         )
         assert serial.wear.max_line_bit_writes == chunked.wear.max_line_bit_writes
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_rotated_per_line_wear_identical(self, scheme):
+        # HWL rotations through the batched PCM apply, with the full
+        # (line, bit) wear matrix kept.
+        serial, chunked = run_pair(
+            scheme=scheme,
+            wear_leveling="hwl",
+            gap_write_interval=37,
+            track_per_line_wear=True,
+        )
+        assert comparable(serial) == comparable(chunked)
+        assert np.array_equal(
+            serial.wear.position_writes, chunked.wear.position_writes
+        )
+        assert serial.wear.max_line_bit_writes == chunked.wear.max_line_bit_writes
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_chunk_size_one_runs_only_scalar_code(self, scheme, monkeypatch):
+        # The reference must not route through any batch kernel, or the
+        # oracle would compare a kernel with itself.
+        def boom(self, addresses, data):
+            raise AssertionError("batch kernel called at chunk_size=1")
+
+        for name in SCHEMES:
+            cls = registry.SCHEMES.get(name).factory
+            monkeypatch.setattr(cls, "write_batch", boom)
+            monkeypatch.setattr(cls, "install_batch", boom)
+        result = run(
+            SimConfig("mcf", scheme, n_writes=200, seed=0, chunk_size=1)
+        )
+        assert result.n_writes == 200
+        with pytest.raises(AssertionError, match="batch kernel"):
+            run(SimConfig("mcf", scheme, n_writes=200, seed=0, chunk_size=2))
 
     def test_epoch_resets_inside_chunks(self):
         # A tiny epoch interval forces resets mid-chunk; the batch path
@@ -158,6 +193,20 @@ class TestChunkedCheckpointResume:
         resumed = run(resume_from=str(ckpt_dir))
         assert comparable(full) == comparable(resumed)
         assert comparable(full) == comparable(self._straight(1))
+
+    def test_dyndeuce_resume_mid_chunk_is_bit_identical(self, tmp_path):
+        # DynDEUCE carries mode state (per-line DEUCE/FNW mode and switch
+        # bookkeeping) across the checkpoint on top of DEUCE's.
+        cfg = SimConfig(
+            "Gems", "dyndeuce", n_writes=600, seed=3, chunk_size=50
+        )
+        ckpt_dir = tmp_path / "dyn"
+        full = run(cfg, checkpoint_dir=ckpt_dir, checkpoint_every=77)
+        resumed = run(resume_from=str(ckpt_dir))
+        straight = run(cfg.with_(chunk_size=1))
+        assert full.mode_switches > 0
+        assert comparable(full) == comparable(resumed)
+        assert comparable(full) == comparable(straight)
 
     @given(checkpoint_every=st.integers(min_value=13, max_value=590))
     @settings(

@@ -93,6 +93,18 @@ class TestRun:
         assert "deuce" in err
 
 
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_chunk_size_below_one_rejected(self, capsys, command):
+        workload = "--workload" if command == "run" else "--workloads"
+        scheme = "--scheme" if command == "run" else "--schemes"
+        code = main(
+            [command, workload, "mcf", scheme, "deuce", "--chunk-size", "0"]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config key 'chunk_size' must be >= 1, got 0" in err
+
+
 class TestRunObservability:
     def test_metrics_trace_and_series_outputs(self, tmp_path, capsys):
         metrics = tmp_path / "m.jsonl"

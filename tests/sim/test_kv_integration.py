@@ -71,7 +71,7 @@ class TestEndToEnd:
 
     def test_chunked_and_instrumented_match_serial(self):
         config = SimConfig.from_dict(dict(CONFIG))
-        serial = run(SimConfig.from_dict(dict(CONFIG, chunk_size=0)))
+        serial = run(SimConfig.from_dict(dict(CONFIG, chunk_size=1)))
         chunked = run(SimConfig.from_dict(dict(CONFIG, chunk_size=128)))
         instrumented = run(
             config, instruments=Instruments(metrics=MetricsRegistry())

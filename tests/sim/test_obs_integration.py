@@ -32,7 +32,8 @@ from repro.obs import (
 from repro.obs.progress import DONE, HEARTBEAT, START
 from repro.sim.config import SimConfig
 from repro.sim.parallel import run_suite_parallel
-from repro.sim.runner import run, run_suite
+from repro.obs.profile import PhaseProfile
+from repro.sim.runner import cached_trace, run, run_suite
 
 
 def assert_bit_identical(a, b) -> None:
@@ -141,12 +142,19 @@ class TestSeriesReconciliation:
 
 class TestTraceOutput:
     def test_jsonl_parses_with_expected_span_names(self, tmp_path):
+        self.check_per_write_trace(tmp_path, "mcf", "deuce")
+
+    def test_dyndeuce_trace_has_mode_switch_events(self, tmp_path):
+        self.check_per_write_trace(tmp_path, "Gems", "dyndeuce")
+
+    @staticmethod
+    def check_per_write_trace(tmp_path, workload, scheme):
         path = tmp_path / "trace.jsonl"
         config = SimConfig(
-            "mcf", "deuce", n_writes=300, seed=7, epoch_interval=4
+            workload, scheme, n_writes=300, seed=7, epoch_interval=4
         )
         with JsonlSink(path) as sink:
-            run(config, instruments=Instruments(tracer=Tracer(sink)))
+            result = run(config, instruments=Instruments(tracer=Tracer(sink)))
         records = [
             json.loads(line) for line in path.read_text().splitlines()
         ]
@@ -162,12 +170,58 @@ class TestTraceOutput:
             "pcm.apply",
             "pad.fetch",
         } <= names
-        # Epoch interval 4 over 300 writes of a hot trace must reset.
+        # Epoch interval 4 over 300 writes of a hot trace must reset, and
+        # every reset and mode switch is one event.
         resets = [r for r in records if r["name"] == "epoch.reset"]
         assert resets and all(r["type"] == "event" for r in resets)
+        assert len(resets) == result.epoch_resets
+        switches = [r for r in records if r["name"] == "mode.switch"]
+        assert all(r["type"] == "event" for r in switches)
+        assert len(switches) == result.mode_switches
+        if scheme == "dyndeuce":
+            assert switches
+        # One span per write, in trace order, naming its line and mode.
         writes = [r for r in records if r["name"] == "scheme.write"]
         assert len(writes) == config.n_writes
         assert all(r["dur"] >= 0.0 for r in writes)
+        assert all("addr" in r and "mode" in r for r in writes)
+        assert [r["write"] for r in writes] == list(
+            range(1, config.n_writes + 1)
+        )
+        addresses, _ = cached_trace(
+            workload, config.n_writes, config.seed, config.line_bytes
+        ).write_arrays()
+        assert [r["addr"] for r in writes] == addresses.tolist()
+
+    @pytest.mark.parametrize("with_profile", [False, True])
+    @pytest.mark.parametrize("chunk_size", [1, 64])
+    def test_phase_timers_come_from_the_profile(
+        self, chunk_size, with_profile
+    ):
+        # The loop times into one PhaseProfile; the metrics timers are
+        # filled from it at the end with the same counts and sums.
+        config = SimConfig(
+            "mcf", "dyndeuce", n_writes=300, seed=7, chunk_size=chunk_size
+        )
+        metrics = MetricsRegistry()
+        profile = PhaseProfile() if with_profile else None
+        result = run(
+            config,
+            instruments=Instruments(metrics=metrics, profile=profile),
+        )
+        snap = {s["name"]: s for s in metrics.snapshot()}
+        for phase, timer in (
+            ("scheme.write", "scheme.write_s"),
+            ("wear.rotation", "wear.rotation_s"),
+            ("pcm.apply", "pcm.apply_s"),
+        ):
+            assert snap[timer]["count"] == config.n_writes
+            if with_profile:
+                seconds = result.profile[phase]["seconds"]
+                assert snap[timer]["sum"] == pytest.approx(seconds, abs=1e-6)
+                assert result.profile[phase]["count"] == config.n_writes
+        if not with_profile:
+            assert result.profile is None
 
     def test_metrics_cover_the_pipeline(self):
         config = SimConfig("mcf", "deuce", n_writes=300, seed=7)

@@ -94,6 +94,17 @@ class TestConfigDecode:
                  "wear_leveling": "hlw"}
             )
 
+    @pytest.mark.parametrize("chunk_size", [0, -3])
+    def test_chunk_size_below_one_rejected(self, chunk_size):
+        message = f"config key 'chunk_size' must be >= 1, got {chunk_size}"
+        with pytest.raises(ConfigError, match=message):
+            SimConfig("mcf", "deuce", chunk_size=chunk_size)
+        with pytest.raises(ConfigError, match=message):
+            SimConfig.from_dict(
+                {"workload": "mcf", "scheme": "deuce",
+                 "chunk_size": chunk_size}
+            )
+
     def test_registry_error_surfaces_suggestion_attribute(self):
         try:
             registry.WORKLOADS.get("mfc")
