@@ -42,6 +42,16 @@ CHUNK_SIZES = (SimConfig("mcf", "deuce").chunk_size, N_WRITES)
 #: Best-of-N repeats per (scheme, chunk_size) side.
 REPEATS = 5
 
+#: ``deuce``'s whole-trace speedup over the scalar reference: the target
+#: (recorded as ``meets_target``) and the asserted floor, which sits lower
+#: so a loaded CI machine doesn't flake the suite.  Both are the batching
+#: work's 10x target and 8x floor over a plain per-write loop, scaled by
+#: 1.9x: the reference packs every write into a one-row ``BatchOutcome``
+#: and runs that much slower than such a loop (median of 10 alternating
+#: pairs, mcf 2,000 writes, best of 5, one core of a 2-vCPU container).
+TARGET_SPEEDUP = 19.0
+FLOOR_SPEEDUP = 15.0
+
 
 def _comparable(result) -> dict:
     """A result's full physics dict, minus timing and identity noise."""
@@ -95,7 +105,7 @@ def test_tracepath_throughput():
                 "speedup": round(serial_s / chunk_s, 2),
             }
         # Headline: the whole pinned trace as one chunk — the fully
-        # trace-compiled path the batching work targets at >= 10x.
+        # trace-compiled path TARGET_SPEEDUP is set for.
         top = entry["chunked"][str(N_WRITES)]
         entry["writes_per_s"] = top["writes_per_s"]
         entry["speedup"] = top["speedup"]
@@ -122,10 +132,8 @@ def test_tracepath_throughput():
         "writes_per_s": deuce["writes_per_s"],
         "serial_writes_per_s": deuce["serial_writes_per_s"],
         "speedup": deuce["speedup"],
-        "target_speedup": 10.0,
-        "meets_target": deuce["speedup"] >= 10.0,
+        "target_speedup": TARGET_SPEEDUP,
+        "meets_target": deuce["speedup"] >= TARGET_SPEEDUP,
     }
     record("tracepath", "\n".join(lines), data=data)
-    # The batching target is 10x (recorded in meets_target); assert a
-    # lower floor so a loaded CI machine doesn't flake the suite.
-    assert deuce["speedup"] >= 8.0
+    assert deuce["speedup"] >= FLOOR_SPEEDUP

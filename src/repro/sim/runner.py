@@ -141,26 +141,37 @@ def _accumulate_batch(
 ) -> None:
     """Fold a whole chunk's outcomes into the run's aggregates.
 
-    Flip, re-encryption and mode counts are array sums; the slot histogram
-    is one ``bincount``.  The result does not depend on how the trace was
-    cut into chunks.
+    Flip, re-encryption and mode counts come from one row-wise sum over
+    the stacked count columns (a one-write chunk pays per numpy call);
+    the slot histogram is one ``bincount``.  The result does not depend
+    on how the trace was cut into chunks.
     """
-    data = int(batch.data_flips.sum())
-    meta = int(batch.meta_flips.sum())
+    slots = slots_for_batch_diffs(batch.data_diff, batch.meta_diff, line_bits)
+    (
+        data, meta, sets, resets, n_slots, words, fulls, resets_epoch,
+        switches,
+    ) = np.array(
+        (
+            batch.data_flips, batch.meta_flips, batch.set_flips,
+            batch.reset_flips, slots, batch.words_reencrypted,
+            batch.full_line_reencrypted, batch.epoch_reset,
+            batch.mode_switched,
+        ),
+        dtype=np.int64,
+    ).sum(axis=1).tolist()
     result.total_flips += data + meta
     result.data_flips += data
     result.meta_flips += meta
-    result.set_flips += int(batch.set_flips.sum())
-    result.reset_flips += int(batch.reset_flips.sum())
-    slots = slots_for_batch_diffs(batch.data_diff, batch.meta_diff, line_bits)
-    result.total_slots += int(slots.sum())
-    for n_slots, count in enumerate(np.bincount(slots).tolist()):
+    result.set_flips += sets
+    result.reset_flips += resets
+    result.total_slots += n_slots
+    for slot_count, count in enumerate(np.bincount(slots).tolist()):
         if count:
-            result.slot_histogram[n_slots] += count
-    result.total_words_reencrypted += int(batch.words_reencrypted.sum())
-    result.full_reencryptions += int(batch.full_line_reencrypted.sum())
-    result.epoch_resets += int(batch.epoch_reset.sum())
-    result.mode_switches += int(batch.mode_switched.sum())
+            result.slot_histogram[slot_count] += count
+    result.total_words_reencrypted += words
+    result.full_reencryptions += fulls
+    result.epoch_resets += resets_epoch
+    result.mode_switches += switches
     for mode, count in batch.mode_counts.items():
         result.mode_histogram[mode] += count
 

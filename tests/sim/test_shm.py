@@ -58,8 +58,8 @@ class TestPublishAttachRoundtrip:
             data[0, 0] = 1
 
     def test_lazy_records_match_generated(self, publisher):
-        # The serial loop iterates ``records``; the lazy view must yield
-        # the same (address, data) stream the generator produced.
+        # Code that iterates ``records`` must get from the lazy view the
+        # same (address, data) stream the generator produced.
         attached = attach_trace(publisher.publish(CFG))
         source = cached_trace(
             CFG.workload, CFG.n_writes, CFG.seed, CFG.line_bytes
