@@ -49,14 +49,11 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-#: Sentinels for the batched cache walk: distinguish "not cached" from a
-#: placeholder reserving the LRU slot of a pad whose value is generated at
-#: the end of the chunk.
 #: Pre-compiled (address, counter, lane) tweak packer for the Blake2 path.
 _pack_qqb = struct.Struct("<QQB").pack
 
+#: Sentinel for the batched cache walk: "not cached".
 _MISS = object()
-_PENDING = object()
 
 
 class PadSource(Protocol):
@@ -86,6 +83,12 @@ class PadSource(Protocol):
         self, addresses: np.ndarray, counters: np.ndarray, n_bytes: int
     ) -> np.ndarray:
         """Return ``(len(addresses), n_bytes)`` pads for a whole write batch."""
+        ...
+
+    def peek_line_pads_batch(
+        self, addresses: np.ndarray, counters: np.ndarray, n_bytes: int
+    ) -> np.ndarray:
+        """:meth:`line_pads_batch` with no side effects on caches or stats."""
         ...
 
 
@@ -151,6 +154,13 @@ class _PadSourceBase:
                 int(addresses[i]), int(counters[i]), n_bytes
             )
         return _freeze(out)
+
+    def peek_line_pads_batch(
+        self, addresses: np.ndarray, counters: np.ndarray, n_bytes: int
+    ) -> np.ndarray:
+        """Same pads as :meth:`line_pads_batch`; a bare source keeps no
+        bookkeeping, so the two are one call."""
+        return self.line_pads_batch(addresses, counters, n_bytes)
 
 
 class AesPadSource(_PadSourceBase):
@@ -415,91 +425,76 @@ class CachingPadSource(_PadSourceBase):
             # Row views of the frozen buffer are themselves read-only.
             cache.update(zip(keys[start:], list(generated[start:])))
             return generated
-        out = np.empty((m, n_bytes), dtype=np.uint8)
-        miss_keys: list[tuple[int, int, int]] = []
-        fill_first: list[int] = []
-        fill_extra: dict[int, list[int]] = {}
-        open_miss: dict[tuple[int, int, int], int] = {}
         # Hot loop: every dict operation bound to a local, cache size
-        # tracked without len() per row.  Output rows are not filled here —
-        # hits are grouped per key and misses per generated row, so the
-        # copies into ``out`` happen as a few wide scatters afterwards.
-        cache_get = cache.get
-        move_to_end = cache.move_to_end
+        # tracked without len() per row.  ``pop`` then re-insert is one
+        # LRU touch: a hit moves to the back with its value, a miss takes
+        # the back slot with a placeholder, its index into ``miss_keys``
+        # (the oldest entry is evicted first when the cache is full).
+        # ``rows`` collects each request's pad, or its placeholder.
+        pop = cache.pop
         popitem = cache.popitem
         size = len(cache)
-        hits = 0
-        misses = 0
-        hit_fill: dict[
-            tuple[int, int, int], tuple[np.ndarray, list[int]]
-        ] = {}
-        hit_get = hit_fill.get
-        for i, key in enumerate(keys):
-            cached = cache_get(key, _MISS)
-            if cached is _MISS:
-                misses += 1
+        miss_keys: list[tuple[int, int, int]] = []
+        add_miss = miss_keys.append
+        rows: list = []
+        add_row = rows.append
+        for key in keys:
+            value = pop(key, _MISS)
+            if value is _MISS:
                 if size >= capacity:
-                    evicted, _ = popitem(last=False)
-                    open_miss.pop(evicted, None)
+                    popitem(last=False)
                 else:
                     size += 1
-                cache[key] = _PENDING
-                open_miss[key] = len(miss_keys)
-                fill_first.append(i)
-                miss_keys.append(key)
-            elif cached is _PENDING:
-                hits += 1
-                move_to_end(key)
-                j = open_miss[key]
-                extra = fill_extra.get(j)
-                if extra is None:
-                    fill_extra[j] = [i]
-                else:
-                    extra.append(i)
-            else:
-                hits += 1
-                move_to_end(key)
-                entry = hit_get(key)
-                if entry is None:
-                    hit_fill[key] = (cached, [i])
-                else:
-                    entry[1].append(i)
-        self.hits += hits
-        self.misses += misses
-        # Pads are pure functions of their key, so every hit on a key saw
-        # the same value — one wide assignment per distinct key.
-        for pad, rows in hit_fill.values():
-            out[rows] = pad
-        if miss_keys:
-            n_miss = len(miss_keys)
-            generated = _freeze(
-                self._inner.line_pads_batch(
-                    np.fromiter(
-                        (k[0] for k in miss_keys),
-                        dtype=np.int64,
-                        count=n_miss,
-                    ),
-                    np.fromiter(
-                        (k[1] for k in miss_keys),
-                        dtype=np.int64,
-                        count=n_miss,
-                    ),
-                    n_bytes,
+                value = len(miss_keys)
+                add_miss(key)
+            cache[key] = value
+            add_row(value)
+        n_miss = len(miss_keys)
+        self.hits += m - n_miss
+        self.misses += n_miss
+        if n_miss:
+            generated = list(
+                _freeze(
+                    self._inner.line_pads_batch(
+                        np.fromiter(
+                            (k[0] for k in miss_keys),
+                            dtype=np.int64,
+                            count=n_miss,
+                        ),
+                        np.fromiter(
+                            (k[1] for k in miss_keys),
+                            dtype=np.int64,
+                            count=n_miss,
+                        ),
+                        n_bytes,
+                    )
                 )
             )
-            out[fill_first] = generated
-            for j, rows in fill_extra.items():
-                out[rows] = generated[j]
-            # An entry still in ``open_miss`` under index ``j`` was neither
-            # evicted nor re-missed after row ``j`` — its placeholder is
-            # necessarily the ``_PENDING`` we installed, so no cache lookup
-            # is needed.  Row views of the frozen ``generated`` buffer are
-            # themselves read-only.
-            open_miss_get = open_miss.get
-            for j, key in enumerate(miss_keys):
-                if open_miss_get(key) == j:
-                    cache[key] = generated[j]
-        return _freeze(out)
+            rows = [
+                generated[v] if v.__class__ is int else v for v in rows
+            ]
+            # Placeholders still cached take their pad in place (same LRU
+            # position).  Row views of the frozen buffer are read-only.
+            cache_get = cache.get
+            for key in miss_keys:
+                value = cache_get(key)
+                if value.__class__ is int:
+                    cache[key] = generated[value]
+        return _freeze(
+            np.frombuffer(b"".join(rows), dtype=np.uint8).reshape(m, n_bytes)
+        )
+
+    def peek_line_pads_batch(
+        self, addresses: np.ndarray, counters: np.ndarray, n_bytes: int
+    ) -> np.ndarray:
+        """Pads for a batch, leaving the LRU order and hit/miss counts alone.
+
+        For batch kernels whose scalar pad-request stream depends on pad
+        values (a mode choice, a decode before the first write): they peek
+        the values first, then send the exact stream through
+        :meth:`line_pads_batch` once.
+        """
+        return self._inner.peek_line_pads_batch(addresses, counters, n_bytes)
 
     @property
     def hit_rate(self) -> float:

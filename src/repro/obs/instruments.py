@@ -164,3 +164,7 @@ class InstrumentedPadSource:
         if self._tracer.enabled:
             self._tracer.span_event("pad.fetch", t0, dur, op="batch", n=n)
         return pads
+
+    def peek_line_pads_batch(self, addresses, counters, n_bytes: int):
+        """Untimed, uncounted: a peek is not one of the scalar path's fetches."""
+        return self._inner.peek_line_pads_batch(addresses, counters, n_bytes)

@@ -15,6 +15,11 @@ shift-by-one previous-row gathers, and diff consecutive stored images into
 flip counts and packed diff matrices in one wide pass.  Rows of a
 :class:`BatchOutcome` are in the scheme's internal (sorted) order — every
 consumer aggregates over the chunk, so row order never affects results.
+
+On top of that sit the pieces the kernels share: gathering and
+committing line state, replaying a scalar pad-request stream in trace
+order, DEUCE's modified bits as a segmented cumulative OR, and the
+Flip-N-Write encoder :func:`fnw_encode_runs`.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ from typing import TYPE_CHECKING, Iterable
 import numpy as np
 
 from repro.memory import bitops
+from repro.memory.line import StoredLine
 
 if TYPE_CHECKING:
     from repro.schemes.base import WriteOutcome
@@ -224,19 +230,8 @@ def diff_stored_rows(
     are only expanded if something asks for them.
     """
     diff = prev_stored ^ stored
-    if diff.shape[1] % 8 == 0 and diff.flags.c_contiguous:
-        # Popcount eight bytes at a time through a uint64 view.
-        data_flips = np.bitwise_count(diff.view(np.uint64)).sum(
-            axis=1, dtype=np.int64
-        )
-        set_flips = np.bitwise_count(
-            np.ascontiguousarray(diff & stored).view(np.uint64)
-        ).sum(axis=1, dtype=np.int64)
-    else:
-        data_flips = bitops.byte_popcounts(diff).sum(axis=1, dtype=np.int64)
-        set_flips = bitops.byte_popcounts(diff & stored).sum(
-            axis=1, dtype=np.int64
-        )
+    data_flips = row_popcounts(diff)
+    set_flips = row_popcounts(diff & stored)
     if meta is None or meta.size == 0:
         m = stored.shape[0]
         meta_flips = np.zeros(m, dtype=np.int64)
@@ -252,3 +247,287 @@ def diff_stored_rows(
         "data_diff": diff,
         "meta_diff": mdiff,
     }
+
+
+def row_popcounts(rows: np.ndarray) -> np.ndarray:
+    """Set bits per row of an ``(m, n)`` uint8 matrix, as int64."""
+    if rows.shape[1] % 8 == 0:
+        # Popcount eight bytes at a time through a uint64 view.
+        return np.bitwise_count(
+            np.ascontiguousarray(rows).view(np.uint64)
+        ).sum(axis=1, dtype=np.int64)
+    return bitops.byte_popcounts(rows).sum(axis=1, dtype=np.int64)
+
+
+# -- line state gather / commit ---------------------------------------------
+
+
+def line_matrix(data, line_bytes: int) -> np.ndarray:
+    """``data`` as an ``(n, line_bytes)`` uint8 matrix (an install batch)."""
+    rows = np.asarray(data, dtype=np.uint8)
+    if rows.ndim != 2 or rows.shape[1] != line_bytes:
+        raise ValueError(f"lines must be (n, {line_bytes}), got {rows.shape}")
+    return rows
+
+
+def gather_lines(
+    lines: dict[int, StoredLine],
+    addresses: np.ndarray,
+    line_bytes: int,
+    meta_bits: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pre-chunk ``(counters, stored, meta)`` of each line in ``addresses``.
+
+    Raises the scalar path's ``KeyError`` for a line never installed.
+    """
+    lines_get = lines.get
+    counters: list[int] = []
+    stored: list[np.ndarray] = []
+    meta: list[np.ndarray] = []
+    for addr in addresses.tolist():
+        line = lines_get(addr)
+        if line is None:
+            raise KeyError(
+                f"line {addr:#x} was never installed; call install() first"
+            )
+        counters.append(line.counter)
+        stored.append(line.arr)
+        meta.append(line.meta)
+    n = len(counters)
+    return (
+        np.asarray(counters, dtype=np.int64),
+        np.concatenate(stored).reshape(n, line_bytes),
+        np.concatenate(meta).reshape(n, meta_bits)
+        if meta_bits
+        else np.zeros((n, 0), dtype=np.uint8),
+    )
+
+
+def commit_lines(
+    lines: dict[int, StoredLine],
+    addresses: np.ndarray,
+    stored: np.ndarray,
+    meta: np.ndarray,
+    counters: np.ndarray,
+) -> None:
+    """Make row ``i`` the state of line ``addresses[i]``, in order.
+
+    ``stored`` and ``meta`` must be buffers the caller owns, such as
+    fancy-index copies of a chunk's final rows: they are frozen, and each
+    line holds row views into them, so no chunk-sized array stays alive.
+    Duplicate addresses resolve last-wins, as sequential stores do.
+    """
+    stored.setflags(write=False)
+    meta.setflags(write=False)
+    from_parts = StoredLine.from_parts
+    for addr, s_row, m_row, ctr in zip(
+        addresses.tolist(), stored, meta, counters.tolist()
+    ):
+        lines[addr] = from_parts(s_row, m_row, ctr)
+
+
+def initial_ciphertext(pads, addresses, data, line_bytes: int) -> np.ndarray:
+    """Install images under counter 0: one pad batch for the working set."""
+    plain = line_matrix(data, line_bytes)
+    addresses = np.asarray(addresses, dtype=np.int64)
+    zeros = np.zeros(addresses.size, dtype=np.int64)
+    return plain ^ np.asarray(pads.line_pads_batch(addresses, zeros, line_bytes))
+
+
+def install_lines(
+    lines: dict[int, StoredLine], addresses, stored: np.ndarray, meta_bits: int
+) -> None:
+    """Commit freshly installed lines: zero metadata, counter 0."""
+    n = stored.shape[0]
+    commit_lines(
+        lines,
+        np.asarray(addresses, dtype=np.int64),
+        stored,
+        np.zeros((n, meta_bits), dtype=np.uint8),
+        np.zeros(n, dtype=np.int64),
+    )
+
+
+# -- pad streams -------------------------------------------------------------
+
+
+def to_trace_order(groups: AddressGroups, rows: np.ndarray) -> np.ndarray:
+    """Undo the address sort: row ``i`` of the result is trace write ``i``."""
+    out = np.empty_like(rows)
+    out[groups.order] = rows
+    return out
+
+
+def request_pads(
+    pads,
+    groups: AddressGroups,
+    counters: np.ndarray,
+    used: np.ndarray,
+    n_bytes: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Send a chunk's pad requests through ``pads`` in scalar order.
+
+    ``counters`` and ``used`` are ``(m, k)`` in the chunk's sorted row
+    order: column ``s`` of row ``j`` is the ``s``-th line pad the scalar
+    write of that row requests, if ``used``.  The requests go out as one
+    ``line_pads_batch`` call in trace order, write by write, so a caching
+    source sees the stream of ``m`` scalar writes: the same hits, misses
+    and evictions.  Returns the pads and an ``(m, k)`` row index into them
+    (-1 where unused).
+    """
+    used_t = to_trace_order(groups, used)
+    addr_t = to_trace_order(groups, groups.addresses)
+    out = np.asarray(
+        pads.line_pads_batch(
+            np.broadcast_to(addr_t[:, None], used_t.shape)[used_t],
+            to_trace_order(groups, counters)[used_t],
+            n_bytes,
+        )
+    )
+    index_t = np.full(used_t.shape, -1, dtype=np.int64)
+    index_t[used_t] = np.arange(out.shape[0])
+    return out, index_t[groups.order]
+
+
+def mix_pad_rows(
+    leading: np.ndarray,
+    trailing: np.ndarray,
+    modified: np.ndarray,
+    word_bytes: int,
+) -> np.ndarray:
+    """Row-wise DEUCE pad select (Figure 7): LCTR pad on modified words."""
+    mask = modified.astype(bool, copy=False)
+    if word_bytes > 1:
+        mask = np.repeat(mask, word_bytes, axis=1)
+    return np.where(mask, leading, trailing)
+
+
+# -- DEUCE modified bits -----------------------------------------------------
+
+
+def changed_words(
+    prev: np.ndarray, cur: np.ndarray, word_bytes: int
+) -> np.ndarray:
+    """``(m, n_words)`` bool: the words that differ between paired rows."""
+    dtype = bitops.WORD_DTYPES.get(word_bytes)
+    if dtype is not None:
+        return prev.view(dtype) != cur.view(dtype)
+    m = cur.shape[0]
+    return (
+        prev.reshape(m, -1, word_bytes) != cur.reshape(m, -1, word_bytes)
+    ).any(axis=2)
+
+
+def segment_begins(starts: np.ndarray, epoch: np.ndarray) -> np.ndarray:
+    """Row where each row's epoch segment begins.
+
+    Segments start at each address run's first row and right after every
+    epoch write (the reset); an epoch row closes its segment.
+    """
+    m = epoch.shape[0]
+    row_idx = np.arange(m, dtype=np.int32)
+    seg_mark = np.zeros(m, dtype=bool)
+    seg_mark[starts] = True
+    seg_mark[1:] |= epoch[:-1]
+    return np.maximum.accumulate(np.where(seg_mark, row_idx, np.int32(0)))
+
+
+def modified_bits(
+    changed: np.ndarray,
+    starts: np.ndarray,
+    first_modified: np.ndarray,
+    epoch: np.ndarray,
+) -> np.ndarray:
+    """DEUCE's modified bits after every write of a chunk, ``(m, n_words)``.
+
+    A segmented cumulative OR of the changed-word matrix: each run's
+    pre-chunk bits fold into its first row, then a word is modified iff
+    its latest contribution row (a running maximum) falls inside the
+    current segment (see :func:`segment_begins`).  Epoch rows are all
+    zero.  ``changed`` is consumed.
+    """
+    contrib = changed
+    contrib[starts] |= first_modified != 0
+    row_idx = np.arange(changed.shape[0], dtype=np.int32)
+    last_set = np.maximum.accumulate(
+        np.where(contrib, row_idx[:, None], np.int32(-1)), axis=0
+    )
+    meta = last_set >= segment_begins(starts, epoch)[:, None]
+    meta[epoch] = False
+    return meta
+
+
+def since_epoch(
+    groups: AddressGroups, epoch: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rows preceded (inclusively) by an epoch write in their run.
+
+    Returns those rows and, for each, the row of that run's latest epoch
+    write: the full re-encryption the row's unmodified words still hold.
+    """
+    row_idx = np.arange(epoch.shape[0], dtype=np.int32)
+    last_epoch = np.maximum.accumulate(
+        np.where(epoch, row_idx, np.int32(-1))
+    )
+    rows = np.flatnonzero(last_epoch >= groups.starts[groups.group_id])
+    return rows, last_epoch[rows]
+
+
+# -- Flip-N-Write ------------------------------------------------------------
+
+
+def group_popcounts(rows: np.ndarray, group_bytes: int) -> np.ndarray:
+    """Set bits per ``group_bytes``-byte group of each row, ``(m, n_groups)``."""
+    rows = np.ascontiguousarray(rows)
+    dtype = bitops.WORD_DTYPES.get(group_bytes)
+    if dtype is not None:
+        return np.bitwise_count(rows.view(dtype))
+    m = rows.shape[0]
+    return bitops.byte_popcounts(rows).reshape(m, -1, group_bytes).sum(axis=2)
+
+
+def expand_groups(bits: np.ndarray, group_bytes: int) -> np.ndarray:
+    """Per-group flags as a byte mask: 0xFF over every flagged group."""
+    return np.repeat(bits.astype(np.uint8) * np.uint8(0xFF), group_bytes, axis=1)
+
+
+def fnw_encode_runs(
+    targets: np.ndarray,
+    starts: np.ndarray,
+    first_stored: np.ndarray,
+    first_flips: np.ndarray,
+    group_bits: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Flip-N-Write encode runs of successive writes in one pass.
+
+    Rows ``starts[i]`` up to the next start are successive logical images
+    written to one line, whose cells held ``first_stored[i]`` with flip
+    bits ``first_flips[i]`` before the run.  Returns the stored images and
+    ``uint8`` flip bits, equal to calling ``FnwCodec.encode_array`` row by
+    row with each result carried into the next.
+
+    Under ``encode_array``'s strict less-than tie rule, a group's flip bit
+    toggles exactly when the popcount of (previous logical group XOR new
+    target) exceeds ``group_bits / 2``, whatever the old flip bit.  The
+    previous logical image is the previous row's target (for a run's first
+    row, the cells XOR their flip mask), so the toggles of every row are
+    one wide popcount, and a run's flip bits are its pre-run bits XOR a
+    running parity of its toggles.
+    """
+    group_bytes = group_bits // 8
+    prev_logical = previous_rows(
+        targets, starts, first_stored ^ expand_groups(first_flips, group_bytes)
+    )
+    toggles = (
+        group_popcounts(prev_logical ^ targets, group_bytes) > group_bits // 2
+    ).view(np.uint8)
+    toggles[starts] ^= first_flips
+    parity = np.bitwise_xor.accumulate(toggles, axis=0)
+    # XOR out each run's predecessors: the parity as of the row before it.
+    carry = np.zeros_like(parity, shape=first_flips.shape)
+    carry[1:] = parity[starts[1:] - 1]
+    run_of = np.repeat(
+        np.arange(starts.size), np.diff(starts, append=targets.shape[0])
+    )
+    flips = parity ^ carry[run_of]
+    return targets ^ expand_groups(flips, group_bytes), flips

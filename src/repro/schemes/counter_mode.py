@@ -16,10 +16,15 @@ from repro.memory.line import StoredLine, make_meta
 from repro.schemes.base import WriteOutcome, WriteScheme
 from repro.schemes.batch import (
     BatchOutcome,
+    commit_lines,
     diff_stored_rows,
     empty_batch,
+    gather_lines,
     group_by_address,
+    initial_ciphertext,
+    install_lines,
     previous_rows,
+    to_trace_order,
 )
 
 
@@ -50,26 +55,12 @@ class EncryptedDCW(WriteScheme):
 
     def install_batch(self, addresses, data) -> None:
         """Vectorized initial encryption: one pad batch for the working set."""
-        addresses = np.asarray(addresses, dtype=np.int64)
-        plain = np.asarray(data, dtype=np.uint8)
-        if plain.ndim != 2 or plain.shape[1] != self.line_bytes:
-            raise ValueError(
-                f"lines must be (n, {self.line_bytes}), got {plain.shape}"
-            )
-        n = addresses.size
-        pads = np.asarray(
-            self.pads.line_pads_batch(
-                addresses, np.zeros(n, dtype=np.int64), self.line_bytes
-            )
+        install_lines(
+            self._lines,
+            addresses,
+            initial_ciphertext(self.pads, addresses, data, self.line_bytes),
+            0,
         )
-        stored = plain ^ pads
-        stored.setflags(write=False)
-        metas = np.zeros((n, 0), dtype=np.uint8)
-        metas.setflags(write=False)
-        from_parts = StoredLine.from_parts
-        lines = self._lines
-        for addr, s_row, m_row in zip(addresses.tolist(), stored, metas):
-            lines[addr] = from_parts(s_row, m_row, 0)
 
     def _write(self, address: int, plaintext: bytes) -> WriteOutcome:
         old = self._lines[address]
@@ -100,46 +91,26 @@ class EncryptedDCW(WriteScheme):
             return empty_batch()
         groups = group_by_address(addresses, data)
         starts = groups.starts
-        lines_get = self._lines.get
-        ctr_list: list[int] = []
-        stored_rows: list[np.ndarray] = []
-        for addr in groups.unique_addresses.tolist():
-            line = lines_get(addr)
-            if line is None:
-                raise KeyError(
-                    f"line {addr:#x} was never installed; call install() first"
-                )
-            ctr_list.append(line.counter)
-            stored_rows.append(line.arr)
-        base_counters = np.asarray(ctr_list, dtype=np.int64)
-        old_stored = np.concatenate(stored_rows).reshape(
-            starts.size, self.line_bytes
+        base_counters, old_stored, _ = gather_lines(
+            self._lines, groups.unique_addresses, self.line_bytes, 0
         )
         counters = base_counters[groups.group_id] + groups.rank + 1
-        counters_orig = np.empty(m, dtype=np.int64)
-        counters_orig[groups.order] = counters
         pads = self.pads.line_pads_batch(
             np.asarray(addresses, dtype=np.int64),
-            counters_orig,
+            to_trace_order(groups, counters),
             self.line_bytes,
         )
         stored = groups.data ^ np.asarray(pads)[groups.order]
         prev_stored = previous_rows(stored, starts, old_stored)
         diffs = diff_stored_rows(prev_stored, stored, None, None)
-        # Bulk commit: one fancy-index copies every final row; lines hold
-        # views into the small per-group buffer, not the chunk arrays.
         last_rows = groups.last_rows
-        final_stored = stored[last_rows]
-        final_stored.setflags(write=False)
-        final_counters = counters[last_rows].tolist()
-        metas = np.zeros((last_rows.size, 0), dtype=np.uint8)
-        metas.setflags(write=False)
-        from_parts = StoredLine.from_parts
-        lines = self._lines
-        for addr, s_row, m_row, ctr in zip(
-            groups.unique_addresses.tolist(), final_stored, metas, final_counters
-        ):
-            lines[addr] = from_parts(s_row, m_row, ctr)
+        commit_lines(
+            self._lines,
+            groups.unique_addresses,
+            stored[last_rows],
+            np.zeros((last_rows.size, 0), dtype=np.uint8),
+            counters[last_rows],
+        )
         return BatchOutcome(
             addresses=groups.addresses,
             words_reencrypted=np.zeros(m, dtype=np.int64),

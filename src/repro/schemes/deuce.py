@@ -34,10 +34,17 @@ from repro.memory.line import StoredLine
 from repro.schemes.base import WriteOutcome, WriteScheme
 from repro.schemes.batch import (
     BatchOutcome,
+    changed_words,
     diff_stored_rows,
     empty_batch,
     group_by_address,
+    initial_ciphertext,
+    install_lines,
+    line_matrix,
+    modified_bits,
     previous_rows,
+    since_epoch,
+    to_trace_order,
 )
 
 
@@ -283,18 +290,11 @@ class Deuce(WriteScheme):
         commit so re-installs keep their serial semantics.
         """
         addresses = np.asarray(addresses, dtype=np.int64)
-        plain = np.array(data, dtype=np.uint8)
-        if plain.ndim != 2 or plain.shape[1] != self.line_bytes:
-            raise ValueError(
-                f"lines must be (n, {self.line_bytes}), got {plain.shape}"
-            )
-        n = addresses.size
-        pads = np.asarray(
-            self.pads.line_pads_batch(
-                addresses, np.zeros(n, dtype=np.int64), self.line_bytes
-            )
+        plain = line_matrix(data, self.line_bytes).copy()
+        stored = initial_ciphertext(
+            self.pads, addresses, plain, self.line_bytes
         )
-        stored = plain ^ pads
+        n = addresses.size
         addr_list = addresses.tolist()
         if self._dense is None and not self._lines:
             # Duplicate addresses resolve last-wins through the index while
@@ -310,15 +310,9 @@ class Deuce(WriteScheme):
             self._dense_dirty = True
             return
         self._drop_dense()
+        install_lines(self._lines, addresses, stored, self.n_words)
         plain.setflags(write=False)
-        stored.setflags(write=False)
-        metas = np.zeros((n, self.n_words), dtype=np.uint8)
-        metas.setflags(write=False)
-        from_parts = StoredLine.from_parts
-        lines, memo = self._lines, self._plain
-        for addr, p_row, s_row, m_row in zip(addr_list, plain, stored, metas):
-            memo[addr] = p_row
-            lines[addr] = from_parts(s_row, m_row, 0)
+        self._plain.update(zip(addr_list, plain))
 
     def read(self, address: int) -> bytes:
         self._flush_dense()
@@ -404,48 +398,23 @@ class Deuce(WriteScheme):
 
         counters = base_counters[groups.group_id] + groups.rank + 1
         epoch = (counters & (self.epoch_interval - 1)) == 0
-        epoch_rows = np.flatnonzero(epoch)
 
         # Pads are fetched in original trace order so the LRU cache sees the
         # identical request stream as the per-write path.
-        counters_orig = np.empty(m, dtype=np.int64)
-        counters_orig[groups.order] = counters
         pads = self.pads.line_pads_batch(
-            np.asarray(addresses, dtype=np.int64), counters_orig, line_bytes
+            np.asarray(addresses, dtype=np.int64),
+            to_trace_order(groups, counters),
+            line_bytes,
         )
         pads_sorted = np.ascontiguousarray(np.asarray(pads)[groups.order])
 
-        # Changed words vs the previous plaintext in the run.
+        # Changed words vs the previous plaintext in the run, folded into
+        # the modified bits with a reset after every epoch write.
         prev_plain = previous_rows(s_data, starts, old_plain)
-        dtype = bitops.WORD_DTYPES.get(word_bytes)
-        if dtype is not None:
-            changed = prev_plain.view(dtype) != s_data.view(dtype)
-        else:
-            changed = (
-                prev_plain.reshape(m, n_words, word_bytes)
-                != s_data.reshape(m, n_words, word_bytes)
-            ).any(axis=2)
-
-        # Segmented cumulative OR: fold each run's pre-chunk meta into its
-        # first row, then a word is modified iff its latest contribution row
-        # (a running maximum) falls inside the current segment.  Segment
-        # boundaries are run starts and the row after every epoch write (the
-        # reset); an epoch row's own meta is forced to zero.
-        contrib = changed  # fresh comparison result; safe to mutate in place
-        contrib[starts] |= old_meta != 0
-        row_idx = np.arange(m, dtype=np.int32)
-        seg_mark = np.zeros(m, dtype=bool)
-        seg_mark[starts] = True
-        after_epoch = epoch_rows + 1
-        seg_mark[after_epoch[after_epoch < m]] = True
-        seg_begin = np.maximum.accumulate(
-            np.where(seg_mark, row_idx, np.int32(0))
+        meta = modified_bits(
+            changed_words(prev_plain, s_data, word_bytes), starts, old_meta,
+            epoch,
         )
-        last_set = np.maximum.accumulate(
-            np.where(contrib, row_idx[:, None], np.int32(-1)), axis=0
-        )
-        meta = last_set >= seg_begin[:, None]
-        meta[epoch_rows] = False
         meta_u8 = meta.astype(np.uint8)
         words_reencrypted = np.where(
             epoch, n_words, meta.sum(axis=1, dtype=np.int64)
@@ -459,15 +428,14 @@ class Deuce(WriteScheme):
         # words' fresh re-encryptions through the byte mask.
         reenc = s_data ^ pads_sorted
         stored = old_stored[groups.group_id]
-        last_epoch = np.maximum.accumulate(np.where(epoch, row_idx, np.int32(-1)))
-        in_run = np.flatnonzero(last_epoch >= starts[groups.group_id])
-        if in_run.size:
-            stored[in_run] = reenc[last_epoch[in_run]]
+        rows, epoch_of = since_epoch(groups, epoch)
+        if rows.size:
+            stored[rows] = reenc[epoch_of]
         byte_mask = (
             meta if word_bytes == 1 else np.repeat(meta, word_bytes, axis=1)
         )
         np.copyto(stored, reenc, where=byte_mask)
-        stored[epoch_rows] = reenc[epoch_rows]
+        stored[epoch] = reenc[epoch]
 
         prev_stored = previous_rows(stored, starts, old_stored)
         prev_meta = previous_rows(meta_u8, starts, old_meta)

@@ -17,6 +17,23 @@ from repro.crypto.pads import PadSource
 from repro.memory import bitops
 from repro.memory.line import StoredLine
 from repro.schemes.base import WriteOutcome, WriteScheme
+from repro.schemes.batch import (
+    BatchOutcome,
+    changed_words,
+    commit_lines,
+    diff_stored_rows,
+    empty_batch,
+    expand_groups,
+    fnw_encode_runs,
+    gather_lines,
+    group_by_address,
+    initial_ciphertext,
+    install_lines,
+    mix_pad_rows,
+    modified_bits,
+    previous_rows,
+    request_pads,
+)
 from repro.schemes.deuce import _check_epoch_interval
 from repro.schemes.fnw import FnwCodec
 
@@ -102,6 +119,15 @@ class DeuceFnw(WriteScheme):
         )
         return StoredLine(stored, meta, 0)
 
+    def install_batch(self, addresses, data) -> None:
+        """Vectorized initial encryption: one pad batch for the working set."""
+        install_lines(
+            self._lines,
+            addresses,
+            initial_ciphertext(self.pads, addresses, data, self.line_bytes),
+            self.metadata_bits_per_line,
+        )
+
     def _read_array(self, address: int) -> np.ndarray:
         line = self._lines[address]
         ciphertext = self.codec.decode_array(
@@ -147,4 +173,105 @@ class DeuceFnw(WriteScheme):
             full_line_reencrypted=full,
             epoch_reset=full,
             mode="deuce+fnw",
+        )
+
+    def write_batch(self, addresses, data) -> BatchOutcome:
+        """Vectorized DEUCE+FNW over a chunk.
+
+        The modified bits are DEUCE's segmented cumulative OR with epoch
+        resets; the FNW flip bits run on across epochs, encoded for every
+        line's run at once by :func:`fnw_encode_runs`.  Each write reads
+        before it writes: its pad requests are the read's mixed pad for
+        the old state, then the write's for the new one, sent through the
+        pad source in trace order.  Only the pre-chunk plaintext, which the
+        first write of each run compares against, needs pad values before
+        that stream is known; those are peeked without cache bookkeeping.
+        Bit-identical to sequential :meth:`write` calls, pad-cache
+        statistics included.
+        """
+        m = len(addresses)
+        if m == 0:
+            return empty_batch()
+        nw, wb, lb = self.n_words, self.word_bytes, self.line_bytes
+        groups = group_by_address(addresses, data)
+        starts, s_data = groups.starts, groups.data
+        base_counters, old_stored, old_meta = gather_lines(
+            self._lines, groups.unique_addresses, lb,
+            self.metadata_bits_per_line,
+        )
+        old_mod, old_flips = old_meta[:, :nw], old_meta[:, nw:]
+        counters = base_counters[groups.group_id] + groups.rank + 1
+        epoch = (counters & (self.epoch_interval - 1)) == 0
+        tctr = counters & self._epoch_mask
+
+        # Pre-chunk plaintext: decode the cells under the peeked pads.
+        uniq = groups.unique_addresses
+        base_tctr = base_counters & self._epoch_mask
+        peeked = np.asarray(
+            self.pads.peek_line_pads_batch(
+                np.concatenate([uniq, uniq]),
+                np.concatenate([base_counters, base_tctr]),
+                lb,
+            )
+        )
+        n = uniq.size
+        old_plain = (
+            old_stored
+            ^ expand_groups(old_flips, self.codec.group_bytes)
+            ^ mix_pad_rows(peeked[:n], peeked[n:], old_mod, wb)
+        )
+
+        prev_plain = previous_rows(s_data, starts, old_plain)
+        modified = modified_bits(
+            changed_words(prev_plain, s_data, wb), starts, old_mod, epoch
+        )
+        mod_u8 = modified.view(np.uint8)
+        prev_mod = previous_rows(mod_u8, starts, old_mod)
+
+        # Per write: [LCTR?, TCTR] for the read, then for the write.  The
+        # LCTR pad is requested only off an epoch boundary with some word
+        # modified; at a boundary the TCTR pad is the LCTR pad.
+        old_counters = counters - 1
+        ctr_slots = np.stack(
+            [old_counters, old_counters & self._epoch_mask, counters, tctr],
+            axis=1,
+        )
+        used = np.ones((m, 4), dtype=bool)
+        used[:, 0] = ((old_counters & (self.epoch_interval - 1)) != 0) & (
+            prev_mod.any(axis=1)
+        )
+        used[:, 2] = ~epoch & modified.any(axis=1)
+        pads, index = request_pads(self.pads, groups, ctr_slots, used, lb)
+        trailing = pads[index[:, 3]]
+        leading = pads[np.where(used[:, 2], index[:, 2], index[:, 3])]
+        targets = s_data ^ mix_pad_rows(leading, trailing, modified, wb)
+
+        stored, flips = fnw_encode_runs(
+            targets, starts, old_stored, old_flips, self.codec.group_bits
+        )
+        meta = np.concatenate([mod_u8, flips], axis=1)
+        diffs = diff_stored_rows(
+            previous_rows(stored, starts, old_stored),
+            stored,
+            previous_rows(meta, starts, old_meta),
+            meta,
+        )
+        last_rows = groups.last_rows
+        commit_lines(
+            self._lines,
+            uniq,
+            stored[last_rows],
+            meta[last_rows],
+            counters[last_rows],
+        )
+        return BatchOutcome(
+            addresses=groups.addresses,
+            words_reencrypted=np.where(
+                epoch, nw, modified.sum(axis=1, dtype=np.int64)
+            ),
+            full_line_reencrypted=epoch,
+            epoch_reset=epoch,
+            mode_switched=np.zeros(m, dtype=bool),
+            mode_counts={"deuce+fnw": m},
+            **diffs,
         )

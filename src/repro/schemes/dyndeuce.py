@@ -28,6 +28,26 @@ from repro.crypto.pads import PadSource
 from repro.memory import bitops
 from repro.memory.line import StoredLine
 from repro.schemes.base import WriteOutcome, WriteScheme
+from repro.schemes.batch import (
+    BatchOutcome,
+    changed_words,
+    commit_lines,
+    diff_stored_rows,
+    empty_batch,
+    expand_groups,
+    fnw_encode_runs,
+    gather_lines,
+    group_by_address,
+    initial_ciphertext,
+    install_lines,
+    mix_pad_rows,
+    modified_bits,
+    previous_rows,
+    request_pads,
+    row_popcounts,
+    segment_begins,
+    since_epoch,
+)
 from repro.schemes.deuce import _check_epoch_interval
 from repro.schemes.fnw import FnwCodec
 
@@ -118,6 +138,15 @@ class DynDeuce(WriteScheme):
         )
         return StoredLine(stored, meta, 0)
 
+    def install_batch(self, addresses, data) -> None:
+        """Vectorized initial encryption: one pad batch for the working set."""
+        install_lines(
+            self._lines,
+            addresses,
+            initial_ciphertext(self.pads, addresses, data, self.line_bytes),
+            self.metadata_bits_per_line,
+        )
+
     def _read_array(self, address: int) -> np.ndarray:
         line = self._lines[address]
         tracking = self._tracking(line.meta)
@@ -173,6 +202,178 @@ class DynDeuce(WriteScheme):
             )
         self._lines[address] = new
         return outcome
+
+    def write_batch(self, addresses, data) -> BatchOutcome:
+        """Vectorized DynDEUCE over a chunk.
+
+        Every write is first evaluated as if its line had stayed in DEUCE
+        mode since its epoch segment began (the segment rules of
+        :func:`modified_bits`): the DEUCE image, and the FNW candidate
+        encoded against the DEUCE cells and tracking bits.  Both are exact
+        up to the segment's first write where the candidate is strictly
+        cheaper; that write switches, and the rest of the segment up to
+        its epoch write is FNW, encoded by :func:`fnw_encode_runs` from the
+        switch onward.  A line already in FNW mode before the chunk stays
+        FNW until its first epoch write.
+
+        The mode choice needs pad values before the scalar pad-request
+        stream is known, so every pad it uses is peeked without cache
+        bookkeeping; the exact stream (read, DEUCE candidate, FNW
+        candidate, per write) then goes through the pad source once, in
+        trace order.  Bit-identical to sequential :meth:`write` calls, pad
+        cache statistics included.
+        """
+        m = len(addresses)
+        if m == 0:
+            return empty_batch()
+        nw, wb, lb = self.n_words, self.word_bytes, self.line_bytes
+        group_bits = self.codec.group_bits
+        groups = group_by_address(addresses, data)
+        starts, s_data, gid = groups.starts, groups.data, groups.group_id
+        uniq = groups.unique_addresses
+        n = uniq.size
+        base_counters, old_stored, old_meta = gather_lines(
+            self._lines, uniq, lb, self.metadata_bits_per_line
+        )
+        old_trk = old_meta[:, :nw]
+        old_fnw = old_meta[:, nw] == MODE_FNW
+        counters = base_counters[gid] + groups.rank + 1
+        epoch = (counters & (self.epoch_interval - 1)) == 0
+
+        # Peeked pads: each write's LCTR pad, and each line's pre-chunk
+        # LCTR and TCTR pads.  A write's TCTR pad is its run's latest
+        # epoch write's LCTR pad, or else the pre-chunk TCTR pad.
+        peeked = np.asarray(
+            self.pads.peek_line_pads_batch(
+                np.concatenate([groups.addresses, uniq, uniq]),
+                np.concatenate(
+                    [counters, base_counters, base_counters & self._epoch_mask]
+                ),
+                lb,
+            )
+        )
+        leading, base_leading, base_trailing = (
+            peeked[:m], peeked[m:m + n], peeked[m + n:]
+        )
+        trailing = base_trailing[gid]
+        rows, epoch_of = since_epoch(groups, epoch)
+        trailing[rows] = leading[epoch_of]
+        old_plain = np.where(
+            old_fnw[:, None],
+            old_stored ^ expand_groups(old_trk, wb) ^ base_leading,
+            old_stored ^ mix_pad_rows(base_leading, base_trailing, old_trk, wb),
+        )
+
+        # Every write as if its segment had stayed in DEUCE mode.
+        trk = modified_bits(
+            changed_words(
+                previous_rows(s_data, starts, old_plain), s_data, wb
+            ),
+            starts,
+            old_trk,
+            epoch,
+        )
+        deuce = s_data ^ mix_pad_rows(leading, trailing, trk, wb)
+        prev_stored = previous_rows(deuce, starts, old_stored)
+        prev_trk = previous_rows(trk.view(np.uint8), starts, old_trk)
+        cipher = s_data ^ leading
+        cand, cand_flips = fnw_encode_runs(
+            cipher, np.arange(m), prev_stored, prev_trk, group_bits
+        )
+        cost_deuce = row_popcounts(prev_stored ^ deuce) + (
+            prev_trk != trk
+        ).sum(axis=1)
+        cost_fnw = (
+            row_popcounts(prev_stored ^ cand)
+            + (prev_trk != cand_flips).sum(axis=1)
+            + 1
+        )
+
+        # Modes: a segment switches to FNW at its first strictly cheaper
+        # candidate; a line's first segment inherits its pre-chunk mode.
+        seg_begin = segment_begins(starts, epoch)
+        inherit = (seg_begin == starts[gid]) & old_fnw[gid]
+        win = (cost_fnw < cost_deuce) & ~epoch & ~inherit
+        row_idx = np.arange(m, dtype=np.int32)
+        fnw = (
+            np.maximum.accumulate(np.where(win, row_idx, np.int32(-1)))
+            >= seg_begin
+        ) | inherit
+        fnw &= ~epoch
+        prev_fnw = previous_rows(fnw, starts, old_fnw)
+        run_head = np.zeros(m, dtype=bool)
+        run_head[starts] = True
+
+        stored = deuce
+        meta = np.empty((m, nw + 1), dtype=np.uint8)
+        meta[:, :nw] = trk
+        meta[:, nw] = fnw
+        fnw_rows = np.flatnonzero(fnw)
+        if fnw_rows.size:
+            heads = np.flatnonzero((run_head | ~prev_fnw)[fnw_rows])
+            first = fnw_rows[heads]
+            stored[fnw_rows], meta[fnw_rows, :nw] = fnw_encode_runs(
+                cipher[fnw_rows], heads, prev_stored[first], prev_trk[first],
+                group_bits,
+            )
+        prev_meta = previous_rows(meta, starts, old_meta)
+
+        # The scalar stream per write: the read [LCTR?, TCTR] (FNW mode:
+        # [LCTR]), then [LCTR?, TCTR] for the DEUCE candidate or the epoch
+        # write, then [LCTR] for the FNW candidate or the FNW-mode write.
+        old_counters = counters - 1
+        choose = ~prev_fnw & ~epoch
+        ctr_slots = np.stack(
+            [
+                old_counters,
+                np.where(
+                    prev_fnw, old_counters, old_counters & self._epoch_mask
+                ),
+                counters,
+                counters & self._epoch_mask,
+                counters,
+            ],
+            axis=1,
+        )
+        used = np.stack(
+            [
+                ~prev_fnw
+                & ((old_counters & (self.epoch_interval - 1)) != 0)
+                & prev_meta[:, :nw].any(axis=1),
+                np.ones(m, dtype=bool),
+                choose & trk.any(axis=1),
+                choose | epoch,
+                ~epoch,
+            ],
+            axis=1,
+        )
+        request_pads(self.pads, groups, ctr_slots, used, lb)
+
+        diffs = diff_stored_rows(
+            previous_rows(stored, starts, old_stored), stored, prev_meta, meta
+        )
+        last_rows = groups.last_rows
+        commit_lines(
+            self._lines,
+            uniq,
+            stored[last_rows],
+            meta[last_rows],
+            counters[last_rows],
+        )
+        full = epoch | fnw
+        n_fnw = int(fnw_rows.size)
+        modes = {"deuce": m - n_fnw, "fnw": n_fnw}
+        return BatchOutcome(
+            addresses=groups.addresses,
+            words_reencrypted=np.where(
+                full, nw, trk.sum(axis=1, dtype=np.int64)
+            ),
+            full_line_reencrypted=full,
+            epoch_reset=epoch,
+            mode_switched=(fnw & ~prev_fnw) | (epoch & prev_fnw),
+            mode_counts={k: v for k, v in modes.items() if v},
+            **diffs,
+        )
 
     def _epoch_write(
         self, address: int, plaintext: bytes, counter: int

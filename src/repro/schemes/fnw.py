@@ -18,6 +18,20 @@ from repro.crypto.pads import PadSource
 from repro.memory import bitops
 from repro.memory.line import StoredLine, make_meta
 from repro.schemes.base import WriteOutcome, WriteScheme
+from repro.schemes.batch import (
+    BatchOutcome,
+    commit_lines,
+    diff_stored_rows,
+    empty_batch,
+    fnw_encode_runs,
+    gather_lines,
+    group_by_address,
+    initial_ciphertext,
+    install_lines,
+    line_matrix,
+    previous_rows,
+    to_trace_order,
+)
 
 
 class FnwCodec:
@@ -127,6 +141,62 @@ class FnwCodec:
             )
 
 
+def _fnw_write_batch(scheme, addresses, data, pads) -> BatchOutcome:
+    """The FNW schemes' chunk kernel; ``pads`` is None for plain memory.
+
+    Each write's target is its plaintext, or the plaintext XOR the pad of
+    the line's next counter (one request per write, in trace order, as the
+    scalar path makes them).  :func:`fnw_encode_runs` then encodes every
+    line's run of targets at once.
+    """
+    m = len(addresses)
+    if m == 0:
+        return empty_batch()
+    codec = scheme.codec
+    groups = group_by_address(addresses, data)
+    starts = groups.starts
+    base_counters, old_stored, old_flips = gather_lines(
+        scheme._lines, groups.unique_addresses, scheme.line_bytes,
+        codec.n_groups,
+    )
+    counters = base_counters[groups.group_id] + groups.rank + 1
+    targets = groups.data
+    if pads is not None:
+        stream = pads.line_pads_batch(
+            np.asarray(addresses, dtype=np.int64),
+            to_trace_order(groups, counters),
+            scheme.line_bytes,
+        )
+        targets = targets ^ np.asarray(stream)[groups.order]
+    stored, flips = fnw_encode_runs(
+        targets, starts, old_stored, old_flips, codec.group_bits
+    )
+    diffs = diff_stored_rows(
+        previous_rows(stored, starts, old_stored),
+        stored,
+        previous_rows(flips, starts, old_flips),
+        flips,
+    )
+    last_rows = groups.last_rows
+    commit_lines(
+        scheme._lines,
+        groups.unique_addresses,
+        stored[last_rows],
+        flips[last_rows],
+        counters[last_rows],
+    )
+    encrypted = pads is not None
+    return BatchOutcome(
+        addresses=groups.addresses,
+        words_reencrypted=np.zeros(m, dtype=np.int64),
+        full_line_reencrypted=np.full(m, encrypted),
+        epoch_reset=np.zeros(m, dtype=bool),
+        mode_switched=np.zeros(m, dtype=bool),
+        mode_counts={"fnw": m} if encrypted else {},
+        **diffs,
+    )
+
+
 class PlainFNW(WriteScheme):
     """Unencrypted memory with Flip-N-Write (paper's "NoEncr FNW")."""
 
@@ -149,6 +219,15 @@ class PlainFNW(WriteScheme):
     def _install(self, address: int, plaintext: bytes) -> StoredLine:
         return StoredLine(plaintext, self.codec.fresh_flip_bits())
 
+    def install_batch(self, addresses, data) -> None:
+        """Bulk plaintext placement with fresh flip bits."""
+        install_lines(
+            self._lines,
+            addresses,
+            line_matrix(data, self.line_bytes).copy(),
+            self.codec.n_groups,
+        )
+
     def _write(self, address: int, plaintext: bytes) -> WriteOutcome:
         old = self._lines[address]
         stored, flip_bits = self.codec.encode_array(
@@ -157,6 +236,10 @@ class PlainFNW(WriteScheme):
         new = StoredLine(stored, flip_bits, old.counter + 1)
         self._lines[address] = new
         return self._outcome(address, old, new)
+
+    def write_batch(self, addresses, data) -> BatchOutcome:
+        """Vectorized FNW over a chunk; bit-identical to sequential writes."""
+        return _fnw_write_batch(self, addresses, data, None)
 
     def read(self, address: int) -> bytes:
         line = self._lines[address]
@@ -201,6 +284,15 @@ class EncryptedFNW(WriteScheme):
         ciphertext = bitops.as_array(plaintext) ^ self._pad(address, 0)
         return StoredLine(ciphertext, self.codec.fresh_flip_bits(), 0)
 
+    def install_batch(self, addresses, data) -> None:
+        """Vectorized initial encryption: one pad batch for the working set."""
+        install_lines(
+            self._lines,
+            addresses,
+            initial_ciphertext(self.pads, addresses, data, self.line_bytes),
+            self.codec.n_groups,
+        )
+
     def _write(self, address: int, plaintext: bytes) -> WriteOutcome:
         old = self._lines[address]
         counter = old.counter + 1
@@ -213,6 +305,11 @@ class EncryptedFNW(WriteScheme):
         return self._outcome(
             address, old, new, full_line_reencrypted=True, mode="fnw"
         )
+
+    def write_batch(self, addresses, data) -> BatchOutcome:
+        """Vectorized re-encryption and FNW over a chunk; bit-identical to
+        sequential writes, pad-cache statistics included."""
+        return _fnw_write_batch(self, addresses, data, self.pads)
 
     def read(self, address: int) -> bytes:
         line = self._lines[address]

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.memory import bitops
+from repro.schemes.batch import expand_groups, fnw_encode_runs, group_by_address
 from repro.schemes.fnw import EncryptedFNW, FnwCodec, PlainFNW
 from tests.conftest import mutate_words, random_line
 
@@ -98,6 +99,81 @@ class TestCodecBound:
             np.count_nonzero(flips != new_flips)
         )
         assert cost <= bitops.bit_flips(stored, target)
+
+
+def _nudge(rng, logical: np.ndarray, group_bits: int, kind: int) -> np.ndarray:
+    """A new target ``kind``-bits away from ``logical`` in every group.
+
+    ``kind`` < 0 draws a fresh random distance per group instead.
+    """
+    bits = np.unpackbits(logical).reshape(-1, group_bits)
+    for g in range(bits.shape[0]):
+        k = kind if kind >= 0 else int(rng.integers(0, group_bits + 1))
+        bits[g, rng.choice(group_bits, size=k, replace=False)] ^= 1
+    return np.packbits(bits.reshape(-1))
+
+
+class TestBatchEncoder:
+    """``fnw_encode_runs`` == sequential ``FnwCodec.encode_array``."""
+
+    @given(
+        group_bits=st.sampled_from([8, 16, 32, 64]),
+        n_lines=st.integers(min_value=1, max_value=4),
+        m=st.integers(min_value=1, max_value=24),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_sequential_codec(self, group_bits, n_lines, m, seed):
+        rng = np.random.default_rng(seed)
+        line_bytes = 16
+        codec = FnwCodec(line_bytes, group_bits)
+        half = group_bits // 2
+        stored = rng.integers(0, 256, (n_lines, line_bytes), dtype=np.uint8)
+        flips = rng.integers(0, 2, (n_lines, codec.n_groups), dtype=np.uint8)
+        # Repeated addresses: a chunk revisits its few lines many times.
+        addresses = rng.integers(0, n_lines, m)
+        # Each target sits a chosen distance from the line's current
+        # logical image; ``half`` is the exact tie.
+        logical = stored ^ expand_groups(flips, codec.group_bytes)
+        targets = np.empty((m, line_bytes), dtype=np.uint8)
+        for i, a in enumerate(addresses):
+            kind = int(rng.choice([half, half, half - 1, half + 1, 0, -1]))
+            targets[i] = logical[a] = _nudge(rng, logical[a], group_bits, kind)
+
+        groups = group_by_address(addresses, targets)
+        uniq = groups.unique_addresses
+        got_stored, got_flips = fnw_encode_runs(
+            groups.data, groups.starts, stored[uniq], flips[uniq], group_bits
+        )
+
+        want_stored = np.empty_like(targets)
+        want_flips = np.empty((m, codec.n_groups), dtype=np.uint8)
+        cur_stored, cur_flips = stored.copy(), flips.copy()
+        for i, a in enumerate(addresses):
+            cur_stored[a], cur_flips[a] = codec.encode_array(
+                cur_stored[a], cur_flips[a], targets[i]
+            )
+            want_stored[i], want_flips[i] = cur_stored[a], cur_flips[a]
+        assert np.array_equal(got_stored, want_stored[groups.order])
+        assert np.array_equal(got_flips, want_flips[groups.order])
+
+    @pytest.mark.parametrize("group_bits", [8, 16, 32, 64])
+    @pytest.mark.parametrize("old_flip", [0, 1])
+    def test_half_distance_keeps_flip_bit(self, group_bits, old_flip):
+        codec = FnwCodec(group_bits // 8, group_bits)
+        rng = np.random.default_rng(group_bits)
+        stored = rng.integers(0, 256, (1, codec.line_bytes), dtype=np.uint8)
+        flips = np.array([[old_flip]], dtype=np.uint8)
+        logical = stored[0] ^ expand_groups(flips, codec.group_bytes)[0]
+        tie = _nudge(rng, logical, group_bits, group_bits // 2)
+        over = _nudge(rng, tie, group_bits, group_bits // 2 + 1)
+        got_stored, got_flips = fnw_encode_runs(
+            np.stack([tie, over]), np.array([0]), stored, flips, group_bits
+        )
+        assert got_flips[:, 0].tolist() == [old_flip, 1 - old_flip]
+        want, want_flip = codec.encode_array(stored[0], flips[0], tie)
+        assert np.array_equal(got_stored[0], want)
+        assert got_flips[0, 0] == want_flip[0]
 
 
 class TestCodecValidation:

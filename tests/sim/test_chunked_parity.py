@@ -19,10 +19,18 @@ from hypothesis import strategies as st
 
 from repro import registry
 from repro.obs.instruments import Instruments
+from repro.obs.metrics import MetricsRegistry
+from repro.schemes.base import WriteScheme
 from repro.sim.config import SimConfig
 from repro.sim.runner import run
 
 SCHEMES = registry.SCHEMES.names
+
+#: The Flip-N-Write schemes, whose kernels share one batch FNW encoder.
+FNW_FAMILY = ("noencr-fnw", "encr-fnw", "deuce+fnw", "dyndeuce")
+
+#: Schemes still on the base-class loops over ``write()``/``install()``.
+FALLBACK_SCHEMES = {"ble", "ble+deuce", "invmm"}
 
 BASE = dict(workload="mcf", n_writes=800, seed=0)
 
@@ -43,10 +51,9 @@ def comparable(result) -> dict:
 
 
 def run_pair(**overrides):
-    serial = run(SimConfig(**BASE, **overrides, chunk_size=1))
-    chunked = run(
-        SimConfig(**BASE, **overrides, chunk_size=overrides.pop("_cs", 64))
-    )
+    config = {**BASE, **overrides}
+    serial = run(SimConfig(**config, chunk_size=1))
+    chunked = run(SimConfig(**config, chunk_size=64))
     return serial, chunked
 
 
@@ -141,6 +148,79 @@ class TestChunkedMatchesSerial:
         assert serial.pad_misses == chunked.pad_misses
 
 
+def _scheme_cls(name: str):
+    return registry.SCHEMES.get(name).factory
+
+
+class TestKernelCoverage:
+    def test_only_the_pad_block_schemes_fall_back(self):
+        # A kernel that silently falls back to the base loop (or a stale
+        # list here and in the docs) fails this test.
+        for method in ("write_batch", "install_batch"):
+            base = getattr(WriteScheme, method)
+            fallback = {
+                name for name in SCHEMES
+                if getattr(_scheme_cls(name), method) is base
+            }
+            assert fallback == FALLBACK_SCHEMES, method
+
+
+#: Configurations the FNW-family kernels must match the reference under:
+#: epoch writes inside chunks, other FNW group widths (dyndeuce's group is
+#: its tracking word, so ``word_bytes`` moves with ``fnw_group_bits``), and
+#: a pad cache small enough to evict inside a chunk (so the request stream
+#: shows in the hit/miss counts) or none at all.
+FNW_CONFIGS = {
+    "epoch4": dict(epoch_interval=4),
+    "group8": dict(fnw_group_bits=8, word_bytes=1),
+    "group32": dict(fnw_group_bits=32, word_bytes=4),
+    "cache16": dict(pad_cache_lines=16),
+    "cache0": dict(pad_cache_lines=0),
+    "epoch4-cache16": dict(epoch_interval=4, pad_cache_lines=16),
+}
+
+
+class TestFnwFamilyMatchesSerial:
+    @pytest.mark.parametrize("workload", ["Gems", "kv-udb"])
+    @pytest.mark.parametrize("scheme", FNW_FAMILY)
+    def test_dense_and_kv_workloads(self, scheme, workload):
+        serial, chunked = run_pair(
+            scheme=scheme, workload=workload, pad_cache_lines=16
+        )
+        assert comparable(serial) == comparable(chunked)
+        if scheme == "dyndeuce":
+            # The FNW half of the kernel must actually run.
+            assert chunked.mode_switches > 0
+
+    @pytest.mark.parametrize("config", sorted(FNW_CONFIGS))
+    @pytest.mark.parametrize("scheme", FNW_FAMILY)
+    def test_configs(self, scheme, config):
+        serial, chunked = run_pair(
+            scheme=scheme, workload="Gems", **FNW_CONFIGS[config]
+        )
+        assert comparable(serial) == comparable(chunked)
+        if "cache16" in config and scheme in ("deuce+fnw", "dyndeuce"):
+            # Their reads re-request pads, so the small cache both hits
+            # and evicts.
+            assert chunked.pad_hits > 0
+
+    @pytest.mark.parametrize("scheme", FNW_FAMILY)
+    def test_pad_fetch_metrics_identical(self, scheme):
+        # Pads the kernels peek must not count as fetches.
+        fetches = []
+        for chunk_size in (1, 64):
+            metrics = MetricsRegistry()
+            run(
+                SimConfig(
+                    "Gems", scheme, n_writes=400, seed=0,
+                    chunk_size=chunk_size, pad_cache_lines=16,
+                ),
+                instruments=Instruments(metrics=metrics),
+            )
+            fetches.append(metrics.counter("pad.fetches").value)
+        assert fetches[0] == fetches[1]
+
+
 class TestChunkedProperties:
     @given(
         chunk_size=st.integers(min_value=2, max_value=257),
@@ -205,6 +285,18 @@ class TestChunkedCheckpointResume:
         resumed = run(resume_from=str(ckpt_dir))
         straight = run(cfg.with_(chunk_size=1))
         assert full.mode_switches > 0
+        assert comparable(full) == comparable(resumed)
+        assert comparable(full) == comparable(straight)
+
+    def test_deuce_fnw_resume_mid_chunk_is_bit_identical(self, tmp_path):
+        cfg = SimConfig(
+            "Gems", "deuce+fnw", n_writes=600, seed=3, chunk_size=50,
+            epoch_interval=8, pad_cache_lines=16,
+        )
+        ckpt_dir = tmp_path / "dfnw"
+        full = run(cfg, checkpoint_dir=ckpt_dir, checkpoint_every=77)
+        resumed = run(resume_from=str(ckpt_dir))
+        straight = run(cfg.with_(chunk_size=1))
         assert comparable(full) == comparable(resumed)
         assert comparable(full) == comparable(straight)
 
