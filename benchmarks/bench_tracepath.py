@@ -32,9 +32,7 @@ N_WRITES = 2_000
 SEED = 0
 
 #: Every registered scheme runs the chunked loop, so every one is checked
-#: for bit-identity against the scalar reference.  Schemes without a
-#: vectorized ``write_batch`` (ble, ble+deuce, invmm) loop ``write()`` and
-#: show little speedup.
+#: for bit-identity against the scalar reference.
 SCHEMES = registry.SCHEMES.names
 
 #: The default chunk size plus the whole pinned trace as one chunk.
@@ -53,11 +51,12 @@ REPEATS = 5
 TARGET_SPEEDUP = 19.0
 FLOOR_SPEEDUP = 15.0
 
-#: Asserted whole-trace speedup floor of every scheme with a vectorized
-#: ``write_batch``.  Apart from ``deuce``'s, each sits near 0.6x the lowest
-#: of three bench runs (one core of a 2-vCPU container), which measured
-#: noencr-dcw 30.2x, noencr-fnw 28.7x, encr-dcw 12.0x, encr-fnw 21.9x,
-#: dyndeuce 10.5x and deuce+fnw 12.1x.
+#: Asserted whole-trace speedup floor of every scheme.  Apart from
+#: ``deuce``'s, each sits near 0.6x the lowest of three bench runs (one
+#: core of a 2-vCPU container), which measured noencr-dcw 30.2x,
+#: noencr-fnw 28.7x, encr-dcw 12.0x, encr-fnw 21.9x, dyndeuce 10.5x and
+#: deuce+fnw 12.1x, and in a later set of three ble 5.4x, ble+deuce 6.7x
+#: and invmm 12.0x.
 SPEEDUP_FLOORS = {
     "noencr-dcw": 18.0,
     "noencr-fnw": 17.0,
@@ -66,6 +65,9 @@ SPEEDUP_FLOORS = {
     "deuce": FLOOR_SPEEDUP,
     "dyndeuce": 6.0,
     "deuce+fnw": 7.0,
+    "ble": 3.2,
+    "ble+deuce": 4.0,
+    "invmm": 7.0,
 }
 
 

@@ -24,7 +24,10 @@ Besides the byte-string ``pad_block``/``line_pad`` interface, every source
 offers :meth:`PadSource.line_pad_array`, which produces the whole line's pad
 as one read-only ``np.uint8`` array — a single BLAKE2 call for 64-byte lines,
 or all N AES blocks materialized in one pass — so the vectorized scheme write
-paths never round-trip pads through ``bytes``.
+paths never round-trip pads through ``bytes``.  The batch kernels fetch a
+whole chunk's pads at once through :meth:`PadSource.line_pads_batch` and
+:meth:`PadSource.pad_blocks_batch`, or read them without cache bookkeeping
+through the ``peek_`` forms.
 """
 
 from __future__ import annotations
@@ -54,6 +57,12 @@ _pack_qqb = struct.Struct("<QQB").pack
 
 #: Sentinel for the batched cache walk: "not cached".
 _MISS = object()
+
+#: Requests per block-cache walk.  A walk holds a few Python objects per
+#: request (key, placeholder, pad view), about half a kilobyte, and a block
+#: stream runs to thousands of requests (a working set's install, a
+#: BLE+DEUCE chunk): walked whole, one raised peak RSS by about 2 MB.
+_BLOCK_REPLAY_SLICE = 1024
 
 
 class PadSource(Protocol):
@@ -89,6 +98,18 @@ class PadSource(Protocol):
         self, addresses: np.ndarray, counters: np.ndarray, n_bytes: int
     ) -> np.ndarray:
         """:meth:`line_pads_batch` with no side effects on caches or stats."""
+        ...
+
+    def pad_blocks_batch(
+        self, addresses: np.ndarray, counters: np.ndarray, blocks: np.ndarray
+    ) -> np.ndarray:
+        """Return ``(len(addresses), 16)`` pad blocks, one per request."""
+        ...
+
+    def peek_pad_blocks_batch(
+        self, addresses: np.ndarray, counters: np.ndarray, blocks: np.ndarray
+    ) -> np.ndarray:
+        """:meth:`pad_blocks_batch` with no side effects on caches or stats."""
         ...
 
 
@@ -162,6 +183,33 @@ class _PadSourceBase:
         bookkeeping, so the two are one call."""
         return self.line_pads_batch(addresses, counters, n_bytes)
 
+    def pad_blocks_batch(
+        self, addresses: np.ndarray, counters: np.ndarray, blocks: np.ndarray
+    ) -> np.ndarray:
+        """A stream of single pad blocks: one ``(m, 16)`` array per chunk.
+
+        Row ``i`` equals ``pad_block(addresses[i], counters[i], blocks[i])``.
+        Default implementation loops :meth:`pad_block`; the concrete sources
+        override it with one wide keystream call.
+        """
+        m = len(addresses)
+        out = np.empty((m, PAD_BLOCK_BYTES), dtype=np.uint8)
+        for i, (a, c, b) in enumerate(
+            zip(
+                np.asarray(addresses, dtype=np.int64).tolist(),
+                np.asarray(counters, dtype=np.int64).tolist(),
+                np.asarray(blocks, dtype=np.int64).tolist(),
+            )
+        ):
+            out[i] = np.frombuffer(self.pad_block(a, c, b), dtype=np.uint8)
+        return _freeze(out)
+
+    def peek_pad_blocks_batch(
+        self, addresses: np.ndarray, counters: np.ndarray, blocks: np.ndarray
+    ) -> np.ndarray:
+        """Same pads as :meth:`pad_blocks_batch` (no bookkeeping to skip)."""
+        return self.pad_blocks_batch(addresses, counters, blocks)
+
 
 class AesPadSource(_PadSourceBase):
     """Counter-mode pads from a real AES engine.
@@ -192,28 +240,52 @@ class AesPadSource(_PadSourceBase):
         if n_bytes < 0:
             raise ValueError("n_bytes must be non-negative")
         addresses = np.asarray(addresses, dtype=np.int64)
-        counters = np.asarray(counters, dtype=np.int64)
         m = addresses.shape[0]
         n_blocks = -(-n_bytes // PAD_BLOCK_BYTES)
         if m == 0 or n_blocks == 0:
             return _freeze(np.zeros((m, n_bytes), dtype=np.uint8))
-        if addresses.min(initial=0) < 0 or addresses.max(initial=0) >= 1 << 48:
-            raise ValueError("line address out of range")
-        if counters.min(initial=0) < 0 or counters.max(initial=0) >= 1 << 56:
-            raise ValueError("counter out of range")
-        if n_blocks > 256:
-            raise ValueError("block index out of range")
-        tweaks = np.zeros((m, n_blocks, PAD_BLOCK_BYTES), dtype=np.uint8)
-        for byte in range(6):
-            tweaks[:, :, byte] = ((addresses >> (8 * byte)) & 0xFF)[:, None]
-        for byte in range(7):
-            tweaks[:, :, 6 + byte] = ((counters >> (8 * byte)) & 0xFF)[:, None]
-        tweaks[:, :, 13] = np.arange(n_blocks, dtype=np.uint8)[None, :]
-        stream = self._aes.encrypt_blocks_array(
-            tweaks.reshape(m * n_blocks, PAD_BLOCK_BYTES)
+        stream = self._keystream(
+            np.repeat(addresses, n_blocks),
+            np.repeat(np.asarray(counters, dtype=np.int64), n_blocks),
+            np.tile(np.arange(n_blocks, dtype=np.int64), m),
         )
         pads = stream.reshape(m, n_blocks * PAD_BLOCK_BYTES)[:, :n_bytes]
         return _freeze(np.ascontiguousarray(pads))
+
+    def pad_blocks_batch(
+        self, addresses: np.ndarray, counters: np.ndarray, blocks: np.ndarray
+    ) -> np.ndarray:
+        """Every requested block's tweak through one wide AES call."""
+        return _freeze(self._keystream(
+            np.asarray(addresses, dtype=np.int64),
+            np.asarray(counters, dtype=np.int64),
+            np.asarray(blocks, dtype=np.int64),
+        ))
+
+    def _keystream(
+        self, addresses: np.ndarray, counters: np.ndarray, blocks: np.ndarray
+    ) -> np.ndarray:
+        """``(n, 16)`` AES outputs for ``n`` (address, counter, block) tweaks.
+
+        The tweaks are laid out as :func:`_pack_tweak` does, as one
+        ``(n, 16)`` array, and run through the vectorized cipher at once.
+        """
+        n = addresses.shape[0]
+        if n == 0:
+            return np.zeros((0, PAD_BLOCK_BYTES), dtype=np.uint8)
+        if addresses.min() < 0 or addresses.max() >= 1 << 48:
+            raise ValueError("line address out of range")
+        if counters.min() < 0 or counters.max() >= 1 << 56:
+            raise ValueError("counter out of range")
+        if blocks.min() < 0 or blocks.max() >= 256:
+            raise ValueError("block index out of range")
+        tweaks = np.zeros((n, PAD_BLOCK_BYTES), dtype=np.uint8)
+        for byte in range(6):
+            tweaks[:, byte] = (addresses >> (8 * byte)) & 0xFF
+        for byte in range(7):
+            tweaks[:, 6 + byte] = (counters >> (8 * byte)) & 0xFF
+        tweaks[:, 13] = blocks
+        return self._aes.encrypt_blocks_array(tweaks)
 
 
 class Blake2PadSource(_PadSourceBase):
@@ -313,6 +385,47 @@ class Blake2PadSource(_PadSourceBase):
         arr = np.frombuffer(b"".join(out), np.uint8).reshape(m, 64)
         return arr if n_bytes == 64 else arr[:, :n_bytes]
 
+    def pad_blocks_batch(
+        self, addresses: np.ndarray, counters: np.ndarray, blocks: np.ndarray
+    ) -> np.ndarray:
+        """Block stream with one digest per unique (address, counter, lane).
+
+        A 64-byte digest holds four pad blocks, so every block of a 64-byte
+        line's pad is a slice of its lane-0 digest: requests that differ
+        only in the block index share one hash.
+        """
+        blocks = np.asarray(blocks, dtype=np.int64)
+        m = blocks.shape[0]
+        if m == 0:
+            return _freeze(np.zeros((0, PAD_BLOCK_BYTES), dtype=np.uint8))
+        if blocks.min() < 0:
+            raise ValueError("block index out of range")
+        per_lane = 64 // PAD_BLOCK_BYTES
+        addresses = np.asarray(addresses, dtype=np.int64)
+        counters = np.asarray(counters, dtype=np.int64)
+        lanes = blocks // per_lane
+        # Group equal (address, counter, lane) keys with one sort.
+        order = np.lexsort((lanes, counters, addresses))
+        keys = (addresses[order], counters[order], lanes[order])
+        same = np.ones(m - 1, dtype=bool)
+        for col in keys:
+            same &= col[1:] == col[:-1]
+        first = np.concatenate([[True], ~same])
+        digest_of = np.empty(m, dtype=np.int64)
+        digest_of[order] = np.cumsum(first) - 1
+        pack = _pack_qqb
+        copy = self._h0.copy
+        out = []
+        append = out.append
+        for key in zip(*(col[first].tolist() for col in keys)):
+            h = copy()
+            h.update(pack(*key))
+            append(h.digest())
+        table = np.frombuffer(b"".join(out), np.uint8).reshape(
+            -1, per_lane, PAD_BLOCK_BYTES
+        )
+        return _freeze(table[digest_of, blocks % per_lane])
+
 
 class CachingPadSource(_PadSourceBase):
     """Memoizing LRU wrapper around another :class:`PadSource`.
@@ -394,7 +507,6 @@ class CachingPadSource(_PadSourceBase):
         """
         m = len(addresses)
         cache = self._line_cache
-        capacity = self._capacity
         addr_list = np.asarray(addresses, dtype=np.int64).tolist()
         ctr_list = np.asarray(counters, dtype=np.int64).tolist()
         keys = [(a, c, n_bytes) for a, c in zip(addr_list, ctr_list)]
@@ -405,8 +517,10 @@ class CachingPadSource(_PadSourceBase):
         # to: m misses, evict the max(0, size + m - capacity) oldest
         # entries, append the surviving keys in order.  Final cache
         # contents, LRU order, and hit/miss counters are identical to the
-        # walk below; only the per-row Python bookkeeping is skipped.
+        # walk in :meth:`_replay`; only the per-row Python bookkeeping is
+        # skipped.
         if m and len(set(keys)) == m and cache.keys().isdisjoint(keys):
+            capacity = self._capacity
             generated = _freeze(
                 self._inner.line_pads_batch(
                     np.asarray(addresses, dtype=np.int64),
@@ -425,63 +539,107 @@ class CachingPadSource(_PadSourceBase):
             # Row views of the frozen buffer are themselves read-only.
             cache.update(zip(keys[start:], list(generated[start:])))
             return generated
-        # Hot loop: every dict operation bound to a local, cache size
-        # tracked without len() per row.  ``pop`` then re-insert is one
-        # LRU touch: a hit moves to the back with its value, a miss takes
-        # the back slot with a placeholder, its index into ``miss_keys``
-        # (the oldest entry is evicted first when the cache is full).
-        # ``rows`` collects each request's pad, or its placeholder.
+
+        def generate(miss: np.ndarray) -> np.ndarray:
+            return self._inner.line_pads_batch(
+                np.asarray(addresses, dtype=np.int64)[miss],
+                np.asarray(counters, dtype=np.int64)[miss],
+                n_bytes,
+            )
+
+        # Row views of the frozen buffer are read-only.
+        return self._replay(cache, keys, n_bytes, generate, lambda row: row)
+
+    def pad_blocks_batch(
+        self, addresses: np.ndarray, counters: np.ndarray, blocks: np.ndarray
+    ) -> np.ndarray:
+        """Batched pad blocks with per-request LRU bookkeeping.
+
+        Replays the requests through the block cache in order, so its
+        contents, LRU order and hit/miss counters end up as ``m``
+        sequential :meth:`pad_block` calls leave them; every missing block
+        comes from one wide call to the inner source.  Cached values stay
+        ``bytes``, so scalar and batched calls mix freely.
+        """
+        columns = [
+            np.asarray(col, dtype=np.int64)
+            for col in (addresses, counters, blocks)
+        ]
+        m = columns[0].shape[0]
+        out = np.empty((m, PAD_BLOCK_BYTES), dtype=np.uint8)
+        for lo in range(0, m, _BLOCK_REPLAY_SLICE):
+            part = [col[lo: lo + _BLOCK_REPLAY_SLICE] for col in columns]
+            out[lo: lo + _BLOCK_REPLAY_SLICE] = self._replay(
+                self._cache,
+                list(zip(*(col.tolist() for col in part))),
+                PAD_BLOCK_BYTES,
+                lambda miss: self._inner.pad_blocks_batch(
+                    *(col[miss] for col in part)
+                ),
+                np.ndarray.tobytes,
+            )
+        return _freeze(out)
+
+    def _replay(
+        self, cache: OrderedDict, keys: list, width: int, generate, cached
+    ) -> np.ndarray:
+        """Walk ``keys`` through ``cache`` as sequential lookups would.
+
+        Performs exactly the hit/miss accounting, recency updates and
+        evictions of one lookup per key, then calls ``generate`` once with
+        the request indices of the misses, for their ``(n_miss, width)``
+        pads.  Returns every request's pad as one read-only
+        ``(len(keys), width)`` array.
+
+        ``pop`` then re-insert is one LRU touch: a hit moves to the back
+        with its value, a miss takes the back slot with a placeholder, its
+        index into the miss list (the oldest entry is evicted first when
+        the cache is full).  Placeholders still cached then take their pad,
+        as ``cached(row)``, in place at the same LRU position.
+        """
+        capacity = self._capacity
         pop = cache.pop
         popitem = cache.popitem
         size = len(cache)
-        miss_keys: list[tuple[int, int, int]] = []
-        add_miss = miss_keys.append
+        n_miss = 0
+        misses: list[int] = []
+        add_miss = misses.append
         rows: list = []
         add_row = rows.append
-        for key in keys:
+        for i, key in enumerate(keys):
             value = pop(key, _MISS)
             if value is _MISS:
                 if size >= capacity:
                     popitem(last=False)
                 else:
                     size += 1
-                value = len(miss_keys)
-                add_miss(key)
+                value = n_miss
+                n_miss += 1
+                add_miss(i)
             cache[key] = value
             add_row(value)
-        n_miss = len(miss_keys)
-        self.hits += m - n_miss
+        self.hits += len(keys) - n_miss
         self.misses += n_miss
-        if n_miss:
-            generated = list(
-                _freeze(
-                    self._inner.line_pads_batch(
-                        np.fromiter(
-                            (k[0] for k in miss_keys),
-                            dtype=np.int64,
-                            count=n_miss,
-                        ),
-                        np.fromiter(
-                            (k[1] for k in miss_keys),
-                            dtype=np.int64,
-                            count=n_miss,
-                        ),
-                        n_bytes,
-                    )
-                )
-            )
-            rows = [
-                generated[v] if v.__class__ is int else v for v in rows
-            ]
-            # Placeholders still cached take their pad in place (same LRU
-            # position).  Row views of the frozen buffer are read-only.
+        if misses:
+            generated = list(_freeze(
+                np.asarray(generate(np.array(misses, dtype=np.int64)))
+            ))
+            rows = [generated[v] if v.__class__ is int else v for v in rows]
+            # Fill the placeholders that survived, scanning whichever of
+            # the miss list and the cache is shorter.
+            if n_miss < len(cache):
+                pending = [keys[i] for i in misses]
+            else:
+                pending = [k for k, v in cache.items() if v.__class__ is int]
             cache_get = cache.get
-            for key in miss_keys:
+            for key in pending:
                 value = cache_get(key)
                 if value.__class__ is int:
-                    cache[key] = generated[value]
+                    cache[key] = cached(generated[value])
         return _freeze(
-            np.frombuffer(b"".join(rows), dtype=np.uint8).reshape(m, n_bytes)
+            np.frombuffer(b"".join(rows), dtype=np.uint8).reshape(
+                len(keys), width
+            )
         )
 
     def peek_line_pads_batch(
@@ -495,6 +653,12 @@ class CachingPadSource(_PadSourceBase):
         :meth:`line_pads_batch` once.
         """
         return self._inner.peek_line_pads_batch(addresses, counters, n_bytes)
+
+    def peek_pad_blocks_batch(
+        self, addresses: np.ndarray, counters: np.ndarray, blocks: np.ndarray
+    ) -> np.ndarray:
+        """Pad blocks for a batch, leaving the block cache and counts alone."""
+        return self._inner.peek_pad_blocks_batch(addresses, counters, blocks)
 
     @property
     def hit_rate(self) -> float:

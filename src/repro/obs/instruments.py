@@ -155,8 +155,19 @@ class InstrumentedPadSource:
         observations (via ``observe_many``), so ``pad.fetches`` and the
         ``pad.fetch_s`` count match the per-write path exactly.
         """
+        return self._observe_batch(
+            self._inner.line_pads_batch, addresses, counters, n_bytes
+        )
+
+    def pad_blocks_batch(self, addresses, counters, blocks):
+        """Batched :meth:`pad_block` fetches, counted as one per block."""
+        return self._observe_batch(
+            self._inner.pad_blocks_batch, addresses, counters, blocks
+        )
+
+    def _observe_batch(self, fetch, addresses, *args):
         t0 = self._clock()
-        pads = self._inner.line_pads_batch(addresses, counters, n_bytes)
+        pads = fetch(addresses, *args)
         dur = self._clock() - t0
         n = len(addresses)
         self._timer.observe_many(dur, n)
@@ -168,3 +179,7 @@ class InstrumentedPadSource:
     def peek_line_pads_batch(self, addresses, counters, n_bytes: int):
         """Untimed, uncounted: a peek is not one of the scalar path's fetches."""
         return self._inner.peek_line_pads_batch(addresses, counters, n_bytes)
+
+    def peek_pad_blocks_batch(self, addresses, counters, blocks):
+        """Untimed, uncounted, as :meth:`peek_line_pads_batch`."""
+        return self._inner.peek_pad_blocks_batch(addresses, counters, blocks)

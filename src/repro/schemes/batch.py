@@ -17,9 +17,10 @@ flip counts and packed diff matrices in one wide pass.  Rows of a
 consumer aggregates over the chunk, so row order never affects results.
 
 On top of that sit the pieces the kernels share: gathering and
-committing line state, replaying a scalar pad-request stream in trace
-order, DEUCE's modified bits as a segmented cumulative OR, and the
-Flip-N-Write encoder :func:`fnw_encode_runs`.
+committing line state, replaying a scalar line-pad or pad-block request
+stream in trace order, running event counts and block carries for the
+per-block-counter schemes, DEUCE's modified bits as a segmented
+cumulative OR, and the Flip-N-Write encoder :func:`fnw_encode_runs`.
 """
 
 from __future__ import annotations
@@ -375,18 +376,79 @@ def request_pads(
     and evictions.  Returns the pads and an ``(m, k)`` row index into them
     (-1 where unused).
     """
-    used_t = to_trace_order(groups, used)
-    addr_t = to_trace_order(groups, groups.addresses)
-    out = np.asarray(
-        pads.line_pads_batch(
-            np.broadcast_to(addr_t[:, None], used_t.shape)[used_t],
-            to_trace_order(groups, counters)[used_t],
-            n_bytes,
-        )
+    return _request_stream(
+        lambda a, c: pads.line_pads_batch(a, c, n_bytes),
+        groups, used, groups.addresses[:, None], counters,
     )
+
+
+def request_pad_blocks(
+    pads,
+    groups: AddressGroups,
+    counters: np.ndarray,
+    blocks: np.ndarray,
+    used: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`request_pads` for single pad blocks (``pad_blocks_batch``).
+
+    Slot ``s`` of row ``j`` requests block ``blocks[j, s]`` of the row's
+    line under ``counters[j, s]``.  Returns ``(n, 16)`` pad blocks and the
+    ``(m, k)`` row index into them (-1 where unused).
+    """
+    return _request_stream(
+        pads.pad_blocks_batch,
+        groups, used, groups.addresses[:, None], counters, blocks,
+    )
+
+
+def _request_stream(
+    fetch, groups: AddressGroups, used: np.ndarray, *columns: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """One ``fetch(*columns)`` call over the used slots, in trace order."""
+    used_t = to_trace_order(groups, used)
+    out = np.asarray(fetch(*(
+        to_trace_order(groups, np.broadcast_to(col, used.shape))[used_t]
+        for col in columns
+    )))
     index_t = np.full(used_t.shape, -1, dtype=np.int64)
     index_t[used_t] = np.arange(out.shape[0])
     return out, index_t[groups.order]
+
+
+def run_counts(groups: AddressGroups, events: np.ndarray) -> np.ndarray:
+    """Running count of ``events`` (rows up to and including each row)
+    within each address run, column by column."""
+    total = np.cumsum(events, axis=0, dtype=np.int64)
+    before = np.zeros_like(total, shape=(groups.starts.size, *total.shape[1:]))
+    before[1:] = total[groups.starts[1:] - 1]
+    return total - before[groups.group_id]
+
+
+def carry_blocks(
+    groups: AddressGroups,
+    fresh: np.ndarray,
+    events: np.ndarray,
+    firsts: np.ndarray,
+) -> np.ndarray:
+    """Stored images of a chunk whose writes rewrite only some blocks.
+
+    ``events`` is ``(m, n_blocks)``: the blocks each row rewrites, with
+    the bytes in that row of ``fresh`` (``(m, line_bytes)``).  A block
+    keeps its bytes from the latest row in its run that rewrote it, or
+    from the run's pre-chunk image in ``firsts`` when none did.
+    """
+    m, n_blocks = events.shape
+    row_idx = np.arange(m, dtype=np.int64)
+    latest = np.maximum.accumulate(
+        np.where(events, row_idx[:, None], -1), axis=0
+    )
+    rewritten = latest >= groups.starts[groups.group_id][:, None]
+    stored = firsts[groups.group_id].reshape(m, n_blocks, -1)
+    rows, blocks = np.nonzero(rewritten)
+    stored[rows, blocks] = fresh.reshape(m, n_blocks, -1)[
+        latest[rows, blocks], blocks
+    ]
+    return stored.reshape(m, -1)
 
 
 def mix_pad_rows(

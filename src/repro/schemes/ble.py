@@ -9,24 +9,38 @@ the coarseness DEUCE's 2-byte tracking removes.
 
 from __future__ import annotations
 
+from abc import abstractmethod
+
 import numpy as np
 
 from repro.crypto.pads import PAD_BLOCK_BYTES, PadSource
 from repro.memory import bitops
 from repro.memory.line import StoredLine, make_meta
 from repro.schemes.base import WriteOutcome, WriteScheme
+from repro.schemes.batch import (
+    BatchOutcome,
+    carry_blocks,
+    changed_words,
+    commit_lines,
+    diff_stored_rows,
+    empty_batch,
+    gather_lines,
+    group_by_address,
+    install_lines,
+    line_matrix,
+    previous_rows,
+    request_pad_blocks,
+    run_counts,
+)
 
 
-class BlockLevelEncryption(WriteScheme):
-    """Counter-mode encryption with per-AES-block counters.
+class BlockCounterScheme(WriteScheme):
+    """Shared plumbing of the schemes with one counter per AES block.
 
-    Per-block counters are kept in ``self._block_counters``; the
-    ``StoredLine.counter`` field mirrors the number of writebacks for
-    diagnostics.  Counter bits are not charged to the figure of merit (the
-    paper charges neither BLE's nor the baseline's counters).
+    Per-block counters are kept in ``self._block_counters`` (address ->
+    list of ``n_blocks`` counters) and checkpointed as two arrays.  A line
+    is installed with every block counter and metadata bit at zero.
     """
-
-    name = "ble"
 
     def __init__(self, pads: PadSource, line_bytes: int = 64) -> None:
         super().__init__(line_bytes)
@@ -39,10 +53,6 @@ class BlockLevelEncryption(WriteScheme):
         self.block_bytes = PAD_BLOCK_BYTES
         self.n_blocks = line_bytes // self.block_bytes
         self._block_counters: dict[int, list[int]] = {}
-
-    @property
-    def metadata_bits_per_line(self) -> int:
-        return 0  # counters excluded, as for the line-counter baseline
 
     def block_counters(self, address: int) -> list[int]:
         """The per-block counters of a line (read-only copy)."""
@@ -63,6 +73,8 @@ class BlockLevelEncryption(WriteScheme):
             )
         return pad
 
+    # -- checkpointing -------------------------------------------------------
+
     def _extra_state(self) -> dict[str, object]:
         n = len(self._block_counters)
         addresses = np.empty(n, dtype=np.int64)
@@ -80,19 +92,89 @@ class BlockLevelEncryption(WriteScheme):
             for i in range(addresses.size)
         }
 
+    # -- lifecycle -----------------------------------------------------------
+
     def _install(self, address: int, plaintext: bytes) -> StoredLine:
         counters = [0] * self.n_blocks
         self._block_counters[address] = counters
         stored = bitops.as_array(plaintext) ^ self._line_pad(address, counters)
-        return StoredLine(stored, make_meta(0), 0)
+        return StoredLine(stored, make_meta(self.metadata_bits_per_line), 0)
+
+    def install_batch(self, addresses, data) -> None:
+        """Vectorized initial encryption: one pad-block batch for the set.
+
+        Requests each line's blocks under counter 0 in install order, as
+        ``n`` sequential installs do.
+        """
+        addresses = np.asarray(addresses, dtype=np.int64)
+        plain = line_matrix(data, self.line_bytes)
+        n, nb = addresses.size, self.n_blocks
+        pads = self.pads.pad_blocks_batch(
+            np.repeat(addresses, nb),
+            np.zeros(n * nb, dtype=np.int64),
+            np.tile(np.arange(nb, dtype=np.int64), n),
+        )
+        stored = plain ^ np.asarray(pads).reshape(n, self.line_bytes)
+        install_lines(
+            self._lines, addresses, stored, self.metadata_bits_per_line
+        )
+        for addr in addresses.tolist():
+            self._block_counters[addr] = [0] * nb
+
+    @abstractmethod
+    def _read_array(self, address: int) -> np.ndarray:
+        """The line's plaintext (the read before every write)."""
+
+    def read(self, address: int) -> bytes:
+        return bitops.to_bytes(self._read_array(address))
+
+    # -- batch helpers -------------------------------------------------------
+
+    def _gather_block_counters(self, addresses: np.ndarray) -> np.ndarray:
+        """``(n, n_blocks)`` counters of installed lines."""
+        get = self._block_counters.__getitem__
+        return np.array(
+            [get(a) for a in addresses.tolist()], dtype=np.int64
+        ).reshape(addresses.size, self.n_blocks)
+
+    def _set_block_counters(
+        self, addresses: np.ndarray, counters: np.ndarray
+    ) -> None:
+        self._block_counters.update(zip(addresses.tolist(), counters.tolist()))
+
+    def _peek_pads(
+        self, addresses: np.ndarray, counters: np.ndarray
+    ) -> np.ndarray:
+        """``(n, line_bytes)`` line pads, block ``b`` under ``counters[:, b]``,
+        read without cache bookkeeping."""
+        n, nb = counters.shape
+        return np.asarray(
+            self.pads.peek_pad_blocks_batch(
+                np.repeat(addresses, nb),
+                counters.ravel(),
+                np.tile(np.arange(nb, dtype=np.int64), n),
+            )
+        ).reshape(n, self.line_bytes)
+
+
+class BlockLevelEncryption(BlockCounterScheme):
+    """Counter-mode encryption with per-AES-block counters.
+
+    The ``StoredLine.counter`` field mirrors the number of writebacks for
+    diagnostics.  Counter bits are not charged to the figure of merit (the
+    paper charges neither BLE's nor the baseline's counters).
+    """
+
+    name = "ble"
+
+    @property
+    def metadata_bits_per_line(self) -> int:
+        return 0  # counters excluded, as for the line-counter baseline
 
     def _read_array(self, address: int) -> np.ndarray:
         line = self._lines[address]
         counters = self._block_counters[address]
         return line.arr ^ self._line_pad(address, counters)
-
-    def read(self, address: int) -> bytes:
-        return bitops.to_bytes(self._read_array(address))
 
     def _write(self, address: int, plaintext: bytes) -> WriteOutcome:
         old = self._lines[address]
@@ -123,4 +205,69 @@ class BlockLevelEncryption(WriteScheme):
             words_reencrypted=int(changed.size),
             full_line_reencrypted=(changed.size == self.n_blocks),
             mode="ble",
+        )
+
+    def write_batch(self, addresses, data) -> BatchOutcome:
+        """Vectorized BLE over a chunk.
+
+        A block's counter counts the writes that changed it, so each
+        (line, block) counter is a running count over the line's run.
+        Every write reads before it writes: it requests every block's pad
+        under the block's counter, then each changed block's pad under the
+        incremented one.  That stream goes through the pad source once, in
+        trace order; only the pre-chunk plaintext, which each run's first
+        write compares against, is decoded from peeked pads first.  A
+        block's stored bytes come from the latest write that changed it.
+        Bit-identical to sequential :meth:`write` calls, pad-cache
+        statistics included.
+        """
+        m = len(addresses)
+        if m == 0:
+            return empty_batch()
+        nb, lb = self.n_blocks, self.line_bytes
+        groups = group_by_address(addresses, data)
+        starts, s_data = groups.starts, groups.data
+        uniq = groups.unique_addresses
+        base_counters, old_stored, _ = gather_lines(self._lines, uniq, lb, 0)
+        base_blocks = self._gather_block_counters(uniq)
+        old_plain = old_stored ^ self._peek_pads(uniq, base_blocks)
+
+        prev_plain = previous_rows(s_data, starts, old_plain)
+        changed = changed_words(prev_plain, s_data, self.block_bytes)
+        after = base_blocks[groups.group_id] + run_counts(groups, changed)
+
+        # Per write: [read block 0..nb-1, write block 0..nb-1 if changed].
+        block_ids = np.tile(np.arange(nb, dtype=np.int64), 2)
+        pads, index = request_pad_blocks(
+            self.pads,
+            groups,
+            np.concatenate([after - changed, after], axis=1),
+            block_ids,
+            np.concatenate([np.ones_like(changed), changed], axis=1),
+        )
+        fresh = s_data ^ pads[index[:, nb:]].reshape(m, lb)
+        stored = carry_blocks(groups, fresh, changed, old_stored)
+        diffs = diff_stored_rows(
+            previous_rows(stored, starts, old_stored), stored, None, None
+        )
+
+        last_rows = groups.last_rows
+        counters = base_counters[groups.group_id] + groups.rank + 1
+        commit_lines(
+            self._lines,
+            uniq,
+            stored[last_rows],
+            np.zeros((last_rows.size, 0), dtype=np.uint8),
+            counters[last_rows],
+        )
+        self._set_block_counters(uniq, after[last_rows])
+        n_changed = changed.sum(axis=1, dtype=np.int64)
+        return BatchOutcome(
+            addresses=groups.addresses,
+            words_reencrypted=n_changed,
+            full_line_reencrypted=n_changed == nb,
+            epoch_reset=np.zeros(m, dtype=bool),
+            mode_switched=np.zeros(m, dtype=bool),
+            mode_counts={"ble": m},
+            **diffs,
         )

@@ -16,11 +16,27 @@ import numpy as np
 from repro.crypto.pads import PAD_BLOCK_BYTES, PadSource
 from repro.memory import bitops
 from repro.memory.line import StoredLine
-from repro.schemes.base import WriteOutcome, WriteScheme
+from repro.schemes.base import WriteOutcome
+from repro.schemes.batch import (
+    BatchOutcome,
+    carry_blocks,
+    changed_words,
+    commit_lines,
+    diff_stored_rows,
+    empty_batch,
+    gather_lines,
+    group_by_address,
+    mix_pad_rows,
+    modified_bits,
+    previous_rows,
+    request_pad_blocks,
+    run_counts,
+)
+from repro.schemes.ble import BlockCounterScheme
 from repro.schemes.deuce import _check_epoch_interval
 
 
-class BleDeuce(WriteScheme):
+class BleDeuce(BlockCounterScheme):
     """Per-block counters + per-word dual-counter re-encryption.
 
     Metadata layout: one modified bit per word across the whole line,
@@ -43,40 +59,23 @@ class BleDeuce(WriteScheme):
         word_bytes: int = 2,
         epoch_interval: int = 32,
     ) -> None:
-        super().__init__(line_bytes)
-        if line_bytes % PAD_BLOCK_BYTES != 0:
-            raise ValueError(
-                f"line_bytes={line_bytes} is not a whole number of "
-                f"{PAD_BLOCK_BYTES}-byte AES blocks"
-            )
+        super().__init__(pads, line_bytes)
         if word_bytes <= 0 or PAD_BLOCK_BYTES % word_bytes != 0:
             raise ValueError(
                 f"word_bytes={word_bytes} must divide the "
                 f"{PAD_BLOCK_BYTES}-byte AES block"
             )
-        self.pads = pads
-        self.block_bytes = PAD_BLOCK_BYTES
-        self.n_blocks = line_bytes // self.block_bytes
         self.word_bytes = word_bytes
         self.words_per_block = self.block_bytes // word_bytes
         self.n_words = line_bytes // word_bytes
         self.epoch_interval = _check_epoch_interval(epoch_interval)
         self._epoch_mask = ~(epoch_interval - 1)
-        self._block_counters: dict[int, list[int]] = {}
 
     @property
     def metadata_bits_per_line(self) -> int:
         return self.n_words
 
-    def block_counters(self, address: int) -> list[int]:
-        return list(self._block_counters[address])
-
     # -- per-block helpers ----------------------------------------------------
-
-    def _block_pad(self, address: int, counter: int, block: int) -> np.ndarray:
-        return np.frombuffer(
-            self.pads.pad_block(address, counter, block), dtype=np.uint8
-        )
 
     def _block_slice(self, arr: np.ndarray, block: int) -> np.ndarray:
         lo = block * self.block_bytes
@@ -100,36 +99,7 @@ class BleDeuce(WriteScheme):
         byte_mask = np.repeat(modified.astype(bool), self.word_bytes)
         return np.where(byte_mask, lead, trail)
 
-    # -- checkpointing -------------------------------------------------------
-
-    def _extra_state(self) -> dict[str, object]:
-        n = len(self._block_counters)
-        addresses = np.empty(n, dtype=np.int64)
-        counters = np.empty((n, self.n_blocks), dtype=np.int64)
-        for i, (addr, blocks) in enumerate(self._block_counters.items()):
-            addresses[i] = addr
-            counters[i] = blocks
-        return {"block_addresses": addresses, "block_counters": counters}
-
-    def _load_extra_state(self, extra: dict[str, object]) -> None:
-        addresses = np.asarray(extra["block_addresses"], dtype=np.int64)
-        counters = np.asarray(extra["block_counters"], dtype=np.int64)
-        self._block_counters = {
-            int(addresses[i]): [int(c) for c in counters[i]]
-            for i in range(addresses.size)
-        }
-
     # -- lifecycle ---------------------------------------------------------------
-
-    def _install(self, address: int, plaintext: bytes) -> StoredLine:
-        self._block_counters[address] = [0] * self.n_blocks
-        plain = bitops.as_array(plaintext)
-        stored = np.empty(self.line_bytes, dtype=np.uint8)
-        for b in range(self.n_blocks):
-            self._block_slice(stored, b)[:] = self._block_slice(
-                plain, b
-            ) ^ self._block_pad(address, 0, b)
-        return StoredLine(stored, np.zeros(self.n_words, dtype=np.uint8), 0)
 
     def _read_array(self, address: int) -> np.ndarray:
         line = self._lines[address]
@@ -141,9 +111,6 @@ class BleDeuce(WriteScheme):
             )
             self._block_slice(plain, b)[:] = self._block_slice(line.arr, b) ^ pad
         return plain
-
-    def read(self, address: int) -> bytes:
-        return bitops.to_bytes(self._read_array(address))
 
     def _write(self, address: int, plaintext: bytes) -> WriteOutcome:
         old = self._lines[address]
@@ -191,4 +158,125 @@ class BleDeuce(WriteScheme):
             full_line_reencrypted=(blocks_full == self.n_blocks),
             epoch_reset=(blocks_full == self.n_blocks),
             mode="ble+deuce",
+        )
+
+    def write_batch(self, addresses, data) -> BatchOutcome:
+        """Vectorized BLE+DEUCE over a chunk.
+
+        Each (line, block) pair is its own DEUCE stream: the writes that
+        change the block are its events, its counter is their running
+        count, and its modified bits are DEUCE's segmented cumulative OR
+        over those events, reset at the block's own epoch writes.  Laying
+        the blocks out one after another (block-major) turns every pair
+        into an address-run-like segment of one :func:`modified_bits` call.
+        Each write requests, per block, the read's pad (one request, or
+        lead then trail), then per changed block the write's pad (the
+        epoch pad, or the mixed pad's requests); that stream goes through
+        the pad source once, in trace order, after the pre-chunk plaintext
+        is decoded from peeked pads.  Bit-identical to sequential
+        :meth:`write` calls, pad-cache statistics included.
+        """
+        m = len(addresses)
+        if m == 0:
+            return empty_batch()
+        nb, lb, nw = self.n_blocks, self.line_bytes, self.n_words
+        wb, wpb = self.word_bytes, self.words_per_block
+        low, mask = self.epoch_interval - 1, self._epoch_mask
+        groups = group_by_address(addresses, data)
+        starts, s_data = groups.starts, groups.data
+        uniq = groups.unique_addresses
+        n = uniq.size
+        base_counters, old_stored, old_meta = gather_lines(
+            self._lines, uniq, lb, nw
+        )
+        base_blocks = self._gather_block_counters(uniq)
+        peeked = self._peek_pads(
+            np.concatenate([uniq, uniq]),
+            np.concatenate([base_blocks, base_blocks & mask]),
+        )
+        old_plain = old_stored ^ mix_pad_rows(
+            peeked[:n], peeked[n:], old_meta, wb
+        )
+
+        prev_plain = previous_rows(s_data, starts, old_plain)
+        changed_w = changed_words(prev_plain, s_data, wb)
+        changed = changed_w.reshape(m, nb, wpb).any(axis=2)
+        after = base_blocks[groups.group_id] + run_counts(groups, changed)
+        before = after - changed
+        epoch = changed & ((after & low) == 0)
+
+        def block_major(x: np.ndarray) -> np.ndarray:
+            rows = x.shape[0]
+            return x.reshape(rows, nb, wpb).transpose(1, 0, 2).reshape(
+                nb * rows, wpb
+            )
+
+        modified = (
+            modified_bits(
+                block_major(changed_w),
+                (starts + m * np.arange(nb)[:, None]).ravel(),
+                block_major(old_meta),
+                epoch.T.ravel(),
+            )
+            .reshape(nb, m, wpb)
+            .transpose(1, 0, 2)
+        )
+        meta = np.ascontiguousarray(modified).reshape(m, nw).view(np.uint8)
+        prev_meta = previous_rows(meta, starts, old_meta)
+
+        # Slots (phase, block, lead/trail): the read under each block's
+        # counter, then the write under the incremented one.  A mixed pad
+        # requests its lead only off an epoch with some word modified.
+        ctr = np.empty((m, 2, nb, 2), dtype=np.int64)
+        ctr[:, 0, :, 0] = before
+        ctr[:, 0, :, 1] = before & mask
+        ctr[:, 1, :, 0] = after
+        ctr[:, 1, :, 1] = after & mask
+        used = np.empty((m, 2, nb, 2), dtype=bool)
+        used[:, 0, :, 0] = ((before & low) != 0) & prev_meta.reshape(
+            m, nb, wpb
+        ).any(axis=2)
+        used[:, 0, :, 1] = True
+        used[:, 1, :, 0] = changed & ~epoch & modified.any(axis=2)
+        used[:, 1, :, 1] = changed
+        blocks = np.broadcast_to(
+            np.arange(nb, dtype=np.int64)[:, None], (2, nb, 2)
+        ).reshape(-1)
+        pads, index = request_pad_blocks(
+            self.pads, groups, ctr.reshape(m, -1), blocks, used.reshape(m, -1)
+        )
+        index = index.reshape(m, 2, nb, 2)[:, 1]
+        trailing = pads[index[:, :, 1]].reshape(m, lb)
+        leading = pads[
+            np.where(used[:, 1, :, 0], index[:, :, 0], index[:, :, 1])
+        ].reshape(m, lb)
+        fresh = s_data ^ mix_pad_rows(leading, trailing, meta, wb)
+        stored = carry_blocks(groups, fresh, changed, old_stored)
+        diffs = diff_stored_rows(
+            previous_rows(stored, starts, old_stored), stored, prev_meta, meta
+        )
+
+        last_rows = groups.last_rows
+        counters = base_counters[groups.group_id] + groups.rank + 1
+        commit_lines(
+            self._lines,
+            uniq,
+            stored[last_rows],
+            meta[last_rows],
+            counters[last_rows],
+        )
+        self._set_block_counters(uniq, after[last_rows])
+        block_words = np.where(
+            epoch, wpb, modified.sum(axis=2, dtype=np.int64)
+        )
+        blocks_full = epoch.sum(axis=1)
+        # A line-wide epoch reset: every block crossed its boundary at once.
+        return BatchOutcome(
+            addresses=groups.addresses,
+            words_reencrypted=(block_words * changed).sum(axis=1),
+            full_line_reencrypted=blocks_full == nb,
+            epoch_reset=blocks_full == nb,
+            mode_switched=np.zeros(m, dtype=bool),
+            mode_counts={"ble+deuce": m},
+            **diffs,
         )

@@ -25,6 +25,19 @@ from repro.crypto.pads import PadSource
 from repro.memory import bitops
 from repro.memory.line import StoredLine, make_meta
 from repro.schemes.base import WriteOutcome, WriteScheme
+from repro.schemes.batch import (
+    BatchOutcome,
+    commit_lines,
+    diff_stored_rows,
+    empty_batch,
+    gather_lines,
+    group_by_address,
+    initial_ciphertext,
+    previous_rows,
+    request_pads,
+    row_popcounts,
+    run_counts,
+)
 
 #: meta[0] == 1 when the stored image is encrypted.
 _ENCRYPTED_BIT = 0
@@ -152,6 +165,22 @@ class INvmm(WriteScheme):
         self._sweep_order = []
         return StoredLine(bitops.xor(plaintext, self._pad(address, 0)), meta, 0)
 
+    def install_batch(self, addresses, data) -> None:
+        """Vectorized initial encryption: one pad batch for the working set."""
+        addresses = np.asarray(addresses, dtype=np.int64)
+        n = addresses.size
+        if not n:
+            return
+        commit_lines(
+            self._lines,
+            addresses,
+            initial_ciphertext(self.pads, addresses, data, self.line_bytes),
+            np.ones((n, 1), dtype=np.uint8),
+            np.zeros(n, dtype=np.int64),
+        )
+        self._last_write.update(dict.fromkeys(addresses.tolist(), self._tick))
+        self._sweep_order = []
+
     def read(self, address: int) -> bytes:
         line = self._lines[address]
         if line.meta[_ENCRYPTED_BIT]:
@@ -174,6 +203,181 @@ class INvmm(WriteScheme):
         )
         self._sweep()
         return outcome
+
+    def write_batch(self, addresses, data) -> BatchOutcome:
+        """Vectorized i-NVMM over a chunk: plaintext writes plus the sweep.
+
+        The sweep order is fixed once the lines are installed, so write
+        ``i`` of the chunk visits the next ``sweep_lines_per_write``
+        positions after write ``i - 1``'s.  A visit encrypts its line iff
+        the line is plaintext and idle for ``idle_threshold`` ticks.  Both
+        follow from the chunk's writes and from earlier visits to the same
+        line, so the visits are decided in windows of at most one full
+        sweep, in which no line is visited twice.  The writes and the
+        encryptions then form one event stream per line: an encryption
+        turns the line's latest plaintext into ciphertext under the next
+        counter, and each write diffs against the image left by the events
+        before it.  Encryption pads go through the pad source once, in the
+        order the scalar sweep requests them.  Bit-identical to sequential
+        :meth:`write` calls, sweep statistics and pad-cache statistics
+        included.
+        """
+        m = len(addresses)
+        if m == 0:
+            return empty_batch()
+        addresses = np.asarray(addresses, dtype=np.int64)
+        lb = self.line_bytes
+        if not self._sweep_order:
+            self._sweep_order = sorted(self._lines)
+        per_write = min(self.sweep_lines_per_write, len(self._sweep_order))
+        tick0 = self._tick
+        enc_visits, enc_addresses = self._sweep_visits(
+            addresses, per_write, tick0
+        )
+
+        # Events in time order: write i, then write i's visits.
+        n_enc = enc_visits.size
+        times = np.concatenate([
+            np.arange(m, dtype=np.int64) * (per_write + 1),
+            enc_visits + enc_visits // max(per_write, 1) + 1,
+        ])
+        by_time = np.argsort(times, kind="stable")
+        event_data = np.zeros((m + n_enc, lb), dtype=np.uint8)
+        event_data[:m] = data
+        is_enc = np.zeros(m + n_enc, dtype=bool)
+        is_enc[m:] = True
+        groups = group_by_address(
+            np.concatenate([addresses, enc_addresses])[by_time],
+            event_data[by_time],
+        )
+        starts = groups.starts
+        is_enc = is_enc[by_time][groups.order]
+        base_counters, old_stored, old_meta = gather_lines(
+            self._lines, groups.unique_addresses, lb, 1
+        )
+        counters = base_counters[groups.group_id] + run_counts(groups, is_enc)
+        images = groups.data
+        enc_rows = np.flatnonzero(is_enc)
+        if n_enc:
+            # A line is only encrypted while plaintext: its previous event
+            # is a write, or there is none and the cells hold plaintext.
+            pads, index = request_pads(
+                self.pads, groups, counters[:, None], is_enc[:, None], lb
+            )
+            plain = previous_rows(images, starts, old_stored)[enc_rows]
+            images[enc_rows] = plain ^ pads[index[enc_rows, 0]]
+            self.sweep_flips += int(
+                row_popcounts(plain ^ images[enc_rows]).sum()
+            ) + n_enc
+            self.sweep_encryptions += n_enc
+        meta = is_enc.view(np.uint8)[:, None]
+        prev_meta = previous_rows(meta, starts, old_meta)
+        writes = np.flatnonzero(~is_enc)
+        diffs = diff_stored_rows(
+            previous_rows(images, starts, old_stored)[writes],
+            images[writes],
+            prev_meta[writes],
+            meta[writes],
+        )
+        last_rows = groups.last_rows
+        commit_lines(
+            self._lines,
+            groups.unique_addresses,
+            images[last_rows],
+            meta[last_rows],
+            counters[last_rows],
+        )
+        self._last_write.update(
+            zip(addresses.tolist(), range(tick0 + 1, tick0 + m + 1))
+        )
+        self._tick = tick0 + m
+        self._sweep_pos += m * per_write
+        return BatchOutcome(
+            addresses=groups.addresses[writes],
+            words_reencrypted=np.zeros(m, dtype=np.int64),
+            full_line_reencrypted=prev_meta[writes, 0] == 1,
+            epoch_reset=np.zeros(m, dtype=bool),
+            mode_switched=np.zeros(m, dtype=bool),
+            mode_counts={"plaintext": m},
+            **diffs,
+        )
+
+    def _sweep_visits(
+        self, addresses: np.ndarray, per_write: int, tick0: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The sweep visits of a chunk's writes that encrypt a line.
+
+        Returns the visits' indices (visit ``v`` belongs to write
+        ``v // per_write``) and their lines' addresses.  Visits are decided
+        window by window: a window covers at most one full sweep, so each
+        of its visits sees the chunk's writes and only earlier windows'
+        encryptions of its line.
+        """
+        m = addresses.size
+        n_visits = m * per_write
+        if not n_visits:
+            return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+        order = self._sweep_order
+        n_lines = len(order)
+        window = min(n_visits, n_lines)
+        first = self._sweep_pos % n_lines
+        visited = order[first: first + window] + order[
+            : max(0, first + window - n_lines)
+        ]
+        visited_arr = np.asarray(visited, dtype=np.int64)
+        line_of = self._lines.get
+        pre_plain = np.fromiter(
+            (
+                line is not None and not line.meta[_ENCRYPTED_BIT]
+                for line in map(line_of, visited)
+            ),
+            dtype=bool,
+            count=window,
+        )
+        last_of = self._last_write.get
+        pre_last = np.fromiter(
+            (last_of(a, 0) for a in visited), dtype=np.int64, count=window
+        )
+
+        # Latest write (trace index) to each visit's line up to and
+        # including the visit's own write, or -1.
+        visit = np.arange(n_visits, dtype=np.int64)
+        write_of = visit // per_write
+        slot = visit % window
+        groups = group_by_address(addresses, np.zeros((m, 0), np.uint8))
+        run = np.searchsorted(groups.unique_addresses, visited_arr)
+        run = np.minimum(run, groups.starts.size - 1)
+        written = groups.unique_addresses[run] == visited_arr
+        keys = groups.group_id * m + groups.order
+        row = np.searchsorted(keys, run[slot] * m + write_of, side="right") - 1
+        has_write = (
+            written[slot]
+            & (row >= 0)
+            & (groups.group_id[np.maximum(row, 0)] == run[slot])
+        )
+        last_write = np.where(has_write, groups.order[row], -1)
+        idle = np.where(
+            has_write,
+            write_of - last_write,
+            tick0 + 1 + write_of - pre_last[slot],
+        )
+        cold = idle >= self.idle_threshold
+
+        encrypt = np.zeros(n_visits, dtype=bool)
+        last_enc = np.full(window, -1, dtype=np.int64)
+        for lo in range(0, n_visits, window):
+            hi = min(lo + window, n_visits)
+            enc_before = last_enc[: hi - lo]
+            # Plaintext iff written since the line's last encryption, or
+            # neither happened in the chunk and it was plaintext before.
+            plain = (last_write[lo:hi] > enc_before) | (
+                (enc_before < 0) & pre_plain[: hi - lo]
+            )
+            hit = plain & cold[lo:hi]
+            encrypt[lo:hi] = hit
+            enc_before[hit] = write_of[lo:hi][hit]
+        enc_visits = np.flatnonzero(encrypt)
+        return enc_visits, visited_arr[enc_visits % window]
 
     # -- security surface ----------------------------------------------------------
 

@@ -9,8 +9,8 @@ comparable across schemes.
 
 Write loop: one loop (:func:`_write_loop`) serves every scheme.  It cuts
 the trace into chunks of ``config.chunk_size`` writes and hands each chunk
-to ``scheme.write_batch`` (vectorized for some schemes, a loop over
-``write()`` for the rest).  ``chunk_size=1`` is the scalar reference: every
+to ``scheme.write_batch``, every scheme's vectorized kernel.
+``chunk_size=1`` is the scalar reference: every
 scheme then runs its own ``install()``/``write()``, one write per chunk,
 which is what the parity tests compare the vectorized kernels against.
 

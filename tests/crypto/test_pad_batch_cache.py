@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.crypto.pads import Blake2PadSource, CachingPadSource
+from repro.crypto.pads import AesPadSource, Blake2PadSource, CachingPadSource
 
 KEY = b"pad-batch-key-16"
 N_BYTES = 64
@@ -180,3 +180,125 @@ class TestStatParityProperty:
         got = batch.line_pads_batch(addresses, counters, N_BYTES)
         want = _serial_reference(serial, addresses, counters)
         _assert_equivalent(batch, serial, got, want)
+
+
+# -- pad-block streams -----------------------------------------------------
+
+_BLOCK_SOURCES = {
+    "blake2": lambda: Blake2PadSource(KEY),
+    "aes": lambda: AesPadSource(KEY),
+}
+
+#: One step of a mixed stream: ``("batch", [(a, c, b), ...])`` or a single
+#: scalar ``("scalar", (a, c, b))`` call between batches.
+_block_keys = st.tuples(
+    st.integers(min_value=0, max_value=4),
+    st.integers(min_value=0, max_value=3),
+    st.integers(min_value=0, max_value=7),
+)
+_block_steps = st.lists(
+    st.one_of(
+        st.tuples(st.just("batch"), st.lists(_block_keys, max_size=30)),
+        st.tuples(st.just("scalar"), _block_keys),
+    ),
+    max_size=6,
+)
+
+
+def _arrays(keys):
+    cols = np.asarray(keys, dtype=np.int64).reshape(-1, 3)
+    return cols[:, 0], cols[:, 1], cols[:, 2]
+
+
+def _block(cache, key) -> np.ndarray:
+    return np.frombuffer(cache.pad_block(*key), dtype=np.uint8)
+
+
+def _assert_same_state(batch, serial) -> None:
+    assert (batch.hits, batch.misses) == (serial.hits, serial.misses)
+    got, want = batch.state_dict(), serial.state_dict()
+    assert got.keys() == want.keys()
+    for key in want:
+        assert np.array_equal(got[key], want[key]), key
+
+
+class TestPadBlocksBatch:
+    """``CachingPadSource.pad_blocks_batch`` == a loop of ``pad_block``."""
+
+    @pytest.mark.parametrize("source", sorted(_BLOCK_SOURCES))
+    @pytest.mark.parametrize("capacity", [1, 3, 16, 1024])
+    @given(steps=_block_steps)
+    @settings(
+        max_examples=25,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    def test_matches_scalar_pad_blocks(self, source, capacity, steps):
+        inner = _BLOCK_SOURCES[source]()
+        batch = CachingPadSource(inner, capacity=capacity)
+        serial = CachingPadSource(inner, capacity=capacity)
+        for kind, payload in steps:
+            if kind == "scalar":
+                assert np.array_equal(
+                    _block(batch, payload), _block(serial, payload)
+                )
+            else:
+                got = batch.pad_blocks_batch(*_arrays(payload))
+                want = [_block(serial, key) for key in payload]
+                assert got.shape == (len(payload), 16)
+                assert not got.flags.writeable
+                for row, pad in zip(got, want):
+                    assert np.array_equal(row, pad)
+            _assert_same_state(batch, serial)
+        # Cached block pads stay ``bytes`` for the scalar path.
+        assert all(type(pad) is bytes for pad in batch._cache.values())
+
+    @pytest.mark.parametrize("source", sorted(_BLOCK_SOURCES))
+    def test_bare_source_matches_pad_block(self, source):
+        inner = _BLOCK_SOURCES[source]()
+        keys = [(a, c, b) for a in (0, 7) for c in (0, 1, 2) for b in range(8)]
+        keys += keys[::3]
+        got = inner.pad_blocks_batch(*_arrays(keys))
+        for row, key in zip(got, keys):
+            assert row.tobytes() == inner.pad_block(*key)
+
+    @pytest.mark.parametrize("source", sorted(_BLOCK_SOURCES))
+    def test_peek_leaves_cache_alone(self, source):
+        cache = CachingPadSource(_BLOCK_SOURCES[source](), capacity=4)
+        for key in [(1, 0, 0), (1, 0, 1), (2, 3, 2)]:
+            cache.pad_block(*key)
+        before = cache.state_dict()
+        keys = [(1, 0, 0), (5, 1, 3), (1, 0, 1), (9, 9, 0), (5, 1, 3)]
+        peeked = cache.peek_pad_blocks_batch(*_arrays(keys))
+        after = cache.state_dict()
+        for key in before:
+            assert np.array_equal(before[key], after[key]), key
+        fresh = CachingPadSource(_BLOCK_SOURCES[source](), capacity=4)
+        assert np.array_equal(peeked, fresh.pad_blocks_batch(*_arrays(keys)))
+
+    @pytest.mark.parametrize("capacity", [16, 1024])
+    def test_stream_longer_than_one_walk(self, capacity):
+        # The cache walks long streams in slices; keys repeat across the
+        # slice boundaries.
+        rng = np.random.default_rng(capacity)
+        keys = [
+            (int(a), int(c), int(b))
+            for a, c, b in zip(
+                rng.integers(0, 300, 3000),
+                rng.integers(0, 3, 3000),
+                rng.integers(0, 4, 3000),
+            )
+        ]
+        batch = CachingPadSource(Blake2PadSource(KEY), capacity=capacity)
+        serial = CachingPadSource(Blake2PadSource(KEY), capacity=capacity)
+        got = batch.pad_blocks_batch(*_arrays(keys))
+        want = np.stack([_block(serial, key) for key in keys])
+        assert np.array_equal(got, want)
+        assert batch.hits > 0
+        _assert_same_state(batch, serial)
+
+    def test_empty_batch(self):
+        cache = CachingPadSource(Blake2PadSource(KEY), capacity=4)
+        got = cache.pad_blocks_batch(*_arrays([]))
+        assert got.shape == (0, 16)
+        assert cache.hits == cache.misses == 0

@@ -1,8 +1,7 @@
 """Chunked write path == scalar reference, bit for bit.
 
-Above ``chunk_size=1`` the write loop hands chunks to
-``scheme.write_batch`` (vectorized for some schemes, a loop over
-``write()`` for the rest) with precomputed pad streams and scatter-add
+Above ``chunk_size=1`` the write loop hands chunks to every scheme's
+vectorized ``write_batch`` with precomputed pad streams and scatter-add
 accumulation; ``chunk_size=1`` is the scalar reference, where every
 scheme runs its own ``install()``/``write()``.  These tests pin the
 documented equality contract for every registered scheme: every
@@ -12,15 +11,19 @@ continuations are bit-identical at any chunk size.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import registry
+from repro.crypto.pads import Blake2PadSource, CachingPadSource
 from repro.obs.instruments import Instruments
 from repro.obs.metrics import MetricsRegistry
 from repro.schemes.base import WriteScheme
+from repro.schemes.invmm import INvmm
 from repro.sim.config import SimConfig
 from repro.sim.runner import run
 
@@ -29,8 +32,9 @@ SCHEMES = registry.SCHEMES.names
 #: The Flip-N-Write schemes, whose kernels share one batch FNW encoder.
 FNW_FAMILY = ("noencr-fnw", "encr-fnw", "deuce+fnw", "dyndeuce")
 
-#: Schemes still on the base-class loops over ``write()``/``install()``.
-FALLBACK_SCHEMES = {"ble", "ble+deuce", "invmm"}
+#: The schemes whose kernels replay a pad-block stream (BLE, BLE+DEUCE)
+#: or the incremental cold sweep (i-NVMM).
+BLOCK_AND_SWEEP = ("ble", "ble+deuce", "invmm")
 
 BASE = dict(workload="mcf", n_writes=800, seed=0)
 
@@ -153,16 +157,15 @@ def _scheme_cls(name: str):
 
 
 class TestKernelCoverage:
-    def test_only_the_pad_block_schemes_fall_back(self):
-        # A kernel that silently falls back to the base loop (or a stale
-        # list here and in the docs) fails this test.
+    def test_no_scheme_falls_back_to_the_base_loops(self):
+        # A kernel that silently falls back to the base loop fails this.
         for method in ("write_batch", "install_batch"):
             base = getattr(WriteScheme, method)
             fallback = {
                 name for name in SCHEMES
                 if getattr(_scheme_cls(name), method) is base
             }
-            assert fallback == FALLBACK_SCHEMES, method
+            assert fallback == set(), method
 
 
 #: Configurations the FNW-family kernels must match the reference under:
@@ -219,6 +222,137 @@ class TestFnwFamilyMatchesSerial:
             )
             fetches.append(metrics.counter("pad.fetches").value)
         assert fetches[0] == fetches[1]
+
+
+#: Configurations the BLE, BLE+DEUCE and i-NVMM kernels must match the
+#: reference under: block epochs inside chunks, every other tracking word
+#: size, a pad cache small enough to evict inside a chunk or none at all,
+#: and Start-Gap rotations with the per-line wear matrix.
+BLE_CONFIGS = {
+    "epoch4": dict(epoch_interval=4),
+    "word1": dict(word_bytes=1),
+    "word4": dict(word_bytes=4),
+    "word8-epoch4": dict(word_bytes=8, epoch_interval=4),
+    "cache16": dict(pad_cache_lines=16),
+    "cache0": dict(pad_cache_lines=0),
+    "hwl-wear": dict(
+        wear_leveling="hwl", gap_write_interval=37, track_per_line_wear=True
+    ),
+}
+
+#: Knobs only ``ble+deuce`` of the three reads; the others skip them.
+_DEUCE_KNOBS = {"epoch_interval", "word_bytes"}
+
+BLE_CASES = [
+    (scheme, config)
+    for scheme in BLOCK_AND_SWEEP
+    for config in sorted(BLE_CONFIGS)
+    if scheme == "ble+deuce" or not _DEUCE_KNOBS & BLE_CONFIGS[config].keys()
+]
+
+
+class TestBlockAndSweepMatchSerial:
+    @pytest.mark.parametrize("workload", ["Gems", "kv-udb"])
+    @pytest.mark.parametrize("scheme,config", BLE_CASES)
+    def test_configs(self, scheme, config, workload):
+        serial, chunked = run_pair(
+            scheme=scheme, workload=workload, **BLE_CONFIGS[config]
+        )
+        assert comparable(serial) == comparable(chunked)
+        if config == "cache16" and scheme == "ble+deuce":
+            # A mid-epoch write re-requests the trailing pads its own read
+            # fetched, so the small cache both hits and evicts.
+            assert chunked.pad_hits > 0
+
+    @pytest.mark.parametrize("scheme", BLOCK_AND_SWEEP)
+    def test_aes_pads(self, scheme):
+        serial, chunked = run_pair(
+            scheme=scheme, workload="Gems", n_writes=150, pad_kind="aes",
+            pad_cache_lines=16,
+        )
+        assert comparable(serial) == comparable(chunked)
+
+    @pytest.mark.parametrize("scheme", BLOCK_AND_SWEEP)
+    def test_pad_fetch_metrics_identical(self, scheme):
+        # Peeked pads must not count as fetches; batched pad blocks count
+        # one fetch each, as scalar ``pad_block`` calls do.
+        fetches = []
+        for chunk_size in (1, 64):
+            metrics = MetricsRegistry()
+            run(
+                SimConfig(
+                    "Gems", scheme, n_writes=400, seed=0,
+                    chunk_size=chunk_size, pad_cache_lines=16,
+                ),
+                instruments=Instruments(metrics=metrics),
+            )
+            fetches.append(metrics.counter("pad.fetches").value)
+        assert fetches[0] == fetches[1] > 0
+
+
+def _drive_invmm(
+    chunk_size: int,
+    n_lines: int,
+    sweep_lines_per_write: int,
+    idle_threshold: int,
+    n_writes: int = 600,
+):
+    """An i-NVMM run on a random trace, built directly (``SimConfig`` does
+    not expose ``sweep_lines_per_write``).  Chunk size 1 runs the
+    base-class loops over the scalar ``install()``/``write()``."""
+    pads = CachingPadSource(Blake2PadSource(b"invmm-sweep-key!"), capacity=8)
+    scheme = INvmm(
+        pads,
+        idle_threshold=idle_threshold,
+        sweep_lines_per_write=sweep_lines_per_write,
+    )
+    rng = np.random.default_rng(n_lines)
+    lines = rng.choice(1 << 20, n_lines, replace=False).astype(np.int64)
+    images = rng.integers(0, 256, (n_lines, 64), dtype=np.uint8)
+    targets = lines[rng.integers(0, n_lines, n_writes)]
+    data = images[rng.integers(0, n_lines, n_writes)] ^ (
+        rng.random((n_writes, 64)) < 0.05
+    ).astype(np.uint8)
+    if chunk_size == 1:
+        install_batch = partial(WriteScheme.install_batch, scheme)
+        write_batch = partial(WriteScheme.write_batch, scheme)
+    else:
+        install_batch, write_batch = scheme.install_batch, scheme.write_batch
+    install_batch(lines, images)
+    flips = full = 0
+    for lo in range(0, n_writes, chunk_size):
+        out = write_batch(
+            targets[lo: lo + chunk_size], data[lo: lo + chunk_size]
+        )
+        flips += int(out.data_flips.sum() + out.meta_flips.sum())
+        full += int(out.full_line_reencrypted.sum())
+    return scheme, pads, flips, full
+
+
+class TestInvmmSweepState:
+    """``RunResult`` does not carry the sweep's state, so equal results
+    alone do not show that the batched sweep matched the scalar one."""
+
+    @pytest.mark.parametrize("sweep_lines_per_write", [0, 1, 2])
+    @pytest.mark.parametrize("n_lines", [3, 40, 2000])
+    def test_sweep_state_identical(self, n_lines, sweep_lines_per_write):
+        # 3 and 40 lines are smaller than a chunk, so the sweep wraps
+        # around inside one, several times over at 3.
+        runs = [
+            _drive_invmm(cs, n_lines, sweep_lines_per_write, idle_threshold=5)
+            for cs in (1, 64)
+        ]
+        (ref, ref_pads, *ref_counts), (got, got_pads, *got_counts) = runs
+        assert got.sweep_flips == ref.sweep_flips
+        assert got.sweep_encryptions == ref.sweep_encryptions
+        assert got.plaintext_lines() == ref.plaintext_lines()
+        assert got.snapshot() == ref.snapshot()
+        assert got_counts == ref_counts
+        assert (got_pads.hits, got_pads.misses) == (
+            ref_pads.hits, ref_pads.misses
+        )
+        if sweep_lines_per_write:
+            assert ref.sweep_encryptions > 0
 
 
 class TestChunkedProperties:
@@ -294,6 +428,23 @@ class TestChunkedCheckpointResume:
             epoch_interval=8, pad_cache_lines=16,
         )
         ckpt_dir = tmp_path / "dfnw"
+        full = run(cfg, checkpoint_dir=ckpt_dir, checkpoint_every=77)
+        resumed = run(resume_from=str(ckpt_dir))
+        straight = run(cfg.with_(chunk_size=1))
+        assert comparable(full) == comparable(resumed)
+        assert comparable(full) == comparable(straight)
+
+    @pytest.mark.parametrize("scheme", ["ble+deuce", "invmm"])
+    def test_block_and_sweep_resume_mid_chunk_is_bit_identical(
+        self, tmp_path, scheme
+    ):
+        # BLE+DEUCE carries per-block counters, i-NVMM its tick, last
+        # writes and sweep position across the checkpoint.
+        cfg = SimConfig(
+            "Gems", scheme, n_writes=600, seed=3, chunk_size=50,
+            epoch_interval=8, pad_cache_lines=16,
+        )
+        ckpt_dir = tmp_path / scheme
         full = run(cfg, checkpoint_dir=ckpt_dir, checkpoint_every=77)
         resumed = run(resume_from=str(ckpt_dir))
         straight = run(cfg.with_(chunk_size=1))
