@@ -28,6 +28,7 @@ so the traces are the ones a per-draw ``random.Random`` loop would emit.
 from __future__ import annotations
 
 import random
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -115,25 +116,22 @@ def _flip_table(
     A round draws ``len(probs)`` doubles and sets bit ``j`` when draw ``j``
     falls below ``probs[j]``.  Double ``doubles[p]`` is built from words
     ``p`` and ``p + 1``, so a round starting at word ``p`` yields
-    ``table[p] = sum_j (doubles[p + 2j] < probs[j]) << j``.  Deltas are
-    assembled byte by byte in little-endian order and read back as native
-    words: the values a native word view of a line XORs in.
+    ``table[p] = sum_j (doubles[p + 2j] < probs[j]) << j``.  One
+    word-wide accumulator collects the bits, top bit first, doubling
+    before each (``x + x`` is numpy's faster ``x << 1``).  Each entry's
+    bytes in memory are the little-endian delta, the value a native word
+    view of a line XORs in: a big-endian host byteswaps the table.
     """
     n = max(0, len(doubles) - 2 * (len(probs) - 1))
-    table = np.zeros((n, word_bytes), dtype=np.uint8)
+    table = np.zeros(n, dtype=f"u{word_bytes}")
     below = np.empty(n, dtype=bool)
-    byte = np.empty(n, dtype=np.uint8)
-    for b in range(word_bytes):
-        bits = range(8 * b, min(8 * b + 8, len(probs)))
-        if not bits:
-            continue
-        byte.fill(0)
-        for j in reversed(bits):
-            np.left_shift(byte, 1, out=byte)
-            np.less(doubles[2 * j: 2 * j + n], probs[j], out=below)
-            np.bitwise_or(byte, below.view(np.uint8), out=byte)
-        table[:, b] = byte
-    return table.view(f"u{word_bytes}").reshape(n)
+    for j in reversed(range(len(probs))):
+        np.add(table, table, out=table)
+        np.less(doubles[2 * j: 2 * j + n], probs[j], out=below)
+        np.bitwise_or(table, below, out=table)
+    if sys.byteorder == "big":
+        table.byteswap(inplace=True)
+    return table
 
 
 class StreamRandom(random.Random):
@@ -189,10 +187,12 @@ class StreamRandom(random.Random):
     def _load(self, raw: np.ndarray) -> None:
         self._raw = raw
         self._words = memoryview(raw)
-        high = (raw[:-1] >> 5).astype(np.float64)
-        doubles = (high * 67108864.0 + (raw[1:] >> 6)) * (
-            1.0 / 9007199254740992.0
-        )
+        # CPython's ``random()``: (a * 2**26 + b) / 2**53 from the top 27
+        # bits of one word and the top 26 of the next, exact below 2**53.
+        k = raw[:-1] >> 5
+        k <<= 26
+        k |= raw[1:] >> 6
+        doubles = k * (1.0 / 9007199254740992.0)
         self.doubles = memoryview(doubles)
         self.tables = [
             memoryview(_flip_table(doubles, probs, self._flip_word_bytes))
@@ -472,13 +472,16 @@ class TraceGenerator:
                 if k > size:
                     k = size
                 # Front-biased picks: hot footprint entries get modified most.
+                # ``d < 1`` in binary64, so ``d * d < 1`` and the rounded
+                # ``size * (d * d)`` stays below ``size``: ``idx`` is in range.
                 words = set()
+                add = words.add
                 while len(words) < k:
                     if c > lim:
                         c, lim, D, (TF, TL) = rng.view(c)
-                    idx = int(size * D[c] ** 2)
+                    d = D[c]
                     c += 2
-                    words.add(fp[idx if idx < size else size - 1])
+                    add(fp[int(size * (d * d))])
                 if burst:
                     if c > lim:
                         c, lim, D, (TF, TL) = rng.view(c)
@@ -517,57 +520,88 @@ class TraceGenerator:
 
     # -- rare paths ----------------------------------------------------------
 
-    def _pick_global_word(self) -> int:
-        u = self._rng.random() * self._word_cum[-1]
-        rank = bisect_right(self._word_cum, u)
-        return self._word_order[min(rank, self.n_words - 1)]
+    def _draw_words(
+        self,
+        address: int,
+        chosen: set[int],
+        want: int,
+        tries: int = -1,
+        home: bool = False,
+    ) -> int:
+        """Add footprint candidates for ``address`` to ``chosen``.
+
+        Draws until ``chosen`` holds ``want`` entries or ``tries`` candidates
+        are spent (negative: no limit) and returns the last candidate.  A
+        candidate is a global word draw, ``D[c] * total`` looked up in the
+        word-popularity prefix sums.  Under block affinity a second draw
+        decides whether it must lie in one of the line's home blocks; then up
+        to 16 redraws look for one that does.  The home blocks are created
+        on the first such candidate.  ``home=True`` draws the home blocks
+        themselves: plain global words, added as their block index.
+
+        Draws read the engine's buffer through the local cursor ``c``, which
+        is checked against the refill limit before every draw.
+        """
+        rng = self._rng
+        order = self._word_order
+        cum = self._word_cum
+        total = cum[-1]
+        last = self.n_words - 1
+        per_block = self._words_per_block
+        affinity = 0.0 if home else self.profile.block_affinity
+        line_home = self._home_blocks.get(address)
+        word = -1
+        c, lim, D, _ = rng.view()
+        while len(chosen) < want and tries:
+            tries -= 1
+            if c > lim:
+                c, lim, D, _ = rng.view(c)
+            rank = bisect_right(cum, D[c] * total)
+            word = order[rank if rank < last else last]
+            c += 2
+            if affinity > 0.0:
+                if c > lim:
+                    c, lim, D, _ = rng.view(c)
+                r = D[c]
+                c += 2
+                if r < affinity:
+                    if line_home is None:
+                        rng.pos = c
+                        line_home = self._line_home_blocks(address)
+                        c, lim, D, _ = rng.view()
+                    for _ in range(16):
+                        if word // per_block in line_home:
+                            break
+                        if c > lim:
+                            c, lim, D, _ = rng.view(c)
+                        rank = bisect_right(cum, D[c] * total)
+                        word = order[rank if rank < last else last]
+                        c += 2
+            chosen.add(word // per_block if home else word)
+        rng.pos = c
+        return word
 
     def _line_home_blocks(self, address: int) -> set[int]:
         """The line's preferred AES blocks (chosen by global popularity)."""
         home = self._home_blocks.get(address)
         if home is None:
-            home = set()
+            home = self._home_blocks[address] = set()
             want = min(self.profile.home_blocks, self._n_blocks)
-            while len(home) < want:
-                home.add(self._pick_global_word() // self._words_per_block)
-            self._home_blocks[address] = home
+            self._draw_words(address, home, want, home=True)
         return home
 
-    def _pick_footprint_candidate(self, address: int) -> int:
-        """A footprint word draw, honouring the profile's block affinity."""
-        word = self._pick_global_word()
-        if (
-            self.profile.block_affinity <= 0.0
-            or self._rng.random() >= self.profile.block_affinity
-        ):
-            return word
-        home = self._line_home_blocks(address)
-        for _ in range(16):
-            if word // self._words_per_block in home:
-                return word
-            word = self._pick_global_word()
-        return word
-
     def _footprint(self, address: int) -> list[int]:
-        fp = self._footprints.get(address)
-        if fp is None:
-            size = max(
-                1,
-                min(
-                    self.n_words,
-                    round(
-                        self._rng.gauss(
-                            self.profile.footprint_mean,
-                            self.profile.footprint_mean / 4,
-                        )
-                    ),
-                ),
-            )
-            chosen: set[int] = set()
-            while len(chosen) < size:
-                chosen.add(self._pick_footprint_candidate(address))
-            fp = sorted(chosen, key=self._footprint_sort_key(address))
-            self._footprints[address] = fp
+        """Create the line's footprint: a Gaussian size, then candidates."""
+        mean = self.profile.footprint_mean
+        # ``gauss`` caches its second normal in ``gauss_next``, so the size
+        # comes from the engine's own method.
+        size = max(
+            1, min(self.n_words, round(self._rng.gauss(mean, mean / 4)))
+        )
+        chosen: set[int] = set()
+        self._draw_words(address, chosen, size)
+        fp = sorted(chosen, key=self._footprint_sort_key(address))
+        self._footprints[address] = fp
         return fp
 
     def _footprint_sort_key(self, address: int):
@@ -587,11 +621,13 @@ class TraceGenerator:
         )
 
     def _churn_footprint(self, address: int, fp: list[int]) -> None:
-        """Drift: replace one footprint word with a fresh draw."""
-        rng = self._rng
-        for _ in range(8):
-            candidate = self._pick_footprint_candidate(address)
-            if candidate not in fp:
-                fp[rng.randrange(len(fp))] = candidate
-                fp.sort(key=self._footprint_sort_key(address))
-                return
+        """Drift: replace one footprint word with a fresh draw.
+
+        Up to eight candidates; the first one not yet in ``fp`` replaces a
+        uniformly chosen entry.
+        """
+        chosen = set(fp)
+        word = self._draw_words(address, chosen, len(fp) + 1, tries=8)
+        if len(chosen) > len(fp):
+            fp[self._rng.randrange(len(fp))] = word
+            fp.sort(key=self._footprint_sort_key(address))

@@ -17,6 +17,7 @@ from repro.workloads.generator import (
     StreamRandom,
     TraceGenerator,
     _bit_probabilities,
+    _flip_table,
     _poisson,
     _zipf_cumulative,
 )
@@ -202,6 +203,44 @@ class TestStreamRandom:
             StreamRandom("x").getstate()
 
 
+@st.composite
+def _flip_table_cases(draw):
+    """``(doubles, probs, word_bytes)`` with some doubles on a threshold."""
+    word_bytes = draw(st.sampled_from((1, 2, 4, 8)))
+    # 8 bits inside a wider word is the generator's low-byte profile.
+    width = draw(st.sampled_from((1, 8, 8 * word_bytes)) | st.integers(
+        min_value=1, max_value=8 * word_bytes
+    ))
+    unit = st.floats(min_value=0.0, max_value=1.0, exclude_max=True)
+    probs = draw(st.lists(unit, min_size=width, max_size=width))
+    n = draw(st.integers(min_value=0, max_value=2 * width + 12))
+    doubles = draw(
+        st.lists(unit | st.sampled_from(probs), min_size=n, max_size=n)
+    )
+    return np.array(doubles, dtype=np.float64), probs, word_bytes
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_flip_table_cases())
+def test_flip_table_matches_the_scalar_round(case):
+    """Entry ``p`` is ``sum_j (doubles[p + 2j] < probs[j]) << j`` as LE bytes.
+
+    Buffers shorter than ``2 * len(probs) - 1`` doubles give an empty table.
+    """
+    doubles, probs, word_bytes = case
+    n = max(0, len(doubles) - 2 * (len(probs) - 1))
+    expected = b"".join(
+        sum(
+            int(doubles[p + 2 * j] < prob) << j for j, prob in enumerate(probs)
+        ).to_bytes(word_bytes, "little")
+        for p in range(n)
+    )
+    table = _flip_table(doubles, probs, word_bytes)
+    assert table.shape == (n,)
+    assert table.dtype.itemsize == word_bytes
+    assert table.tobytes() == expected
+
+
 def _trace_digest(trace) -> str:
     """sha256 of a trace's ``initial_arrays()`` then ``write_arrays()``."""
     digest = hashlib.sha256()
@@ -290,6 +329,40 @@ GOLDEN_TRACES = {
 GOLDEN_MCF_20K = (
     "7d83d126b54162fa5425479a13e65a156d3bf8cc02649b9d9027855a3114219f"
 )
+#: 3,000 writes (seed 5) of a 256-line mcf with one knob pushed to an edge
+#: the golden traces rarely reach, at 2-byte and 8-byte words.
+GOLDEN_EDGES = {
+    # No block affinity: footprints skip the home-block redraws.
+    "no-affinity": (
+        {"block_affinity": 0.0},
+        "15ef5ec05df9959a6ac3b9e3bf75984729e326ecddf918781f5e6fc96bd8b8c3",
+        "8e0d62d50aa5dcd45b0aed467dcd1a8978fd74ab27712635aa0413a5e6b45fd0",
+    ),
+    # Every candidate is affine: the redraw loop runs on every draw.
+    "full-affinity": (
+        {"block_affinity": 1.0, "home_blocks": 4},
+        "b6ae32d08c506696c38eb8f3bdab7a967a12ef89e15d8c502b074f185e9b0754",
+        "faad20b79753f72cfb0d23f1a1a6972f5d4da3b501c0604038fdd5bd2fd6f11f",
+    ),
+    # Footprints fill the whole line: long draw runs past refill edges.
+    "line-filling": (
+        {"footprint_mean": 40.0, "words_per_write_mean": 20.0},
+        "42d4dca390b9d19212cd71c6af511efa385a216993df9067b262d6ebdc6f8d2e",
+        "dee4841ef6a04bc98d714e98c6f67996f12fe898f0a6ac830e411e05b684f5e4",
+    ),
+    # Churn and bursts: ``randrange`` shifts the cursor by odd word counts.
+    "churn-burst": (
+        {"footprint_churn": 0.5, "burst_prob": 0.5, "burst_words": 3},
+        "1ec82f937020a0d0e8b6fe2a0d5ffe519b61d0cddc6ba3c7b6c495521f909063",
+        "1cd55baf75ebc268d781424304fc32e2a1527ee61ceeaa61f3b9d7847a29ecf9",
+    ),
+    # Rare flips: the eight-round fallback runs, also at refill edges.
+    "fallback": (
+        {"bits_per_word_mean": 0.05},
+        "0b130af9a54feaea456c789f8d818684d25cd6f52ae575efc99e677822933898",
+        "46972f000373064fc3ee5472d28128be5d4980cba6af8d4424c3b627a697afb9",
+    ),
+}
 #: 500 mcf records (seed 0) at the other supported word sizes.
 GOLDEN_WORD_BYTES = {
     1: "cc1c0676c9ee141e4e86d0fdea3948ffc69f348e3acda460bedcc317959876d8",
@@ -315,6 +388,19 @@ class TestPinnedStream:
     def test_other_word_sizes(self, word_bytes):
         gen = TraceGenerator(get_profile("mcf"), seed=0, word_bytes=word_bytes)
         assert _record_digest(gen, 500) == GOLDEN_WORD_BYTES[word_bytes]
+
+    @pytest.mark.parametrize("edge", sorted(GOLDEN_EDGES))
+    def test_stream_edges(self, edge):
+        knobs, *golden = GOLDEN_EDGES[edge]
+        profile = replace(get_profile("mcf"), working_set_lines=256, **knobs)
+        digests = []
+        for word_bytes in (2, 8):
+            gen = TraceGenerator(profile, seed=5, word_bytes=word_bytes)
+            digest = hashlib.sha256()
+            for array in (*gen.initial_arrays(), *gen.generate(3_000)):
+                digest.update(np.ascontiguousarray(array).tobytes())
+            digests.append(digest.hexdigest())
+        assert digests == golden
 
 
 @settings(max_examples=10, deadline=None)

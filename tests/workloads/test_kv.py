@@ -22,6 +22,7 @@ from repro.workloads.kv import (
     request_stream,
 )
 from repro.workloads.trace import generate_trace
+from tests.workloads.test_generator import _trace_digest
 
 # 256 keys x ~112B slots = a ~28KB working set over an 8KB last level —
 # enough pressure that steady-state puts keep evicting dirty lines.
@@ -284,3 +285,73 @@ class TestCannedProfiles:
             trace = generate_trace(name, 10_000, seed=0)
             steady_start = dict(trace.phases)["steady"]
             assert 0 < steady_start < 10_000, name
+
+
+# Digests of ``generate_trace(name, 4_000, seed=s)`` for seeds 0 and 3,
+# hashed by ``_trace_digest``: initial arrays, then addresses and data.  A mismatch means the request
+# stream, the key layout or the cache walk changed what reaches memory.
+GOLDEN_KV_TRACES = {
+    "kv-etc": (
+        "185087347be54bc3323ebc60de4856e26e75d6fc22547361164ede4cf58d1081",
+        "624cc8053b5a882643e289356ce1ae6ed61ab2874ce962ebb6422c9248b8f0db",
+    ),
+    "kv-udb": (
+        "e1f911f8f026e60c9fb843f1dc64eb08ac4ea173a2dd1758d02168d574f06d7c",
+        "f718ffc706327fcea708fbba48205ebb7c51ffadea6aa2c021799fd97296255f",
+    ),
+    "kv-zippydb": (
+        "67238681b133af756a092906d47a3e517b7976df3dd8986dfa6f8a2931c5afed",
+        "4fdb24ae54a9cb1a4621795a3f8fb062b7aebfd8a8b6478b2529bd2b196dc9b3",
+    ),
+    "kv-cache": (
+        "9e906392a12c17d49b04286a539c14e6dce0a354c4d105a6b69280ff4f16e524",
+        "2c6fbe820b7fbc003c24c5528a6cb0b3d8f826118a47586694ccf93d738ecc4b",
+    ),
+}
+#: Per-level ``(accesses, hits, misses, writebacks)``, first level first,
+#: of the engine behind each seed-0 trace above.
+GOLDEN_KV_CACHE_STATS = {
+    "kv-etc": (
+        (31860, 8576, 23284, 4478),
+        (27762, 11343, 16419, 4351),
+        (20770, 11183, 9587, 4000),
+    ),
+    "kv-udb": (
+        (13879, 3304, 10575, 5534),
+        (16109, 7247, 8862, 4997),
+        (13859, 7419, 6440, 4002),
+    ),
+    "kv-zippydb": (
+        (12854, 3177, 9677, 5062),
+        (14739, 6286, 8453, 4796),
+        (13249, 6855, 6394, 4000),
+    ),
+    "kv-cache": (
+        (19210, 7838, 11372, 6727),
+        (18099, 9878, 8221, 5419),
+        (13640, 7873, 5767, 4000),
+    ),
+}
+
+
+class TestPinnedKvStream:
+    @pytest.mark.parametrize("name", sorted(GOLDEN_KV_TRACES))
+    def test_traces(self, name):
+        digests = tuple(
+            _trace_digest(generate_trace(name, 4_000, seed=seed))
+            for seed in (0, 3)
+        )
+        assert digests == GOLDEN_KV_TRACES[name]
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_KV_CACHE_STATS))
+    def test_cache_stats(self, name):
+        profile = KV_PROFILES[name]
+        trace, engine = drive_requests(
+            profile, 0, 64, request_stream(profile, seed=0), 4_000
+        )
+        assert _trace_digest(trace) == GOLDEN_KV_TRACES[name][0]
+        stats = tuple(
+            (s.accesses, s.hits, s.misses, s.writebacks)
+            for s in engine.cache_stats()
+        )
+        assert stats == GOLDEN_KV_CACHE_STATS[name]
