@@ -390,7 +390,7 @@ def _slo_tiles(ledger: "RunLedger") -> str:
         band = f"target &le; {max_error:.2%}"
     else:
         cls, verdict, band = "none", f"&#9675; {error_rate:.2%}", "no SLO target"
-    tiles.append(_slo_tile(cls, verdict, "error rate (5xx + transport)", band))
+    tiles.append(_slo_tile(cls, verdict, "error rate (4xx + 5xx + transport)", band))
 
     saturation = float(summary.get("saturation", 0.0))
     depth_peak = summary.get("queue_depth_peak", 0.0)

@@ -40,19 +40,19 @@ import heapq
 import http.client
 import json
 import re
-import signal
 import threading
 import time
 import urllib.error
 import urllib.request
 from collections import deque
 from dataclasses import dataclass
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import ThreadingHTTPServer
 from pathlib import Path
 from typing import Callable, Sequence
-from urllib.parse import parse_qs, urlsplit
+from urllib.parse import urlsplit
 
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.promfmt import render_prometheus
 from repro.obs.progress import DONE, HEARTBEAT, START, ProgressEvent
 from repro.obs.tracing import JsonlSink, Tracer
 from repro.sim.checkpoint import SweepCheckpoint, config_signature
@@ -72,6 +72,7 @@ from repro.service.jobs import (
     JobSpec,
     new_job_id,
 )
+from repro.service.server import API_VERSION, JsonHandler, serve_until_signal
 
 __all__ = [
     "FleetExecutor",
@@ -1083,7 +1084,7 @@ class CoordinatorState:
         return {
             "status": "ok",
             "role": "coordinator",
-            "api_version": "v1",
+            "api_version": API_VERSION,
             "uptime_s": round(time.monotonic() - self.started, 3),
             "workers": list(self.worker_urls),
             "sweeps": {
@@ -1134,40 +1135,21 @@ class CoordinatorServer(ThreadingHTTPServer):
         return self.server_address[1]
 
 
-class _CoordinatorHandler(BaseHTTPRequestHandler):
-    protocol_version = "HTTP/1.1"
+class _CoordinatorHandler(JsonHandler):
     server: CoordinatorServer
 
-    def log_message(self, fmt: str, *args) -> None:  # noqa: A003
-        if not self.server.quiet:
-            super().log_message(fmt, *args)
-
-    def _route(self, raw_path: str) -> str:
-        if raw_path == "/v1" or raw_path.startswith("/v1/"):
-            return raw_path[len("/v1"):] or "/"
-        return raw_path
-
-    def _json(self, status: int, payload: object) -> None:
-        body = (json.dumps(payload, sort_keys=True) + "\n").encode()
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _error(self, status: int, message: str) -> None:
-        self._json(status, {"error": message})
-
-    def do_GET(self) -> None:  # noqa: N802 - http.server API
-        url = urlsplit(self.path)
-        path = self._route(url.path)
+    def _get(self, path: str, query: dict[str, list[str]]) -> None:
         state = self.server.state
         if path == "/healthz":
             return self._json(200, state.healthz())
         if path == "/fleet":
             return self._json(200, state.fleet())
         if path == "/metrics":
-            return self._get_metrics(parse_qs(url.query))
+            if self._wants_prometheus(query):
+                return self._prometheus(
+                    render_prometheus(state.telemetry.registry)
+                )
+            return self._json(200, state.telemetry.snapshot())
         if path == "/sweeps":
             return self._json(
                 200,
@@ -1188,52 +1170,24 @@ class _CoordinatorHandler(BaseHTTPRequestHandler):
             return self._json(
                 200, {**snapshot, "results": sweep.results or []}
             )
-        self._error(404, f"no route for GET {url.path}")
+        self._no_route()
 
-    def _get_metrics(self, query: dict) -> None:
-        state = self.server.state
-        accept = self.headers.get("Accept", "")
-        fmt = query.get("format", [""])[0]
-        if fmt == "prometheus" or (
-            not fmt and "text/plain" in accept
-        ):
-            from repro.obs.promfmt import render_prometheus
-
-            text = render_prometheus(state.telemetry.registry)
-            body = text.encode()
-            self.send_response(200)
-            self.send_header(
-                "Content-Type", "text/plain; version=0.0.4"
-            )
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
-            return
-        self._json(200, state.telemetry.snapshot())
-
-    def do_POST(self) -> None:  # noqa: N802 - http.server API
-        url = urlsplit(self.path)
-        path = self._route(url.path)
+    def _post(self, path: str, query: dict[str, list[str]]) -> None:
         if path != "/sweeps":
-            return self._error(404, f"no route for POST {url.path}")
-        length = int(self.headers.get("Content-Length") or 0)
-        raw = self.rfile.read(length) if length else b""
+            return self._no_route()
         try:
-            payload = json.loads(raw) if raw else None
-        except ValueError:
-            return self._error(400, "request body is not valid JSON")
-        if not isinstance(payload, dict):
-            return self._error(400, "request body must be a JSON object")
-        # ``sweep_id`` is a coordinator-level option (it keys the merged
-        # checkpoint); pull it out before the shared envelope decode.
-        options = payload.get("options")
-        sweep_id = ""
-        if isinstance(options, dict) and "sweep_id" in options:
-            options = dict(options)
-            sweep_id = str(options.pop("sweep_id"))
-            payload = {**payload, "options": options}
-        try:
-            spec, _deprecated = JobSpec.decode(payload)
+            payload = self._read_json()
+            # ``sweep_id`` is a coordinator-level option (it keys the
+            # merged checkpoint); pull it out before the shared decode.
+            options = (
+                payload.get("options") if isinstance(payload, dict) else None
+            )
+            sweep_id = ""
+            if isinstance(options, dict) and "sweep_id" in options:
+                options = dict(options)
+                sweep_id = str(options.pop("sweep_id"))
+                payload = {**payload, "options": options}
+            spec = JobSpec.decode(payload)
             if spec.kind != "sweep":
                 raise JobError(
                     "the coordinator accepts only kind='sweep' envelopes"
@@ -1241,13 +1195,14 @@ class _CoordinatorHandler(BaseHTTPRequestHandler):
             sweep = self.server.state.submit(spec, sweep_id)
         except JobError as exc:
             return self._error(400, str(exc))
+        base = f"/{API_VERSION}/sweeps/{sweep.id}"
         self._json(
             201,
             {
                 "sweep_id": sweep.id,
                 "state": sweep.snapshot()["state"],
-                "status_url": f"/v1/sweeps/{sweep.id}",
-                "result_url": f"/v1/sweeps/{sweep.id}/result",
+                "status_url": base,
+                "result_url": f"{base}/result",
             },
         )
 
@@ -1279,31 +1234,16 @@ def serve_coordinator(
         request_timeout_s=request_timeout_s,
     )
     server = CoordinatorServer((host, port), state, quiet=quiet)
-    stop = threading.Event()
-
-    def _graceful(signum, _frame) -> None:
-        stop.set()
-        threading.Thread(target=server.shutdown, daemon=True).start()
-
-    previous = {
-        signum: signal.signal(signum, _graceful)
-        for signum in (signal.SIGTERM, signal.SIGINT)
-    }
-    if not quiet:
-        print(
+    serve_until_signal(
+        server,
+        lambda _signals_seen: server.shutdown(),
+        banner="" if quiet else (
             f"deuce-sim coordinate: listening on http://{host}:{server.port}"
             f" with {len(state.worker_urls)} worker(s): "
-            + ", ".join(state.worker_urls),
-            flush=True,
-        )
-    if ready is not None:
-        ready.set()
-    try:
-        server.serve_forever(poll_interval=0.2)
-    finally:
-        for signum, handler in previous.items():
-            signal.signal(signum, handler)
-        server.server_close()
+            + ", ".join(state.worker_urls)
+        ),
+        ready=ready,
+    )
     if not quiet:
         print("deuce-sim coordinate: bye", flush=True)
     return 0

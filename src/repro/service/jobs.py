@@ -90,50 +90,9 @@ def new_job_id() -> str:
     return f"job-{stamp}-{uuid.uuid4().hex[:6]}"
 
 
-#: Fields that identify a pre-envelope (deprecated) submission shape.
-#: The v1 envelope carries everything but ``kind``/``config`` inside
-#: ``options``; a payload with any of these at top level decodes through
-#: the legacy path and the server answers with a ``Deprecation`` header.
-_LEGACY_PAYLOAD_FIELDS = (
-    "configs", "experiment", "workers", "timeout_s", "retries", "label",
-)
-
 #: Option keys every envelope kind understands (``options`` leftovers are
 #: experiment keyword arguments for ``kind="experiment"``, errors otherwise).
 _ENVELOPE_OPTIONS = ("workers", "timeout_s", "retries", "label")
-
-
-def _validate_common_options(source: dict) -> tuple:
-    """Validate the option fields shared by every job kind.
-
-    ``source`` is the payload itself (legacy shape) or its ``options``
-    object (envelope shape); returns ``(workers, timeout_s, retries,
-    label)`` or raises :class:`JobError` with the field that failed.
-    """
-    workers = source.get("workers", 1)
-    if workers is not None and (
-        isinstance(workers, bool) or not isinstance(workers, int)
-    ):
-        raise JobError(f"'workers' must be an integer, got {workers!r}")
-    timeout_s = source.get("timeout_s")
-    if timeout_s is not None and (
-        isinstance(timeout_s, bool)
-        or not isinstance(timeout_s, (int, float))
-        or timeout_s <= 0
-    ):
-        raise JobError(
-            f"'timeout_s' must be a positive number, got {timeout_s!r}"
-        )
-    retries = source.get("retries", 0)
-    if isinstance(retries, bool) or not isinstance(retries, int) \
-            or retries < 0:
-        raise JobError(
-            f"'retries' must be a non-negative integer, got {retries!r}"
-        )
-    label = source.get("label", "")
-    if not isinstance(label, str):
-        raise JobError(f"'label' must be a string, got {label!r}")
-    return workers, timeout_s, retries, label
 
 
 @dataclass(frozen=True)
@@ -161,30 +120,24 @@ class JobSpec:
         return len(self.configs)
 
     @classmethod
-    def decode(cls, payload: object) -> "tuple[JobSpec, bool]":
-        """Decode a submission; returns ``(spec, deprecated_shape)``.
+    def decode(cls, payload: object) -> "JobSpec":
+        """Decode a ``{"kind", "config", "options"}`` job envelope.
 
-        The canonical v1 envelope is ``{"kind", "config", "options"}``:
         ``config`` is the config object for ``kind="run"``, the config
         array for ``kind="sweep"``, and the exhibit name string for
         ``kind="experiment"``; ``options`` carries ``workers`` /
         ``timeout_s`` / ``retries`` / ``label`` (plus experiment keyword
         arguments for experiments).  Run, sweep, experiment, and the
         fleet coordinator's dispatch route all share this one shape.
-
-        Payloads using the pre-envelope fields (top-level ``configs`` /
-        ``experiment`` / option fields) still decode through
-        :meth:`from_payload` but come back flagged ``deprecated_shape=True``
-        so the HTTP layer can answer with a ``Deprecation`` header, the
-        same alias pattern the bare (un-versioned) paths use.
+        Raises :class:`JobError` naming the field at fault; config dicts
+        go through the strict :meth:`SimConfig.from_dict
+        <repro.sim.config.SimConfig.from_dict>`.
         """
         if not isinstance(payload, dict):
             raise JobError(
                 f"job payload must be a JSON object, got "
                 f"{type(payload).__name__}"
             )
-        if any(k in payload for k in _LEGACY_PAYLOAD_FIELDS):
-            return cls.from_payload(payload), True
         kind = payload.get("kind")
         if kind not in JOB_KINDS:
             raise JobError(
@@ -200,7 +153,29 @@ class JobSpec:
         options = payload.get("options", {})
         if not isinstance(options, dict):
             raise JobError(f"'options' must be an object, got {options!r}")
-        workers, timeout_s, retries, label = _validate_common_options(options)
+        workers = options.get("workers", 1)
+        if workers is not None and (
+            isinstance(workers, bool) or not isinstance(workers, int)
+        ):
+            raise JobError(f"'workers' must be an integer, got {workers!r}")
+        timeout_s = options.get("timeout_s")
+        if timeout_s is not None and (
+            isinstance(timeout_s, bool)
+            or not isinstance(timeout_s, (int, float))
+            or timeout_s <= 0
+        ):
+            raise JobError(
+                f"'timeout_s' must be a positive number, got {timeout_s!r}"
+            )
+        retries = options.get("retries", 0)
+        if isinstance(retries, bool) or not isinstance(retries, int) \
+                or retries < 0:
+            raise JobError(
+                f"'retries' must be a non-negative integer, got {retries!r}"
+            )
+        label = options.get("label", "")
+        if not isinstance(label, str):
+            raise JobError(f"'label' must be a string, got {label!r}")
         extra = {
             k: v for k, v in options.items() if k not in _ENVELOPE_OPTIONS
         }
@@ -225,8 +200,9 @@ class JobSpec:
             else:  # experiment
                 if not isinstance(config, str) or config not in EXPERIMENTS:
                     raise JobError(
-                        "an 'experiment' envelope needs 'config' to be one "
-                        "of: " + ", ".join(EXPERIMENTS)
+                        f"unknown experiment {config!r}; an 'experiment' "
+                        "envelope needs 'config' to be one of: "
+                        + ", ".join(EXPERIMENTS)
                     )
                 experiment = config
         except ConfigError as exc:
@@ -236,84 +212,11 @@ class JobSpec:
                 "unknown option(s): " + ", ".join(map(repr, sorted(extra)))
                 + "; valid options: " + ", ".join(_ENVELOPE_OPTIONS)
             )
-        spec = cls(
-            kind=kind,
-            configs=configs,
-            experiment=experiment,
-            options=extra,
-            workers=workers,
-            timeout_s=float(timeout_s) if timeout_s is not None else None,
-            retries=retries,
-            label=label,
-        )
-        return spec, False
-
-    @classmethod
-    def from_payload(cls, payload: object) -> "JobSpec":
-        """Decode a pre-envelope (deprecated) JSON job submission.
-
-        The legacy shape keeps working — option fields at top level,
-        ``configs`` for sweeps, ``experiment`` + ``options`` kwargs for
-        experiments.  New clients should send the :meth:`decode` envelope.
-        Raises :class:`JobError` with a client-facing message on any
-        malformed field; config dicts go through the strict
-        :meth:`SimConfig.from_dict <repro.sim.config.SimConfig.from_dict>`.
-        """
-        if not isinstance(payload, dict):
-            raise JobError(
-                f"job payload must be a JSON object, got "
-                f"{type(payload).__name__}"
-            )
-        kind = payload.get("kind")
-        if kind not in JOB_KINDS:
-            raise JobError(
-                f"job 'kind' must be one of {', '.join(JOB_KINDS)}, "
-                f"got {kind!r}"
-            )
-        known = {"kind", "config", "configs", "experiment", "options",
-                 "workers", "timeout_s", "retries", "label"}
-        unknown = sorted(set(payload) - known)
-        if unknown:
-            raise JobError(
-                "unknown job field(s): " + ", ".join(map(repr, unknown))
-                + "; valid fields: " + ", ".join(sorted(known))
-            )
-        workers, timeout_s, retries, label = _validate_common_options(payload)
-
-        configs: tuple[SimConfig, ...] = ()
-        experiment = ""
-        options: dict = {}
-        try:
-            if kind == "run":
-                if "config" not in payload:
-                    raise JobError("a 'run' job needs a 'config' object")
-                configs = (SimConfig.from_dict(payload["config"]),)
-            elif kind == "sweep":
-                raw = payload.get("configs")
-                if not isinstance(raw, list) or not raw:
-                    raise JobError(
-                        "a 'sweep' job needs a non-empty 'configs' array"
-                    )
-                configs = tuple(SimConfig.from_dict(c) for c in raw)
-            else:  # experiment
-                experiment = payload.get("experiment", "")
-                if experiment not in EXPERIMENTS:
-                    raise JobError(
-                        f"unknown experiment {experiment!r}; choose from "
-                        + ", ".join(EXPERIMENTS)
-                    )
-                options = payload.get("options", {})
-                if not isinstance(options, dict):
-                    raise JobError(
-                        f"'options' must be an object, got {options!r}"
-                    )
-        except ConfigError as exc:
-            raise JobError(str(exc)) from exc
         return cls(
             kind=kind,
             configs=configs,
             experiment=experiment,
-            options=options,
+            options=extra,
             workers=workers,
             timeout_s=float(timeout_s) if timeout_s is not None else None,
             retries=retries,

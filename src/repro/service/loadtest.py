@@ -13,7 +13,8 @@ The report doubles as an SLO gate: give ``p99_slo_ms`` and/or
 ``max_error_rate`` and ``report["slo"]["passed"]`` says whether the
 service held them.  429 backpressure responses are *not* errors — the
 service shedding load by design is healthy behaviour; errors are
-transport failures plus 5xx.
+transport failures, 5xx, and every other 4xx (a rejected request means
+the soak stopped measuring the path it meant to).
 
 When a ledger is given the report is recorded as a ``kind="loadtest"``
 manifest with the full JSON attached as an artifact, which is what the
@@ -234,7 +235,8 @@ class _Soak:
             configs = [self._config(rng), self._config(rng)]
             status, body, dt = _http(
                 "POST", f"{self.base}/v1/jobs",
-                {"kind": "sweep", "configs": configs, "workers": 1},
+                {"kind": "sweep", "config": configs,
+                 "options": {"workers": 1}},
                 timeout,
             )
             if status == 201 and isinstance(body, dict):
@@ -346,6 +348,11 @@ def run_loadtest(
     return report
 
 
+def _client_error(status: int) -> bool:
+    """A rejected request: any 4xx but 429 backpressure."""
+    return 400 <= status < 500 and status != 429
+
+
 def _build_report(
     soak: _Soak, wall_s: float, metrics_body: object
 ) -> dict[str, object]:
@@ -355,7 +362,8 @@ def _build_report(
     transport = sum(1 for _, status, _ in flat if status == 0)
     server_5xx = sum(1 for _, status, _ in flat if status >= 500)
     backpressure = sum(1 for _, status, _ in flat if status == 429)
-    errors = transport + server_5xx
+    client_4xx = sum(1 for _, status, _ in flat if _client_error(status))
+    errors = transport + server_5xx + client_4xx
     total = len(flat)
     error_rate = errors / total if total else 0.0
 
@@ -364,7 +372,8 @@ def _build_report(
         mine = sorted(dt * 1000.0 for o, _, dt in flat if o == op)
         op_errors = sum(
             1 for o, status, _ in flat
-            if o == op and (status == 0 or status >= 500)
+            if o == op
+            and (status == 0 or status >= 500 or _client_error(status))
         )
         per_op[op] = {
             "requests": len(mine),
@@ -399,6 +408,7 @@ def _build_report(
             "errors": errors,
             "error_rate": round(error_rate, 6),
             "backpressure_429": backpressure,
+            "client_4xx": client_4xx,
             "server_5xx": server_5xx,
             "transport_errors": transport,
         },

@@ -1,8 +1,8 @@
 """HTTP front end for the simulation job service (``deuce-sim serve``).
 
 Zero-dependency JSON API over :class:`http.server.ThreadingHTTPServer`.
-Every route is mounted under the versioned ``/v1`` prefix; the bare paths
-remain as deprecated aliases (see *API versioning* below).  Endpoints:
+Every route is served under the versioned ``/v1`` prefix; an unversioned
+path answers ``404`` with a pointer to ``/v1``.  Endpoints:
 
 ============================  =================================================
 ``GET  /v1/healthz``          liveness + uptime + queue depth/in-flight/
@@ -12,9 +12,9 @@ remain as deprecated aliases (see *API versioning* below).  Endpoints:
                               job phase timings, queue gauges, worker
                               heartbeats) as JSON, or Prometheus text with
                               ``?format=prometheus`` / ``Accept: text/plain``
-``POST /v1/jobs``             submit a run/sweep/experiment job (``201``;
-                              ``400`` bad payload, ``429`` queue full,
-                              ``503`` draining)
+``POST /v1/jobs``             submit a ``{"kind", "config", "options"}`` job
+                              envelope (``201``; ``400`` bad payload, ``429``
+                              queue full, ``503`` draining)
 ``GET  /v1/jobs``             snapshots of every known job
 ``GET  /v1/jobs/{id}``        one job's status + progress counters
 ``GET  /v1/jobs/{id}/result`` the finished job's result (``202`` while
@@ -26,12 +26,10 @@ remain as deprecated aliases (see *API versioning* below).  Endpoints:
                               ``label``/``limit`` filters)
 ============================  =================================================
 
-API versioning: clients should call the ``/v1/...`` forms.  The bare
-legacy paths (``/healthz``, ``/jobs``, ...) keep working but every
-response to them carries a ``Deprecation: true`` header plus a ``Link``
-pointing at the ``/v1`` successor; they will be removed when a ``/v2``
-ships.  URLs the service emits (the ``status_url``/``result_url``/
-``events_url`` of a ``201``) echo the prefix the request used.
+:class:`JsonHandler` and :func:`serve_until_signal` are the HTTP layer the
+fleet coordinator (``deuce-sim coordinate``) shares: ``/v1`` routing,
+JSON bodies and errors, request-body decoding, metrics negotiation and
+the signal-driven serve loop.
 
 Restart durability: when the session has a ledger, the manager journals
 jobs to ``<ledger>/service/jobs.jsonl`` and rehydrates them on startup —
@@ -39,13 +37,14 @@ finished jobs stay queryable, unfinished ones are resubmitted and sweep
 jobs resume from their per-job sweep checkpoint.
 
 Graceful shutdown: SIGTERM/SIGINT flip the service into *draining* —
-``POST /jobs`` answers ``503``, ``/healthz`` reports it — then the job
-manager drains (in-flight sweeps finish or cancel cooperatively, no
+``POST /v1/jobs`` answers ``503``, ``/v1/healthz`` reports it — then the
+job manager drains (in-flight sweeps finish or cancel cooperatively, no
 orphaned worker processes) and the listener closes.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import re
 import signal
@@ -70,13 +69,149 @@ from repro.service.jobs import (
     UnknownJobError,
 )
 
-#: Version segment all routes are mounted under (bare paths are aliases).
+#: Version segment every route is served under.
 API_VERSION = "v1"
 
 #: Seconds between polls while following a job's event stream.
 EVENT_POLL_S = 0.05
 
 _JOB_PATH = re.compile(r"^/jobs/([A-Za-z0-9._-]+)(/result|/events)?$")
+
+
+class JsonHandler(BaseHTTPRequestHandler):
+    """JSON-over-HTTP plumbing shared by ``serve`` and ``coordinate``.
+
+    :meth:`_dispatch` strips the ``/v1`` prefix and hands ``(path,
+    query)`` to the subclass's ``_get``/``_post`` (``_delete``) route;
+    an unversioned path gets a ``404`` pointing at ``/v1``.  The server
+    must carry a ``quiet`` flag (access logging off when set).
+    """
+
+    protocol_version = "HTTP/1.1"
+
+    #: The route path with the version prefix stripped, "" when the
+    #: request did not use it (set per request).
+    _route_path = ""
+
+    def log_message(self, format: str, *args) -> None:  # noqa: A002
+        if not self.server.quiet:  # type: ignore[attr-defined]
+            super().log_message(format, *args)
+
+    def do_GET(self) -> None:  # noqa: N802 - http.server API
+        self._dispatch(self._get)
+
+    def do_POST(self) -> None:  # noqa: N802 - http.server API
+        self._dispatch(self._post)
+
+    def _dispatch(self, route: Callable[[str, dict], None]) -> None:
+        url = urlsplit(self.path)
+        versioned = f"/{API_VERSION}"
+        if url.path != versioned and not url.path.startswith(versioned + "/"):
+            self._route_path = ""
+            return self._error(
+                404,
+                f"no route for {self.command} {url.path}: the API is served "
+                f"under {versioned}/ (try {versioned}{url.path})",
+            )
+        self._route_path = url.path[len(versioned):] or "/"
+        route(self._route_path, parse_qs(url.query))
+
+    def _no_route(self) -> None:
+        self._error(
+            404, f"no route for {self.command} {urlsplit(self.path).path}"
+        )
+
+    def _text(self, status: int, text: str, content_type: str,
+              **headers: str) -> None:
+        body = text.encode()
+        self.send_response(status)
+        self.send_header("Content-Type", content_type)
+        self.send_header("Content-Length", str(len(body)))
+        for name, value in headers.items():
+            self.send_header(name.replace("_", "-"), value)
+        self.end_headers()
+        self.wfile.write(body)
+
+    def _json(self, status: int, payload: object, **headers: str) -> None:
+        text = json.dumps(payload, sort_keys=True) + "\n"
+        self._text(status, text, "application/json", **headers)
+
+    def _error(self, status: int, message: str, **headers: str) -> None:
+        self._json(status, {"error": message}, **headers)
+
+    def _read_json(self) -> object:
+        """Decode the request body; :class:`JobError` (a 400) on bad input."""
+        declared = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(declared)
+        except ValueError:
+            length = -1
+        if length < 0:
+            # The body's extent is unknown: the connection cannot be reused.
+            self.close_connection = True
+            raise JobError(
+                f"'Content-Length' must be a non-negative integer, got "
+                f"{declared!r}"
+            )
+        raw = self.rfile.read(length) if length else b""
+        if not raw:
+            raise JobError("request body must be a JSON object")
+        try:
+            return json.loads(raw)
+        except json.JSONDecodeError as exc:
+            raise JobError(f"request body is not valid JSON: {exc}") from exc
+
+    def _wants_prometheus(self, query: dict[str, list[str]]) -> bool:
+        """``?format=prometheus|text``, or an ``Accept`` of plain text only."""
+        fmt = query.get("format", [""])[0].lower()
+        accept = self.headers.get("Accept", "")
+        return fmt in ("prometheus", "text") or (
+            not fmt
+            and "text/plain" in accept
+            and "application/json" not in accept
+        )
+
+    def _prometheus(self, text: str) -> None:
+        self._text(200, text, promfmt.CONTENT_TYPE)
+
+
+def serve_until_signal(
+    server: ThreadingHTTPServer,
+    on_signal: Callable[[int], None],
+    *,
+    banner: str = "",
+    ready: threading.Event | None = None,
+) -> None:
+    """Serve ``server`` until a SIGTERM/SIGINT action shuts it down.
+
+    Each signal runs ``on_signal(n)`` (``n`` counts the signals so far)
+    on a fresh daemon thread: ``server.shutdown()`` deadlocks on the
+    ``serve_forever`` thread, which is the one a signal interrupts.  The
+    ``banner`` is printed and ``ready`` set only once the handlers are
+    installed.  On exit the previous handlers are restored and the
+    listener closed.
+    """
+    signals_seen = itertools.count(1)
+
+    def _handler(_signum, _frame) -> None:
+        threading.Thread(
+            target=on_signal, args=(next(signals_seen),), daemon=True
+        ).start()
+
+    previous = {
+        signum: signal.signal(signum, _handler)
+        for signum in (signal.SIGTERM, signal.SIGINT)
+    }
+    if banner:
+        print(banner, flush=True)
+    if ready is not None:
+        ready.set()
+    try:
+        server.serve_forever(poll_interval=0.2)
+    finally:
+        for signum, handler in previous.items():
+            signal.signal(signum, handler)
+        server.server_close()
 
 
 class SimulationServer(ThreadingHTTPServer):
@@ -108,7 +243,8 @@ def route_template(path: str) -> str:
     """Collapse a request path to its bounded route template.
 
     Metric labels must never carry raw job ids (every distinct label set
-    is a live time series); unknown paths fold to ``"other"``.
+    is a live time series); unknown and unversioned paths fold to
+    ``"other"``.
     """
     if path in ("/healthz", "/metrics", "/runs", "/jobs", "/"):
         return path
@@ -118,14 +254,9 @@ def route_template(path: str) -> str:
     return "other"
 
 
-class _Handler(BaseHTTPRequestHandler):
+class _Handler(JsonHandler):
     server: SimulationServer
-    protocol_version = "HTTP/1.1"
 
-    #: ``"/v1"`` when the request used the versioned prefix, else ``""``.
-    _prefix = ""
-    #: The route path with the version prefix stripped (set per request).
-    _route_path = "/"
     #: Last status code sent on this request (for telemetry).
     _status = 0
     #: Trace id for this request (client ``X-Trace-Id`` or freshly minted).
@@ -133,15 +264,19 @@ class _Handler(BaseHTTPRequestHandler):
 
     # -- plumbing ------------------------------------------------------------
 
-    def log_message(self, format: str, *args) -> None:  # noqa: A002
-        if not self.server.quiet:
-            super().log_message(format, *args)
-
     def send_response(self, code: int, message: str | None = None) -> None:
         self._status = code
         super().send_response(code, message)
 
-    def _timed(self, method: str, handle: Callable[[], None]) -> None:
+    def end_headers(self) -> None:
+        if self._trace_id:
+            self.send_header("X-Trace-Id", self._trace_id)
+        super().end_headers()
+
+    def do_DELETE(self) -> None:  # noqa: N802 - http.server API
+        self._dispatch(self._delete)
+
+    def _dispatch(self, route: Callable[[str, dict], None]) -> None:
         """Dispatch one request, recording latency by route template/status.
 
         The route template is derived after the handler ran (it parses the
@@ -158,92 +293,19 @@ class _Handler(BaseHTTPRequestHandler):
         header = (self.headers.get("X-Trace-Id") or "").strip()
         self._trace_id = header[:64] if header else uuid.uuid4().hex[:16]
         try:
-            handle()
+            super()._dispatch(route)
         finally:
             self.server.telemetry.observe_request(
-                method,
+                self.command,
                 route_template(self._route_path),
                 self._status or 500,
                 time.perf_counter() - t0,
                 trace_id=self._trace_id,
             )
 
-    def _route(self, raw_path: str) -> str:
-        """Strip an optional ``/v1`` prefix; remember which form was used."""
-        versioned = f"/{API_VERSION}"
-        if raw_path == versioned or raw_path.startswith(versioned + "/"):
-            self._prefix = versioned
-            path = raw_path[len(versioned):] or "/"
-        else:
-            self._prefix = ""
-            path = raw_path
-        self._route_path = path
-        return path
-
-    def _deprecation_headers(self) -> dict[str, str]:
-        """Alias headers for requests that used a bare legacy path."""
-        if self._prefix:
-            return {}
-        successor = f"/{API_VERSION}{self._route_path}"
-        return {
-            "Deprecation": "true",
-            "Link": f'<{successor}>; rel="successor-version"',
-        }
-
-    def _json(self, status: int, payload: object, **headers: str) -> None:
-        body = (json.dumps(payload, sort_keys=True) + "\n").encode()
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        if self._trace_id:
-            self.send_header("X-Trace-Id", self._trace_id)
-        for name, value in self._deprecation_headers().items():
-            self.send_header(name, value)
-        for name, value in headers.items():
-            self.send_header(name.replace("_", "-"), value)
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _text(self, status: int, text: str, content_type: str) -> None:
-        body = text.encode()
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        if self._trace_id:
-            self.send_header("X-Trace-Id", self._trace_id)
-        for name, value in self._deprecation_headers().items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _error(self, status: int, message: str, **headers: str) -> None:
-        self._json(status, {"error": message}, **headers)
-
-    def _read_json(self) -> object:
-        length = int(self.headers.get("Content-Length") or 0)
-        raw = self.rfile.read(length) if length else b""
-        if not raw:
-            raise JobError("request body must be a JSON object")
-        try:
-            return json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise JobError(f"request body is not valid JSON: {exc}") from exc
-
     # -- routing -------------------------------------------------------------
 
-    def do_GET(self) -> None:  # noqa: N802 - http.server API
-        self._timed("GET", self._do_get)
-
-    def do_POST(self) -> None:  # noqa: N802 - http.server API
-        self._timed("POST", self._do_post)
-
-    def do_DELETE(self) -> None:  # noqa: N802 - http.server API
-        self._timed("DELETE", self._do_delete)
-
-    def _do_get(self) -> None:
-        url = urlsplit(self.path)
-        query = parse_qs(url.query)
-        path = self._route(url.path)
+    def _get(self, path: str, query: dict[str, list[str]]) -> None:
         if path == "/healthz":
             return self._get_healthz()
         if path == "/metrics":
@@ -267,52 +329,35 @@ class _Handler(BaseHTTPRequestHandler):
             if tail == "/result":
                 return self._get_result(job)
             return self._stream_events(job, query)
-        self._error(404, f"no route for GET {url.path}")
+        self._no_route()
 
-    def _do_post(self) -> None:
-        url = urlsplit(self.path)
-        path = self._route(url.path)
+    def _post(self, path: str, query: dict[str, list[str]]) -> None:
         if path != "/jobs":
-            return self._error(404, f"no route for POST {url.path}")
+            return self._no_route()
         try:
-            spec, deprecated_shape = JobSpec.decode(self._read_json())
-            job = self.server.manager.submit(spec)
+            job = self.server.manager.submit(JobSpec.decode(self._read_json()))
         except JobError as exc:
             return self._error(400, str(exc))
         except QueueFullError as exc:
             return self._error(429, str(exc), Retry_After="1")
         except ServiceDraining as exc:
             return self._error(503, str(exc))
-        # Echo the version prefix the client used, so versioned clients
-        # stay on /v1 and legacy clients keep working unchanged.  A legacy
-        # payload *shape* is deprecated independently of the path: flag it
-        # with the same header pair the bare-path aliases use.
-        base = self._prefix
-        shape_headers = (
-            {
-                "Deprecation": "true",
-                "Link": f'</{API_VERSION}/jobs>; rel="successor-version"',
-            }
-            if deprecated_shape and self._prefix
-            else {}
-        )
+        base = f"/{API_VERSION}/jobs/{job.id}"
         self._json(
             201,
             {
                 "job_id": job.id,
                 "state": job.state,
-                "status_url": f"{base}/jobs/{job.id}",
-                "result_url": f"{base}/jobs/{job.id}/result",
-                "events_url": f"{base}/jobs/{job.id}/events",
+                "status_url": base,
+                "result_url": f"{base}/result",
+                "events_url": f"{base}/events",
             },
-            **shape_headers,
         )
 
-    def _do_delete(self) -> None:
-        url = urlsplit(self.path)
-        match = _JOB_PATH.match(self._route(url.path))
+    def _delete(self, path: str, query: dict[str, list[str]]) -> None:
+        match = _JOB_PATH.match(path)
         if not match or match.group(2):
-            return self._error(404, f"no route for DELETE {url.path}")
+            return self._no_route()
         try:
             job = self.server.manager.cancel(match.group(1))
         except UnknownJobError as exc:
@@ -362,17 +407,8 @@ class _Handler(BaseHTTPRequestHandler):
             capacity=manager._queue.maxsize,
             draining=manager.draining,
         )
-        fmt = query.get("format", [""])[0].lower()
-        accept = self.headers.get("Accept", "")
-        wants_text = fmt in ("prometheus", "text") or (
-            not fmt
-            and "text/plain" in accept
-            and "application/json" not in accept
-        )
-        if wants_text:
-            return self._text(
-                200, telemetry.to_prometheus(), promfmt.CONTENT_TYPE
-            )
+        if self._wants_prometheus(query):
+            return self._prometheus(telemetry.to_prometheus())
         self._json(
             200,
             {
@@ -417,10 +453,6 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(200)
         self.send_header("Content-Type", "application/x-ndjson")
         self.send_header("Transfer-Encoding", "chunked")
-        if self._trace_id:
-            self.send_header("X-Trace-Id", self._trace_id)
-        for name, value in self._deprecation_headers().items():
-            self.send_header(name, value)
         self.end_headers()
         cursor = since
         try:
@@ -494,49 +526,23 @@ def serve(
             flush=True,
         )
     server = SimulationServer((host, port), manager, quiet=quiet)
-    signals_seen = []
 
-    def _graceful(signum, _frame) -> None:
-        signals_seen.append(signum)
-        cancel = len(signals_seen) > 1
-        # shutdown() must not run on the serve_forever thread (deadlock),
-        # and a signal handler interrupts exactly that thread — hand off.
-        threading.Thread(
-            target=_drain_and_stop,
-            args=(manager, server, drain_timeout_s, cancel),
-            daemon=True,
-        ).start()
+    def _drain_and_stop(signals_seen: int) -> None:
+        # A second signal cancels what the first one's drain waits for.
+        manager.drain(drain_timeout_s, cancel=signals_seen > 1)
+        server.shutdown()
 
-    previous = {
-        signum: signal.signal(signum, _graceful)
-        for signum in (signal.SIGTERM, signal.SIGINT)
-    }
-    if not quiet:
-        print(
+    serve_until_signal(
+        server,
+        _drain_and_stop,
+        banner="" if quiet else (
             f"deuce-sim serve: listening on http://{host}:{server.port} "
             f"({job_workers} job workers, queue {queue_size}, ledger "
             # "is not None": an empty-but-enabled RunLedger has len() == 0.
-            f"{session.ledger.root if session.ledger is not None else 'off'})",
-            flush=True,
-        )
-    if ready is not None:
-        ready.set()
-    try:
-        server.serve_forever(poll_interval=0.2)
-    finally:
-        for signum, handler in previous.items():
-            signal.signal(signum, handler)
-        server.server_close()
+            f"{session.ledger.root if session.ledger is not None else 'off'})"
+        ),
+        ready=ready,
+    )
     if not quiet:
         print("deuce-sim serve: drained, bye", flush=True)
     return 0
-
-
-def _drain_and_stop(
-    manager: JobManager,
-    server: SimulationServer,
-    drain_timeout_s: float,
-    cancel: bool,
-) -> None:
-    manager.drain(drain_timeout_s, cancel=cancel)
-    server.shutdown()

@@ -10,7 +10,6 @@ first-completion-wins dedup path with scripted fake workers.
 from __future__ import annotations
 
 import contextlib
-import json
 import os
 import re
 import signal
@@ -18,7 +17,6 @@ import subprocess
 import sys
 import threading
 import time
-import urllib.error
 import urllib.request
 from pathlib import Path
 
@@ -36,6 +34,7 @@ from repro.service.coordinator import (
 from repro.service.loadtest import spawned_service
 from repro.sim.checkpoint import SweepCheckpoint, config_signature
 from repro.sim.config import SimConfig
+from tests.service.conftest import request
 
 
 def _strip_volatile(payload: dict) -> dict:
@@ -388,18 +387,6 @@ class TestStealRaceDedup:
         assert stats["http://alive"]["completed"] == 1
 
 
-def _http(method: str, url: str, payload: dict | None = None):
-    data = json.dumps(payload).encode() if payload is not None else None
-    request = urllib.request.Request(url, data=data, method=method)
-    if data is not None:
-        request.add_header("Content-Type", "application/json")
-    try:
-        with urllib.request.urlopen(request, timeout=30) as resp:
-            return resp.status, json.loads(resp.read() or b"null")
-    except urllib.error.HTTPError as exc:
-        return exc.code, json.loads(exc.read() or b"null")
-
-
 class TestCoordinateService:
     @pytest.fixture
     def coordinator(self):
@@ -419,7 +406,7 @@ class TestCoordinateService:
 
     def test_healthz_names_role_and_workers(self, coordinator):
         base, state = coordinator
-        status, body = _http("GET", f"{base}/v1/healthz")
+        status, _, body = request("GET", f"{base}/v1/healthz")
         assert status == 200
         assert body["role"] == "coordinator"
         assert body["workers"] == state.worker_urls
@@ -431,7 +418,7 @@ class TestCoordinateService:
             SimConfig("mcf", s, n_writes=200, seed=0).to_dict()
             for s in ("deuce", "ble")
         ]
-        status, body = _http(
+        status, _, body = request(
             "POST",
             f"{base}/v1/sweeps",
             {"kind": "sweep", "config": configs,
@@ -441,7 +428,7 @@ class TestCoordinateService:
         assert body["sweep_id"] == "fleet-e2e"
         deadline = time.monotonic() + 60
         while time.monotonic() < deadline:
-            status, snap = _http("GET", f"{base}{body['result_url']}")
+            status, _, snap = request("GET", f"{base}{body['result_url']}")
             if status != 202:
                 break
             time.sleep(0.05)
@@ -455,15 +442,15 @@ class TestCoordinateService:
                 theirs.to_dict()
             )
         # Fleet + metrics surfaces reflect the finished sweep.
-        status, fleet = _http("GET", f"{base}/v1/fleet")
+        status, _, fleet = request("GET", f"{base}/v1/fleet")
         assert status == 200
         assert sum(w["completed"] for w in fleet["workers"]) == 2
-        status, metrics = _http("GET", f"{base}/v1/metrics")
+        status, _, metrics = request("GET", f"{base}/v1/metrics")
         assert status == 200
         names = {m["name"] for m in metrics}
         assert "fleet.cells_completed" in names
         # Re-POSTing a finished sweep id resumes (restores, no re-run).
-        status, body = _http(
+        status, _, body = request(
             "POST",
             f"{base}/v1/sweeps",
             {"kind": "sweep", "config": configs,
@@ -473,7 +460,7 @@ class TestCoordinateService:
 
     def test_rejects_non_sweep_envelopes(self, coordinator):
         base, _ = coordinator
-        status, body = _http(
+        status, _, body = request(
             "POST",
             f"{base}/v1/sweeps",
             {"kind": "run",
@@ -484,5 +471,41 @@ class TestCoordinateService:
 
     def test_unknown_sweep_404s(self, coordinator):
         base, _ = coordinator
-        status, body = _http("GET", f"{base}/v1/sweeps/nope")
+        status, _, body = request("GET", f"{base}/v1/sweeps/nope")
         assert status == 404
+
+    def test_bare_paths_are_404_pointing_at_v1(self, coordinator):
+        base, state = coordinator
+        for method, path in (
+            ("GET", "/healthz"), ("GET", "/jobs"), ("GET", "/sweeps"),
+            ("POST", "/sweeps"),
+        ):
+            payload = {"kind": "sweep", "config": []} \
+                if method == "POST" else None
+            status, _, body = request(method, base + path, payload)
+            assert status == 404, path
+            assert f"/v1{path}" in body["error"], path
+        assert state.sweeps == {}
+
+    def test_malformed_content_length_is_400(self, coordinator):
+        base, state = coordinator
+        for length in ("abc", "-5"):
+            status, _, body = request(
+                "POST", f"{base}/v1/sweeps",
+                {"kind": "sweep", "config": []},
+                headers={"Content-Length": length},
+            )
+            assert status == 400, length
+            assert "Content-Length" in body["error"], length
+        assert state.sweeps == {}
+
+    def test_metrics_prometheus_negotiation(self, coordinator):
+        base, _ = coordinator
+        for url, accept in (
+            (f"{base}/v1/metrics?format=prometheus", "application/json"),
+            (f"{base}/v1/metrics", "text/plain"),
+        ):
+            req = urllib.request.Request(url, headers={"Accept": accept})
+            with urllib.request.urlopen(req, timeout=30) as resp:
+                content_type = resp.headers["Content-Type"]
+            assert content_type == "text/plain; version=0.0.4; charset=utf-8"

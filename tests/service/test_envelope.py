@@ -1,68 +1,56 @@
-"""The unified ``/v1`` job envelope: ``{"kind", "config", "options"}``.
+"""The ``/v1`` job envelope: ``{"kind", "config", "options"}``.
 
-``JobSpec.decode`` accepts the envelope strictly and routes any payload
-carrying legacy top-level fields through the deprecated
-``from_payload`` shape; over HTTP, legacy-shaped submissions on ``/v1``
-paths get the same ``Deprecation`` + ``Link`` successor headers the
-bare-path aliases have carried since the path versioning change.
+``JobSpec.decode`` accepts the envelope strictly and is the only job
+grammar: a payload carrying pre-envelope top-level fields (``configs``,
+``experiment``, ``workers``, ``timeout_s``, ``retries``, ``label``) is a
+400 that names the field.
 """
 
 from __future__ import annotations
 
-import json
-import threading
-import urllib.error
-import urllib.request
-
 import pytest
 
-from repro.api import Session
-from repro.service.jobs import JobError, JobManager, JobSpec
-from repro.service.server import SimulationServer
+from repro.service.jobs import JobError, JobSpec
+from tests.service.conftest import request
 
 RUN_CONFIG = {"workload": "mcf", "scheme": "deuce", "n_writes": 50, "seed": 0}
 
 
 class TestDecodeEnvelope:
     def test_run_envelope(self):
-        spec, deprecated = JobSpec.decode(
+        spec = JobSpec.decode(
             {"kind": "run", "config": RUN_CONFIG,
              "options": {"label": "x", "timeout_s": 5}}
         )
-        assert not deprecated
         assert spec.kind == "run"
         assert spec.label == "x"
         assert spec.timeout_s == 5
         assert spec.configs[0].workload == "mcf"
 
     def test_sweep_envelope(self):
-        spec, deprecated = JobSpec.decode(
+        spec = JobSpec.decode(
             {"kind": "sweep",
              "config": [RUN_CONFIG, dict(RUN_CONFIG, seed=1)],
              "options": {"workers": 2, "retries": 1}}
         )
-        assert not deprecated
         assert spec.kind == "sweep"
         assert len(spec.configs) == 2
         assert spec.workers == 2
         assert spec.retries == 1
 
     def test_experiment_envelope_forwards_extra_options(self):
-        spec, deprecated = JobSpec.decode(
+        spec = JobSpec.decode(
             {"kind": "experiment", "config": "fig8",
              "options": {"n_writes": 100}}
         )
-        assert not deprecated
         assert spec.experiment == "fig8"
         assert spec.options == {"n_writes": 100}
 
     def test_minimal_run_payload_is_both_shapes(self):
-        # {"kind","config"} is valid under either grammar; it decodes via
-        # the envelope and is NOT flagged deprecated.
-        spec, deprecated = JobSpec.decode(
+        # {"kind","config"} is the smallest envelope: options default.
+        spec = JobSpec.decode(
             {"kind": "run", "config": RUN_CONFIG}
         )
-        assert not deprecated
         assert spec.kind == "run"
 
     def test_unknown_top_level_key_rejected(self):
@@ -88,74 +76,44 @@ class TestDecodeEnvelope:
                 {"kind": "run", "config": dict(RUN_CONFIG, scheme="duece")}
             )
 
-    def test_legacy_fields_route_to_deprecated_shape(self):
-        for legacy in (
-            {"kind": "run", "config": RUN_CONFIG, "label": "old"},
-            {"kind": "sweep", "configs": [RUN_CONFIG], "workers": 1},
-            {"kind": "experiment", "experiment": "fig8"},
+    def test_legacy_fields_rejected_naming_the_field(self):
+        for legacy, field in (
+            ({"kind": "run", "config": {}, "label": "old"}, "label"),
+            ({"kind": "sweep", "configs": [{}], "workers": 1}, "configs"),
+            ({"kind": "experiment", "experiment": "fig8"}, "experiment"),
+            ({"kind": "run", "config": {}, "timeout_s": 5}, "timeout_s"),
+            ({"kind": "run", "config": {}, "retries": 1}, "retries"),
         ):
-            spec, deprecated = JobSpec.decode(legacy)
-            assert deprecated, legacy
-            assert spec.kind == legacy["kind"]
-
-    def test_envelope_and_legacy_decode_identically(self):
-        old, _ = JobSpec.decode(
-            {"kind": "sweep", "configs": [RUN_CONFIG], "workers": 1,
-             "retries": 2, "label": "same"}
-        )
-        new, _ = JobSpec.decode(
-            {"kind": "sweep", "config": [RUN_CONFIG],
-             "options": {"workers": 1, "retries": 2, "label": "same"}}
-        )
-        assert old == new
-
-
-def _post(url: str, payload: dict):
-    request = urllib.request.Request(
-        url, data=json.dumps(payload).encode(), method="POST"
-    )
-    request.add_header("Content-Type", "application/json")
-    with urllib.request.urlopen(request, timeout=30) as resp:
-        return resp.status, dict(resp.headers), json.loads(resp.read())
+            with pytest.raises(JobError) as info:
+                JobSpec.decode(legacy)
+            message = str(info.value)
+            assert f"unknown job field(s): {field!r}" in message, legacy
+            assert "{kind, config, options}" in message
 
 
 class TestDeprecationHeaders:
-    @pytest.fixture
-    def service(self, tmp_path):
-        session = Session(ledger=tmp_path / "runs")
-        manager = JobManager(
-            session, job_workers=1, queue_size=8, max_sweep_workers=1
-        ).start()
-        server = SimulationServer(("127.0.0.1", 0), manager)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        try:
-            yield f"http://127.0.0.1:{server.port}"
-        finally:
-            manager.drain(10, cancel=True)
-            server.shutdown()
-            server.server_close()
-            thread.join(timeout=10)
+    """No payload shape gets a ``Deprecation`` header; a legacy one is a 400."""
 
-    def test_legacy_shape_on_v1_path_gets_deprecation_headers(
-        self, service
-    ):
-        status, headers, _ = _post(
-            f"{service}/v1/jobs",
+    def test_legacy_shape_on_v1_path_is_400_naming_the_field(self, service):
+        status, headers, body = request(
+            "POST", f"{service.url}/v1/jobs",
             {"kind": "run", "config": RUN_CONFIG, "label": "old-shape"},
         )
-        assert status == 201
-        assert headers.get("Deprecation") == "true"
-        assert 'rel="successor-version"' in headers.get("Link", "")
+        assert status == 400
+        assert "'label'" in body["error"]
+        assert "{kind, config, options}" in body["error"]
+        assert "Deprecation" not in headers
+        assert service.manager.jobs() == []
 
     def test_envelope_shape_on_v1_path_is_clean(self, service):
-        status, headers, _ = _post(
-            f"{service}/v1/jobs",
+        status, headers, _ = request(
+            "POST", f"{service.url}/v1/jobs",
             {"kind": "run", "config": RUN_CONFIG,
              "options": {"label": "new-shape"}},
         )
         assert status == 201
         assert "Deprecation" not in headers
+
 
 KV_CONFIG = {
     "workload": "kv-udb", "scheme": "deuce", "n_writes": 600, "seed": 0,
@@ -163,53 +121,15 @@ KV_CONFIG = {
 }
 
 
-def _post_error(url: str, payload: dict):
-    """POST expecting a 4xx; returns (status, body dict)."""
-    try:
-        _post(url, payload)
-    except urllib.error.HTTPError as exc:
-        return exc.code, json.loads(exc.read())
-    raise AssertionError("expected an HTTP error response")
-
-
 class TestKvThroughTheEnvelope:
     """KV configs ride the registry decode path on /v1 unchanged."""
-
-    @pytest.fixture
-    def service(self, tmp_path):
-        session = Session(ledger=tmp_path / "runs")
-        manager = JobManager(
-            session, job_workers=1, queue_size=8, max_sweep_workers=1
-        ).start()
-        server = SimulationServer(("127.0.0.1", 0), manager)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        try:
-            yield f"http://127.0.0.1:{server.port}"
-        finally:
-            manager.drain(10, cancel=True)
-            server.shutdown()
-            server.server_close()
-            thread.join(timeout=10)
-
-    def test_legacy_kv_payload_keeps_deprecation_headers(self, service):
-        # pinned: registry-validated workload_params must not break the
-        # legacy-shape compatibility path or its migration headers
-        status, headers, body = _post(
-            f"{service}/v1/jobs",
-            {"kind": "run", "config": KV_CONFIG, "label": "kv-legacy"},
-        )
-        assert status == 201
-        assert headers.get("Deprecation") == "true"
-        assert 'rel="successor-version"' in headers.get("Link", "")
-        assert body["job_id"]
 
     def test_invalid_workload_param_rejected_with_field_path(
         self, service
     ):
         bad = dict(KV_CONFIG, workload_params={"zipf_alpha": "hi"})
-        status, body = _post_error(
-            f"{service}/v1/jobs",
+        status, _, body = request(
+            "POST", f"{service.url}/v1/jobs",
             {"kind": "run", "config": bad, "options": {}},
         )
         assert status == 400
@@ -221,17 +141,16 @@ class TestKvThroughTheEnvelope:
 
     def test_chunk_size_below_one_rejected_naming_the_field(self, service):
         bad = dict(KV_CONFIG, chunk_size=0)
-        status, body = _post_error(
-            f"{service}/v1/jobs",
+        status, _, body = request(
+            "POST", f"{service.url}/v1/jobs",
             {"kind": "run", "config": bad, "options": {}},
         )
         assert status == 400
         assert "config key 'chunk_size' must be >= 1, got 0" in body["error"]
 
     def test_decode_matches_from_dict_for_kv(self):
-        spec, deprecated = JobSpec.decode(
+        spec = JobSpec.decode(
             {"kind": "run", "config": KV_CONFIG, "options": {}}
         )
-        assert not deprecated
         assert spec.configs[0].workload == "kv-udb"
         assert spec.configs[0].workload_params == KV_CONFIG["workload_params"]

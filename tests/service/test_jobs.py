@@ -38,12 +38,12 @@ def _run_payload(n_writes: int = 300, **config) -> dict:
 def _sweep_payload(n: int = 2, n_writes: int = 300) -> dict:
     return {
         "kind": "sweep",
-        "configs": [
+        "config": [
             {"workload": "mcf", "scheme": "deuce",
              "n_writes": n_writes, "seed": i}
             for i in range(n)
         ],
-        "workers": 1,
+        "options": {"workers": 1},
     }
 
 
@@ -60,40 +60,40 @@ def _manager(session, **kw) -> JobManager:
 
 class TestJobSpec:
     def test_run_payload(self):
-        spec = JobSpec.from_payload(_run_payload())
+        spec = JobSpec.decode(_run_payload())
         assert spec.kind == "run"
         assert spec.configs[0] == SimConfig("mcf", "deuce", n_writes=300)
         assert spec.n_cells == 1
 
     def test_bad_kind(self):
         with pytest.raises(JobError, match="kind"):
-            JobSpec.from_payload({"kind": "nope"})
+            JobSpec.decode({"kind": "nope"})
 
     def test_unknown_field(self):
         with pytest.raises(JobError, match="unknown job field"):
-            JobSpec.from_payload({**_run_payload(), "priority": 9})
+            JobSpec.decode({**_run_payload(), "priority": 9})
 
     def test_config_errors_become_job_errors(self):
         with pytest.raises(JobError, match="n_writes"):
-            JobSpec.from_payload(_run_payload(n_writes="many"))
+            JobSpec.decode(_run_payload(n_writes="many"))
 
     def test_sweep_needs_configs(self):
-        with pytest.raises(JobError, match="configs"):
-            JobSpec.from_payload({"kind": "sweep", "configs": []})
+        with pytest.raises(JobError, match="non-empty array"):
+            JobSpec.decode({"kind": "sweep", "config": []})
 
     def test_unknown_experiment(self):
         with pytest.raises(JobError, match="unknown experiment"):
-            JobSpec.from_payload({"kind": "experiment", "experiment": "figX"})
+            JobSpec.decode({"kind": "experiment", "config": "figX"})
 
     def test_bad_timeout(self):
         with pytest.raises(JobError, match="timeout_s"):
-            JobSpec.from_payload({**_run_payload(), "timeout_s": -1})
+            JobSpec.decode({**_run_payload(), "options": {"timeout_s": -1}})
 
 
 class TestExecution:
     def test_run_job_completes_and_records(self, session):
         manager = _manager(session)
-        job = manager.submit(JobSpec.from_payload(_run_payload()))
+        job = manager.submit(JobSpec.decode(_run_payload()))
         assert job.wait(30)
         assert job.state == DONE
         assert job.result["run_ids"][0]
@@ -103,7 +103,7 @@ class TestExecution:
 
     def test_run_job_bit_identical_to_direct_session(self, session):
         manager = _manager(session)
-        job = manager.submit(JobSpec.from_payload(_run_payload()))
+        job = manager.submit(JobSpec.decode(_run_payload()))
         assert job.wait(30)
         direct = Session(ledger=False).run(
             SimConfig("mcf", "deuce", n_writes=300)
@@ -120,7 +120,7 @@ class TestExecution:
 
     def test_sweep_job(self, session):
         manager = _manager(session)
-        job = manager.submit(JobSpec.from_payload(_sweep_payload(3)))
+        job = manager.submit(JobSpec.decode(_sweep_payload(3)))
         assert job.wait(60)
         assert job.state == DONE
         assert len(job.result["results"]) == 3
@@ -134,10 +134,10 @@ class TestExecution:
     def test_experiment_job(self, session):
         manager = _manager(session)
         job = manager.submit(
-            JobSpec.from_payload(
+            JobSpec.decode(
                 {
                     "kind": "experiment",
-                    "experiment": "fig10",
+                    "config": "fig10",
                     "options": {"n_writes": 200},
                 }
             )
@@ -151,11 +151,11 @@ class TestExecution:
     def test_failed_job_keeps_worker_alive(self, session):
         manager = _manager(session, job_workers=1)
         bad = manager.submit(
-            JobSpec.from_payload(
+            JobSpec.decode(
                 _run_payload(wear_leveling="hwl", hwl_region_lines=-5)
             )
         )
-        good = manager.submit(JobSpec.from_payload(_run_payload()))
+        good = manager.submit(JobSpec.decode(_run_payload()))
         assert bad.wait(30) and good.wait(30)
         assert bad.state == FAILED
         assert bad.error
@@ -164,7 +164,7 @@ class TestExecution:
 
     def test_progress_events_stream(self, session):
         manager = _manager(session)
-        job = manager.submit(JobSpec.from_payload(_sweep_payload(2)))
+        job = manager.submit(JobSpec.decode(_sweep_payload(2)))
         assert job.wait(60)
         events = job.events_since(0)
         kinds = [e["kind"] for e in events]
@@ -176,8 +176,9 @@ class TestExecution:
     def test_timeout_fails_job(self, session):
         manager = _manager(session)
         job = manager.submit(
-            JobSpec.from_payload(
-                {**_run_payload(n_writes=2_000_000), "timeout_s": 0.05}
+            JobSpec.decode(
+                {**_run_payload(n_writes=2_000_000),
+                 "options": {"timeout_s": 0.05}}
             )
         )
         assert job.wait(60)
@@ -190,14 +191,14 @@ class TestBackpressureAndCancel:
     def test_queue_full_raises(self, session):
         manager = JobManager(session, job_workers=1, queue_size=2)
         # Not started: nothing dequeues, so the queue fills deterministically.
-        manager.submit(JobSpec.from_payload(_run_payload()))
-        manager.submit(JobSpec.from_payload(_run_payload()))
+        manager.submit(JobSpec.decode(_run_payload()))
+        manager.submit(JobSpec.decode(_run_payload()))
         with pytest.raises(QueueFullError):
-            manager.submit(JobSpec.from_payload(_run_payload()))
+            manager.submit(JobSpec.decode(_run_payload()))
 
     def test_cancel_queued_job(self, session):
         manager = JobManager(session, job_workers=1, queue_size=4)
-        job = manager.submit(JobSpec.from_payload(_run_payload()))
+        job = manager.submit(JobSpec.decode(_run_payload()))
         manager.cancel(job.id)
         assert job.state == QUEUED  # not yet dequeued
         manager.start()
@@ -208,7 +209,7 @@ class TestBackpressureAndCancel:
     def test_cancel_running_sweep(self, session):
         manager = _manager(session, job_workers=1)
         job = manager.submit(
-            JobSpec.from_payload(_sweep_payload(8, n_writes=200_000))
+            JobSpec.decode(_sweep_payload(8, n_writes=200_000))
         )
         deadline = time.monotonic() + 30
         while job.state == QUEUED and time.monotonic() < deadline:
@@ -226,7 +227,7 @@ class TestBackpressureAndCancel:
     def test_eight_concurrent_sweep_jobs(self, session):
         manager = _manager(session, job_workers=4, queue_size=16)
         jobs = [
-            manager.submit(JobSpec.from_payload(_sweep_payload(2, 300)))
+            manager.submit(JobSpec.decode(_sweep_payload(2, 300)))
             for _ in range(8)
         ]
         for job in jobs:
@@ -243,12 +244,12 @@ class TestDrain:
         manager = _manager(session)
         assert manager.drain(5)
         with pytest.raises(ServiceDraining):
-            manager.submit(JobSpec.from_payload(_run_payload()))
+            manager.submit(JobSpec.decode(_run_payload()))
 
     def test_drain_finishes_backlog(self, session):
         manager = _manager(session, job_workers=2)
         jobs = [
-            manager.submit(JobSpec.from_payload(_run_payload()))
+            manager.submit(JobSpec.decode(_run_payload()))
             for _ in range(4)
         ]
         assert manager.drain(60)
@@ -260,7 +261,7 @@ class TestDrain:
         manager = _manager(session, job_workers=2)
         jobs = [
             manager.submit(
-                JobSpec.from_payload(_sweep_payload(4, n_writes=500_000))
+                JobSpec.decode(_sweep_payload(4, n_writes=500_000))
             )
             for _ in range(3)
         ]

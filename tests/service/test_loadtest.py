@@ -134,6 +134,19 @@ class TestSoak:
         assert "PASS" in html_doc
 
 
+class TestSweepSoak:
+    def test_sweep_ops_are_accepted(self, tmp_path):
+        options = LoadTestOptions(
+            duration_s=1.0, clients=2, writes=50, mix=parse_mix("sweep=1"),
+        )
+        session = Session(ledger=tmp_path / "runs")
+        with spawned_service(session, job_workers=1, queue_size=64) as base:
+            report = run_loadtest(base, options)
+        assert report["ops"]["sweep"]["requests"] > 0
+        assert report["totals"]["client_4xx"] == 0
+        assert report["totals"]["errors"] == 0
+
+
 class TestSloEvaluation:
     def _report(self, p99_slo_ms=0.0, max_error_rate=-1.0):
         from repro.service.loadtest import _Soak, _build_report
@@ -155,6 +168,18 @@ class TestSloEvaluation:
         assert report["totals"]["backpressure_429"] == 1
         assert report["totals"]["errors"] == 1  # only the transport failure
         assert report["totals"]["error_rate"] == 0.25
+
+    def test_rejected_request_counted_as_client_error(self):
+        from repro.service.loadtest import _Soak, _build_report
+
+        soak = _Soak("http://example.invalid", LoadTestOptions())
+        soak.records = [[("sweep", 400, 0.001), ("cancel", 404, 0.001),
+                         ("run", 429, 0.001), ("status", 200, 0.001)]]
+        report = _build_report(soak, wall_s=1.0, metrics_body=None)
+        assert report["totals"]["client_4xx"] == 2
+        assert report["totals"]["errors"] == 2
+        assert report["ops"]["sweep"]["errors"] == 1
+        assert report["ops"]["run"]["errors"] == 0
 
     def test_p99_slo_violation_fails(self):
         report = self._report(p99_slo_ms=15.0)

@@ -3,10 +3,7 @@
 from __future__ import annotations
 
 import json
-import threading
 import time
-import urllib.error
-import urllib.request
 
 import pytest
 
@@ -21,30 +18,75 @@ from repro.service.jobs import (
     JobSpec,
     JobStore,
 )
-from repro.service.server import API_VERSION, SimulationServer
+from repro.service.server import API_VERSION
 from repro.sim.config import SimConfig
+from tests.service.conftest import RUN_CONFIG, request
 
-RUN_CONFIG = {"workload": "mcf", "scheme": "deuce", "n_writes": 400, "seed": 7}
+
+def _spec(**options) -> JobSpec:
+    return JobSpec.decode(
+        {"kind": "run", "config": RUN_CONFIG, "options": options}
+    )
 
 
-def _spec(**overrides) -> JobSpec:
-    payload = {"kind": "run", "config": RUN_CONFIG, **overrides}
-    return JobSpec.from_payload(payload)
+#: One ``jobs.jsonl`` line exactly as a server journaled it before the
+#: legacy payload shape was removed; journals on disk must keep loading.
+JOURNAL_LINE = (
+    '{"cells_done": 0, "created_utc": "2026-10-01T12:00:00Z", "error": '
+    '"", "finished_utc": "", "job_id": "job-20261001T120000-a1b2c3", '
+    '"result": null, "spec": {"configs": [{"chunk_size": 512, '
+    '"epoch_interval": 32, "fnw_group_bits": 16, "gap_write_interval": '
+    '100, "hwl_region_lines": null, "key": '
+    '"64657563652d726570726f2d6b657921", "line_bytes": 64, "n_writes": '
+    '400, "pad_cache_lines": 1024, "pad_kind": "blake2", "scheme": '
+    '"deuce", "seed": 7, "track_per_line_wear": false, "wear_leveling": '
+    '"none", "word_bytes": 2, "workload": "mcf", "workload_params": {}}, '
+    '{"chunk_size": 512, "epoch_interval": 32, "fnw_group_bits": 16, '
+    '"gap_write_interval": 100, "hwl_region_lines": null, "key": '
+    '"64657563652d726570726f2d6b657921", "line_bytes": 64, "n_writes": '
+    '400, "pad_cache_lines": 1024, "pad_kind": "blake2", "scheme": "ble", '
+    '"seed": 7, "track_per_line_wear": false, "wear_leveling": "none", '
+    '"word_bytes": 2, "workload": "mcf", "workload_params": {}}], '
+    '"experiment": "", "kind": "sweep", "label": "night-sweep", '
+    '"options": {}, "retries": 2, "timeout_s": 12.5, "workers": 3}, '
+    '"started_utc": "", "state": "queued", "trace_id": "", "writes_done": '
+    '0}'
+)
 
 
 class TestJobSpecRoundTrip:
     def test_to_from_dict_round_trip(self):
-        spec = JobSpec.from_payload(
+        spec = JobSpec.decode(
             {
                 "kind": "sweep",
-                "configs": [RUN_CONFIG, {**RUN_CONFIG, "scheme": "ble"}],
-                "workers": 3,
-                "timeout_s": 12.5,
-                "retries": 2,
-                "label": "night-sweep",
+                "config": [RUN_CONFIG, {**RUN_CONFIG, "scheme": "ble"}],
+                "options": {
+                    "workers": 3,
+                    "timeout_s": 12.5,
+                    "retries": 2,
+                    "label": "night-sweep",
+                },
             }
         )
         assert JobSpec.from_dict(spec.to_dict()) == spec
+
+    def test_journal_record_from_before_the_envelope_loads(self, tmp_path):
+        (tmp_path / JobStore.FILENAME).write_text(JOURNAL_LINE + "\n")
+        (record,) = JobStore(tmp_path).load().values()
+        job = Job.from_record(record)
+        assert job.id == "job-20261001T120000-a1b2c3"
+        assert job.state == QUEUED
+        assert job.spec == JobSpec(
+            kind="sweep",
+            configs=(
+                SimConfig("mcf", "deuce", n_writes=400, seed=7),
+                SimConfig("mcf", "ble", n_writes=400, seed=7),
+            ),
+            workers=3,
+            timeout_s=12.5,
+            retries=2,
+            label="night-sweep",
+        )
 
     def test_dict_form_is_json_safe(self):
         spec = _spec(retries=1)
@@ -52,13 +94,9 @@ class TestJobSpecRoundTrip:
 
     def test_retries_validated(self):
         with pytest.raises(JobError, match="retries"):
-            JobSpec.from_payload(
-                {"kind": "run", "config": RUN_CONFIG, "retries": -1}
-            )
+            _spec(retries=-1)
         with pytest.raises(JobError, match="retries"):
-            JobSpec.from_payload(
-                {"kind": "run", "config": RUN_CONFIG, "retries": "two"}
-            )
+            _spec(retries="two")
 
 
 class TestJobStore:
@@ -177,109 +215,78 @@ class TestRehydration:
         ] == CANCELLED
 
 
-def _request(method: str, url: str, payload: dict | None = None):
-    """(status, headers, decoded body) for one request."""
-    data = json.dumps(payload).encode() if payload is not None else None
-    req = urllib.request.Request(url, data=data, method=method)
-    if data is not None:
-        req.add_header("Content-Type", "application/json")
-    try:
-        with urllib.request.urlopen(req, timeout=60) as resp:
-            return resp.status, dict(resp.headers), json.loads(resp.read())
-    except urllib.error.HTTPError as exc:
-        return exc.code, dict(exc.headers), json.loads(exc.read() or b"null")
-
-
-@pytest.fixture
-def service(tmp_path):
-    session = Session(ledger=tmp_path / "runs")
-    manager = JobManager(
-        session, job_workers=2, queue_size=16, max_sweep_workers=2
-    ).start()
-    server = SimulationServer(("127.0.0.1", 0), manager)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    try:
-        yield f"http://127.0.0.1:{server.port}"
-    finally:
-        manager.drain(10, cancel=True)
-        server.shutdown()
-        server.server_close()
-        thread.join(timeout=10)
-
-
 class TestApiVersioning:
     def test_healthz_reports_api_version(self, service):
-        status, headers, body = _request("GET", f"{service}/v1/healthz")
+        status, headers, body = request("GET", f"{service.url}/v1/healthz")
         assert status == 200
         assert body["api_version"] == API_VERSION == "v1"
         assert "Deprecation" not in headers
 
-    def test_bare_paths_answer_with_deprecation(self, service):
-        for path in ("/healthz", "/jobs", "/runs"):
-            status, headers, _ = _request("GET", f"{service}{path}")
-            assert status == 200, path
-            assert headers.get("Deprecation") == "true", path
-            assert f'</v1{path}>; rel="successor-version"' == headers.get(
-                "Link"
-            ), path
+    def test_bare_paths_are_404_pointing_at_v1(self, service):
+        for method, path in (
+            ("GET", "/healthz"), ("GET", "/jobs"), ("GET", "/sweeps"),
+            ("GET", "/runs"), ("POST", "/jobs"),
+        ):
+            payload = {"kind": "run", "config": RUN_CONFIG} \
+                if method == "POST" else None
+            status, _, body = request(method, service.url + path, payload)
+            assert status == 404, path
+            assert f"/v1{path}" in body["error"], path
+        assert service.manager.jobs() == []
 
     def test_versioned_submission_echoes_v1_urls(self, service):
-        status, headers, body = _request(
-            "POST", f"{service}/v1/jobs", {"kind": "run", "config": RUN_CONFIG}
+        status, headers, body = request(
+            "POST", f"{service.url}/v1/jobs",
+            {"kind": "run", "config": RUN_CONFIG},
         )
         assert status == 201
         assert "Deprecation" not in headers
         assert body["status_url"] == f"/v1/jobs/{body['job_id']}"
         assert body["result_url"].startswith("/v1/jobs/")
         # The echoed URL works as-is.
-        status, _, snap = _request("GET", service + body["status_url"])
+        status, _, snap = request("GET", service.url + body["status_url"])
         assert status == 200 and snap["job_id"] == body["job_id"]
 
-    def test_legacy_submission_keeps_bare_urls(self, service):
-        status, headers, body = _request(
-            "POST", f"{service}/jobs", {"kind": "run", "config": RUN_CONFIG}
-        )
-        assert status == 201
-        assert headers.get("Deprecation") == "true"
-        assert body["status_url"] == f"/jobs/{body['job_id']}"
-
     def test_full_job_lifecycle_on_v1(self, service):
-        _, _, body = _request(
-            "POST", f"{service}/v1/jobs", {"kind": "run", "config": RUN_CONFIG}
+        _, _, body = request(
+            "POST", f"{service.url}/v1/jobs",
+            {"kind": "run", "config": RUN_CONFIG},
         )
         job_id = body["job_id"]
         deadline = time.monotonic() + 60
         while time.monotonic() < deadline:
-            status, headers, snap = _request(
-                "GET", f"{service}/v1/jobs/{job_id}"
+            status, headers, snap = request(
+                "GET", f"{service.url}/v1/jobs/{job_id}"
             )
             assert status == 200 and "Deprecation" not in headers
             if snap["state"] == "done":
                 break
             time.sleep(0.02)
         assert snap["state"] == "done"
-        status, _, result = _request(
-            "GET", f"{service}/v1/jobs/{job_id}/result"
+        status, _, result = request(
+            "GET", f"{service.url}/v1/jobs/{job_id}/result"
         )
         assert status == 200
         assert result["result"]["results"][0]["n_writes"] == 400
 
     def test_delete_works_on_both_prefixes(self, service):
-        for prefix in ("/v1", ""):
-            _, _, body = _request(
-                "POST",
-                f"{service}{prefix or ''}/jobs",
-                {"kind": "run", "config": RUN_CONFIG},
-            )
-            status, headers, snap = _request(
-                "DELETE", f"{service}{prefix}/jobs/{body['job_id']}"
-            )
-            assert status == 200
-            assert snap["cancel_requested"] is True
-            assert ("Deprecation" in headers) == (prefix == "")
+        _, _, body = request(
+            "POST", f"{service.url}/v1/jobs",
+            {"kind": "run", "config": RUN_CONFIG},
+        )
+        status, headers, snap = request(
+            "DELETE", f"{service.url}/v1/jobs/{body['job_id']}"
+        )
+        assert status == 200
+        assert snap["cancel_requested"] is True
+        assert "Deprecation" not in headers
+        # The bare path no longer reaches the job.
+        status, _, _ = request(
+            "DELETE", f"{service.url}/jobs/{body['job_id']}"
+        )
+        assert status == 404
 
     def test_unknown_route_under_v1_is_404(self, service):
-        status, headers, _ = _request("GET", f"{service}/v1/nope")
+        status, headers, _ = request("GET", f"{service.url}/v1/nope")
         assert status == 404
         assert "Deprecation" not in headers

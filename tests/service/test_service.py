@@ -12,37 +12,21 @@ import re
 import signal
 import subprocess
 import sys
-import threading
 import time
-import urllib.error
 import urllib.request
 from pathlib import Path
 
 import pytest
 
 from repro.api import Session
-from repro.service.jobs import JobManager
-from repro.service.server import SimulationServer
 from repro.sim.config import SimConfig
-
-
-def _request(method: str, url: str, payload: dict | None = None):
-    """(status, decoded-JSON body) for one request; HTTP errors returned."""
-    data = json.dumps(payload).encode() if payload is not None else None
-    req = urllib.request.Request(url, data=data, method=method)
-    if data is not None:
-        req.add_header("Content-Type", "application/json")
-    try:
-        with urllib.request.urlopen(req, timeout=60) as resp:
-            return resp.status, json.loads(resp.read() or b"null")
-    except urllib.error.HTTPError as exc:
-        return exc.code, json.loads(exc.read() or b"null")
+from tests.service.conftest import RUN_CONFIG, request
 
 
 def _poll_terminal(base: str, job_id: str, timeout: float = 60.0) -> dict:
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
-        status, body = _request("GET", f"{base}/jobs/{job_id}")
+        status, _, body = request("GET", f"{base}/v1/jobs/{job_id}")
         assert status == 200
         if body["state"] in ("done", "failed", "cancelled"):
             return body
@@ -50,32 +34,9 @@ def _poll_terminal(base: str, job_id: str, timeout: float = 60.0) -> dict:
     raise AssertionError(f"job {job_id} did not settle within {timeout}s")
 
 
-@pytest.fixture
-def service(tmp_path):
-    """A live server on an ephemeral port; yields (base_url, session)."""
-    session = Session(ledger=tmp_path / "runs")
-    manager = JobManager(
-        session, job_workers=4, queue_size=16, max_sweep_workers=2
-    ).start()
-    server = SimulationServer(("127.0.0.1", 0), manager)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    try:
-        yield f"http://127.0.0.1:{server.port}", session
-    finally:
-        manager.drain(10, cancel=True)
-        server.shutdown()
-        server.server_close()
-        thread.join(timeout=10)
-
-
-RUN_CONFIG = {"workload": "mcf", "scheme": "deuce", "n_writes": 400, "seed": 7}
-
-
 class TestEndpoints:
     def test_healthz(self, service):
-        base, _ = service
-        status, body = _request("GET", f"{base}/healthz")
+        status, _, body = request("GET", f"{service.url}/v1/healthz")
         assert status == 200
         assert body["status"] == "ok"
         assert body["job_workers"] == 4
@@ -88,15 +49,15 @@ class TestEndpoints:
         assert body["queue_capacity"] == 16
 
     def test_submit_run_result_bit_identical(self, service):
-        base, session = service
-        status, body = _request(
-            "POST", f"{base}/jobs", {"kind": "run", "config": RUN_CONFIG}
+        base, session = service.url, service.session
+        status, _, body = request(
+            "POST", f"{base}/v1/jobs", {"kind": "run", "config": RUN_CONFIG}
         )
         assert status == 201
         job_id = body["job_id"]
         final = _poll_terminal(base, job_id)
         assert final["state"] == "done", final["error"]
-        status, body = _request("GET", f"{base}/jobs/{job_id}/result")
+        status, _, body = request("GET", f"{base}/v1/jobs/{job_id}/result")
         assert status == 200
         via_http = body["result"]["results"][0]
         direct = Session(ledger=False).run(SimConfig.from_dict(RUN_CONFIG))
@@ -111,20 +72,20 @@ class TestEndpoints:
         assert session.ledger.get(run_id).kind == "run"
 
     def test_sweep_job_with_events_stream(self, service):
-        base, session = service
+        base, session = service.url, service.session
         configs = [dict(RUN_CONFIG, seed=i) for i in range(3)]
-        status, body = _request(
+        status, _, body = request(
             "POST",
-            f"{base}/jobs",
-            {"kind": "sweep", "configs": configs, "workers": 1,
-             "label": "e2e"},
+            f"{base}/v1/jobs",
+            {"kind": "sweep", "config": configs,
+             "options": {"workers": 1, "label": "e2e"}},
         )
         assert status == 201
         job_id = body["job_id"]
         # Follow the chunked JSONL stream until the terminal line.
         lines = []
         with urllib.request.urlopen(
-            f"{base}/jobs/{job_id}/events", timeout=60
+            f"{base}/v1/jobs/{job_id}/events", timeout=60
         ) as resp:
             assert resp.headers["Content-Type"] == "application/x-ndjson"
             for raw in resp:
@@ -137,159 +98,151 @@ class TestEndpoints:
         assert len(manifests) == 3
 
     def test_events_page_without_follow(self, service):
-        base, _ = service
-        _, body = _request(
-            "POST", f"{base}/jobs", {"kind": "run", "config": RUN_CONFIG}
+        base = service.url
+        _, _, body = request(
+            "POST", f"{base}/v1/jobs", {"kind": "run", "config": RUN_CONFIG}
         )
         job_id = body["job_id"]
         _poll_terminal(base, job_id)
         with urllib.request.urlopen(
-            f"{base}/jobs/{job_id}/events?follow=0", timeout=30
+            f"{base}/v1/jobs/{job_id}/events?follow=0", timeout=30
         ) as resp:
             lines = [json.loads(raw) for raw in resp]
         assert lines[-1]["kind"] == "end"
 
     def test_cancel_running_job(self, service):
-        base, _ = service
+        base = service.url
         big = [dict(RUN_CONFIG, n_writes=500_000, seed=i) for i in range(4)]
-        _, body = _request(
-            "POST", f"{base}/jobs", {"kind": "sweep", "configs": big,
-                                     "workers": 1}
+        _, _, body = request(
+            "POST", f"{base}/v1/jobs", {"kind": "sweep", "config": big,
+                                        "options": {"workers": 1}}
         )
         job_id = body["job_id"]
         deadline = time.monotonic() + 30
         while time.monotonic() < deadline:
-            _, status_body = _request("GET", f"{base}/jobs/{job_id}")
+            _, _, status_body = request("GET", f"{base}/v1/jobs/{job_id}")
             if status_body["state"] == "running":
                 break
             time.sleep(0.01)
-        status, body = _request("DELETE", f"{base}/jobs/{job_id}")
+        status, _, body = request("DELETE", f"{base}/v1/jobs/{job_id}")
         assert status == 200
         assert body["cancel_requested"]
         final = _poll_terminal(base, job_id)
         assert final["state"] == "cancelled"
-        status, _ = _request("GET", f"{base}/jobs/{job_id}/result")
+        status, _, _ = request("GET", f"{base}/v1/jobs/{job_id}/result")
         assert status == 409
 
     def test_result_pending_is_202(self, service):
-        base, _ = service
-        _, body = _request(
+        base = service.url
+        _, _, body = request(
             "POST",
-            f"{base}/jobs",
+            f"{base}/v1/jobs",
             {"kind": "run",
              "config": dict(RUN_CONFIG, n_writes=2_000_000)},
         )
         job_id = body["job_id"]
-        status, _ = _request("GET", f"{base}/jobs/{job_id}/result")
+        status, _, _ = request("GET", f"{base}/v1/jobs/{job_id}/result")
         assert status == 202
-        _request("DELETE", f"{base}/jobs/{job_id}")
+        request("DELETE", f"{base}/v1/jobs/{job_id}")
         _poll_terminal(base, job_id)
 
     def test_bad_payload_is_400(self, service):
-        base, _ = service
-        status, body = _request(
+        status, _, body = request(
             "POST",
-            f"{base}/jobs",
+            f"{service.url}/v1/jobs",
             {"kind": "run",
              "config": dict(RUN_CONFIG, n_write=10)},
         )
         assert status == 400
         assert "n_writes" in body["error"]  # did-you-mean from from_dict
 
+    @pytest.mark.parametrize("length", ["abc", "-5"])
+    def test_malformed_content_length_is_400(self, service, length):
+        status, _, body = request(
+            "POST", f"{service.url}/v1/jobs",
+            {"kind": "run", "config": RUN_CONFIG},
+            headers={"Content-Length": length},
+        )
+        assert status == 400
+        assert "Content-Length" in body["error"]
+
     def test_unknown_job_is_404(self, service):
-        base, _ = service
-        status, _ = _request("GET", f"{base}/jobs/job-nope")
+        base = service.url
+        status, _, _ = request("GET", f"{base}/v1/jobs/job-nope")
         assert status == 404
-        status, _ = _request("DELETE", f"{base}/jobs/job-nope")
+        status, _, _ = request("DELETE", f"{base}/v1/jobs/job-nope")
         assert status == 404
 
     def test_runs_query(self, service):
-        base, _ = service
-        _, body = _request(
-            "POST", f"{base}/jobs",
-            {"kind": "run", "config": RUN_CONFIG, "label": "query-me"},
+        base = service.url
+        _, _, body = request(
+            "POST", f"{base}/v1/jobs",
+            {"kind": "run", "config": RUN_CONFIG,
+             "options": {"label": "query-me"}},
         )
         _poll_terminal(base, body["job_id"])
-        status, body = _request(
-            "GET", f"{base}/runs?label=query-me&scheme=deuce"
+        status, _, body = request(
+            "GET", f"{base}/v1/runs?label=query-me&scheme=deuce"
         )
         assert status == 200
         assert len(body["runs"]) == 1
         assert body["runs"][0]["workload"] == "mcf"
 
     def test_jobs_listing(self, service):
-        base, _ = service
-        _, body = _request(
-            "POST", f"{base}/jobs", {"kind": "run", "config": RUN_CONFIG}
+        base = service.url
+        _, _, body = request(
+            "POST", f"{base}/v1/jobs", {"kind": "run", "config": RUN_CONFIG}
         )
         _poll_terminal(base, body["job_id"])
-        status, listing = _request("GET", f"{base}/jobs")
+        status, _, listing = request("GET", f"{base}/v1/jobs")
         assert status == 200
         assert any(j["job_id"] == body["job_id"] for j in listing["jobs"])
 
 
 class TestBackpressure:
-    def test_429_when_queue_full(self, tmp_path):
-        session = Session(ledger=tmp_path / "runs")
-        manager = JobManager(session, job_workers=1, queue_size=1)
-        # Workers not started: the queue fills deterministically.
-        server = SimulationServer(("127.0.0.1", 0), manager)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        base = f"http://127.0.0.1:{server.port}"
-        try:
-            status, _ = _request(
-                "POST", f"{base}/jobs", {"kind": "run", "config": RUN_CONFIG}
+    # Workers not started: the queue fills deterministically.
+    @pytest.mark.service(job_workers=1, queue_size=1, start=False)
+    def test_429_when_queue_full(self, service):
+        base, server = service.url, service.server
+        status, _, _ = request(
+            "POST", f"{base}/v1/jobs", {"kind": "run", "config": RUN_CONFIG}
+        )
+        assert status == 201
+        status, _, body = request(
+            "POST", f"{base}/v1/jobs", {"kind": "run", "config": RUN_CONFIG}
+        )
+        assert status == 429
+        assert "queue" in body["error"]
+        # The rejection lands in the dedicated backpressure counter
+        # (recorded just after the response is written — poll briefly).
+        deadline = time.monotonic() + 5.0
+        while time.monotonic() < deadline:
+            bp = next(
+                s for s in server.telemetry.snapshot()
+                if s["name"] == "deuce_http_backpressure_total"
             )
-            assert status == 201
-            status, body = _request(
-                "POST", f"{base}/jobs", {"kind": "run", "config": RUN_CONFIG}
-            )
-            assert status == 429
-            assert "queue" in body["error"]
-            # The rejection lands in the dedicated backpressure counter
-            # (recorded just after the response is written — poll briefly).
-            deadline = time.monotonic() + 5.0
-            while time.monotonic() < deadline:
-                bp = next(
-                    s for s in server.telemetry.snapshot()
-                    if s["name"] == "deuce_http_backpressure_total"
-                )
-                if bp["value"]:
-                    break
-                time.sleep(0.01)
-            assert bp["value"] == 1
-        finally:
-            server.shutdown()
-            server.server_close()
-            thread.join(timeout=10)
+            if bp["value"]:
+                break
+            time.sleep(0.01)
+        assert bp["value"] == 1
 
-    def test_503_when_draining(self, tmp_path):
-        session = Session(ledger=tmp_path / "runs")
-        manager = JobManager(session, job_workers=1).start()
-        manager.drain(5)
-        server = SimulationServer(("127.0.0.1", 0), manager)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        base = f"http://127.0.0.1:{server.port}"
-        try:
-            status, _ = _request(
-                "POST", f"{base}/jobs", {"kind": "run", "config": RUN_CONFIG}
-            )
-            assert status == 503
-            status, body = _request("GET", f"{base}/healthz")
-            assert body["status"] == "draining"
-        finally:
-            server.shutdown()
-            server.server_close()
-            thread.join(timeout=10)
+    @pytest.mark.service(job_workers=1)
+    def test_503_when_draining(self, service):
+        base = service.url
+        service.manager.drain(5)
+        status, _, _ = request(
+            "POST", f"{base}/v1/jobs", {"kind": "run", "config": RUN_CONFIG}
+        )
+        assert status == 503
+        status, _, body = request("GET", f"{base}/v1/healthz")
+        assert body["status"] == "draining"
 
 
 class TestMetricsEndpoint:
     def test_metrics_json(self, service):
-        base, _ = service
-        _request("GET", f"{base}/v1/healthz")  # generate one request first
-        status, body = _request("GET", f"{base}/v1/metrics")
+        base = service.url
+        request("GET", f"{base}/v1/healthz")  # generate one request first
+        status, _, body = request("GET", f"{base}/v1/metrics")
         assert status == 200
         assert body["api_version"] == "v1"
         assert body["uptime_s"] >= 0.0
@@ -305,7 +258,7 @@ class TestMetricsEndpoint:
         assert req["value"] >= 1
 
     def test_metrics_prometheus_format_param(self, service):
-        base, _ = service
+        base = service.url
         with urllib.request.urlopen(
             f"{base}/v1/metrics?format=prometheus", timeout=30
         ) as resp:
@@ -316,7 +269,7 @@ class TestMetricsEndpoint:
         assert "deuce_queue_capacity 16" in text
 
     def test_metrics_prometheus_accept_header(self, service):
-        base, _ = service
+        base = service.url
         req = urllib.request.Request(
             f"{base}/v1/metrics", headers={"Accept": "text/plain"}
         )
@@ -324,12 +277,12 @@ class TestMetricsEndpoint:
             assert resp.headers["Content-Type"].startswith("text/plain")
 
     def test_request_latency_labeled_by_route_template(self, service):
-        base, _ = service
-        _, body = _request(
+        base = service.url
+        _, _, body = request(
             "POST", f"{base}/v1/jobs", {"kind": "run", "config": RUN_CONFIG}
         )
         _poll_terminal(base, body["job_id"])
-        _, metrics = _request("GET", f"{base}/v1/metrics")
+        _, _, metrics = request("GET", f"{base}/v1/metrics")
         routes = {
             m["labels"]["route"]
             for m in metrics["metrics"]
@@ -339,13 +292,28 @@ class TestMetricsEndpoint:
         assert "/jobs/{id}" in routes
         assert not any(body["job_id"] in r for r in routes)
 
+    def test_bare_path_404_is_labelled_other(self, service):
+        status, _, _ = request("GET", f"{service.url}/healthz")
+        assert status == 404
+        # Recorded just after the response is written — poll briefly.
+        deadline = time.monotonic() + 5.0
+        while time.monotonic() < deadline:
+            labels = [
+                s["labels"] for s in service.server.telemetry.snapshot()
+                if s["name"] == "deuce_http_requests_total"
+            ]
+            if labels:
+                break
+            time.sleep(0.01)
+        assert labels == [{"method": "GET", "route": "other", "status": "404"}]
+
     def test_job_phase_histograms_populate(self, service):
-        base, _ = service
-        _, body = _request(
+        base = service.url
+        _, _, body = request(
             "POST", f"{base}/v1/jobs", {"kind": "run", "config": RUN_CONFIG}
         )
         _poll_terminal(base, body["job_id"])
-        _, metrics = _request("GET", f"{base}/v1/metrics")
+        _, _, metrics = request("GET", f"{base}/v1/metrics")
         phases = {
             m["name"]: m
             for m in metrics["metrics"]
@@ -356,7 +324,7 @@ class TestMetricsEndpoint:
         assert phases["deuce_job_exec_seconds"]["count"] >= 1
         assert phases["deuce_job_total_seconds"]["count"] >= 1
         # healthz enrichment agrees once the job settled.
-        _, health = _request("GET", f"{base}/v1/healthz")
+        _, _, health = request("GET", f"{base}/v1/healthz")
         assert health["jobs_completed"] >= 1
 
 
@@ -381,10 +349,11 @@ class TestServeProcess:
             match = re.search(r"http://127\.0\.0\.1:(\d+)", banner)
             assert match, f"no port in banner: {banner!r}"
             base = f"http://127.0.0.1:{match.group(1)}"
-            status, _ = _request("GET", f"{base}/healthz")
+            status, _, _ = request("GET", f"{base}/v1/healthz")
             assert status == 200
-            status, body = _request(
-                "POST", f"{base}/jobs", {"kind": "run", "config": RUN_CONFIG}
+            status, _, body = request(
+                "POST", f"{base}/v1/jobs",
+                {"kind": "run", "config": RUN_CONFIG},
             )
             assert status == 201
             _poll_terminal(base, body["job_id"])

@@ -139,7 +139,7 @@ class TestJobManagerTelemetry:
         session = Session(ledger=tmp_path / "runs")
         manager = JobManager(session, job_workers=1, queue_size=4).start()
         try:
-            spec = JobSpec.from_payload({
+            spec = JobSpec.decode({
                 "kind": "run",
                 "config": {"workload": "mcf", "scheme": "deuce",
                            "n_writes": 200},
@@ -170,7 +170,7 @@ class TestJobManagerTelemetry:
         session = Session(ledger=tmp_path / "runs")
         manager = JobManager(session, job_workers=2, queue_size=4).start()
         try:
-            spec = JobSpec.from_payload({
+            spec = JobSpec.decode({
                 "kind": "run",
                 "config": {"workload": "mcf", "scheme": "deuce",
                            "n_writes": 200},

@@ -138,10 +138,10 @@ class TestServiceJobTrace:
         manager = JobManager(session, job_workers=1, queue_size=4).start()
         try:
             job = manager.submit(
-                JobSpec.from_payload(
+                JobSpec.decode(
                     {
                         "kind": "sweep",
-                        "configs": [
+                        "config": [
                             {
                                 "workload": "mcf",
                                 "scheme": "deuce",
@@ -150,7 +150,7 @@ class TestServiceJobTrace:
                             }
                             for i in range(2)
                         ],
-                        "workers": 2,
+                        "options": {"workers": 2},
                     }
                 )
             )
@@ -182,7 +182,7 @@ class TestServiceJobTrace:
         manager = JobManager(session, job_workers=1, queue_size=4).start()
         try:
             job = manager.submit(
-                JobSpec.from_payload(
+                JobSpec.decode(
                     {
                         "kind": "run",
                         "config": {
@@ -218,7 +218,7 @@ class TestServiceJobTrace:
         ).start()
         try:
             job = manager.submit(
-                JobSpec.from_payload(
+                JobSpec.decode(
                     {
                         "kind": "run",
                         "config": {
