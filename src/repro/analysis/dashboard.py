@@ -21,8 +21,9 @@ Layout
   write-path regression is visible as a dip the moment the bench lands
   in the ledger.
 * **Write-path profile** — phase breakdown bars from the newest run that
-  carried a ``profile.json`` artifact (the chunked write loop's per-phase
-  time attribution), linking wall time to the kernel responsible.
+  carried a ``profile.json`` artifact (the run's per-phase time
+  attribution), linking wall time to the kernel responsible; nested
+  phases (``pad.fetch``) are shown but not added to the total.
 * **Scheme cards** — one card per scheme seen in the ledger, each with one
   sparkline per metric in :data:`TRACKED_METRICS` plotted across that
   scheme's run history (oldest left, newest right).
@@ -42,6 +43,7 @@ import html
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
+from repro.obs.profile import NESTED_PHASES
 from repro.schemes import SCHEME_NAMES
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -548,15 +550,23 @@ def _profile_panel(ledger: "RunLedger") -> str:
         ),
         key=lambda row: -row[1],
     )
-    total = sum(seconds for _, seconds, _ in rows) or 1.0
+    # Nested phases (pad.fetch inside scheme.write) are already in their
+    # parent's seconds, so the denominator is the top-level sum, the same
+    # one PhaseProfile.total_s and the stored shares use.
+    total = sum(
+        seconds for name, seconds, _ in rows if name not in NESTED_PHASES
+    ) or 1.0
     light, dark = _PALETTE_LIGHT[0], _PALETTE_DARK[0]
     bars = []
     for name, seconds, count in rows:
         share = seconds / total
         width = max(round(share * 100, 1), 0.5)
+        label = name
+        if name in NESTED_PHASES:
+            label += f" (in {NESTED_PHASES[name]})"
         bars.append(
             '<div class="bar-row">'
-            f'<span class="bar-label">{html.escape(name)}</span>'
+            f'<span class="bar-label">{html.escape(label)}</span>'
             '<span class="bar-track">'
             f'<span class="bar-fill light-only" style="width:{width}%;'
             f'background:{light}"></span>'

@@ -4,7 +4,7 @@ One :class:`Session` is the single config-resolution path shared by the CLI
 (``deuce-sim run/experiment``), the job service (``deuce-sim serve``),
 experiments, and benchmarks: it owns the run ledger, the observability
 options, and the worker conventions, so none of those callers wires up
-``RunLedger``/``Instruments``/``PhaseAccumulator`` plumbing themselves.
+``RunLedger``/``Instruments``/``Tracer`` plumbing themselves.
 
 .. code-block:: python
 
@@ -185,12 +185,13 @@ class Session:
     ):
         """The run's observability bundle from session state.
 
-        Returns ``(instruments, metrics, tracer, phases)``; all ``None``
-        when nothing would observe the run, so the runner skips every
-        timer, span and sample.  With the ledger on, a metrics registry
-        and a phase-accumulating tracer are always live: the manifest needs
-        per-phase wall times and summary counters even when no output path
-        was given.
+        Returns ``(instruments, metrics, tracer)``; all ``None`` when
+        nothing would observe the run, so the runner skips every timer,
+        span and sample.  With the ledger on, a metrics registry is always
+        live: the manifest needs summary counters, and the run's phase
+        profile (its ``phases`` and ``profile.json``) is on whenever
+        metrics are.  A tracer exists only when ``obs.trace_out`` asks
+        for a trace file.
         """
         ledger_on = self.ledger is not None
         sample_interval = obs.sample_interval
@@ -205,48 +206,26 @@ class Session:
             or progress is not None
             or should_stop is not None
         ):
-            return None, None, None, None
+            return None, None, None
         from repro.obs import Instruments, JsonlSink, MetricsRegistry, Tracer
-        from repro.obs.ledger import PhaseAccumulator
-        from repro.obs.profile import PhaseProfile
 
-        metrics = (
-            MetricsRegistry() if (obs.metrics_out or ledger_on) else None
-        )
-        phases = None
-        tracer = None
-        if obs.trace_out or ledger_on:
-            sink = None
-            if obs.trace_out:
-                meta = None
-                if obs.trace_context is not None:
-                    meta = {**obs.trace_context.to_dict(), "lane": "run"}
-                sink = JsonlSink(obs.trace_out, meta=meta)
-            if ledger_on:
-                phases = PhaseAccumulator(inner=sink)
-                sink = phases
-            tracer = Tracer(sink)
         instruments = Instruments(
-            sample_interval=sample_interval, abort=should_stop
+            sample_interval=sample_interval,
+            abort=should_stop,
+            per_write_spans=obs.per_write_spans,
         )
-        if metrics is not None:
-            # Per-phase write-path attribution rides on timestamps the
-            # chunked loop already takes; cheap enough to keep on for any
-            # recorded run.
-            instruments.profile = PhaseProfile()
-        if metrics is not None:
-            instruments.metrics = metrics
-        if tracer is not None:
-            instruments.tracer = tracer
-            # Write-granular spans only when a trace file was asked for
-            # (and the caller did not opt into chunk-level spans); the
-            # ledger's phase totals aggregate identically from the chunked
-            # loop's one-span-per-chunk stream, so ledger-only runs keep
-            # the batched fast path.
-            instruments.per_write_spans = (
-                bool(obs.trace_out) and obs.per_write_spans
+        metrics = None
+        if obs.metrics_out or ledger_on:
+            metrics = instruments.metrics = MetricsRegistry()
+        tracer = None
+        if obs.trace_out:
+            meta = None
+            if obs.trace_context is not None:
+                meta = {**obs.trace_context.to_dict(), "lane": "run"}
+            tracer = instruments.tracer = Tracer(
+                JsonlSink(obs.trace_out, meta=meta)
             )
-        return instruments, metrics, tracer, phases
+        return instruments, metrics, tracer
 
     # -- checkpoint plumbing -------------------------------------------------
 
@@ -350,7 +329,7 @@ class Session:
                 self.ledger.run_dir(run_id) / RUN_CHECKPOINT_DIRNAME
             )
         obs = obs if obs is not None else self.obs
-        instruments, metrics, tracer, phases = self._resolve_instruments(
+        instruments, metrics, tracer = self._resolve_instruments(
             config, obs, progress, should_stop
         )
         if progress is not None:
@@ -410,7 +389,6 @@ class Session:
                 config,
                 kind="run",
                 label=self.label if label is None else label,
-                phases=phases.totals if phases is not None else None,
                 artifacts=artifacts,
                 artifact_text=artifact_text,
                 run_id=run_id,

@@ -473,7 +473,8 @@ def _cmd_runs(args: argparse.Namespace) -> int:
                 }
                 for metric, sides in deltas.items()
             ]
-            print(render_table(list(rows[0]), rows,
+            # Four places: phase times are often milliseconds.
+            print(render_table(list(rows[0]), rows, precision=4,
                                title=f"{args.run_a} vs {args.run_b}:"))
         elif args.runs_command == "gc":
             removed = ledger.gc(keep=args.keep)
@@ -1212,7 +1213,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_runs_show = runs_sub.add_parser("show", help="print one run's manifest")
     p_runs_show.add_argument("run_id")
     p_runs_diff = runs_sub.add_parser(
-        "diff", help="compare two runs' summary metrics"
+        "diff", help="compare two runs' summary metrics and phase times"
     )
     p_runs_diff.add_argument("run_a")
     p_runs_diff.add_argument("run_b")

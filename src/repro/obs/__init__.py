@@ -10,9 +10,11 @@ Four pieces, all zero-dependency and null-by-default:
 * :mod:`repro.obs.context` — :class:`TraceContext` carries trace/span ids
   plus a wall-clock anchor across process boundaries, correlating service,
   sweep, and worker lanes into one trace.
-* :mod:`repro.obs.profile` — :class:`PhaseProfile` accumulates per-phase
-  wall time inside the chunked write loop (near-zero overhead, never
-  changes simulation state).
+* :mod:`repro.obs.profile` — :class:`PhaseProfile`, the run's one clock
+  per phase: every phase is stamped into it once, and the metrics
+  timers, ``RunResult.profile``, the manifest's ``phases`` and any trace
+  spans all read those stamps (near-zero overhead, never changes
+  simulation state).
 * :mod:`repro.obs.traceexport` — merge correlated lanes into Chrome
   trace-event JSON (:func:`export_chrome_trace`) or a text report with
   critical path and stragglers (:func:`build_report`).
@@ -45,7 +47,6 @@ from repro.obs.gate import (
 from repro.obs.instruments import DISABLED, Instruments, InstrumentedPadSource
 from repro.obs.ledger import (
     LedgerError,
-    PhaseAccumulator,
     RunLedger,
     RunManifest,
     build_manifest,
@@ -101,7 +102,6 @@ __all__ = [
     "load_baselines",
     "pin_baselines",
     "LedgerError",
-    "PhaseAccumulator",
     "RunLedger",
     "RunManifest",
     "build_manifest",

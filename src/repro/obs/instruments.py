@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.obs.metrics import NULL_METRICS, MetricsRegistry
-from repro.obs.profile import PhaseProfile
 from repro.obs.tracing import NULL_TRACER, NullTracer, Tracer
 
 
@@ -63,15 +62,13 @@ class Instruments:
     per_write_spans:
         When tracing is live, emit one span per write (full-fidelity JSONL
         traces); the runner then uses chunk size 1, the scalar reference.
-        Set False when the trace sink only aggregates per-phase totals (the
-        run ledger's default), so the runner keeps the configured chunk
-        size and emits one span per chunk under the same span names.
-    profile:
-        Optional :class:`~repro.obs.profile.PhaseProfile` the runner
-        accumulates per-phase time into (scheme write, wear rotation, PCM
-        apply, accumulate, checkpoint, trace-gen).  Reuses timestamps the
-        write loop already takes, so enabling it costs ~two dict ops per
-        chunk phase and never changes simulation state.
+        Set False (the job service and sweep cells do) to keep the
+        configured chunk size and emit one span per chunk under the same
+        span names.
+
+    With metrics live, the runner also times every phase into one
+    :class:`~repro.obs.profile.PhaseProfile` (``RunResult.profile``) and
+    fills the phase timers from it.
     """
 
     metrics: MetricsRegistry = field(default_factory=lambda: NULL_METRICS)
@@ -82,7 +79,6 @@ class Instruments:
     abort: Callable[[], bool] | None = None
     abort_every: int = 0
     per_write_spans: bool = True
-    profile: PhaseProfile | None = None
 
     @property
     def enabled(self) -> bool:
@@ -93,7 +89,6 @@ class Instruments:
             or self.sample_interval > 0
             or self.heartbeat is not None
             or self.abort is not None
-            or self.profile is not None
         )
 
 
@@ -104,17 +99,17 @@ DISABLED = Instruments()
 class InstrumentedPadSource:
     """Pad-source wrapper timing every pad fetch.
 
-    Wraps the scheme's (possibly cached) pad source when instrumentation is
-    enabled, so per-write tracing can attribute time to pad generation —
-    the phase that regressions in the write path most often hide in.
-    Records a ``pad.fetch`` timer and counter into the metrics registry and,
-    when tracing is on, one ``pad.fetch`` span per fetch.
+    Wraps the scheme's (possibly cached) pad source when the run has a
+    profile or a tracer, so time spent in pad generation — the phase that
+    regressions in the write path most often hide in — is attributed.
+    Adds each fetch to the run's ``pad.fetch`` profile phase (the runner
+    fills the ``pad.fetch_s`` timer and ``pad.fetches`` counter from it)
+    and, when tracing is on, emits one ``pad.fetch`` span per fetch.
     """
 
-    def __init__(self, inner, metrics: MetricsRegistry, tracer=NULL_TRACER):
+    def __init__(self, inner, profile=None, tracer=NULL_TRACER):
         self._inner = inner
-        self._timer = metrics.timer("pad.fetch_s")
-        self._count = metrics.counter("pad.fetches")
+        self._profile = profile
         self._tracer = tracer
         self._clock = time.perf_counter
 
@@ -123,37 +118,36 @@ class InstrumentedPadSource:
         """The wrapped pad source (unwrapping chain for cache stats)."""
         return self._inner
 
-    def _observe(self, t0: float, kind: str) -> None:
+    def _observe(self, t0: float, count: int, **attrs: object) -> None:
         dur = self._clock() - t0
-        self._timer.observe(dur)
-        self._count.inc()
+        if self._profile is not None:
+            self._profile.add("pad.fetch", dur, count)
         if self._tracer.enabled:
-            self._tracer.span_event("pad.fetch", t0, dur, op=kind)
+            self._tracer.span_event("pad.fetch", t0, dur, **attrs)
 
     def pad_block(self, address: int, counter: int, block_index: int) -> bytes:
         t0 = self._clock()
         pad = self._inner.pad_block(address, counter, block_index)
-        self._observe(t0, "block")
+        self._observe(t0, 1, op="block")
         return pad
 
     def line_pad(self, address: int, counter: int, n_bytes: int) -> bytes:
         t0 = self._clock()
         pad = self._inner.line_pad(address, counter, n_bytes)
-        self._observe(t0, "line")
+        self._observe(t0, 1, op="line")
         return pad
 
     def line_pad_array(self, address: int, counter: int, n_bytes: int):
         t0 = self._clock()
         pad = self._inner.line_pad_array(address, counter, n_bytes)
-        self._observe(t0, "line_array")
+        self._observe(t0, 1, op="line_array")
         return pad
 
     def line_pads_batch(self, addresses, counters, n_bytes: int):
         """Batched fetch: one timed call attributed to every pad in it.
 
-        Counts ``len(addresses)`` fetches and the same number of timer
-        observations (via ``observe_many``), so ``pad.fetches`` and the
-        ``pad.fetch_s`` count match the per-write path exactly.
+        Counts ``len(addresses)`` fetches, so the ``pad.fetch`` count
+        matches the per-write path exactly.
         """
         return self._observe_batch(
             self._inner.line_pads_batch, addresses, counters, n_bytes
@@ -168,12 +162,8 @@ class InstrumentedPadSource:
     def _observe_batch(self, fetch, addresses, *args):
         t0 = self._clock()
         pads = fetch(addresses, *args)
-        dur = self._clock() - t0
         n = len(addresses)
-        self._timer.observe_many(dur, n)
-        self._count.inc(n)
-        if self._tracer.enabled:
-            self._tracer.span_event("pad.fetch", t0, dur, op="batch", n=n)
+        self._observe(t0, n, op="batch", n=n)
         return pads
 
     def peek_line_pads_batch(self, addresses, counters, n_bytes: int):

@@ -3,9 +3,9 @@
 PR 2 gave runs live telemetry; this module makes it *durable*.  Every
 ``run``/``experiment``/sweep records a :class:`RunManifest` — run id, UTC
 timestamp, git revision, interpreter/numpy versions, a hash of the exact
-config, per-phase wall times lifted from tracer spans, summary metrics, and
-paths to any metrics/trace/series artifacts — into an append-only ledger
-directory (``.deuce-runs/`` by default):
+config, per-phase wall times from the run's phase profile, summary
+metrics, and paths to any metrics/trace/series artifacts — into an
+append-only ledger directory (``.deuce-runs/`` by default):
 
 .. code-block:: text
 
@@ -129,8 +129,10 @@ class RunManifest:
     wall_time_s / writes_per_s:
         End-to-end wall time and throughput (the perf-gate inputs).
     phases:
-        Per-phase wall seconds lifted from tracer spans
-        (``{"scheme.write": 0.41, "pcm.apply": 0.08, ...}``).
+        Per-phase wall seconds, read from the run's phase profile
+        (``RunResult.profile``, also stored as ``profile.json``):
+        ``{"scheme.write": 0.41, "pcm.apply": 0.08, ...}``.  Empty when
+        the run kept no profile (sweep cells, experiments).
     summary:
         Flat summary metrics (:meth:`RunResult.summary_row` for runs,
         suite averages for experiments, bench payloads for benches).
@@ -217,10 +219,13 @@ def manifest_from_result(
     *,
     kind: str = "run",
     label: str = "",
-    phases: dict[str, float] | None = None,
     run_id: str = "",
 ) -> RunManifest:
-    """Build a run manifest from a finished simulation."""
+    """Build a run manifest from a finished simulation.
+
+    ``phases`` are the seconds of ``result.profile``, so they equal the
+    run's ``profile.json`` exactly.
+    """
     return build_manifest(
         kind=kind,
         label=label,
@@ -229,41 +234,22 @@ def manifest_from_result(
         scheme=config.scheme,
         n_writes=result.n_writes,
         wall_time_s=result.wall_time_s,
-        phases=phases,
+        phases={
+            name: entry["seconds"]
+            for name, entry in (result.profile or {}).items()
+        },
         summary=result.summary_row(),
         run_id=run_id,
     )
 
 
-class PhaseAccumulator:
-    """Tracer sink summing span durations by name.
-
-    Attach as (or tee into) a :class:`~repro.obs.tracing.Tracer` sink and the
-    run's per-phase wall times (``trace.gen``, ``install``, ``scheme.write``,
-    ``pad.fetch``, ``pcm.apply``, ...) accumulate in :attr:`totals`, ready to
-    drop into a manifest's ``phases`` field.  Events pass through to an
-    optional inner sink, so a run can both stream a JSONL trace and feed the
-    ledger from one tracer.
-    """
-
-    def __init__(self, inner=None) -> None:
-        self.totals: dict[str, float] = {}
-        self.inner = inner
-
-    def emit(self, record: dict[str, object]) -> None:
-        if record.get("type") == "span":
-            name = str(record.get("name", ""))
-            dur = record.get("dur", 0.0)
-            if isinstance(dur, (int, float)):
-                self.totals[name] = self.totals.get(name, 0.0) + dur
-        if self.inner is not None:
-            self.inner.emit(record)
-
-    def close(self) -> None:
-        if self.inner is not None:
-            close = getattr(self.inner, "close", None)
-            if close is not None:
-                close()
+def _diff_values(manifest: RunManifest) -> dict[str, object]:
+    """A manifest's summary, wall time and ``phase.<name>`` seconds."""
+    return {
+        **manifest.summary,
+        "wall_time_s": manifest.wall_time_s,
+        **{f"phase.{k}": v for k, v in manifest.phases.items()},
+    }
 
 
 class RunLedger:
@@ -330,15 +316,13 @@ class RunLedger:
         *,
         kind: str = "run",
         label: str = "",
-        phases: dict[str, float] | None = None,
         artifacts: dict[str, str | Path] | None = None,
         artifact_text: dict[str, str] | None = None,
         run_id: str = "",
     ) -> RunManifest:
         """Build a manifest from a finished run and :meth:`record` it."""
         manifest = manifest_from_result(
-            result, config, kind=kind, label=label, phases=phases,
-            run_id=run_id,
+            result, config, kind=kind, label=label, run_id=run_id
         )
         return self.record(
             manifest, artifacts=artifacts, artifact_text=artifact_text
@@ -405,9 +389,11 @@ class RunLedger:
     def diff(self, run_id_a: str, run_id_b: str) -> dict[str, dict[str, object]]:
         """Numeric summary metrics side by side: ``{metric: {a, b, delta}}``.
 
-        Includes ``wall_time_s`` so perf drift shows up next to the
-        simulation metrics; non-numeric summary values are compared for
-        equality and reported with ``delta=None`` when they differ.  When
+        Includes ``wall_time_s`` and one ``phase.<name>`` row per manifest
+        phase, so perf drift shows up next to the simulation metrics and
+        names the phase it came from; non-numeric summary values (and a
+        phase only one run has) are compared for equality and reported
+        with ``delta=None`` when they differ.  When
         both runs embed configs, differing config fields are surfaced as
         ``config.<field>`` rows (decoded through the strict
         :meth:`SimConfig.from_dict <repro.sim.config.SimConfig.from_dict>`
@@ -416,12 +402,9 @@ class RunLedger:
         """
         a, b = self.get(run_id_a), self.get(run_id_b)
         rows: dict[str, dict[str, object]] = {}
-        keys = list(
-            dict.fromkeys([*a.summary, *b.summary, "wall_time_s"])
-        )
-        for key in keys:
-            va = a.wall_time_s if key == "wall_time_s" else a.summary.get(key)
-            vb = b.wall_time_s if key == "wall_time_s" else b.summary.get(key)
+        flat_a, flat_b = _diff_values(a), _diff_values(b)
+        for key in dict.fromkeys([*flat_a, *flat_b]):
+            va, vb = flat_a.get(key), flat_b.get(key)
             if isinstance(va, (int, float)) and isinstance(vb, (int, float)):
                 rows[key] = {"a": va, "b": vb, "delta": round(vb - va, 6)}
             elif va != vb:

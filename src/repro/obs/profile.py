@@ -1,20 +1,28 @@
-"""Near-zero-overhead phase profiler for the chunked write path.
+"""The run's one clock per phase.
 
-The chunked runner already stamps ``perf_counter`` around each kernel
-(batch write, rotation, PCM apply) to drive chunk spans.  A
-:class:`PhaseProfile` reuses those deltas: attribution costs two dict
-operations per chunk phase — no extra clock reads on the hot path — so
-profiled runs stay within noise of unprofiled ones and remain
-bit-identical (the profile never touches simulation state).
+:func:`repro.sim.runner.run` builds one :class:`PhaseProfile` per run
+whenever metrics are live, and every phase is stamped into it exactly
+once: ``trace.gen``, ``install`` (or ``resume.load``), the write loop's
+``scheme.write`` / ``wear.rotation`` / ``pcm.apply`` / ``accumulate`` /
+``checkpoint``, and the pad wrapper's ``pad.fetch``.  Everything else
+reads those stamps: the metrics timers, ``RunResult.profile`` (the
+ledger's ``profile.json``), the manifest's ``phases`` and, with a trace
+file, the spans.  The write loop reuses the ``perf_counter`` reads that
+bound each kernel, so attribution costs a few dict operations per chunk
+and never touches simulation state.
 
-Phases are free-form dotted names (``write.batch``, ``accumulate``,
-``pad.fetch``, ``checkpoint``, ``trace.gen``…).  ``to_dict`` renders a
-stable summary suitable for ledger manifests.
+Some phases run inside another one (:data:`NESTED_PHASES`); their seconds
+are already part of the parent's, so :attr:`PhaseProfile.total_s` and the
+shares leave them out.
 """
 
 from __future__ import annotations
 
 from typing import Any, Iterable
+
+#: Phases timed inside another phase: child -> parent.  Pad fetches happen
+#: inside the scheme's kernels (``scheme.write``; at install, ``install``).
+NESTED_PHASES = {"pad.fetch": "scheme.write"}
 
 
 class PhaseProfile:
@@ -34,13 +42,14 @@ class PhaseProfile:
             slot[0] += seconds
             slot[1] += count
 
-    def merge(self, other: "PhaseProfile") -> None:
-        for name, (secs, count) in other.phases.items():
-            self.add(name, secs, int(count))
-
     @property
     def total_s(self) -> float:
-        return sum(slot[0] for slot in self.phases.values())
+        """Seconds attributed to top-level phases (nested ones excluded)."""
+        return sum(
+            slot[0]
+            for name, slot in self.phases.items()
+            if name not in NESTED_PHASES
+        )
 
     def items(self) -> Iterable[tuple[str, float, int]]:
         for name, (secs, count) in sorted(
@@ -49,7 +58,12 @@ class PhaseProfile:
             yield name, secs, int(count)
 
     def to_dict(self) -> dict[str, Any]:
-        """Stable, JSON-friendly summary: name -> {seconds, count, share}."""
+        """Stable, JSON-friendly summary: name -> {seconds, count, share}.
+
+        ``share`` is the fraction of :attr:`total_s`, so the top-level
+        shares sum to 1; a nested phase also names its parent
+        (``"within": "scheme.write"``).
+        """
         total = self.total_s
         out: dict[str, Any] = {}
         for name, secs, count in self.items():
@@ -58,14 +72,9 @@ class PhaseProfile:
                 "count": count,
                 "share": round(secs / total, 4) if total > 0 else 0.0,
             }
+            if name in NESTED_PHASES:
+                out[name]["within"] = NESTED_PHASES[name]
         return out
-
-    def totals(self) -> dict[str, float]:
-        """name -> seconds, for merging into manifest ``phases``."""
-        return {name: round(secs, 6) for name, secs, _ in self.items()}
-
-    def __bool__(self) -> bool:
-        return bool(self.phases)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         parts = ", ".join(f"{n}={s:.3f}s/{c}" for n, s, c in self.items())

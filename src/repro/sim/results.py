@@ -225,7 +225,7 @@ class RunResult:
         elif self.restored_lifetime_norm is not None:
             row["lifetime_norm"] = self.restored_lifetime_norm
         # Per-phase rates for phased (KV) traces; keys are distinct from
-        # RunManifest.phases (which holds tracer wall-seconds).
+        # RunManifest.phases (the phase profile's wall-seconds).
         for phase in self.phase_summary():
             prefix = f"phase_{phase['phase']}"
             row[f"{prefix}_writes"] = phase["writes"]

@@ -15,13 +15,17 @@ scheme then runs its own ``install()``/``write()``, one write per chunk,
 which is what the parity tests compare the vectorized kernels against.
 
 Observability: :func:`run` accepts an optional
-:class:`~repro.obs.instruments.Instruments` bundle.  A live bundle adds
-per-phase timers, spans (``scheme.write`` / ``pad.fetch`` /
+:class:`~repro.obs.instruments.Instruments` bundle.  With metrics live,
+each phase is timed once, into the run's one
+:class:`~repro.obs.profile.PhaseProfile`; the phase timers and
+``RunResult.profile`` are read from it, and a live tracer gets spans
+built from the same clock reads (``scheme.write`` / ``pad.fetch`` /
 ``wear.rotation`` / ``pcm.apply``, one per chunk, or one per write when
-``per_write_spans`` asks for them, which forces the chunk size to 1),
-interval samples into ``RunResult.series``, and periodic heartbeats.
-Instrumentation only ever *reads* simulation state, so results are
-identical with or without it (there is a test for this).
+``per_write_spans`` asks for them, which forces the chunk size to 1).
+A live bundle also adds interval samples into ``RunResult.series`` and
+periodic heartbeats.  Instrumentation only ever *reads* simulation
+state, so results are identical with or without it (there is a test for
+this).
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ import json
 import threading
 import time
 from collections import OrderedDict
+from contextlib import contextmanager
 from functools import partial
 
 import numpy as np
@@ -258,7 +263,7 @@ def run(
     t_start = time.perf_counter()
     obs = instruments if instruments is not None else DISABLED
     tracer = obs.tracer
-    profile = obs.profile
+    profile = PhaseProfile() if obs.metrics.enabled else None
 
     checkpoint = None
     if resume_from is not None:
@@ -279,8 +284,7 @@ def run(
         raise ValueError("run() needs a config or a resume_from checkpoint")
 
     if trace is None:
-        with tracer.span("trace.gen", workload=config.workload):
-            tg0 = time.perf_counter()
+        with _timed(profile, tracer, "trace.gen", workload=config.workload):
             trace = cached_trace(
                 config.workload,
                 config.n_writes,
@@ -289,14 +293,14 @@ def run(
                 abort=obs.abort if obs.enabled else None,
                 params=config.workload_params,
             )
-            if profile is not None:
-                profile.add("trace.gen", time.perf_counter() - tg0)
     scheme = build_scheme(config)
     pad_cache = _find_pad_cache(getattr(scheme, "pads", None))
-    if obs.enabled and getattr(scheme, "pads", None) is not None:
+    if (profile is not None or tracer.enabled) and getattr(
+        scheme, "pads", None
+    ) is not None:
         # Outermost wrap: pad-fetch timing as the scheme experiences it
         # (cache hits included).
-        scheme.pads = InstrumentedPadSource(scheme.pads, obs.metrics, tracer)
+        scheme.pads = InstrumentedPadSource(scheme.pads, profile, tracer)
 
     # Per-write spans need one write per chunk; otherwise the config's
     # chunk size holds.
@@ -305,17 +309,15 @@ def run(
     )
     install, write = _kernels(scheme, chunk_size)
     addresses = trace.addresses()
-    ti0 = time.perf_counter() if profile is not None else 0.0
     if checkpoint is None:
-        with tracer.span("install", lines=len(addresses)):
+        with _timed(profile, tracer, "install", lines=len(addresses)):
             install(*trace.initial_arrays())
-        if profile is not None:
-            profile.add("install", time.perf_counter() - ti0)
     else:
-        with tracer.span("resume.load", write_index=checkpoint.write_index):
+        with _timed(
+            profile, tracer, "resume.load",
+            write_index=checkpoint.write_index,
+        ):
             scheme.load_state_dict(checkpoint.scheme_state)
-        if profile is not None:
-            profile.add("resume.load", time.perf_counter() - ti0)
 
     meta_bits = scheme.metadata_bits_per_line
     pcm = PcmArray(
@@ -375,8 +377,8 @@ def run(
     )
     _write_loop(
         config, trace, write, chunk_size, pcm, leveler, vwl, line_index,
-        result, obs, pad_cache, start=start, checkpointer=checkpointer,
-        tracker=tracker,
+        result, obs, profile, pad_cache, start=start,
+        checkpointer=checkpointer, tracker=tracker,
     )
 
     result.wear = pcm.summary()
@@ -391,14 +393,33 @@ def run(
     result.wall_time_s = time.perf_counter() - t_start
     result.config = config
     if profile is not None:
-        # Pad precompute happens inside write_batch; the instrumented pad
-        # wrapper already timed it, so attribute it from the metrics timer
-        # rather than re-stamping the hot path.
-        pad_timer = obs.metrics.timer("pad.fetch_s")
-        if pad_timer.count:
-            profile.add("pad.fetch", pad_timer.total, pad_timer.count)
+        for phase, timer in _TIMED_PHASES:
+            if phase in profile.phases:
+                seconds, count = profile.phases[phase]
+                obs.metrics.timer(timer).observe_many(seconds, int(count))
+        if "pad.fetch" in profile.phases:
+            obs.metrics.counter("pad.fetches").inc(
+                int(profile.phases["pad.fetch"][1])
+            )
         result.profile = profile.to_dict()
     return result
+
+
+@contextmanager
+def _timed(profile: PhaseProfile | None, tracer, name: str, **attrs):
+    """Time one phase with one pair of clock reads.
+
+    The same two stamps feed the profile and the span; as with a tracer
+    span, the span is emitted even when the phase raises.
+    """
+    t0 = time.perf_counter()
+    try:
+        yield
+    finally:
+        dur = time.perf_counter() - t0
+        if profile is not None:
+            profile.add(name, dur)
+        tracer.span_event(name, t0, dur, **attrs)
 
 
 def _next_multiple(i: int, every: int) -> int:
@@ -423,11 +444,12 @@ def _kernels(scheme: WriteScheme, chunk_size: int):
     )
 
 
-#: Write-loop phases whose profile totals also feed a metrics timer.
+#: Profile phases whose totals fill a metrics timer when the run ends.
 _TIMED_PHASES = (
     ("scheme.write", "scheme.write_s"),
     ("wear.rotation", "wear.rotation_s"),
     ("pcm.apply", "pcm.apply_s"),
+    ("pad.fetch", "pad.fetch_s"),
 )
 
 
@@ -442,6 +464,7 @@ def _write_loop(
     line_index: dict[int, int],
     result: RunResult,
     obs: Instruments,
+    profile: PhaseProfile | None,
     pad_cache: CachingPadSource | None,
     start: int = 0,
     checkpointer: RunCheckpointer | None = None,
@@ -463,9 +486,9 @@ def _write_loop(
       (the triggering write itself still uses the old rotation).
 
     Epoch resets, pad-cache traffic and flip accounting happen inside the
-    kernel.  Phase times go into one :class:`PhaseProfile`; the metrics
-    timers are filled from it when the loop ends.  With tracing live,
-    each chunk gets one span per phase; at ``chunk_size=1`` those spans
+    kernel.  Phase times go into the run's ``profile`` (``None`` when
+    metrics are off).  With tracing live, each chunk gets one span per
+    phase from the same clock reads; at ``chunk_size=1`` those spans
     carry the write's address, mode and rotation, and epoch resets and
     mode switches become events.
     """
@@ -478,11 +501,6 @@ def _write_loop(
     tracer = obs.tracer
     tracing = tracer.enabled
     per_write = tracing and chunk_size == 1
-    profile = (
-        PhaseProfile()
-        if obs.profile is not None or metrics.enabled
-        else None
-    )
     perf = time.perf_counter
 
     sampler = None
@@ -592,13 +610,6 @@ def _write_loop(
             sampler.record(i)
         if hb_every and i % hb_every == 0:
             heartbeat(i, n_records)
-
-    if profile is not None:
-        for phase, timer in _TIMED_PHASES:
-            seconds, count = profile.phases.get(phase, (0.0, 0))
-            metrics.timer(timer).observe_many(seconds, int(count))
-        if obs.profile is not None:
-            obs.profile.merge(profile)
 
     if enabled:
         metrics.gauge("run.write_loop_s").set(perf() - loop_t0)

@@ -8,7 +8,6 @@ import pytest
 
 from repro.obs.ledger import (
     LedgerError,
-    PhaseAccumulator,
     RunLedger,
     RunManifest,
     build_manifest,
@@ -18,7 +17,6 @@ from repro.obs.ledger import (
     manifest_from_result,
     new_run_id,
 )
-from repro.obs.tracing import ListSink, Tracer
 from repro.sim.config import SimConfig
 from repro.sim.runner import run
 
@@ -203,29 +201,6 @@ class TestRunLedger:
         assert {m.run_id for m in ledger.list()} == {manifests[3].run_id}
 
 
-class TestPhaseAccumulator:
-    def test_sums_span_durations_by_name(self):
-        acc = PhaseAccumulator()
-        tracer = Tracer(acc)
-        with tracer.span("scheme.write"):
-            pass
-        with tracer.span("scheme.write"):
-            pass
-        with tracer.span("pcm.apply"):
-            pass
-        tracer.event("epoch.reset")  # events are not phases
-        assert set(acc.totals) == {"scheme.write", "pcm.apply"}
-        assert acc.totals["scheme.write"] >= 0.0
-
-    def test_tees_records_to_inner_sink(self):
-        inner = ListSink()
-        tracer = Tracer(PhaseAccumulator(inner=inner))
-        with tracer.span("install"):
-            pass
-        tracer.close()
-        assert [r["name"] for r in inner.records] == ["install"]
-
-
 class TestLedgerThroughRunner:
     def test_record_result_persists_a_runnable_manifest(self, tmp_path):
         config = small_config()
@@ -236,3 +211,29 @@ class TestLedgerThroughRunner:
         assert fetched.label == "unit"
         assert fetched.config["scheme"] == "deuce"
         assert fetched.summary["flips_pct"] > 0
+
+    def test_diff_adds_one_row_per_phase(self, tmp_path):
+        from repro.obs.instruments import Instruments
+        from repro.obs.metrics import MetricsRegistry
+
+        ledger = RunLedger(tmp_path / "runs")
+        manifests = []
+        for scheme in ("deuce", "noencr-dcw"):
+            config = small_config(scheme=scheme)
+            result = run(
+                config, instruments=Instruments(metrics=MetricsRegistry())
+            )
+            manifests.append(ledger.record_result(result, config))
+        a, b = manifests
+        deltas = ledger.diff(a.run_id, b.run_id)
+        row = deltas["phase.scheme.write"]
+        assert (row["a"], row["b"]) == (
+            a.phases["scheme.write"], b.phases["scheme.write"]
+        )
+        assert row["delta"] == pytest.approx(row["b"] - row["a"], abs=1e-6)
+        # Only the encrypted run fetches pads: no delta to take.
+        assert deltas["phase.pad.fetch"]["b"] is None
+        assert deltas["phase.pad.fetch"]["delta"] is None
+        # A run without metrics keeps no profile, so records no phases.
+        config = small_config()
+        assert ledger.record_result(run(config), config).phases == {}

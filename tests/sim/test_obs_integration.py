@@ -32,7 +32,6 @@ from repro.obs import (
 from repro.obs.progress import DONE, HEARTBEAT, START
 from repro.sim.config import SimConfig
 from repro.sim.parallel import run_suite_parallel
-from repro.obs.profile import PhaseProfile
 from repro.sim.runner import cached_trace, run, run_suite
 
 
@@ -193,35 +192,44 @@ class TestTraceOutput:
         ).write_arrays()
         assert [r["addr"] for r in writes] == addresses.tolist()
 
-    @pytest.mark.parametrize("with_profile", [False, True])
+    @pytest.mark.parametrize("with_tracer", [False, True])
     @pytest.mark.parametrize("chunk_size", [1, 64])
     def test_phase_timers_come_from_the_profile(
-        self, chunk_size, with_profile
+        self, chunk_size, with_tracer
     ):
-        # The loop times into one PhaseProfile; the metrics timers are
-        # filled from it at the end with the same counts and sums.
+        # The run times into one PhaseProfile; the metrics timers are
+        # filled from it at the end with the same counts and sums, and a
+        # live tracer's spans carry the same stamps.
         config = SimConfig(
             "mcf", "dyndeuce", n_writes=300, seed=7, chunk_size=chunk_size
         )
         metrics = MetricsRegistry()
-        profile = PhaseProfile() if with_profile else None
+        sink = ListSink()
+        tracer = Tracer(sink) if with_tracer else DISABLED.tracer
         result = run(
             config,
-            instruments=Instruments(metrics=metrics, profile=profile),
+            instruments=Instruments(
+                metrics=metrics, tracer=tracer, per_write_spans=False
+            ),
         )
         snap = {s["name"]: s for s in metrics.snapshot()}
+        spans: dict[str, float] = {}
+        for record in sink.records:
+            if record["type"] == "span":
+                name = record["name"]
+                spans[name] = spans.get(name, 0.0) + record["dur"]
+        assert bool(spans) == with_tracer
         for phase, timer in (
             ("scheme.write", "scheme.write_s"),
             ("wear.rotation", "wear.rotation_s"),
             ("pcm.apply", "pcm.apply_s"),
         ):
             assert snap[timer]["count"] == config.n_writes
-            if with_profile:
-                seconds = result.profile[phase]["seconds"]
-                assert snap[timer]["sum"] == pytest.approx(seconds, abs=1e-6)
-                assert result.profile[phase]["count"] == config.n_writes
-        if not with_profile:
-            assert result.profile is None
+            seconds = result.profile[phase]["seconds"]
+            assert snap[timer]["sum"] == pytest.approx(seconds, abs=1e-6)
+            assert result.profile[phase]["count"] == config.n_writes
+            if with_tracer:
+                assert spans[phase] == pytest.approx(seconds, abs=1e-6)
 
     def test_metrics_cover_the_pipeline(self):
         config = SimConfig("mcf", "deuce", n_writes=300, seed=7)

@@ -8,7 +8,9 @@ The acceptance properties for the correlated-tracing surface:
 * worker lanes re-anchor their clocks, and the anchors agree: merged
   onto the wall axis, every cell span lands inside the sweep's window;
 * the write-path profiler attributes phase time without changing a
-  single simulated bit (instrumented runs stay bit-identical).
+  single simulated bit (instrumented runs stay bit-identical);
+* one clock per phase: a recorded run's manifest phases, its
+  ``profile.json`` and its trace spans are the same stamps.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ import pytest
 
 from repro.api import ObsOptions, Session
 from repro.obs.context import TraceContext
-from repro.obs.profile import PhaseProfile
+from repro.obs.instruments import Instruments
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.traceexport import build_report, load_trace, to_chrome_trace
 from repro.sim.config import SimConfig
 from repro.sim.runner import run
@@ -239,10 +242,11 @@ class TestServiceJobTrace:
 class TestWritePathProfiler:
     def test_profiled_run_is_bit_identical(self):
         config = SimConfig("mcf", "deuce", n_writes=N_WRITES)
-        from repro.obs.instruments import Instruments
 
         plain = run(config)
-        profiled = run(config, instruments=Instruments(profile=PhaseProfile()))
+        profiled = run(
+            config, instruments=Instruments(metrics=MetricsRegistry())
+        )
         assert profiled.profile is not None
         # The profile itself is NOT part of the comparable payload...
         assert "profile" not in plain.to_dict()
@@ -259,20 +263,36 @@ class TestWritePathProfiler:
         assert comparable(profiled) == comparable(plain)
 
     def test_profile_attributes_the_chunked_phases(self):
-        from repro.obs.instruments import Instruments
-
-        profile = PhaseProfile()
-        run(
+        result = run(
             SimConfig("mcf", "deuce", n_writes=N_WRITES),
-            instruments=Instruments(profile=profile),
+            instruments=Instruments(metrics=MetricsRegistry()),
         )
-        phases = profile.to_dict()
+        phases = result.profile
         for name in ("trace.gen", "install", "scheme.write", "pcm.apply",
                      "accumulate"):
             assert name in phases, f"missing phase {name}"
             assert phases[name]["seconds"] >= 0.0
-        shares = [entry["share"] for entry in phases.values()]
+        shares = [
+            entry["share"]
+            for entry in phases.values()
+            if "within" not in entry
+        ]
         assert 0.99 <= sum(shares) <= 1.01
+
+    def test_nested_pad_time_is_not_counted_twice(self):
+        # pad.fetch runs inside scheme.write: the top-level shares sum to
+        # one and the top-level seconds fit inside the run's wall time.
+        result = run(
+            SimConfig("Gems", "ble+deuce", n_writes=2_000),
+            instruments=Instruments(metrics=MetricsRegistry()),
+        )
+        phases = result.profile
+        assert phases["pad.fetch"]["within"] == "scheme.write"
+        top = [entry for entry in phases.values() if "within" not in entry]
+        assert sum(entry["share"] for entry in top) == pytest.approx(
+            1.0, abs=0.01
+        )
+        assert sum(entry["seconds"] for entry in top) <= result.wall_time_s
 
     def test_profiler_overhead_is_negligible(self):
         """Profiled runtime must stay close to the uninstrumented runtime.
@@ -283,8 +303,6 @@ class TestWritePathProfiler:
         check above pins correctness strictly.
         """
         import time
-
-        from repro.obs.instruments import Instruments
 
         config = SimConfig("mcf", "deuce", n_writes=2_000)
         run(config)  # warm caches
@@ -300,7 +318,7 @@ class TestWritePathProfiler:
         from repro.obs.instruments import DISABLED
 
         plain = best_of(3, lambda: DISABLED)
-        profiled = best_of(3, lambda: Instruments(profile=PhaseProfile()))
+        profiled = best_of(3, lambda: Instruments(metrics=MetricsRegistry()))
         assert profiled <= plain * 1.5
 
     def test_session_records_profile_artifact(self, tmp_path):
@@ -325,3 +343,43 @@ class TestWritePathProfiler:
         assert result.profile is not None
         lanes = load_trace(tmp_path / "run.jsonl")
         assert lanes[0].records
+
+    def test_one_clock_feeds_manifest_profile_and_trace(self, tmp_path):
+        session = Session(ledger=tmp_path / "runs")
+        trace_path = tmp_path / "run.jsonl"
+        result = session.run(
+            SimConfig("mcf", "deuce", n_writes=N_WRITES, seed=11),
+            obs=ObsOptions(trace_out=str(trace_path), per_write_spans=False),
+        )
+        manifest = result.manifest
+        stored = json.loads(
+            (
+                session.ledger.run_dir(manifest.run_id)
+                / manifest.artifacts["profile"]
+            ).read_text()
+        )
+        for name, seconds in manifest.phases.items():
+            assert seconds == stored[name]["seconds"], name
+        assert set(manifest.phases) == set(stored)
+        span_s: dict[str, float] = {}
+        for record in map(json.loads, trace_path.read_text().splitlines()):
+            if record["type"] == "span":
+                span_s[record["name"]] = (
+                    span_s.get(record["name"], 0.0) + record["dur"]
+                )
+        shared = set(span_s) & set(manifest.phases)
+        assert {"trace.gen", "install", "scheme.write", "pad.fetch"} <= shared
+        for name in shared:
+            assert span_s[name] == pytest.approx(
+                manifest.phases[name], abs=1e-6
+            ), name
+
+    def test_ledger_only_run_builds_no_tracer(self, tmp_path):
+        session = Session(ledger=tmp_path / "runs")
+        config = SimConfig("mcf", "deuce", n_writes=N_WRITES)
+        instruments, metrics, tracer = session._resolve_instruments(
+            config, ObsOptions(), None, None
+        )
+        assert tracer is None
+        assert not instruments.tracer.enabled
+        assert metrics is not None
