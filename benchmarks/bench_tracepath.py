@@ -15,8 +15,8 @@ single rep of either side would make the ratio noise).  Before any ratio
 is reported the chunked result is asserted **bit-identical** to the
 serial one — speed that changes physics is a bug, not a win.
 
-Results land in ``benchmarks/results/BENCH_tracepath.json`` (plus a repo-
-root copy) via :func:`common.record` for CI consumption.
+Results land in ``benchmarks/results/BENCH_tracepath.json`` via
+:func:`common.record` for CI consumption.
 """
 
 from __future__ import annotations

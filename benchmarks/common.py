@@ -22,8 +22,6 @@ BENCH_WRITES = 3_000
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
-REPO_ROOT = Path(__file__).parent.parent
-
 
 def _record_in_ledger(exp_id: str, rendered: str, data: dict | None) -> None:
     """Persist a bench result as a kind="bench" manifest in the run ledger.
@@ -51,46 +49,14 @@ def _record_in_ledger(exp_id: str, rendered: str, data: dict | None) -> None:
         pass
 
 
-def _append_history(exp_id: str, data: dict) -> None:
-    """Append one compact line to ``benchmarks/results/history.jsonl``.
-
-    The ``BENCH_*.json`` files overwrite in place, so they only ever show
-    the latest result; this append-only journal (stamped with the git
-    revision and UTC time) is what the dashboard's perf-trajectory
-    sparkline reads.  Best-effort, like the ledger record.
-    """
-    try:
-        import time
-
-        from repro.obs.ledger import git_revision
-
-        entry = {
-            "bench": exp_id,
-            "git_rev": git_revision(),
-            "utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-            **{
-                k: v
-                for k, v in data.items()
-                if isinstance(v, (int, float))
-            },
-        }
-        with open(RESULTS_DIR / "history.jsonl", "a") as fh:
-            fh.write(json.dumps(entry, sort_keys=True) + "\n")
-    except Exception:
-        pass
-
-
 def record(exp_id: str, rendered: str, data: dict | None = None) -> None:
     """Print a rendering and persist it under benchmarks/results/.
 
     When ``data`` is given it is additionally written as machine-readable
     JSON to ``benchmarks/results/BENCH_{exp_id}.json`` (for CI trend checks
-    and speedup gates); the write-path and trace-path benches also drop a
-    copy at the repo root (``BENCH_writepath.json`` /
-    ``BENCH_tracepath.json``) where perf-trend tooling expects
-    it.  Every bench result is additionally recorded in the run ledger as a
-    ``kind="bench"`` manifest and appended (git_rev-stamped) to
-    ``benchmarks/results/history.jsonl`` for perf-trajectory tracking.
+    and speedup gates).  Every bench result is additionally recorded in
+    the run ledger as a ``kind="bench"`` manifest, which the dashboard's
+    perf-trajectory panel reads.
     """
     print()
     print(rendered)
@@ -99,9 +65,6 @@ def record(exp_id: str, rendered: str, data: dict | None = None) -> None:
     if data is not None:
         blob = json.dumps(data, indent=2, sort_keys=True) + "\n"
         (RESULTS_DIR / f"BENCH_{exp_id}.json").write_text(blob)
-        if exp_id in ("writepath", "tracepath"):
-            (REPO_ROOT / f"BENCH_{exp_id}.json").write_text(blob)
-        _append_history(exp_id, data)
     _record_in_ledger(exp_id, rendered, data)
 
 

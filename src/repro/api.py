@@ -333,20 +333,9 @@ class Session:
             config, obs, progress, should_stop
         )
         if progress is not None:
-            def _event(kind: str, writes_done: int) -> ProgressEvent:
-                return ProgressEvent(
-                    kind=kind,
-                    cell=0,
-                    n_cells=1,
-                    writes_done=writes_done,
-                    n_writes=config.n_writes,
-                    workload=config.workload,
-                    scheme=config.scheme,
-                )
-
-            progress(_event(START, 0))
+            progress(ProgressEvent.for_cell(START, config))
             instruments.heartbeat = lambda done, total: progress(
-                _event(HEARTBEAT, done)
+                ProgressEvent.for_cell(HEARTBEAT, config, writes_done=done)
             )
         from repro.sim.runner import run as _run
 
@@ -394,7 +383,7 @@ class Session:
                 run_id=run_id,
             )
         if progress is not None:
-            progress(_event(DONE, config.n_writes))
+            progress(ProgressEvent.for_cell(DONE, config))
         return result
 
     def sweep(
@@ -403,7 +392,6 @@ class Session:
         *,
         workers: int | None = None,
         progress: Callable[[ProgressEvent], None] | None = None,
-        heartbeat_every: int = 0,
         label: str | None = None,
         should_stop: Callable[[], bool] | None = None,
         retries: int = 0,
@@ -487,7 +475,6 @@ class Session:
                     return executor.run_suite(
                         resolved,
                         progress=progress,
-                        heartbeat_every=heartbeat_every,
                         ledger=self.ledger,
                         ledger_label=self.label if label is None else label,
                         should_stop=should_stop,
@@ -500,7 +487,6 @@ class Session:
                     resolved,
                     max_workers=workers,
                     progress=progress,
-                    heartbeat_every=heartbeat_every,
                     ledger=self.ledger,
                     ledger_label=self.label if label is None else label,
                     should_stop=should_stop,

@@ -54,6 +54,29 @@ class ProgressEvent:
     workload: str = ""
     scheme: str = ""
 
+    @classmethod
+    def for_cell(
+        cls,
+        kind: str,
+        config,
+        cell: int = 0,
+        n_cells: int = 1,
+        writes_done: int = 0,
+    ) -> "ProgressEvent":
+        """The event for cell ``cell`` running ``config`` (a ``SimConfig``).
+
+        A ``done`` event always carries ``writes_done == n_writes``.
+        """
+        return ProgressEvent(
+            kind=kind,
+            cell=cell,
+            n_cells=n_cells,
+            writes_done=config.n_writes if kind == DONE else writes_done,
+            n_writes=config.n_writes,
+            workload=config.workload,
+            scheme=config.scheme,
+        )
+
     def to_dict(self) -> dict[str, object]:
         """JSON-safe form (the service streams these as JSONL)."""
         return dataclasses.asdict(self)

@@ -10,14 +10,16 @@ they are currently running.
   ``/v1`` job API (submit a cell as a ``kind="run"`` envelope, poll its
   status, fetch its exact result payload, cancel, probe ``/v1/healthz``).
 * :class:`FleetExecutor` — the scheduler.  ``run_suite`` has the same
-  contract as :func:`repro.sim.parallel.run_suite_parallel`: results in
+  contract as :func:`repro.sim.parallel.run_suite_parallel` and the same
+  front half (:func:`repro.sim.parallel.run_sweep`): results in
   submission order, completed cells recorded to the ledger/checkpoint
   the moment they finish, cancellation via ``should_stop``, failures
-  charged against the shared :class:`~repro.sim.parallel.RetryBudget`.
-  On top of that it keeps a bounded in-flight window per worker, probes
-  ``/v1/healthz`` periodically, requeues the cells of a dead worker, and
-  steals long-running cells onto idle workers (straggler re-dispatch
-  with first-completion-wins dedup by cell index).
+  charged against the shared :class:`~repro.sim.parallel.RetryBudget`
+  and its backoff heap.  On top of that it keeps a bounded in-flight
+  window per worker, probes ``/v1/healthz`` periodically, requeues the
+  cells of a dead worker, and steals long-running cells onto idle
+  workers (straggler re-dispatch with first-completion-wins dedup by
+  cell index).
 * :class:`FleetTelemetry` — per-worker dispatch/latency/steal counters
   on a :class:`~repro.obs.metrics.MetricsRegistry`, served from the
   coordinator's ``/v1/metrics``.
@@ -28,15 +30,15 @@ they are currently running.
   exactly like a local ``--resume``.
 
 Because a worker returns the full ``RunResult.to_dict()`` payload and
-the coordinator records it through the same ``on_complete`` path the
-local pool uses, a merged fleet sweep is bit-identical (ignoring the
-documented volatile fields ``wall_time_s``/``run_id``) to a single-node
-sweep of the same grid, and its checkpoint resumes interchangeably.
+the coordinator records it through the same
+:meth:`~repro.sim.parallel.SweepRun.complete` the local pool uses, a
+merged fleet sweep is bit-identical (ignoring the documented volatile
+fields ``wall_time_s``/``run_id``) to a single-node sweep of the same
+grid, and its checkpoint resumes interchangeably.
 """
 
 from __future__ import annotations
 
-import heapq
 import http.client
 import json
 import re
@@ -55,13 +57,14 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.promfmt import render_prometheus
 from repro.obs.progress import DONE, HEARTBEAT, START, ProgressEvent
 from repro.obs.tracing import JsonlSink, Tracer
-from repro.sim.checkpoint import SweepCheckpoint, config_signature
+from repro.sim.checkpoint import SweepCheckpoint
 from repro.sim.config import SimConfig
 from repro.sim.parallel import (
-    RetryBudget,
     SweepCancelled,
     SweepCellFailed,
+    SweepRun,
     SweepTracing,
+    run_sweep,
 )
 from repro.sim.results import RunResult
 from repro.service.jobs import (
@@ -315,8 +318,10 @@ class FleetExecutor:
     Drop-in executor for :meth:`repro.api.Session.sweep`'s ``executor``
     seam: ``run_suite`` mirrors
     :func:`~repro.sim.parallel.run_suite_parallel`'s contract (ordering,
-    ledger/checkpoint recording, cancellation, retry semantics) while
-    scheduling over the fleet instead of a local process pool.
+    ledger/checkpoint recording, cancellation, retry semantics) by sharing
+    its front half, :func:`~repro.sim.parallel.run_sweep`, and its
+    :class:`~repro.sim.parallel.RetryBudget`; only the scheduling differs,
+    over the fleet instead of a local process pool.
 
     Parameters
     ----------
@@ -408,7 +413,6 @@ class FleetExecutor:
         configs: Sequence[SimConfig],
         *,
         progress: Callable[[ProgressEvent], None] | None = None,
-        heartbeat_every: int = 0,
         ledger=None,
         ledger_label: str = "",
         should_stop: Callable[[], bool] | None = None,
@@ -419,84 +423,43 @@ class FleetExecutor:
     ) -> list[RunResult]:
         """Run the grid over the fleet; same contract as the local pool.
 
-        ``heartbeat_every`` is accepted for signature parity but unused:
-        fleet heartbeats derive from the workers' own job progress
+        The front half (checks, checkpoint restore, per-cell recording)
+        is :func:`~repro.sim.parallel.run_sweep`, shared with the local
+        pool.  Heartbeats derive from the workers' own job progress
         (``writes_done`` in the polled status).
         """
-        del heartbeat_every
-        configs = list(configs)
-        if not configs:
-            return []
-        if retries < 0:
-            raise ValueError(f"retries must be >= 0, got {retries}")
-        if checkpoint is not None and not isinstance(
-            checkpoint, SweepCheckpoint
-        ):
-            checkpoint = SweepCheckpoint(checkpoint)
 
-        n = len(configs)
-        results: list[RunResult | None] = [None] * n
-        if checkpoint is not None:
-            restored = checkpoint.restore()
-            for i, config in enumerate(configs):
-                hit = restored.get(config_signature(config))
-                if hit is not None:
-                    results[i] = hit
-        todo = [i for i in range(n) if results[i] is None]
-        if not todo:
-            return results  # type: ignore[return-value]
-
-        def on_complete(index: int, result: RunResult) -> None:
-            """Record one finished cell durably, the moment it finishes."""
-            config = configs[index]
-            if tracing is not None:
-                tracing.tracer.event(
-                    "cell.done", cell=index, workload=config.workload,
-                    scheme=config.scheme,
-                )
+        def schedule(sweep: SweepRun) -> None:
+            started_monotonic = time.monotonic()
+            self._open_worker_lanes(tracing)
+            try:
+                self._schedule(sweep, progress, should_stop)
+            finally:
+                self._close_worker_lanes()
             if ledger is not None:
-                result.manifest = ledger.record_result(
-                    result, config, kind="sweep-cell", label=ledger_label
+                self._record_fleet_manifest(
+                    ledger, ledger_label, len(sweep.configs),
+                    time.monotonic() - started_monotonic,
                 )
-            if checkpoint is not None:
-                run_id = result.manifest.run_id if result.manifest else ""
-                checkpoint.record(index, config, result, run_id=run_id)
 
-        if tracing is not None:
-            Path(tracing.dir).mkdir(parents=True, exist_ok=True)
-        started_monotonic = time.monotonic()
-        self._open_worker_lanes(tracing)
-        try:
-            self._schedule(
-                configs, todo, results, progress, should_stop,
-                RetryBudget(configs, todo, retries, retry_backoff_s),
-                on_complete, tracing,
-            )
-        finally:
-            self._close_worker_lanes()
-        if ledger is not None:
-            self._record_fleet_manifest(
-                ledger, ledger_label, n,
-                time.monotonic() - started_monotonic,
-            )
-        return results  # type: ignore[return-value]
+        return run_sweep(
+            configs, schedule, ledger=ledger, ledger_label=ledger_label,
+            retries=retries, retry_backoff_s=retry_backoff_s,
+            checkpoint=checkpoint, tracing=tracing,
+        )
 
     def _schedule(
         self,
-        configs: list[SimConfig],
-        todo: list[int],
-        results: "list[RunResult | None]",
+        sweep: SweepRun,
         progress: Callable[[ProgressEvent], None] | None,
         should_stop: Callable[[], bool] | None,
-        budget: RetryBudget,
-        on_complete: Callable[[int, RunResult], None],
-        tracing: SweepTracing | None,
     ) -> None:
+        configs, results, budget = sweep.configs, sweep.results, sweep.budget
+        tracing = sweep.tracing
         n = len(configs)
         trace_id = tracing.context.trace_id if tracing is not None else ""
-        ready: deque[int] = deque(todo)
-        delayed: list[tuple[float, int]] = []
-        remaining = set(todo)
+        ready: deque[int] = deque(sweep.todo)
+        remaining = set(sweep.todo)
         completed: set[int] = set()
         # index -> live dispatches; 2 entries while a steal race is open.
         active: dict[int, list[tuple[_FleetWorker, _Dispatch]]] = {}
@@ -504,17 +467,10 @@ class FleetExecutor:
         all_dead_since: float | None = None
 
         def emit(kind: str, index: int, writes_done: int = 0) -> None:
-            if progress is None:
-                return
-            config = configs[index]
-            progress(ProgressEvent(
-                kind=kind, cell=index, n_cells=n,
-                writes_done=(
-                    config.n_writes if kind == DONE else writes_done
-                ),
-                n_writes=config.n_writes,
-                workload=config.workload, scheme=config.scheme,
-            ))
+            if progress is not None:
+                progress(ProgressEvent.for_cell(
+                    kind, configs[index], index, n, writes_done
+                ))
 
         def lane_event(worker: _FleetWorker, name: str, **fields) -> None:
             if worker.lane is not None:
@@ -540,13 +496,9 @@ class FleetExecutor:
                 if active[dispatch.index]:
                     continue  # a stolen duplicate is still running elsewhere
                 active.pop(dispatch.index, None)
-                delay = budget.charge(
+                budget.charge(
                     dispatch.index,
                     WorkerError(f"worker {worker.name} died: {why}"),
-                    results=results,
-                )
-                heapq.heappush(
-                    delayed, (time.monotonic() + delay, dispatch.index)
                 )
                 requeued += 1
             if requeued:
@@ -584,10 +536,7 @@ class FleetExecutor:
                 return
             if any(True for _ in active.get(dispatch.index, ())):
                 return  # its duplicate is still in flight
-            delay = budget.charge(dispatch.index, exc, results=results)
-            heapq.heappush(
-                delayed, (time.monotonic() + delay, dispatch.index)
-            )
+            budget.charge(dispatch.index, exc)
 
         def complete(
             worker: _FleetWorker, dispatch: _Dispatch, result: RunResult
@@ -607,8 +556,7 @@ class FleetExecutor:
             remaining.discard(dispatch.index)
             worker.completed += 1
             latencies.append(latency)
-            results[dispatch.index] = result
-            on_complete(dispatch.index, result)
+            sweep.complete(dispatch.index, result)
             self.telemetry.completed(worker.name, latency, trace_id)
             lane_event(
                 worker, "cell.complete", cell=dispatch.index,
@@ -648,11 +596,7 @@ class FleetExecutor:
                 workload=config.workload, scheme=config.scheme,
                 stolen=stolen,
             )
-            if tracing is not None:
-                tracing.tracer.event(
-                    "cell.submit", cell=index, workload=config.workload,
-                    scheme=config.scheme, worker=worker.name,
-                )
+            sweep.trace("cell.submit", index, worker=worker.name)
             if not stolen:
                 emit(START, index)
             return True
@@ -744,11 +688,8 @@ class FleetExecutor:
             return None if best is None else (best[1], best[2])
 
         while remaining:
+            ready.extend(i for i in budget.due() if i not in completed)
             now = time.monotonic()
-            while delayed and delayed[0][0] <= now:
-                index = heapq.heappop(delayed)[1]
-                if index not in completed:
-                    ready.append(index)
 
             # Health probes (they also revive recovered workers).
             for worker in self.workers:
@@ -806,7 +747,7 @@ class FleetExecutor:
 
             # Work stealing: idle capacity + a straggler = duplicate
             # dispatch; dedup-by-cell-index keeps the first completion.
-            if not ready and not delayed:
+            if not ready and not budget.delayed:
                 idle = [
                     w for w in self.workers
                     if w.healthy and len(w.in_flight) < self.window
@@ -834,12 +775,7 @@ class FleetExecutor:
                 for worker in self.workers:
                     for dispatch in list(worker.in_flight.values()):
                         self._try_cancel(worker, dispatch.job_id)
-                n_done = sum(r is not None for r in results)
-                raise SweepCancelled(
-                    f"sweep cancelled with {n_done}/{len(results)} cells "
-                    "finished",
-                    list(results),
-                )
+                raise sweep.cancelled()
 
             if remaining:
                 time.sleep(self.poll_interval_s)

@@ -7,6 +7,12 @@ the sweep is embarrassingly parallel: this module distributes
 :class:`~repro.sim.config.SimConfig` cells (frozen dataclasses, hence
 picklable) over a ``ProcessPoolExecutor``.
 
+Every sweep executor — the serial fallback, the local pool and the
+fleet (:class:`repro.service.coordinator.FleetExecutor`) — shares one front
+half, :func:`run_sweep`: argument checks, checkpoint restore, and the
+per-cell completion record (``cell.done`` trace event, ``sweep-cell``
+ledger manifest, checkpoint line).  Only the scheduling differs.
+
 Guarantees:
 
 * **Determinism** — results come back in submission order and each cell is
@@ -25,19 +31,24 @@ Guarantees:
   back to the per-process ``lru_cache`` of
   :func:`repro.sim.runner.cached_trace` — shared memory is an
   optimization, never a correctness dependency.
-* **Serial fallback** — an effective worker count of 1 (or a single-cell
-  sweep) runs inline in the calling process with no pool overhead, so
-  callers can thread one knob through unconditionally.
+* **One cell runner** — every local cell, pooled or in-process, runs
+  through :func:`_run_cell`.  An effective worker count of 1 (or a
+  single-cell sweep) calls it inline with no pool overhead, so callers can
+  thread one knob through unconditionally; only in-process can
+  ``should_stop`` abort a cell mid-trace.
 * **Live progress** — pass ``progress=`` a callable (e.g. a
-  :class:`~repro.obs.progress.ProgressRenderer`) and workers stream
+  :class:`~repro.obs.progress.ProgressRenderer`) and each cell emits
   ``start``/``heartbeat``/``done`` :class:`~repro.obs.progress.ProgressEvent`
-  records over a ``multiprocessing`` queue as each cell advances.
-* **Fault tolerance** — ``retries`` grants each cell a retry budget spent
-  under capped exponential backoff; a worker crash hard enough to break
-  the process pool (SIGKILL, segfault, OOM kill) is detected, the pool is
-  rebuilt, and the lost in-flight cells are requeued against the same
-  budget.  A cell that exhausts its budget raises :class:`SweepCellFailed`
-  carrying the partial results.
+  records as it advances: straight to ``progress`` in-process, over a
+  ``multiprocessing`` queue from pool workers.
+* **Fault tolerance** — ``retries`` grants each cell a retry budget
+  (:class:`RetryBudget`, shared by every scheduler): a failed attempt is
+  charged and the cell waits out a capped exponential backoff before it
+  runs again.  A worker crash hard enough to break the process pool
+  (SIGKILL, segfault, OOM kill) is detected, the pool is rebuilt, and the
+  lost in-flight cells are charged and requeued the same way.  A cell that
+  exhausts its budget raises :class:`SweepCellFailed` carrying the partial
+  results.
 * **Durable progress** — pass ``checkpoint=`` a
   :class:`~repro.sim.checkpoint.SweepCheckpoint` (or its directory) and
   every completed cell is fsynced to ``cells.jsonl`` the moment it
@@ -62,9 +73,10 @@ import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from repro.obs.context import TraceContext
 from repro.obs.instruments import Instruments, RunAborted
@@ -158,14 +170,14 @@ class SweepTracing:
         }
 
 
-def _cell_tracer(cell_trace: dict | None):
-    """Build the worker-side lane tracer; ``(None, None)`` when untraced.
+def _cell_tracer(cell_trace: dict | None) -> Tracer | NullTracer:
+    """Build the cell's own trace lane; :data:`NULL_TRACER` when untraced.
 
     Tracing must never fail a cell: any error opening the lane file
     degrades to an untraced run.
     """
     if not cell_trace:
-        return None, None
+        return NULL_TRACER
     try:
         ctx = TraceContext.from_dict(cell_trace["ctx"]).child()
         name = f"cell-{cell_trace['cell']}"
@@ -174,9 +186,9 @@ def _cell_tracer(cell_trace: dict | None):
             path,
             meta={**ctx.to_dict(), "lane": name, "cell": cell_trace["cell"]},
         )
-        return Tracer(sink), ctx
+        return Tracer(sink)
     except Exception:
-        return None, None
+        return NULL_TRACER
 
 
 def resolve_workers(max_workers: int | None, n_cells: int) -> int:
@@ -194,42 +206,37 @@ def resolve_workers(max_workers: int | None, n_cells: int) -> int:
     return max(1, min(max_workers, n_cells))
 
 
-def _backoff_delay(attempt: int, base_s: float) -> float:
-    """Capped exponential backoff before retry ``attempt`` (1-based)."""
-    return min(_BACKOFF_CAP_S, base_s * (2 ** (attempt - 1)))
-
-
 class RetryBudget:
-    """Per-cell retry accounting with capped exponential backoff.
+    """Per-cell retry accounting and the backoff heap every scheduler uses.
 
-    One mechanism shared by the local pool scheduler and the fleet
-    coordinator (:mod:`repro.service.coordinator`): a failed attempt —
-    a cell exception, a crashed pool worker, or a dead fleet endpoint —
-    is *charged* against the cell's budget and either earns a backoff
-    delay before requeue or raises :class:`SweepCellFailed` carrying the
-    partial results, so both executors fail and resume identically.
+    One mechanism shared by the serial fallback, the local pool and the
+    fleet coordinator (:mod:`repro.service.coordinator`): a failed attempt
+    — a cell exception, a crashed pool worker, or a dead fleet endpoint —
+    is *charged* against the cell's budget and either pushes the cell onto
+    a ``(ready_at, index)`` heap after a capped exponential backoff or
+    raises :class:`SweepCellFailed` carrying the partial ``results``, so
+    every executor fails and resumes identically.
     """
 
     def __init__(
         self,
         configs: Sequence[SimConfig],
-        indices: Iterable[int],
+        results: "list[RunResult | None]",
         retries: int,
         backoff_s: float,
     ) -> None:
         self.configs = configs
+        self.results = results
         self.retries = retries
         self.backoff_s = backoff_s
-        self.attempts: dict[int, int] = dict.fromkeys(indices, 0)
+        self.attempts: dict[int, int] = {}
+        self.delayed: list[tuple[float, int]] = []
 
-    def charge(
-        self,
-        index: int,
-        exc: BaseException,
-        *,
-        results: "list[RunResult | None]",
-    ) -> float:
-        """Spend one retry; return the backoff delay or fail the sweep."""
+    def charge(self, index: int, exc: BaseException) -> None:
+        """Spend one retry and queue the cell for later, or fail the sweep.
+
+        Retry ``k`` waits ``min(30, backoff_s * 2**(k-1))`` seconds.
+        """
         attempts = self.attempts[index] = self.attempts.get(index, 0) + 1
         if attempts > self.retries:
             config = self.configs[index]
@@ -240,9 +247,123 @@ class RetryBudget:
                 index=index,
                 config=config,
                 attempts=attempts,
-                results=list(results),
+                results=list(self.results),
             ) from exc
-        return _backoff_delay(attempts, self.backoff_s)
+        delay = min(_BACKOFF_CAP_S, self.backoff_s * (2 ** (attempts - 1)))
+        heapq.heappush(self.delayed, (time.monotonic() + delay, index))
+
+    def due(self) -> list[int]:
+        """Pop every charged cell whose backoff has elapsed."""
+        now = time.monotonic()
+        ready = []
+        while self.delayed and self.delayed[0][0] <= now:
+            ready.append(heapq.heappop(self.delayed)[1])
+        return ready
+
+    def wait(self, cap_s: float) -> None:
+        """Sleep until the next charged cell is due, at most ``cap_s``."""
+        if self.delayed:
+            pause = self.delayed[0][0] - time.monotonic()
+            time.sleep(max(0.0, min(cap_s, pause)))
+
+
+@dataclass
+class SweepRun:
+    """The cells of one sweep, as :func:`run_sweep` hands them to a scheduler.
+
+    ``todo`` lists the cells still to run (checkpoint hits are already in
+    ``results``); ``budget`` owns their retries.  Schedulers report every
+    finished cell through :meth:`complete`, which records it durably the
+    moment it finishes.
+    """
+
+    configs: list[SimConfig]
+    results: "list[RunResult | None]"
+    todo: list[int]
+    budget: RetryBudget
+    tracing: SweepTracing | None = None
+    ledger: object = None
+    ledger_label: str = ""
+    checkpoint: SweepCheckpoint | None = None
+
+    def trace(self, name: str, index: int, **fields: object) -> None:
+        """One event about cell ``index`` on the sweep's own trace lane."""
+        if self.tracing is not None:
+            config = self.configs[index]
+            self.tracing.tracer.event(
+                name, cell=index, workload=config.workload,
+                scheme=config.scheme, **fields,
+            )
+
+    def cell_trace(self, index: int) -> dict | None:
+        """The picklable payload that opens cell ``index``'s trace lane."""
+        if self.tracing is None:
+            return None
+        return self.tracing.cell_payload(index)
+
+    def complete(self, index: int, result: RunResult) -> None:
+        """Keep one finished cell and record it to the ledger/checkpoint."""
+        config = self.configs[index]
+        self.results[index] = result
+        self.trace("cell.done", index)
+        if self.ledger is not None:
+            result.manifest = self.ledger.record_result(
+                result, config, kind="sweep-cell", label=self.ledger_label
+            )
+        if self.checkpoint is not None:
+            run_id = result.manifest.run_id if result.manifest else ""
+            self.checkpoint.record(index, config, result, run_id=run_id)
+
+    def cancelled(self) -> SweepCancelled:
+        """The :class:`SweepCancelled` for a sweep stopped between cells."""
+        n_done = sum(r is not None for r in self.results)
+        return SweepCancelled(
+            f"sweep cancelled with {n_done}/{len(self.results)} cells "
+            "finished",
+            list(self.results),
+        )
+
+
+def run_sweep(
+    configs: Sequence[SimConfig],
+    schedule: Callable[[SweepRun], None],
+    *,
+    ledger=None,
+    ledger_label: str = "",
+    retries: int = 0,
+    retry_backoff_s: float = 0.5,
+    checkpoint: "SweepCheckpoint | str | None" = None,
+    tracing: SweepTracing | None = None,
+) -> list[RunResult]:
+    """The front half every sweep executor shares.
+
+    Checks the arguments, restores finished cells from ``checkpoint``,
+    then hands the rest to ``schedule`` as a :class:`SweepRun` (it is not
+    called when nothing is left to run).  The keyword arguments mean what
+    they mean for :func:`run_suite_parallel`.
+    """
+    configs = list(configs)
+    if not configs:
+        return []
+    if retries < 0:
+        raise ValueError(f"retries must be >= 0, got {retries}")
+    if checkpoint is not None and not isinstance(checkpoint, SweepCheckpoint):
+        checkpoint = SweepCheckpoint(checkpoint)
+
+    results: list[RunResult | None] = [None] * len(configs)
+    if checkpoint is not None:
+        restored = checkpoint.restore()
+        results = [restored.get(config_signature(c)) for c in configs]
+    todo = [i for i, result in enumerate(results) if result is None]
+    if todo:
+        if tracing is not None:
+            Path(tracing.dir).mkdir(parents=True, exist_ok=True)
+        budget = RetryBudget(configs, results, retries, retry_backoff_s)
+        schedule(SweepRun(
+            configs, results, todo, budget, tracing, ledger, ledger_label,
+            checkpoint,
+        ))
+    return results  # type: ignore[return-value]
 
 
 def _worker_trace(spec: TraceShmSpec | None):
@@ -261,85 +382,56 @@ def _worker_trace(spec: TraceShmSpec | None):
 
 
 def _run_cell(
-    config: SimConfig,
-    trace_spec: TraceShmSpec | None = None,
-    cell_trace: dict | None = None,
-) -> RunResult:
-    """Worker entry point: one simulation cell (module-level for pickling)."""
-    from repro.sim.runner import run
-
-    tracer, _ctx = _cell_tracer(cell_trace)
-    if tracer is None:
-        return run(config, trace=_worker_trace(trace_spec))
-    try:
-        instruments = Instruments(tracer=tracer, per_write_spans=False)
-        with tracer.span(
-            "cell.run",
-            cell=cell_trace["cell"],
-            workload=config.workload,
-            scheme=config.scheme,
-        ):
-            return run(
-                config,
-                trace=_worker_trace(trace_spec),
-                instruments=instruments,
-            )
-    finally:
-        tracer.close()
-
-
-def _run_cell_observed(
     index: int,
     config: SimConfig,
     n_cells: int,
-    events,
-    heartbeat_every: int,
-    trace_spec: TraceShmSpec | None = None,
-    cell_trace: dict | None = None,
+    trace_spec: TraceShmSpec | None,
+    cell_trace: dict | None,
+    emit: Callable[[ProgressEvent], None] | None = None,
+    heartbeat_every: int = 0,
+    abort: Callable[[], bool] | None = None,
 ) -> RunResult:
-    """Worker entry point streaming progress events for one cell."""
+    """Run one sweep cell: the pool's worker entry point and the serial path.
+
+    ``emit`` receives the cell's ``start``/``heartbeat``/``done`` events (a
+    manager queue's ``put`` in a pool worker, the ``progress`` callable
+    in-process).  ``abort`` is polled mid-trace and raises
+    :class:`~repro.obs.instruments.RunAborted`; only an in-process caller
+    can pass one.  ``cell_trace`` (:meth:`SweepTracing.cell_payload`) opens
+    the cell's own ``cell-<i>`` trace lane around a ``cell.run`` span.
+    Module-level so the pool can pickle it.
+    """
     from repro.sim.runner import run
 
-    def _event(kind: str, writes_done: int) -> ProgressEvent:
-        return ProgressEvent(
-            kind=kind,
-            cell=index,
-            n_cells=n_cells,
-            writes_done=writes_done,
-            n_writes=config.n_writes,
-            workload=config.workload,
-            scheme=config.scheme,
-        )
+    def event(kind: str, writes_done: int = 0) -> None:
+        emit(ProgressEvent.for_cell(kind, config, index, n_cells, writes_done))
 
-    events.put(_event(START, 0))
-    tracer, _ctx = _cell_tracer(cell_trace)
+    if emit is not None:
+        event(START)
+    tracer = _cell_tracer(cell_trace)
     instruments = Instruments(
-        heartbeat=lambda done, total: events.put(_event(HEARTBEAT, done)),
+        heartbeat=(
+            None if emit is None
+            else lambda done, _total: event(HEARTBEAT, done)
+        ),
         heartbeat_every=heartbeat_every,
-        tracer=tracer if tracer is not None else NULL_TRACER,
+        abort=abort,
+        tracer=tracer,
         per_write_spans=False,
     )
     try:
-        if tracer is None:
+        with tracer.span(
+            "cell.run", cell=index, workload=config.workload,
+            scheme=config.scheme,
+        ):
             result = run(
                 config, trace=_worker_trace(trace_spec),
                 instruments=instruments,
             )
-        else:
-            with tracer.span(
-                "cell.run",
-                cell=index,
-                workload=config.workload,
-                scheme=config.scheme,
-            ):
-                result = run(
-                    config, trace=_worker_trace(trace_spec),
-                    instruments=instruments,
-                )
     finally:
-        if tracer is not None:
-            tracer.close()
-    events.put(_event(DONE, config.n_writes))
+        tracer.close()
+    if emit is not None:
+        event(DONE)
     return result
 
 
@@ -424,347 +516,177 @@ def run_suite_parallel(
         events, so the whole sweep exports as one correlated trace.
         Tracing is read-only and best-effort; results are unchanged.
     """
-    configs = list(configs)
-    if not configs:
-        return []
-    if retries < 0:
-        raise ValueError(f"retries must be >= 0, got {retries}")
-    if checkpoint is not None and not isinstance(checkpoint, SweepCheckpoint):
-        checkpoint = SweepCheckpoint(checkpoint)
 
+    def schedule(sweep: SweepRun) -> None:
+        workers = resolve_workers(max_workers, len(sweep.todo))
+        if workers <= 1:
+            _run_serial(sweep, progress, heartbeat_every, should_stop)
+        else:
+            _run_pool_scheduler(
+                sweep, workers, progress, heartbeat_every, should_stop
+            )
+
+    return run_sweep(
+        configs, schedule, ledger=ledger, ledger_label=ledger_label,
+        retries=retries, retry_backoff_s=retry_backoff_s,
+        checkpoint=checkpoint, tracing=tracing,
+    )
+
+
+def _run_serial(
+    sweep: SweepRun,
+    progress: Callable[[ProgressEvent], None] | None,
+    heartbeat_every: int,
+    should_stop: Callable[[], bool] | None,
+) -> None:
+    """Serial fallback: run each cell in-process through :func:`_run_cell`.
+
+    Events go straight to ``progress``, and ``should_stop`` doubles as the
+    cell's abort check, so a serial cell stops mid-trace.  A failed cell
+    is charged to the budget and runs again once its backoff is due.
+    """
+    configs, budget = sweep.configs, sweep.budget
     n = len(configs)
-    results: list[RunResult | None] = [None] * n
-    if checkpoint is not None:
-        restored = checkpoint.restore()
-        for i, config in enumerate(configs):
-            hit = restored.get(config_signature(config))
-            if hit is not None:
-                results[i] = hit
-    todo = [i for i in range(n) if results[i] is None]
-    if not todo:
-        return results  # type: ignore[return-value]
-
-    def on_complete(index: int, result: RunResult) -> None:
-        """Record one finished cell durably, the moment it finishes."""
-        config = configs[index]
-        if tracing is not None:
-            tracing.tracer.event(
-                "cell.done", cell=index, workload=config.workload,
-                scheme=config.scheme,
+    ready: deque[int] = deque(sweep.todo)
+    while ready or budget.delayed:
+        ready.extend(budget.due())
+        if not ready:
+            budget.wait(_POLL_S)
+            continue
+        index = ready.popleft()
+        if should_stop is not None and should_stop():
+            raise SweepCancelled(
+                f"sweep cancelled before cell {index}/{n}", list(sweep.results)
             )
-        if ledger is not None:
-            result.manifest = ledger.record_result(
-                result, config, kind="sweep-cell", label=ledger_label
+        sweep.trace("cell.submit", index)
+        try:
+            result = _run_cell(
+                index, configs[index], n, None, sweep.cell_trace(index),
+                progress, heartbeat_every, should_stop,
             )
-        if checkpoint is not None:
-            run_id = result.manifest.run_id if result.manifest else ""
-            checkpoint.record(index, config, result, run_id=run_id)
+        except RunAborted as exc:
+            raise SweepCancelled(
+                f"sweep cancelled in cell {index}/{n}: {exc}",
+                list(sweep.results),
+            ) from exc
+        except Exception as exc:
+            budget.charge(index, exc)
+        else:
+            sweep.complete(index, result)
 
-    if tracing is not None:
-        Path(tracing.dir).mkdir(parents=True, exist_ok=True)
-    workers = resolve_workers(max_workers, len(todo))
-    if workers <= 1:
-        _run_serial(
-            configs, todo, results, progress, heartbeat_every,
-            should_stop, retries, retry_backoff_s, on_complete, tracing,
-        )
-    else:
+
+def _run_pool_scheduler(
+    sweep: SweepRun,
+    workers: int,
+    progress: Callable[[ProgressEvent], None] | None,
+    heartbeat_every: int,
+    should_stop: Callable[[], bool] | None,
+) -> None:
+    """The fault-tolerant process-pool scheduler.
+
+    Cells move between three places: ``ready`` (submit at the next
+    opportunity), the budget's backoff heap, and ``futures`` (in flight).
+    A cell whose attempt raises is charged one attempt and waits out its
+    backoff; a :class:`BrokenProcessPool` kills every in-flight future, so
+    the pool is rebuilt and all lost cells are charged and requeued
+    together (the executor cannot say which cell crashed the worker).
+    """
+    configs, results, budget = sweep.configs, sweep.results, sweep.budget
+    n = len(configs)
+    ready: deque[int] = deque(sweep.todo)
+    futures: dict = {}
+    with ExitStack() as stack:
         # Publish each unique trace into shared memory once; workers get a
         # tiny spec per cell and attach zero-copy instead of regenerating.
         # The publisher outlives the pool (workers hold live mappings) and
         # unlinks every segment on the way out, success or failure.
-        with TracePublisher() as publisher:
-            todo_set = set(todo)
-            specs = [
-                publisher.publish(configs[i]) if i in todo_set else None
-                for i in range(n)
-            ]
-            _run_pool(
-                configs, specs, todo, results, workers, progress,
-                heartbeat_every, should_stop, retries, retry_backoff_s,
-                on_complete, tracing,
-            )
-    return results  # type: ignore[return-value]
-
-
-def _run_serial(
-    configs: list[SimConfig],
-    todo: list[int],
-    results: list[RunResult | None],
-    progress: Callable[[ProgressEvent], None] | None,
-    heartbeat_every: int,
-    should_stop: Callable[[], bool] | None,
-    retries: int,
-    backoff_s: float,
-    on_complete: Callable[[int, RunResult], None],
-    tracing: SweepTracing | None = None,
-) -> None:
-    """Serial fallback: same retry, progress, and cancellation semantics."""
-    from repro.sim.runner import run
-
-    n = len(configs)
-    for i in todo:
-        config = configs[i]
-        if should_stop is not None and should_stop():
-            raise SweepCancelled(
-                f"sweep cancelled before cell {i}/{n}", list(results)
-            )
-        if tracing is not None:
-            tracing.tracer.event(
-                "cell.submit", cell=i, workload=config.workload,
-                scheme=config.scheme,
-            )
-
-        def _event(kind: str, writes_done: int, c=config, i=i) -> ProgressEvent:
-            return ProgressEvent(
-                kind=kind,
-                cell=i,
-                n_cells=n,
-                writes_done=writes_done,
-                n_writes=c.n_writes,
-                workload=c.workload,
-                scheme=c.scheme,
-            )
-
-        attempt = 0
-        while True:
-            instruments = None
-            cell_tracer = None
-            if tracing is not None:
-                cell_tracer, _ctx = _cell_tracer(tracing.cell_payload(i))
-            if (
-                progress is not None
-                or should_stop is not None
-                or cell_tracer is not None
-            ):
-                heartbeat = None
-                if progress is not None:
-                    progress(_event(START, 0))
-                    heartbeat = lambda done, total, _e=_event: progress(
-                        _e(HEARTBEAT, done)
-                    )
-                instruments = Instruments(
-                    heartbeat=heartbeat,
-                    heartbeat_every=heartbeat_every,
-                    abort=should_stop,
-                    tracer=(
-                        cell_tracer if cell_tracer is not None else NULL_TRACER
-                    ),
-                    per_write_spans=False,
-                )
-            try:
-                if cell_tracer is not None:
-                    with cell_tracer.span(
-                        "cell.run", cell=i, workload=config.workload,
-                        scheme=config.scheme,
-                    ):
-                        result = run(config, instruments=instruments)
-                else:
-                    result = run(config, instruments=instruments)
-            except RunAborted as exc:
-                raise SweepCancelled(
-                    f"sweep cancelled in cell {i}/{n}: {exc}", list(results)
-                ) from exc
-            except Exception as exc:
-                attempt += 1
-                if attempt > retries:
-                    raise SweepCellFailed(
-                        f"cell {i}/{n} ({config.workload}/{config.scheme}) "
-                        f"failed after {attempt} attempt(s): {exc}",
-                        index=i,
-                        config=config,
-                        attempts=attempt,
-                        results=list(results),
-                    ) from exc
-                time.sleep(_backoff_delay(attempt, backoff_s))
-                continue
-            finally:
-                if cell_tracer is not None:
-                    cell_tracer.close()
-            break
-        results[i] = result
-        on_complete(i, result)
+        publisher = stack.enter_context(TracePublisher())
+        specs = {i: publisher.publish(configs[i]) for i in sweep.todo}
+        emit = events = None
         if progress is not None:
-            progress(_event(DONE, config.n_writes))
-
-
-def _run_pool(
-    configs: list[SimConfig],
-    specs: list["TraceShmSpec | None"],
-    todo: list[int],
-    results: list[RunResult | None],
-    workers: int,
-    progress: Callable[[ProgressEvent], None] | None,
-    heartbeat_every: int,
-    should_stop: Callable[[], bool] | None,
-    retries: int,
-    backoff_s: float,
-    on_complete: Callable[[int, RunResult], None],
-    tracing: SweepTracing | None = None,
-) -> None:
-    """Pool front-end: sets up the event queue iff progress is wanted."""
-    if progress is None:
-        _run_pool_scheduler(
-            configs, specs, todo, results, workers, None, None,
-            heartbeat_every, should_stop, retries, backoff_s, on_complete,
-            tracing,
-        )
-        return
-    # A manager queue carries events from workers; the main process
-    # forwards them between future polls.  Results are still collected by
-    # submission index, so ordering is unchanged.
-    with multiprocessing.Manager() as manager:
-        events = manager.Queue()
-        _run_pool_scheduler(
-            configs, specs, todo, results, workers, events, progress,
-            heartbeat_every, should_stop, retries, backoff_s, on_complete,
-            tracing,
-        )
-
-
-def _run_pool_scheduler(
-    configs: list[SimConfig],
-    specs: list["TraceShmSpec | None"],
-    todo: list[int],
-    results: list[RunResult | None],
-    workers: int,
-    events,
-    progress: Callable[[ProgressEvent], None] | None,
-    heartbeat_every: int,
-    should_stop: Callable[[], bool] | None,
-    retries: int,
-    backoff_s: float,
-    on_complete: Callable[[int, RunResult], None],
-    tracing: SweepTracing | None = None,
-) -> None:
-    """The fault-tolerant scheduler shared by all pool paths.
-
-    Cells move between three places: ``ready`` (submit at the next
-    opportunity), ``delayed`` (a backoff heap of ``(ready_at, index)``),
-    and ``futures`` (in flight).  A cell whose attempt raises is charged
-    one attempt and pushed onto the backoff heap; a
-    :class:`BrokenProcessPool` kills every in-flight future, so the pool
-    is rebuilt and all lost cells are charged and requeued together (the
-    executor cannot say which cell crashed the worker).
-    """
-    n = len(configs)
-    ready: deque[int] = deque(todo)
-    delayed: list[tuple[float, int]] = []
-    futures: dict = {}
-    budget = RetryBudget(configs, todo, retries, backoff_s)
-    pool = ProcessPoolExecutor(max_workers=workers)
-
-    def submit(index: int) -> None:
-        config = configs[index]
-        spec = specs[index]
-        cell_trace = (
-            tracing.cell_payload(index) if tracing is not None else None
-        )
-        if tracing is not None:
-            tracing.tracer.event(
-                "cell.submit", cell=index, workload=config.workload,
-                scheme=config.scheme,
-            )
-        if events is not None:
-            future = pool.submit(
-                _run_cell_observed, index, config, n, events,
-                heartbeat_every, spec, cell_trace,
-            )
-        else:
-            future = pool.submit(_run_cell, config, spec, cell_trace)
-        futures[future] = index
-
-    def charge(index: int, exc: BaseException) -> float:
-        return budget.charge(index, exc, results=results)
-
-    try:
-        while ready or delayed or futures:
-            now = time.monotonic()
-            while delayed and delayed[0][0] <= now:
-                ready.append(heapq.heappop(delayed)[1])
-
-            broken: BaseException | None = None
-            lost: list[int] = []  # submitted cells whose worker crashed
-            while ready and broken is None:
-                index = ready.popleft()
-                try:
-                    submit(index)
-                except BrokenProcessPool as exc:
-                    # Never submitted: back in line, no attempt charged.
-                    broken = exc
-                    ready.appendleft(index)
-
-            if broken is None and futures:
-                done, _ = wait(
-                    set(futures), timeout=_POLL_S, return_when=FIRST_COMPLETED
-                )
-                if progress is not None:
-                    _drain(events, progress)
-                for future in done:
-                    index = futures.pop(future)
+            # A manager queue carries events from workers; the main process
+            # forwards them between future polls.
+            events = stack.enter_context(multiprocessing.Manager()).Queue()
+            emit = events.put
+        pool = ProcessPoolExecutor(max_workers=workers)
+        try:
+            while ready or budget.delayed or futures:
+                ready.extend(budget.due())
+                broken: BaseException | None = None
+                lost: list[int] = []  # submitted cells whose worker crashed
+                while ready and broken is None:
+                    index = ready.popleft()
+                    sweep.trace("cell.submit", index)
                     try:
-                        result = future.result()
-                    except BrokenProcessPool as exc:
-                        broken = exc
-                        lost.append(index)
-                    except Exception as exc:
-                        delay = charge(index, exc)
-                        heapq.heappush(
-                            delayed, (time.monotonic() + delay, index)
+                        future = pool.submit(
+                            _run_cell, index, configs[index], n,
+                            specs[index], sweep.cell_trace(index), emit,
+                            heartbeat_every,
                         )
+                    except BrokenProcessPool as exc:
+                        # Never submitted: back in line, no attempt charged.
+                        broken = exc
+                        ready.appendleft(index)
                     else:
-                        results[index] = result
-                        on_complete(index, result)
-            elif broken is None and delayed:
-                # Everything left is waiting out a backoff.
-                pause = delayed[0][0] - time.monotonic()
-                time.sleep(max(0.0, min(_POLL_S, pause)))
+                        futures[future] = index
 
-            if broken is not None:
-                # A worker died hard (SIGKILL/segfault/OOM): the pool is
-                # unusable and every in-flight future is lost.  Rebuild the
-                # pool and requeue the lost cells against their budgets.
-                lost.extend(futures.values())
-                futures.clear()
-                pool.shutdown(wait=False)
-                pool = ProcessPoolExecutor(max_workers=workers)
-                base = time.monotonic()
-                for index in lost:
-                    heapq.heappush(
-                        delayed, (base + charge(index, broken), index)
+                if broken is None and futures:
+                    done, _ = wait(
+                        set(futures), timeout=_POLL_S,
+                        return_when=FIRST_COMPLETED,
                     )
+                    if progress is not None:
+                        _drain(events, progress)
+                    for future in done:
+                        index = futures.pop(future)
+                        try:
+                            result = future.result()
+                        except BrokenProcessPool as exc:
+                            broken = exc
+                            lost.append(index)
+                        except Exception as exc:
+                            budget.charge(index, exc)
+                        else:
+                            sweep.complete(index, result)
+                elif broken is None:
+                    budget.wait(_POLL_S)  # everything left is backing off
 
-            if (
-                (ready or delayed or futures)
-                and should_stop is not None
-                and should_stop()
-            ):
-                # Cooperative drain: unstarted cells are cancelled outright,
-                # running cells finish (their results are kept and recorded)
-                # — the pool always shuts down with zero orphaned workers.
-                for future in futures:
-                    future.cancel()
-                finished, _ = wait(set(futures))
-                for future in finished:
-                    if future.cancelled():
-                        continue
-                    index = futures[future]
-                    try:
-                        results[index] = future.result()
-                    except Exception:
-                        continue  # cancelling anyway; drop the attempt
-                    on_complete(index, results[index])
-                if progress is not None:
-                    _drain(events, progress)
-                n_done = sum(r is not None for r in results)
-                raise SweepCancelled(
-                    f"sweep cancelled with {n_done}/{len(results)} cells "
-                    "finished",
-                    list(results),
-                )
-    finally:
-        pool.shutdown(wait=True)
-        if progress is not None:
-            # Workers enqueue their final event before returning, so one
-            # last drain after the pool closes delivers everything.
-            _drain(events, progress)
+                if broken is not None:
+                    # A worker died hard (SIGKILL/segfault/OOM): the pool is
+                    # unusable and every in-flight future is lost.  Rebuild
+                    # the pool and requeue the lost cells against their
+                    # budgets.
+                    lost.extend(futures.values())
+                    futures.clear()
+                    pool.shutdown(wait=False)
+                    pool = ProcessPoolExecutor(max_workers=workers)
+                    for index in lost:
+                        budget.charge(index, broken)
+
+                if (
+                    (ready or budget.delayed or futures)
+                    and should_stop is not None
+                    and should_stop()
+                ):
+                    # Cooperative drain: unstarted cells are cancelled
+                    # outright, running cells finish (their results are kept
+                    # and recorded) — the pool always shuts down with zero
+                    # orphaned workers.
+                    for future in futures:
+                        future.cancel()
+                    finished, _ = wait(set(futures))
+                    for future in finished:
+                        if future.cancelled():
+                            continue
+                        try:
+                            result = future.result()
+                        except Exception:
+                            continue  # cancelling anyway; drop the attempt
+                        sweep.complete(futures[future], result)
+                    raise sweep.cancelled()
+        finally:
+            pool.shutdown(wait=True)
+            if progress is not None:
+                # Workers enqueue their final event before returning, so one
+                # last drain after the pool closes delivers everything.
+                _drain(events, progress)

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import os
+import time
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ from repro.sim.checkpoint import (
 )
 from repro.sim.config import SimConfig
 from repro.sim.parallel import SweepCellFailed, run_suite_parallel
-from repro.sim.runner import run
+from repro.sim.runner import run, run_suite
 
 CFG = SimConfig("libq", "deuce", n_writes=600, seed=3)
 
@@ -263,6 +265,98 @@ class TestRetries:
         assert failure.attempts == 2  # initial try + 1 retry
         assert failure.config == configs[1]
         assert failure.results[0] is not None  # the healthy cell survived
+        assert failure.results[1] is None
+
+    # The pool cases rely on the fork start method: the monkeypatched
+    # ``repro.sim.runner.run`` is inherited by every worker, and a marker
+    # file under ``tmp_path`` makes each injected fault fire only once.
+    POOL_CONFIGS = [
+        SimConfig("libq", "noencr-dcw", n_writes=200, seed=1),
+        SimConfig("mcf", "deuce", n_writes=200, seed=1),
+        SimConfig("mcf", "encr-fnw", n_writes=200, seed=2),
+    ]
+
+    @staticmethod
+    def _first_time(marker) -> bool:
+        """True exactly once per marker path, across processes."""
+        try:
+            os.close(os.open(marker, os.O_CREAT | os.O_EXCL))
+        except FileExistsError:
+            return False
+        return True
+
+    def test_pool_retries_a_cell_that_raises_once(self, tmp_path, monkeypatch):
+        configs = self.POOL_CONFIGS
+        expected = run_suite(configs)
+        real_run = run
+
+        def raises_once(config, **kwargs):
+            if config.scheme == "deuce" and self._first_time(
+                tmp_path / "raised"
+            ):
+                raise OSError("transient")
+            return real_run(config, **kwargs)
+
+        monkeypatch.setattr("repro.sim.runner.run", raises_once)
+        results = run_suite_parallel(
+            configs, max_workers=2, retries=1, retry_backoff_s=0.001
+        )
+        assert (tmp_path / "raised").exists()
+        for observed, reference in zip(results, expected):
+            assert _result_dicts_equal(observed, reference)
+
+    def test_pool_rebuilds_after_a_worker_dies(self, tmp_path, monkeypatch):
+        configs = self.POOL_CONFIGS
+        expected = run_suite(configs)
+        real_run = run
+
+        def dies_once(config, **kwargs):
+            if config.scheme == "deuce" and self._first_time(
+                tmp_path / "died"
+            ):
+                os._exit(1)  # a hard crash: the pool breaks
+            return real_run(config, **kwargs)
+
+        monkeypatch.setattr("repro.sim.runner.run", dies_once)
+        # A broken pool charges every in-flight cell, not only the culprit.
+        results = run_suite_parallel(
+            configs, max_workers=2, retries=2, retry_backoff_s=0.001
+        )
+        assert (tmp_path / "died").exists()
+        for observed, reference in zip(results, expected):
+            assert _result_dicts_equal(observed, reference)
+
+    def test_pool_exhausted_budget_raises_with_partials(
+        self, tmp_path, monkeypatch
+    ):
+        configs = self.POOL_CONFIGS[:2]
+        real_run = run
+        healthy_done = tmp_path / "healthy-done"
+
+        def half_broken(config, **kwargs):
+            if config.scheme != "deuce":
+                result = real_run(config, **kwargs)
+                healthy_done.touch()
+                return result
+            # Fail only once the healthy cell has finished, so its result
+            # is in hand (the backoff leaves time to collect it) before
+            # the budget runs out.
+            deadline = time.monotonic() + 60
+            while not healthy_done.exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            raise OSError("persistent")
+
+        monkeypatch.setattr("repro.sim.runner.run", half_broken)
+        with pytest.raises(SweepCellFailed) as exc_info:
+            run_suite_parallel(
+                configs, max_workers=2, retries=1, retry_backoff_s=0.3
+            )
+        failure = exc_info.value
+        assert failure.index == 1
+        assert failure.attempts == 2  # initial try + 1 retry
+        assert failure.config == configs[1]
+        assert isinstance(failure.__cause__, OSError)
+        assert _result_dicts_equal(failure.results[0], real_run(configs[0]))
         assert failure.results[1] is None
 
     def test_negative_retries_rejected(self):
