@@ -23,40 +23,13 @@ BENCH_WRITES = 3_000
 RESULTS_DIR = Path(__file__).parent / "results"
 
 
-def _record_in_ledger(exp_id: str, rendered: str, data: dict | None) -> None:
-    """Persist a bench result as a kind="bench" manifest in the run ledger.
-
-    Best-effort: a broken/unwritable ledger must never fail a benchmark, so
-    errors are swallowed (the text/JSON results above are the primary
-    output).
-    """
-    try:
-        from repro.obs.ledger import RunLedger, build_manifest
-
-        summary = {
-            k: v
-            for k, v in (data or {}).items()
-            if isinstance(v, (int, float))
-        }
-        manifest = build_manifest(kind="bench", label=exp_id, summary=summary)
-        artifact_text = {"result.txt": rendered + "\n"}
-        if data is not None:
-            artifact_text["bench.json"] = (
-                json.dumps(data, indent=2, sort_keys=True) + "\n"
-            )
-        RunLedger().record(manifest, artifact_text=artifact_text)
-    except Exception:
-        pass
-
-
 def record(exp_id: str, rendered: str, data: dict | None = None) -> None:
     """Print a rendering and persist it under benchmarks/results/.
 
     When ``data`` is given it is additionally written as machine-readable
     JSON to ``benchmarks/results/BENCH_{exp_id}.json`` (for CI trend checks
-    and speedup gates).  Every bench result is additionally recorded in
-    the run ledger as a ``kind="bench"`` manifest, which the dashboard's
-    perf-trajectory panel reads.
+    and speedup gates).  The committed perf history is
+    ``benchmarks/layers/results/<rev>.json``, not these files.
     """
     print()
     print(rendered)
@@ -65,7 +38,6 @@ def record(exp_id: str, rendered: str, data: dict | None = None) -> None:
     if data is not None:
         blob = json.dumps(data, indent=2, sort_keys=True) + "\n"
         (RESULTS_DIR / f"BENCH_{exp_id}.json").write_text(blob)
-    _record_in_ledger(exp_id, rendered, data)
 
 
 def run_once(benchmark, fn, *args, **kwargs):

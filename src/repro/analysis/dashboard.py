@@ -15,11 +15,6 @@ Layout
   manifest (``deuce-sim loadtest``): p99 latency and error rate judged
   against the soak's SLO targets when it set any, queue saturation, and a
   queue-depth sparkline over the soak.
-* **Perf trajectory** — one sparkline per recorded benchmark
-  (``kind="bench"`` manifests from the benchmark suite), charting its
-  headline throughput/speedup metric across git revisions, so a
-  write-path regression is visible as a dip the moment the bench lands
-  in the ledger.
 * **Write-path profile** — phase breakdown bars from the newest run that
   carried a ``profile.json`` artifact (the run's per-phase time
   attribution), linking wall time to the kernel responsible; nested
@@ -447,72 +442,6 @@ def _slo_tiles(ledger: "RunLedger") -> str:
     return '<div class="tiles">' + "".join(tiles) + "</div>" + meta
 
 
-#: Preference order for a bench manifest's headline metric.
-_BENCH_HEADLINE = ("writes_per_s", "speedup", "wall_s")
-
-
-def _perf_trajectory(ledger: "RunLedger") -> str:
-    """Perf-trajectory cards: one sparkline per recorded benchmark.
-
-    Charts each bench label's headline metric (throughput before speedup
-    before wall time, else the first numeric field) across its
-    ``kind="bench"`` manifests oldest→newest; the caption names the git
-    revisions spanned so a dip can be pinned to the commit range.
-    """
-    benches = ledger.list(kind="bench", limit=None)
-    by_label: dict[str, list] = {}
-    for m in benches:
-        if m.label and m.summary:
-            by_label.setdefault(m.label, []).append(m)
-    if not by_label:
-        return (
-            '<p class="empty">no benchmark emissions in the ledger yet — '
-            "run the <code>benchmarks/</code> suite to record some</p>"
-        )
-    cards = []
-    for label, manifests in sorted(by_label.items()):
-        metric = next(
-            (k for k in _BENCH_HEADLINE if k in manifests[-1].summary),
-            next(iter(manifests[-1].summary)),
-        )
-        values = [
-            float(m.summary[metric])
-            for m in manifests
-            if isinstance(m.summary.get(metric), (int, float))
-        ]
-        if not values:
-            continue
-        revs = [m.git_rev for m in manifests if m.git_rev]
-        rev_span = (
-            f"{html.escape(revs[0])} &rarr; {html.escape(revs[-1])}"
-            if len(set(revs)) > 1
-            else html.escape(revs[-1] if revs else "unknown rev")
-        )
-        title = f"{label} {metric}: latest {_fmt(values[-1])}"
-        light, dark = _PALETTE_LIGHT[2], _PALETTE_DARK[2]
-        sparks = (
-            f'<span class="light-only">'
-            f"{sparkline_svg(values, light, title=title)}</span>"
-            f'<span class="dark-only">'
-            f"{sparkline_svg(values, dark, title=title)}</span>"
-        )
-        vals = (
-            f"latest {_fmt(values[-1])} &middot; min {_fmt(min(values))} "
-            f"&middot; max {_fmt(max(values))}"
-        )
-        cards.append(
-            '<div class="card">'
-            f"<h3>{html.escape(label)}</h3>"
-            f'<div class="meta">{len(values)} emissions &middot; '
-            f"{rev_span}</div>"
-            f'<div class="metric"><span class="label">'
-            f"{html.escape(metric)}</span>{sparks}"
-            f'<div class="vals">{vals}</div></div>'
-            "</div>"
-        )
-    return '<div class="cards">' + "".join(cards) + "</div>"
-
-
 def _latest_profile(ledger: "RunLedger") -> tuple["RunManifest | None", dict]:
     """Newest run/sweep-cell manifest carrying a ``profile.json`` artifact."""
     import json
@@ -695,9 +624,7 @@ def _kv_phase_panel(ledger: "RunLedger", newest: int = 12) -> str:
 
 
 def _runs_table(manifests: list["RunManifest"], newest: int = 20) -> str:
-    # Bench emissions chart in the perf-trajectory panel; keep the table
-    # to simulation runs so the newest N slots aren't eaten by benches.
-    rows = [m for m in manifests if m.kind != "bench"][-newest:][::-1]
+    rows = manifests[-newest:][::-1]
     if not rows:
         return '<p class="empty">no runs recorded yet</p>'
     cols = (
@@ -772,8 +699,6 @@ def render_dashboard(
         + _fleet_panel(ledger)
         + "<h2>KV service phases (newest phased runs)</h2>"
         + _kv_phase_panel(ledger)
-        + "<h2>Perf trajectory (recorded benchmarks, oldest &rarr; newest)</h2>"
-        + _perf_trajectory(ledger)
         + "<h2>Write-path profile (newest profiled run)</h2>"
         + _profile_panel(ledger)
         + "<h2>Scheme trajectories (oldest &rarr; newest run)</h2>"

@@ -11,11 +11,15 @@ Subcommands
     Fan a (workloads x schemes) grid over worker processes with per-cell
     retries and crash recovery; ``--sweep-id``/``--resume`` checkpoint
     completed cells so an interrupted sweep re-runs only the missing ones.
+    ``--workers-url`` shards the cells over ``deuce-sim serve`` endpoints
+    instead.
 ``experiment``
     Reproduce one of the paper's figures/tables (or ``all``).
 ``serve``
     Start the HTTP simulation job service (submit runs/sweeps/experiments
-    as JSON jobs, stream progress, query the ledger).
+    as JSON jobs, stream progress, query the ledger).  With
+    ``--workers-url`` its sweep jobs run on that fleet of ``serve``
+    workers.
 ``loadtest``
     Soak the job service with concurrent clients and report latency
     percentiles, error rates, and SLO pass/fail (spawns a private
@@ -47,6 +51,8 @@ Examples
         --sweep-id nightly --workers 4
     deuce-sim experiment fig10
     deuce-sim serve --port 8787 --job-workers 2
+    deuce-sim serve --port 8790 --workers-url http://a:8787 \\
+        --workers-url http://b:8787
     deuce-sim loadtest --duration 30 --clients 8 --p99-slo 500
     deuce-sim trace export my-trace-dir --out trace.json
     deuce-sim runs list --scheme deuce
@@ -209,7 +215,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         return 2
     sweep_id = args.resume or args.sweep_id
     executor = None
-    if getattr(args, "workers_url", None):
+    if args.workers_url:
         from repro.service.coordinator import FleetExecutor
 
         executor = FleetExecutor(
@@ -331,20 +337,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         job_timeout_s=args.job_timeout,
         max_sweep_workers=args.max_sweep_workers,
         drain_timeout_s=args.drain_timeout,
-    )
-
-
-def _cmd_coordinate(args: argparse.Namespace) -> int:
-    from repro.service.coordinator import serve_coordinator
-
-    return serve_coordinator(
-        args.host,
-        args.port,
-        session=_make_session(args),
-        worker_urls=args.workers_url,
-        window=args.fleet_window,
-        probe_interval_s=args.fleet_probe_interval,
-        request_timeout_s=args.request_timeout,
+        worker_urls=args.workers_url or (),
+        fleet_window=args.fleet_window,
+        fleet_probe_interval_s=args.fleet_probe_interval,
     )
 
 
@@ -815,6 +810,33 @@ def _add_ledger_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_fleet_flags(parser: argparse.ArgumentParser, verb: str) -> None:
+    parser.add_argument(
+        "--workers-url",
+        action="append",
+        dest="workers_url",
+        default=None,
+        metavar="URL",
+        help=f"{verb} this 'deuce-sim serve' endpoint instead of local "
+        "processes (repeatable; e.g. --workers-url http://a:8787 "
+        "--workers-url http://b:8787)",
+    )
+    parser.add_argument(
+        "--fleet-window",
+        type=int,
+        default=2,
+        metavar="N",
+        help="bounded in-flight cells per fleet worker",
+    )
+    parser.add_argument(
+        "--fleet-probe-interval",
+        type=float,
+        default=2.0,
+        metavar="SECONDS",
+        help="seconds between /v1/healthz probes per fleet worker",
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="deuce-sim",
@@ -1001,30 +1023,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="live cells-done/in-flight/ETA line on stderr "
         "(default: only when stderr is a terminal)",
     )
-    p_sweep.add_argument(
-        "--workers-url",
-        action="append",
-        dest="workers_url",
-        default=None,
-        metavar="URL",
-        help="shard cells across this 'deuce-sim serve' endpoint instead "
-        "of local processes (repeatable; e.g. --workers-url "
-        "http://a:8787 --workers-url http://b:8787)",
-    )
-    p_sweep.add_argument(
-        "--fleet-window",
-        type=int,
-        default=2,
-        metavar="N",
-        help="bounded in-flight cells per fleet worker",
-    )
-    p_sweep.add_argument(
-        "--fleet-probe-interval",
-        type=float,
-        default=2.0,
-        metavar="SECONDS",
-        help="seconds between /v1/healthz probes per fleet worker",
-    )
+    _add_fleet_flags(p_sweep, "shard cells across")
     _add_ledger_flags(p_sweep)
     p_sweep.add_argument(
         "--label",
@@ -1055,7 +1054,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve = sub.add_parser(
         "serve",
         help="start the HTTP simulation job service "
-        "(POST /jobs, GET /jobs/{id}, GET /runs, ...)",
+        "(POST /v1/jobs, GET /v1/jobs/{id}, GET /v1/runs, ...)",
     )
     p_serve.add_argument("--host", default="127.0.0.1")
     p_serve.add_argument("--port", type=int, default=8787)
@@ -1093,48 +1092,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="seconds SIGTERM waits for in-flight jobs before forcing "
         "cooperative cancellation",
     )
+    _add_fleet_flags(p_serve, "run sweep jobs' cells on")
     _add_ledger_flags(p_serve)
     p_serve.set_defaults(func=_cmd_serve)
-
-    p_coord = sub.add_parser(
-        "coordinate",
-        help="start the fleet coordinator: accepts sweep envelopes on "
-        "POST /v1/sweeps and shards their cells across 'deuce-sim "
-        "serve' workers",
-    )
-    p_coord.add_argument("--host", default="127.0.0.1")
-    p_coord.add_argument("--port", type=int, default=8788)
-    p_coord.add_argument(
-        "--workers-url",
-        action="append",
-        dest="workers_url",
-        required=True,
-        metavar="URL",
-        help="a 'deuce-sim serve' worker endpoint (repeat per worker)",
-    )
-    p_coord.add_argument(
-        "--fleet-window",
-        type=int,
-        default=2,
-        metavar="N",
-        help="bounded in-flight cells per fleet worker",
-    )
-    p_coord.add_argument(
-        "--fleet-probe-interval",
-        type=float,
-        default=2.0,
-        metavar="SECONDS",
-        help="seconds between /v1/healthz probes per fleet worker",
-    )
-    p_coord.add_argument(
-        "--request-timeout",
-        type=float,
-        default=10.0,
-        metavar="SECONDS",
-        help="per-HTTP-request timeout when talking to workers",
-    )
-    _add_ledger_flags(p_coord)
-    p_coord.set_defaults(func=_cmd_coordinate)
 
     p_load = sub.add_parser(
         "loadtest",

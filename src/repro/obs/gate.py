@@ -254,7 +254,7 @@ def evaluate_gate(
             raise GateError(
                 f"no ledger run for scheme {scheme!r}"
                 + (f" on workload {workload!r}" if workload else "")
-                + " — run the pinned suite first (see CI's gate job)"
+                + " — run the pinned suite first (see CI's resume-smoke job)"
             )
         report.checks.append(
             check_flips(manifest, baseline, tolerance_scale=tolerance_scale)

@@ -1,9 +1,9 @@
-"""Fleet coordinator: shard one sweep across ``deuce-sim serve`` workers.
+"""Fleet sweeps: shard one sweep across ``deuce-sim serve`` workers.
 
 The DEUCE design-space grids (epoch interval x word size x scheme x
 workload) outgrow one process long before they outgrow one lab: this
 module turns N independent ``deuce-sim serve`` endpoints into a sweep
-fabric.  The coordinator owns the grid; workers own nothing but the cell
+fabric.  The scheduler owns the grid; workers own nothing but the cell
 they are currently running.
 
 * :class:`WorkerClient` — a stdlib-only HTTP client for one worker's
@@ -21,16 +21,17 @@ they are currently running.
   workers (straggler re-dispatch with first-completion-wins dedup by
   cell index).
 * :class:`FleetTelemetry` — per-worker dispatch/latency/steal counters
-  on a :class:`~repro.obs.metrics.MetricsRegistry`, served from the
-  coordinator's ``/v1/metrics``.
-* :func:`serve_coordinator` — the ``deuce-sim coordinate`` long-running
-  mode: a small HTTP service accepting sweep envelopes and running each
-  over the fleet in a background thread, with ledger-keyed checkpoints
-  so re-submitting a sweep id after a coordinator restart resumes
-  exactly like a local ``--resume``.
+  on a :class:`~repro.obs.metrics.MetricsRegistry`.
+
+Two front ends drive it: ``deuce-sim sweep --workers-url`` for one
+sweep from the command line, and ``deuce-sim serve --workers-url``,
+whose :class:`~repro.service.jobs.JobManager` runs every sweep job over
+the fleet (one executor per job, one shared :class:`FleetTelemetry` on
+the service's ``/v1/metrics``), with the job server's journal,
+cancellation, deadlines, event stream and drain.
 
 Because a worker returns the full ``RunResult.to_dict()`` payload and
-the coordinator records it through the same
+the executor records it through the same
 :meth:`~repro.sim.parallel.SweepRun.complete` the local pool uses, a
 merged fleet sweep is bit-identical (ignoring the documented volatile
 fields ``wall_time_s``/``run_id``) to a single-node sweep of the same
@@ -41,49 +42,31 @@ from __future__ import annotations
 
 import http.client
 import json
-import re
 import threading
 import time
 import urllib.error
 import urllib.request
 from collections import deque
 from dataclasses import dataclass
-from http.server import ThreadingHTTPServer
 from pathlib import Path
 from typing import Callable, Sequence
 from urllib.parse import urlsplit
 
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.promfmt import render_prometheus
 from repro.obs.progress import DONE, HEARTBEAT, START, ProgressEvent
 from repro.obs.tracing import JsonlSink, Tracer
 from repro.sim.checkpoint import SweepCheckpoint
 from repro.sim.config import SimConfig
 from repro.sim.parallel import (
-    SweepCancelled,
     SweepCellFailed,
     SweepRun,
     SweepTracing,
     run_sweep,
 )
 from repro.sim.results import RunResult
-from repro.service.jobs import (
-    CANCELLED,
-    DONE as JOB_DONE,
-    FAILED,
-    JobError,
-    JobSpec,
-    new_job_id,
-)
-from repro.service.server import API_VERSION, JsonHandler, serve_until_signal
+from repro.service.jobs import CANCELLED, DONE as JOB_DONE, FAILED
 
-__all__ = [
-    "FleetExecutor",
-    "FleetTelemetry",
-    "WorkerClient",
-    "WorkerError",
-    "serve_coordinator",
-]
+__all__ = ["FleetExecutor", "FleetTelemetry", "WorkerClient", "WorkerError"]
 
 #: Fixed upper bounds for per-cell latency histograms (seconds).  Cells
 #: run whole traces, so the scale is job-like, not request-like.
@@ -203,11 +186,20 @@ class FleetTelemetry:
     * ``fleet.duplicate_completions`` — steal-race losers deduplicated.
     * ``fleet.cell_seconds`` — dispatch-to-completion latency histogram.
     * ``fleet.worker_healthy`` / ``fleet.worker_in_flight`` — gauges.
+
+    A registry shared with other writers must be shared with its lock
+    (the job service passes its
+    :class:`~repro.service.telemetry.ServiceTelemetry`'s), because
+    :class:`MetricsRegistry` itself is not thread-safe.
     """
 
-    def __init__(self, registry: MetricsRegistry | None = None) -> None:
+    def __init__(
+        self,
+        registry: MetricsRegistry | None = None,
+        lock: threading.Lock | None = None,
+    ) -> None:
         self.registry = registry if registry is not None else MetricsRegistry()
-        self._lock = threading.Lock()
+        self._lock = lock if lock is not None else threading.Lock()
 
     def _labels(self, worker: str) -> dict[str, str]:
         return {"worker": worker}
@@ -264,10 +256,6 @@ class FleetTelemetry:
             self.registry.gauge(
                 "fleet.worker_in_flight", self._labels(worker)
             ).set(float(count))
-
-    def snapshot(self) -> dict:
-        with self._lock:
-            return self.registry.snapshot()
 
 
 @dataclass
@@ -338,14 +326,12 @@ class FleetExecutor:
         ``max(straggler_min_s, straggler_factor * median completed cell
         latency)``; an idle worker then gets a duplicate dispatch and
         the first completion wins.
-    request_timeout_s:
-        Per-HTTP-request timeout.
     fleet_down_timeout_s:
         With every worker unhealthy for this long, the sweep fails
         (:class:`SweepCellFailed`, resumable) instead of spinning.
     telemetry:
-        Optional :class:`FleetTelemetry` (shared in coordinate mode so
-        all sweeps land on one ``/v1/metrics``).
+        Optional :class:`FleetTelemetry` (the job service shares one
+        across its sweep jobs so all land on one ``/v1/metrics``).
     client_factory:
         Injection point for tests: ``(url) -> WorkerClient``-shaped
         object.
@@ -360,7 +346,6 @@ class FleetExecutor:
         poll_interval_s: float = 0.05,
         straggler_factor: float = 4.0,
         straggler_min_s: float = 5.0,
-        request_timeout_s: float = 10.0,
         fleet_down_timeout_s: float = 60.0,
         telemetry: FleetTelemetry | None = None,
         client_factory: Callable[[str], WorkerClient] | None = None,
@@ -370,9 +355,7 @@ class FleetExecutor:
             raise ValueError("a fleet needs at least one worker URL")
         if window < 1:
             raise ValueError(f"window must be >= 1, got {window}")
-        factory = client_factory or (
-            lambda url: WorkerClient(url, timeout_s=request_timeout_s)
-        )
+        factory = client_factory or WorkerClient
         self.workers = [
             _FleetWorker(_worker_name(i, url), factory(url))
             for i, url in enumerate(urls)
@@ -868,318 +851,3 @@ def _decode_cell_result(payload: dict) -> RunResult | None:
         return RunResult.from_dict(results[0])
     except Exception:
         return None
-
-
-# ---------------------------------------------------------------------------
-# deuce-sim coordinate: the long-running coordinator service
-# ---------------------------------------------------------------------------
-
-_SWEEP_PATH = re.compile(r"^/sweeps/([A-Za-z0-9._-]+)(/result)?$")
-
-
-def new_sweep_id() -> str:
-    """Sortable unique fleet-sweep id."""
-    return new_job_id().replace("job-", "fleet-", 1)
-
-
-class _FleetSweep:
-    """One sweep accepted by the coordinator service."""
-
-    def __init__(self, sweep_id: str, spec: JobSpec) -> None:
-        self.id = sweep_id
-        self.spec = spec
-        self.state = "queued"
-        self.error = ""
-        self.created_utc = time.strftime(
-            "%Y-%m-%dT%H:%M:%SZ", time.gmtime()
-        )
-        self.cells_done = 0
-        self.results: list[dict] | None = None
-        self.thread: threading.Thread | None = None
-        self.lock = threading.Lock()
-
-    def snapshot(self) -> dict:
-        with self.lock:
-            return {
-                "sweep_id": self.id,
-                "state": self.state,
-                "error": self.error,
-                "created_utc": self.created_utc,
-                "n_cells": len(self.spec.configs),
-                "cells_done": self.cells_done,
-                "label": self.spec.label,
-            }
-
-
-class CoordinatorState:
-    """Shared state behind the coordinate-mode HTTP handlers."""
-
-    def __init__(
-        self,
-        session,
-        worker_urls: Sequence[str],
-        *,
-        window: int = 2,
-        probe_interval_s: float = 2.0,
-        request_timeout_s: float = 10.0,
-        default_retries: int = 2,
-    ) -> None:
-        self.session = session
-        self.worker_urls = list(worker_urls)
-        self.window = window
-        self.probe_interval_s = probe_interval_s
-        self.request_timeout_s = request_timeout_s
-        self.default_retries = default_retries
-        self.telemetry = FleetTelemetry()
-        self.sweeps: dict[str, _FleetSweep] = {}
-        self.executors: dict[str, FleetExecutor] = {}
-        self.started = time.monotonic()
-        self._lock = threading.Lock()
-
-    def submit(self, spec: JobSpec, sweep_id: str = "") -> _FleetSweep:
-        """Accept a sweep and run it over the fleet in the background.
-
-        Re-submitting an id whose previous run finished (or failed)
-        resumes from the ledger-keyed checkpoint — the coordinator's
-        restart story is the same as a local ``--resume``.
-        """
-        sweep_id = sweep_id or new_sweep_id()
-        with self._lock:
-            existing = self.sweeps.get(sweep_id)
-            if existing is not None and existing.state in (
-                "queued", "running"
-            ):
-                raise JobError(
-                    f"sweep {sweep_id!r} is already {existing.state}"
-                )
-            sweep = _FleetSweep(sweep_id, spec)
-            self.sweeps[sweep_id] = sweep
-            executor = FleetExecutor(
-                self.worker_urls,
-                window=self.window,
-                probe_interval_s=self.probe_interval_s,
-                request_timeout_s=self.request_timeout_s,
-                telemetry=self.telemetry,
-            )
-            self.executors[sweep_id] = executor
-        thread = threading.Thread(
-            target=self._run, args=(sweep, executor), daemon=True,
-            name=f"fleet-{sweep_id}",
-        )
-        sweep.thread = thread
-        thread.start()
-        return sweep
-
-    def _run(self, sweep: _FleetSweep, executor: FleetExecutor) -> None:
-        with sweep.lock:
-            sweep.state = "running"
-
-        def on_progress(event: ProgressEvent) -> None:
-            if event.kind == DONE:
-                with sweep.lock:
-                    sweep.cells_done += 1
-
-        spec = sweep.spec
-        try:
-            kwargs: dict = {}
-            if self.session.ledger is not None:
-                kwargs["sweep_id"] = sweep.id
-                kwargs["trace_dir"] = (
-                    self.session.ledger.root / "traces" / sweep.id
-                )
-            results = self.session.sweep(
-                spec.configs,
-                executor=executor,
-                retries=(
-                    spec.retries if spec.retries else self.default_retries
-                ),
-                label=spec.label,
-                progress=on_progress,
-                **kwargs,
-            )
-        except SweepCellFailed as exc:
-            with sweep.lock:
-                sweep.state = "failed"
-                sweep.error = str(exc)
-        except SweepCancelled as exc:
-            with sweep.lock:
-                sweep.state = "cancelled"
-                sweep.error = str(exc)
-        except Exception as exc:  # noqa: BLE001 - surfaced via the API
-            with sweep.lock:
-                sweep.state = "failed"
-                sweep.error = f"{type(exc).__name__}: {exc}"
-        else:
-            with sweep.lock:
-                sweep.state = "done"
-                sweep.results = [r.to_dict() for r in results]
-
-    def healthz(self) -> dict:
-        with self._lock:
-            states = [s.snapshot()["state"] for s in self.sweeps.values()]
-        return {
-            "status": "ok",
-            "role": "coordinator",
-            "api_version": API_VERSION,
-            "uptime_s": round(time.monotonic() - self.started, 3),
-            "workers": list(self.worker_urls),
-            "sweeps": {
-                "total": len(states),
-                "running": states.count("running"),
-                "done": states.count("done"),
-                "failed": states.count("failed"),
-            },
-        }
-
-    def fleet(self) -> dict:
-        with self._lock:
-            executors = dict(self.executors)
-            sweeps = [s.snapshot() for s in self.sweeps.values()]
-        workers: dict[str, dict] = {}
-        for executor in executors.values():
-            for stats in executor.fleet_stats():
-                name = str(stats["name"])
-                agg = workers.setdefault(
-                    name,
-                    {
-                        "name": name, "url": stats["url"],
-                        "healthy": True, "in_flight": 0,
-                        "dispatched": 0, "completed": 0,
-                    },
-                )
-                agg["healthy"] = bool(agg["healthy"]) and bool(
-                    stats["healthy"]
-                )
-                for key in ("in_flight", "dispatched", "completed"):
-                    agg[key] = int(agg[key]) + int(stats[key])  # type: ignore
-        return {
-            "workers": sorted(workers.values(), key=lambda w: w["name"]),
-            "sweeps": sweeps,
-        }
-
-
-class CoordinatorServer(ThreadingHTTPServer):
-    daemon_threads = True
-
-    def __init__(self, address, state: CoordinatorState, quiet=True) -> None:
-        super().__init__(address, _CoordinatorHandler)
-        self.state = state
-        self.quiet = quiet
-
-    @property
-    def port(self) -> int:
-        return self.server_address[1]
-
-
-class _CoordinatorHandler(JsonHandler):
-    server: CoordinatorServer
-
-    def _get(self, path: str, query: dict[str, list[str]]) -> None:
-        state = self.server.state
-        if path == "/healthz":
-            return self._json(200, state.healthz())
-        if path == "/fleet":
-            return self._json(200, state.fleet())
-        if path == "/metrics":
-            if self._wants_prometheus(query):
-                return self._prometheus(
-                    render_prometheus(state.telemetry.registry)
-                )
-            return self._json(200, state.telemetry.snapshot())
-        if path == "/sweeps":
-            return self._json(
-                200,
-                {"sweeps": [s.snapshot() for s in state.sweeps.values()]},
-            )
-        match = _SWEEP_PATH.match(path)
-        if match:
-            sweep = state.sweeps.get(match.group(1))
-            if sweep is None:
-                return self._error(404, f"no sweep {match.group(1)!r}")
-            if not match.group(2):
-                return self._json(200, sweep.snapshot())
-            snapshot = sweep.snapshot()
-            if snapshot["state"] in ("queued", "running"):
-                return self._json(202, snapshot)
-            if snapshot["state"] != "done":
-                return self._json(409, snapshot)
-            return self._json(
-                200, {**snapshot, "results": sweep.results or []}
-            )
-        self._no_route()
-
-    def _post(self, path: str, query: dict[str, list[str]]) -> None:
-        if path != "/sweeps":
-            return self._no_route()
-        try:
-            payload = self._read_json()
-            # ``sweep_id`` is a coordinator-level option (it keys the
-            # merged checkpoint); pull it out before the shared decode.
-            options = (
-                payload.get("options") if isinstance(payload, dict) else None
-            )
-            sweep_id = ""
-            if isinstance(options, dict) and "sweep_id" in options:
-                options = dict(options)
-                sweep_id = str(options.pop("sweep_id"))
-                payload = {**payload, "options": options}
-            spec = JobSpec.decode(payload)
-            if spec.kind != "sweep":
-                raise JobError(
-                    "the coordinator accepts only kind='sweep' envelopes"
-                )
-            sweep = self.server.state.submit(spec, sweep_id)
-        except JobError as exc:
-            return self._error(400, str(exc))
-        base = f"/{API_VERSION}/sweeps/{sweep.id}"
-        self._json(
-            201,
-            {
-                "sweep_id": sweep.id,
-                "state": sweep.snapshot()["state"],
-                "status_url": base,
-                "result_url": f"{base}/result",
-            },
-        )
-
-
-def serve_coordinator(
-    host: str = "127.0.0.1",
-    port: int = 8788,
-    *,
-    session,
-    worker_urls: Sequence[str],
-    window: int = 2,
-    probe_interval_s: float = 2.0,
-    request_timeout_s: float = 10.0,
-    quiet: bool = False,
-    ready: threading.Event | None = None,
-) -> int:
-    """Run the coordinator service until SIGTERM/SIGINT.
-
-    ``POST /v1/sweeps`` takes the standard job envelope (``kind="sweep"``)
-    plus an optional ``options.sweep_id`` that keys the merged checkpoint
-    under the session ledger, so a coordinator restart + re-POST of the
-    same id resumes exactly like a local ``--resume``.
-    """
-    state = CoordinatorState(
-        session,
-        worker_urls,
-        window=window,
-        probe_interval_s=probe_interval_s,
-        request_timeout_s=request_timeout_s,
-    )
-    server = CoordinatorServer((host, port), state, quiet=quiet)
-    serve_until_signal(
-        server,
-        lambda _signals_seen: server.shutdown(),
-        banner="" if quiet else (
-            f"deuce-sim coordinate: listening on http://{host}:{server.port}"
-            f" with {len(state.worker_urls)} worker(s): "
-            + ", ".join(state.worker_urls)
-        ),
-        ready=ready,
-    )
-    if not quiet:
-        print("deuce-sim coordinate: bye", flush=True)
-    return 0

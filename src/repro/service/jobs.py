@@ -8,7 +8,9 @@ inside a job reuse :mod:`repro.sim.parallel` (and therefore its process
 pool) with the sweep engine's cooperative ``should_stop`` hook wired to the
 job's cancel flag and deadline, which is what makes cancellation and
 drains orphan-free: unstarted cells are dropped, in-flight cells finish,
-and the pool always shuts down cleanly.
+and the pool always shuts down cleanly.  On a server with a fleet
+(``worker_urls``) the sweep's cells run on remote ``deuce-sim serve``
+workers instead, and a stop cancels their in-flight worker jobs.
 
 Lifecycle::
 
@@ -42,7 +44,7 @@ import time
 import uuid
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Sequence
 
 from repro.api import Session
 from repro.obs.context import TraceContext
@@ -66,6 +68,10 @@ TERMINAL_STATES = frozenset({DONE, FAILED, CANCELLED})
 
 #: Job kinds accepted by the service.
 JOB_KINDS = ("run", "sweep", "experiment")
+
+#: Retry budget of a fleet sweep job whose envelope sets none: a dead
+#: worker's in-flight cells are charged against it when they requeue.
+FLEET_RETRIES = 2
 
 
 class JobError(ValueError):
@@ -127,8 +133,9 @@ class JobSpec:
         array for ``kind="sweep"``, and the exhibit name string for
         ``kind="experiment"``; ``options`` carries ``workers`` /
         ``timeout_s`` / ``retries`` / ``label`` (plus experiment keyword
-        arguments for experiments).  Run, sweep, experiment, and the
-        fleet coordinator's dispatch route all share this one shape.
+        arguments for experiments).  Run, sweep and experiment jobs,
+        and the run-job cells a fleet sweep dispatches to its workers,
+        all share this one shape.
         Raises :class:`JobError` naming the field at fault; config dicts
         go through the strict :meth:`SimConfig.from_dict
         <repro.sim.config.SimConfig.from_dict>`.
@@ -474,6 +481,17 @@ class JobManager:
         The :class:`~repro.service.telemetry.ServiceTelemetry` receiving
         job lifecycle/phase metrics and worker heartbeats; a fresh one by
         default (the HTTP layer serves it at ``GET /v1/metrics``).
+    worker_urls:
+        A fleet of ``deuce-sim serve`` endpoints; when set, each sweep
+        job runs its cells there through its own
+        :class:`~repro.service.coordinator.FleetExecutor` (retry budget
+        :data:`FLEET_RETRIES` unless the envelope sets one), all of them
+        reporting into one :class:`~repro.service.coordinator.FleetTelemetry`
+        on ``telemetry``'s registry.  Run and experiment jobs still run
+        in-process.  Empty (the default) never imports the fleet module.
+    fleet_window / fleet_probe_interval_s:
+        The fleet executors' in-flight cells per worker and seconds
+        between ``/v1/healthz`` probes.
     """
 
     #: Seconds an idle worker waits on the queue between heartbeat ticks.
@@ -489,12 +507,17 @@ class JobManager:
         max_sweep_workers: int = 4,
         store: JobStore | None = None,
         telemetry: ServiceTelemetry | None = None,
+        worker_urls: Sequence[str] = (),
+        fleet_window: int = 2,
+        fleet_probe_interval_s: float = 2.0,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
         if job_workers < 1:
             raise ValueError(f"job_workers must be >= 1, got {job_workers}")
         if queue_size < 1:
             raise ValueError(f"queue_size must be >= 1, got {queue_size}")
+        if fleet_window < 1:
+            raise ValueError(f"fleet_window must be >= 1, got {fleet_window}")
         self.session = session
         self.job_workers = job_workers
         self.default_timeout_s = default_timeout_s
@@ -503,6 +526,16 @@ class JobManager:
         self.telemetry = (
             telemetry if telemetry is not None else ServiceTelemetry()
         )
+        self.worker_urls = [url for url in worker_urls if url]
+        self.fleet_window = fleet_window
+        self.fleet_probe_interval_s = fleet_probe_interval_s
+        self._fleet_telemetry = None
+        if self.worker_urls:
+            from repro.service.coordinator import FleetTelemetry
+
+            self._fleet_telemetry = FleetTelemetry(
+                self.telemetry.registry, self.telemetry.lock
+            )
         self._clock = clock
         self._queue: queue.Queue = queue.Queue(maxsize=queue_size)
         self._jobs: dict[str, Job] = {}
@@ -716,6 +749,19 @@ class JobManager:
         except OSError:
             return None, None
 
+    def _fleet_executor(self):
+        """A fresh fleet executor per sweep job; ``None`` without a fleet."""
+        if not self.worker_urls:
+            return None
+        from repro.service.coordinator import FleetExecutor
+
+        return FleetExecutor(
+            self.worker_urls,
+            window=self.fleet_window,
+            probe_interval_s=self.fleet_probe_interval_s,
+            telemetry=self._fleet_telemetry,
+        )
+
     def _execute(self, job: Job) -> None:
         if job.cancelled_requested:
             job._transition(CANCELLED, "cancelled while queued")
@@ -787,14 +833,19 @@ class JobManager:
                 sweep_id = (
                     job.id if self.session.ledger is not None else None
                 )
+                executor = self._fleet_executor()
+                retries = spec.retries
+                if executor is not None and not retries:
+                    retries = FLEET_RETRIES
                 results = self.session.sweep(
                     spec.configs,
                     workers=workers,
                     progress=job.on_progress,
                     label=spec.label,
                     should_stop=should_stop,
-                    retries=spec.retries,
+                    retries=retries,
                     sweep_id=sweep_id,
+                    executor=executor,
                     trace_dir=(
                         self.trace_dir(job.id) if ctx is not None else None
                     ),

@@ -7,7 +7,7 @@ path answers ``404`` with a pointer to ``/v1``.  Endpoints:
 ============================  =================================================
 ``GET  /v1/healthz``          liveness + uptime + queue depth/in-flight/
                               completed counters + drain state +
-                              ``api_version``
+                              ``api_version`` + ``fleet`` worker URLs
 ``GET  /v1/metrics``          service telemetry (request latency histograms,
                               job phase timings, queue gauges, worker
                               heartbeats) as JSON, or Prometheus text with
@@ -26,10 +26,11 @@ path answers ``404`` with a pointer to ``/v1``.  Endpoints:
                               ``label``/``limit`` filters)
 ============================  =================================================
 
-:class:`JsonHandler` and :func:`serve_until_signal` are the HTTP layer the
-fleet coordinator (``deuce-sim coordinate``) shares: ``/v1`` routing,
-JSON bodies and errors, request-body decoding, metrics negotiation and
-the signal-driven serve loop.
+Fleet: with ``worker_urls`` (``deuce-sim serve --workers-url``) the
+manager runs each sweep job's cells on those ``deuce-sim serve`` workers
+through :class:`~repro.service.coordinator.FleetExecutor`; the fleet's
+per-worker ``fleet.*`` series join ``/v1/metrics`` and ``/v1/healthz``
+lists the worker URLs.  Run and experiment jobs still run in-process.
 
 Restart durability: when the session has a ledger, the manager journals
 jobs to ``<ledger>/service/jobs.jsonl`` and rehydrates them on startup —
@@ -52,7 +53,7 @@ import threading
 import time
 import uuid
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Callable
+from typing import Callable, Sequence
 from urllib.parse import parse_qs, urlsplit
 
 from repro.api import Session
@@ -78,24 +79,79 @@ EVENT_POLL_S = 0.05
 _JOB_PATH = re.compile(r"^/jobs/([A-Za-z0-9._-]+)(/result|/events)?$")
 
 
-class JsonHandler(BaseHTTPRequestHandler):
-    """JSON-over-HTTP plumbing shared by ``serve`` and ``coordinate``.
+class SimulationServer(ThreadingHTTPServer):
+    """ThreadingHTTPServer bound to a :class:`JobManager` + Session."""
+
+    daemon_threads = True
+    allow_reuse_address = True
+
+    def __init__(
+        self,
+        address: tuple[str, int],
+        manager: JobManager,
+        *,
+        quiet: bool = True,
+    ) -> None:
+        super().__init__(address, _Handler)
+        self.manager = manager
+        self.session = manager.session
+        self.telemetry = manager.telemetry
+        self.quiet = quiet
+        self.started_monotonic = time.monotonic()
+
+    @property
+    def port(self) -> int:
+        return self.server_address[1]
+
+
+def route_template(path: str) -> str:
+    """Collapse a request path to its bounded route template.
+
+    Metric labels must never carry raw job ids (every distinct label set
+    is a live time series); unknown and unversioned paths fold to
+    ``"other"``.
+    """
+    if path in ("/healthz", "/metrics", "/runs", "/jobs", "/"):
+        return path
+    match = _JOB_PATH.match(path)
+    if match:
+        return "/jobs/{id}" + (match.group(2) or "")
+    return "other"
+
+
+class _Handler(BaseHTTPRequestHandler):
+    """The ``/v1`` routes over the server's :class:`JobManager`.
 
     :meth:`_dispatch` strips the ``/v1`` prefix and hands ``(path,
-    query)`` to the subclass's ``_get``/``_post`` (``_delete``) route;
-    an unversioned path gets a ``404`` pointing at ``/v1``.  The server
-    must carry a ``quiet`` flag (access logging off when set).
+    query)`` to ``_get``/``_post``/``_delete``; an unversioned path gets
+    a ``404`` pointing at ``/v1``.
     """
 
+    server: SimulationServer
     protocol_version = "HTTP/1.1"
 
     #: The route path with the version prefix stripped, "" when the
     #: request did not use it (set per request).
     _route_path = ""
+    #: Last status code sent on this request (for telemetry).
+    _status = 0
+    #: Trace id for this request (client ``X-Trace-Id`` or freshly minted).
+    _trace_id = ""
+
+    # -- plumbing ------------------------------------------------------------
 
     def log_message(self, format: str, *args) -> None:  # noqa: A002
-        if not self.server.quiet:  # type: ignore[attr-defined]
+        if not self.server.quiet:
             super().log_message(format, *args)
+
+    def send_response(self, code: int, message: str | None = None) -> None:
+        self._status = code
+        super().send_response(code, message)
+
+    def end_headers(self) -> None:
+        if self._trace_id:
+            self.send_header("X-Trace-Id", self._trace_id)
+        super().end_headers()
 
     def do_GET(self) -> None:  # noqa: N802 - http.server API
         self._dispatch(self._get)
@@ -103,18 +159,45 @@ class JsonHandler(BaseHTTPRequestHandler):
     def do_POST(self) -> None:  # noqa: N802 - http.server API
         self._dispatch(self._post)
 
+    def do_DELETE(self) -> None:  # noqa: N802 - http.server API
+        self._dispatch(self._delete)
+
     def _dispatch(self, route: Callable[[str, dict], None]) -> None:
-        url = urlsplit(self.path)
-        versioned = f"/{API_VERSION}"
-        if url.path != versioned and not url.path.startswith(versioned + "/"):
-            self._route_path = ""
-            return self._error(
-                404,
-                f"no route for {self.command} {url.path}: the API is served "
-                f"under {versioned}/ (try {versioned}{url.path})",
+        """Route one request, recording latency by route template/status.
+
+        The route template is derived after the handler ran (it parses the
+        path), so labels reflect the normalized ``/jobs/{id}`` form; a
+        handler that died before sending anything records status 500.
+
+        Every request gets a trace id — the client's ``X-Trace-Id`` header
+        when sent (so callers can correlate their own traces), otherwise a
+        fresh one — echoed back on the response and attached to the latency
+        histogram bucket as an exemplar.
+        """
+        t0 = time.perf_counter()
+        self._status = 0
+        self._route_path = ""
+        header = (self.headers.get("X-Trace-Id") or "").strip()
+        self._trace_id = header[:64] if header else uuid.uuid4().hex[:16]
+        try:
+            url = urlsplit(self.path)
+            versioned = f"/{API_VERSION}"
+            if not (url.path + "/").startswith(versioned + "/"):
+                return self._error(
+                    404,
+                    f"no route for {self.command} {url.path}: the API is "
+                    f"served under {versioned}/ (try {versioned}{url.path})",
+                )
+            self._route_path = url.path[len(versioned):] or "/"
+            route(self._route_path, parse_qs(url.query))
+        finally:
+            self.server.telemetry.observe_request(
+                self.command,
+                route_template(self._route_path),
+                self._status or 500,
+                time.perf_counter() - t0,
+                trace_id=self._trace_id,
             )
-        self._route_path = url.path[len(versioned):] or "/"
-        route(self._route_path, parse_qs(url.query))
 
     def _no_route(self) -> None:
         self._error(
@@ -160,148 +243,6 @@ class JsonHandler(BaseHTTPRequestHandler):
             return json.loads(raw)
         except json.JSONDecodeError as exc:
             raise JobError(f"request body is not valid JSON: {exc}") from exc
-
-    def _wants_prometheus(self, query: dict[str, list[str]]) -> bool:
-        """``?format=prometheus|text``, or an ``Accept`` of plain text only."""
-        fmt = query.get("format", [""])[0].lower()
-        accept = self.headers.get("Accept", "")
-        return fmt in ("prometheus", "text") or (
-            not fmt
-            and "text/plain" in accept
-            and "application/json" not in accept
-        )
-
-    def _prometheus(self, text: str) -> None:
-        self._text(200, text, promfmt.CONTENT_TYPE)
-
-
-def serve_until_signal(
-    server: ThreadingHTTPServer,
-    on_signal: Callable[[int], None],
-    *,
-    banner: str = "",
-    ready: threading.Event | None = None,
-) -> None:
-    """Serve ``server`` until a SIGTERM/SIGINT action shuts it down.
-
-    Each signal runs ``on_signal(n)`` (``n`` counts the signals so far)
-    on a fresh daemon thread: ``server.shutdown()`` deadlocks on the
-    ``serve_forever`` thread, which is the one a signal interrupts.  The
-    ``banner`` is printed and ``ready`` set only once the handlers are
-    installed.  On exit the previous handlers are restored and the
-    listener closed.
-    """
-    signals_seen = itertools.count(1)
-
-    def _handler(_signum, _frame) -> None:
-        threading.Thread(
-            target=on_signal, args=(next(signals_seen),), daemon=True
-        ).start()
-
-    previous = {
-        signum: signal.signal(signum, _handler)
-        for signum in (signal.SIGTERM, signal.SIGINT)
-    }
-    if banner:
-        print(banner, flush=True)
-    if ready is not None:
-        ready.set()
-    try:
-        server.serve_forever(poll_interval=0.2)
-    finally:
-        for signum, handler in previous.items():
-            signal.signal(signum, handler)
-        server.server_close()
-
-
-class SimulationServer(ThreadingHTTPServer):
-    """ThreadingHTTPServer bound to a :class:`JobManager` + Session."""
-
-    daemon_threads = True
-    allow_reuse_address = True
-
-    def __init__(
-        self,
-        address: tuple[str, int],
-        manager: JobManager,
-        *,
-        quiet: bool = True,
-    ) -> None:
-        super().__init__(address, _Handler)
-        self.manager = manager
-        self.session = manager.session
-        self.telemetry = manager.telemetry
-        self.quiet = quiet
-        self.started_monotonic = time.monotonic()
-
-    @property
-    def port(self) -> int:
-        return self.server_address[1]
-
-
-def route_template(path: str) -> str:
-    """Collapse a request path to its bounded route template.
-
-    Metric labels must never carry raw job ids (every distinct label set
-    is a live time series); unknown and unversioned paths fold to
-    ``"other"``.
-    """
-    if path in ("/healthz", "/metrics", "/runs", "/jobs", "/"):
-        return path
-    match = _JOB_PATH.match(path)
-    if match:
-        return "/jobs/{id}" + (match.group(2) or "")
-    return "other"
-
-
-class _Handler(JsonHandler):
-    server: SimulationServer
-
-    #: Last status code sent on this request (for telemetry).
-    _status = 0
-    #: Trace id for this request (client ``X-Trace-Id`` or freshly minted).
-    _trace_id = ""
-
-    # -- plumbing ------------------------------------------------------------
-
-    def send_response(self, code: int, message: str | None = None) -> None:
-        self._status = code
-        super().send_response(code, message)
-
-    def end_headers(self) -> None:
-        if self._trace_id:
-            self.send_header("X-Trace-Id", self._trace_id)
-        super().end_headers()
-
-    def do_DELETE(self) -> None:  # noqa: N802 - http.server API
-        self._dispatch(self._delete)
-
-    def _dispatch(self, route: Callable[[str, dict], None]) -> None:
-        """Dispatch one request, recording latency by route template/status.
-
-        The route template is derived after the handler ran (it parses the
-        path), so labels reflect the normalized ``/jobs/{id}`` form; a
-        handler that died before sending anything records status 500.
-
-        Every request gets a trace id — the client's ``X-Trace-Id`` header
-        when sent (so callers can correlate their own traces), otherwise a
-        fresh one — echoed back on the response and attached to the latency
-        histogram bucket as an exemplar.
-        """
-        t0 = time.perf_counter()
-        self._status = 0
-        header = (self.headers.get("X-Trace-Id") or "").strip()
-        self._trace_id = header[:64] if header else uuid.uuid4().hex[:16]
-        try:
-            super()._dispatch(route)
-        finally:
-            self.server.telemetry.observe_request(
-                self.command,
-                route_template(self._route_path),
-                self._status or 500,
-                time.perf_counter() - t0,
-                trace_id=self._trace_id,
-            )
 
     # -- routing -------------------------------------------------------------
 
@@ -381,6 +322,7 @@ class _Handler(JsonHandler):
                 "queue_depth": manager.queue_depth,
                 "in_flight": manager.in_flight,
                 "job_workers": manager.job_workers,
+                "fleet": list(manager.worker_urls),
                 "queue_capacity": manager._queue.maxsize,
                 "ledger": (
                     str(self.server.session.ledger.root)
@@ -407,8 +349,17 @@ class _Handler(JsonHandler):
             capacity=manager._queue.maxsize,
             draining=manager.draining,
         )
-        if self._wants_prometheus(query):
-            return self._prometheus(telemetry.to_prometheus())
+        # ``?format=prometheus|text``, or an ``Accept`` of plain text only.
+        fmt = query.get("format", [""])[0].lower()
+        accept = self.headers.get("Accept", "")
+        if fmt in ("prometheus", "text") or (
+            not fmt
+            and "text/plain" in accept
+            and "application/json" not in accept
+        ):
+            return self._text(
+                200, telemetry.to_prometheus(), promfmt.CONTENT_TYPE
+            )
         self._json(
             200,
             {
@@ -425,7 +376,9 @@ class _Handler(JsonHandler):
         try:
             limit = int(query.get("limit", ["20"])[0])
         except ValueError:
-            return self._error(400, "'limit' must be an integer")
+            limit = -1
+        if limit < 0:
+            return self._error(400, "'limit' must be a non-negative integer")
         manifests = ledger.list(
             kind=query.get("kind", [None])[0],
             scheme=query.get("scheme", [None])[0],
@@ -495,6 +448,9 @@ def serve(
     job_timeout_s: float | None = None,
     max_sweep_workers: int = 4,
     drain_timeout_s: float = 30.0,
+    worker_urls: Sequence[str] = (),
+    fleet_window: int = 2,
+    fleet_probe_interval_s: float = 2.0,
     quiet: bool = False,
     ready: threading.Event | None = None,
 ) -> int:
@@ -503,7 +459,10 @@ def serve(
     Blocks the calling thread in ``serve_forever``.  The first signal
     starts a drain (new submissions get ``503``, in-flight jobs finish or
     cancel within ``drain_timeout_s``); a second signal cancels remaining
-    jobs outright.  Returns the process exit code.
+    jobs outright.  ``worker_urls`` runs sweep jobs on that fleet of
+    ``deuce-sim serve`` workers (see :class:`JobManager`).  ``ready`` is
+    set once the signal handlers are installed.  Returns the process exit
+    code.
     """
     session = session if session is not None else Session()
     manager = JobManager(
@@ -517,6 +476,9 @@ def serve(
             if session.ledger is not None
             else None
         ),
+        worker_urls=worker_urls,
+        fleet_window=fleet_window,
+        fleet_probe_interval_s=fleet_probe_interval_s,
     ).start()
     restored = manager.rehydrate()
     if not quiet and restored:
@@ -526,23 +488,45 @@ def serve(
             flush=True,
         )
     server = SimulationServer((host, port), manager, quiet=quiet)
+    signals_seen = itertools.count(1)
 
-    def _drain_and_stop(signals_seen: int) -> None:
+    def _drain_and_stop(signals: int) -> None:
         # A second signal cancels what the first one's drain waits for.
-        manager.drain(drain_timeout_s, cancel=signals_seen > 1)
+        manager.drain(drain_timeout_s, cancel=signals > 1)
         server.shutdown()
 
-    serve_until_signal(
-        server,
-        _drain_and_stop,
-        banner="" if quiet else (
+    def _on_signal(_signum, _frame) -> None:
+        # shutdown() deadlocks on the serve_forever thread, which is the
+        # one a signal interrupts: drain on a fresh thread instead.
+        threading.Thread(
+            target=_drain_and_stop, args=(next(signals_seen),), daemon=True
+        ).start()
+
+    previous = {
+        signum: signal.signal(signum, _on_signal)
+        for signum in (signal.SIGTERM, signal.SIGINT)
+    }
+    if not quiet:
+        fleet = (
+            f", fleet {', '.join(manager.worker_urls)}"
+            if manager.worker_urls else ""
+        )
+        print(
             f"deuce-sim serve: listening on http://{host}:{server.port} "
             f"({job_workers} job workers, queue {queue_size}, ledger "
             # "is not None": an empty-but-enabled RunLedger has len() == 0.
-            f"{session.ledger.root if session.ledger is not None else 'off'})"
-        ),
-        ready=ready,
-    )
+            f"{session.ledger.root if session.ledger is not None else 'off'}"
+            f"{fleet})",
+            flush=True,
+        )
+    if ready is not None:
+        ready.set()
+    try:
+        server.serve_forever(poll_interval=0.2)
+    finally:
+        for signum, handler in previous.items():
+            signal.signal(signum, handler)
+        server.server_close()
     if not quiet:
         print("deuce-sim serve: drained, bye", flush=True)
     return 0

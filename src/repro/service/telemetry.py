@@ -72,6 +72,10 @@ class ServiceTelemetry:
         one by default.
     clock:
         Monotonic time source (injectable for tests).
+
+    ``lock`` guards every registry update and scrape; another writer on
+    the same registry (the fleet's
+    :class:`~repro.service.coordinator.FleetTelemetry`) takes it too.
     """
 
     def __init__(
@@ -82,11 +86,11 @@ class ServiceTelemetry:
     ) -> None:
         self.registry = registry if registry is not None else MetricsRegistry()
         self._clock = clock
-        self._lock = threading.Lock()
+        self.lock = threading.Lock()
         self.started = clock()
         # Pre-register the unlabeled families so an idle service still
         # exposes a complete catalog on its very first scrape.
-        with self._lock:
+        with self.lock:
             self.registry.counter("deuce_http_backpressure_total")
             self.registry.counter("deuce_http_draining_total")
             self.registry.gauge("deuce_queue_depth")
@@ -117,7 +121,7 @@ class ServiceTelemetry:
         becomes the latency bucket's exemplar, linking the histogram to
         the concrete request that landed there.
         """
-        with self._lock:
+        with self.lock:
             self.registry.counter(
                 "deuce_http_requests_total",
                 {"method": method, "route": route, "status": str(status)},
@@ -135,7 +139,7 @@ class ServiceTelemetry:
     # -- job lifecycle -------------------------------------------------------
 
     def job_submitted(self, kind: str) -> None:
-        with self._lock:
+        with self.lock:
             self.registry.counter(
                 "deuce_jobs_submitted_total", {"kind": kind}
             ).inc()
@@ -144,7 +148,7 @@ class ServiceTelemetry:
         self, kind: str, queue_wait_s: float, trace_id: str = ""
     ) -> None:
         """A job left the queue; records its queue-wait phase."""
-        with self._lock:
+        with self.lock:
             self.registry.bucket_histogram(
                 "deuce_job_queue_wait_seconds", {"kind": kind},
                 buckets=JOB_BUCKETS,
@@ -164,7 +168,7 @@ class ServiceTelemetry:
         exemplar, so a slow ``deuce_job_exec_seconds`` bucket points at an
         exportable trace (``deuce-sim trace export <job_id>``).
         """
-        with self._lock:
+        with self.lock:
             self.registry.counter(
                 "deuce_jobs_finished_total", {"kind": kind, "state": state}
             ).inc()
@@ -181,7 +185,7 @@ class ServiceTelemetry:
         self, *, depth: int, in_flight: int, capacity: int, draining: bool
     ) -> None:
         """Refresh the queue gauges (called at scrape/health time)."""
-        with self._lock:
+        with self.lock:
             self.registry.gauge("deuce_queue_depth").set(depth)
             self.registry.gauge("deuce_jobs_in_flight").set(in_flight)
             self.registry.gauge("deuce_queue_capacity").set(capacity)
@@ -191,7 +195,7 @@ class ServiceTelemetry:
 
     def worker_heartbeat(self, worker: str, *, busy: bool = False) -> None:
         """A worker thread polled the queue (or picked up / finished a job)."""
-        with self._lock:
+        with self.lock:
             self.registry.gauge(
                 "deuce_worker_heartbeat_seconds", {"worker": worker}
             ).set(round(self.uptime_s, 3))
@@ -207,7 +211,7 @@ class ServiceTelemetry:
 
     def snapshot(self) -> list[dict[str, object]]:
         """All instruments as JSON-safe dicts (one scrape)."""
-        with self._lock:
+        with self.lock:
             self.registry.gauge("deuce_service_uptime_seconds").set(
                 round(self.uptime_s, 3)
             )

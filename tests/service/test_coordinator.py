@@ -1,15 +1,15 @@
-"""Fleet coordinator tests: parity, worker death, and steal-race dedup.
+"""Fleet sweep tests: parity, worker death, steal-race dedup, and the
+job service running its sweep jobs on a fleet (``serve --workers-url``).
 
-The headline guarantee is the ISSUE acceptance criterion: a sweep
-sharded over two real ``deuce-sim serve`` workers — one of which is
-SIGKILLed mid-sweep — produces a merged ledger/checkpoint bit-identical
-to the same grid run single-node.  The steal-race test drives the
-first-completion-wins dedup path with scripted fake workers.
+The headline guarantee: a sweep sharded over two real ``deuce-sim
+serve`` workers — one of which is SIGKILLed mid-sweep — produces a
+merged ledger/checkpoint bit-identical to the same grid run single-node.
+The steal-race test drives the first-completion-wins dedup path with
+scripted fake workers.
 """
 
 from __future__ import annotations
 
-import contextlib
 import os
 import re
 import signal
@@ -17,7 +17,6 @@ import subprocess
 import sys
 import threading
 import time
-import urllib.request
 from pathlib import Path
 
 import pytest
@@ -25,16 +24,18 @@ import pytest
 from repro.api import Session
 from repro.obs.progress import DONE
 from repro.service.coordinator import (
-    CoordinatorServer,
-    CoordinatorState,
     FleetExecutor,
     WorkerClient,
     WorkerError,
 )
-from repro.service.loadtest import spawned_service
+from repro.service.jobs import Job, JobManager, JobSpec, JobStore
 from repro.sim.checkpoint import SweepCheckpoint, config_signature
 from repro.sim.config import SimConfig
-from tests.service.conftest import request
+from tests.service.conftest import (
+    _poll_terminal,
+    _two_inprocess_workers,
+    request,
+)
 
 
 def _strip_volatile(payload: dict) -> dict:
@@ -55,17 +56,6 @@ def _grid(n_writes: int, seeds=(0,)) -> list[SimConfig]:
         for scheme in ("deuce", "encr-dcw")
         for seed in seeds
     ]
-
-
-@contextlib.contextmanager
-def _two_inprocess_workers():
-    with contextlib.ExitStack() as stack:
-        yield [
-            stack.enter_context(
-                spawned_service(Session(ledger=False), job_workers=2)
-            )
-            for _ in range(2)
-        ]
 
 
 class TestFleetExecutor:
@@ -387,125 +377,149 @@ class TestStealRaceDedup:
         assert stats["http://alive"]["completed"] == 1
 
 
-class TestCoordinateService:
-    @pytest.fixture
-    def coordinator(self):
-        with _two_inprocess_workers() as urls:
-            state = CoordinatorState(Session(ledger=False), urls)
-            server = CoordinatorServer(("127.0.0.1", 0), state)
-            thread = threading.Thread(
-                target=server.serve_forever, daemon=True
-            )
-            thread.start()
-            try:
-                yield f"http://127.0.0.1:{server.port}", state
-            finally:
-                server.shutdown()
-                server.server_close()
-                thread.join(timeout=10)
+def _worker_jobs(url: str) -> list[dict]:
+    status, _, body = request("GET", f"{url}/v1/jobs")
+    assert status == 200, body
+    return body["jobs"]
 
-    def test_healthz_names_role_and_workers(self, coordinator):
-        base, state = coordinator
-        status, _, body = request("GET", f"{base}/v1/healthz")
+
+def _fleet_counter(manager: JobManager, name: str) -> float:
+    """Sum of one ``fleet.*`` counter over the fleet's workers."""
+    return sum(
+        m["value"] for m in manager.telemetry.snapshot() if m["name"] == name
+    )
+
+
+@pytest.mark.service(fleet=True)
+class TestCoordinateService:
+    """``deuce-sim serve --workers-url``: sweep jobs run on the fleet."""
+
+    def test_healthz_lists_the_fleet(self, service):
+        status, _, body = request("GET", f"{service.url}/v1/healthz")
         assert status == 200
-        assert body["role"] == "coordinator"
-        assert body["workers"] == state.worker_urls
+        assert len(body["fleet"]) == 2
+        assert body["fleet"] == service.manager.worker_urls
         assert body["api_version"] == "v1"
 
-    def test_sweep_envelope_round_trip(self, coordinator):
-        base, _ = coordinator
+    def test_sweep_envelope_round_trip(self, service):
+        base = service.url
         configs = [
             SimConfig("mcf", s, n_writes=200, seed=0).to_dict()
             for s in ("deuce", "ble")
         ]
         status, _, body = request(
-            "POST",
-            f"{base}/v1/sweeps",
-            {"kind": "sweep", "config": configs,
-             "options": {"label": "e2e", "sweep_id": "fleet-e2e"}},
+            "POST", f"{base}/v1/jobs",
+            {"kind": "sweep", "config": configs, "options": {"label": "e2e"}},
         )
         assert status == 201
-        assert body["sweep_id"] == "fleet-e2e"
-        deadline = time.monotonic() + 60
-        while time.monotonic() < deadline:
-            status, _, snap = request("GET", f"{base}{body['result_url']}")
-            if status != 202:
-                break
-            time.sleep(0.05)
+        job_id = body["job_id"]
+        assert _poll_terminal(base, job_id)["state"] == "done"
+        status, _, snap = request("GET", f"{base}{body['result_url']}")
         assert status == 200, snap
-        assert len(snap["results"]) == 2
+        results = snap["result"]["results"]
         reference = Session(ledger=False).sweep(
             [SimConfig.from_dict(c) for c in configs], workers=1
         )
-        for mine, theirs in zip(snap["results"], reference):
-            assert _strip_volatile(mine) == _strip_volatile(
-                theirs.to_dict()
-            )
-        # Fleet + metrics surfaces reflect the finished sweep.
-        status, _, fleet = request("GET", f"{base}/v1/fleet")
-        assert status == 200
-        assert sum(w["completed"] for w in fleet["workers"]) == 2
+        assert len(results) == len(reference)
+        for mine, theirs in zip(results, reference):
+            assert _strip_volatile(mine) == _strip_volatile(theirs.to_dict())
+        # The cells ran on the fleet, not in this server's process pool.
+        fleet = service.manager.worker_urls
+        assert sum(len(_worker_jobs(url)) for url in fleet) >= 2
         status, _, metrics = request("GET", f"{base}/v1/metrics")
         assert status == 200
-        names = {m["name"] for m in metrics}
+        names = {m["name"] for m in metrics["metrics"]}
         assert "fleet.cells_completed" in names
-        # Re-POSTing a finished sweep id resumes (restores, no re-run).
+        assert _fleet_counter(service.manager, "fleet.cells_completed") == 2
+        # The merged checkpoint is keyed by the job id, like a local sweep.
+        ledger = service.session.ledger.root
+        assert (ledger / "sweeps" / job_id / "cells.jsonl").exists()
+
+    def test_delete_cancels_the_fleet_sweep_and_its_worker_jobs(
+        self, service
+    ):
+        base, fleet = service.url, service.manager.worker_urls
+        configs = [
+            SimConfig("mcf", s, n_writes=1_000_000, seed=0).to_dict()
+            for s in ("deuce", "encr-dcw")
+        ]
         status, _, body = request(
-            "POST",
-            f"{base}/v1/sweeps",
-            {"kind": "sweep", "config": configs,
-             "options": {"sweep_id": "fleet-e2e"}},
+            "POST", f"{base}/v1/jobs", {"kind": "sweep", "config": configs}
         )
         assert status == 201
+        job_id = body["job_id"]
+        deadline = time.monotonic() + 30
+        while time.monotonic() < deadline:
+            if any(_worker_jobs(url) for url in fleet):
+                break
+            time.sleep(0.02)
+        else:
+            raise AssertionError("no cell reached a fleet worker")
+        status, _, _ = request("DELETE", f"{base}/v1/jobs/{job_id}")
+        assert status == 200
+        assert _poll_terminal(base, job_id)["state"] == "cancelled"
+        # Every cell the sweep dispatched was cancelled on its worker.
+        deadline = time.monotonic() + 30
+        while time.monotonic() < deadline:
+            jobs = [j for url in fleet for j in _worker_jobs(url)]
+            if all(j["state"] == "cancelled" for j in jobs):
+                break
+            time.sleep(0.05)
+        assert jobs and all(j["state"] == "cancelled" for j in jobs), jobs
 
-    def test_rejects_non_sweep_envelopes(self, coordinator):
-        base, _ = coordinator
-        status, _, body = request(
-            "POST",
-            f"{base}/v1/sweeps",
-            {"kind": "run",
-             "config": {"workload": "mcf", "scheme": "deuce"}},
+    def test_restart_redispatches_only_the_missing_cells(self, service):
+        """A fleet sweep journaled as unfinished resumes on a new manager.
+
+        Cell 0 completed before the simulated crash and sits in the
+        job-keyed checkpoint; the reborn manager must restore it and send
+        only cell 1 to the fleet.
+        """
+        configs = (
+            SimConfig("libq", "deuce", n_writes=400, seed=7),
+            SimConfig("mcf", "deuce", n_writes=400, seed=7),
         )
-        assert status == 400
-        assert "sweep" in body["error"]
+        crashed = Job(JobSpec(kind="sweep", configs=configs))
+        crashed.state = "running"
+        session = service.session
+        store = JobStore(session.ledger.root / "service")
+        store.record(crashed)
+        done_before = session.run(configs[0])
+        session.sweep_checkpoint(crashed.id).record(
+            0, configs[0], done_before, run_id="pre-crash"
+        )
 
-    def test_unknown_sweep_404s(self, coordinator):
-        base, _ = coordinator
-        status, _, body = request("GET", f"{base}/v1/sweeps/nope")
-        assert status == 404
+        reborn = JobManager(
+            session, job_workers=1, store=store,
+            worker_urls=service.manager.worker_urls,
+        ).start()
+        try:
+            (job,) = reborn.rehydrate()
+            assert job.id == crashed.id
+            assert job.wait(60) and job.state == "done", job.error
+        finally:
+            reborn.drain(10)
+        results = job.result["results"]
+        assert results[0]["total_flips"] == done_before.total_flips
+        assert results[1]["total_flips"] == session.run(configs[1]).total_flips
+        assert _fleet_counter(reborn, "fleet.cells_dispatched") == 1
+        done_cells = {
+            e["cell"] for e in job.events_since(0) if e.get("kind") == "done"
+        }
+        assert done_cells == {1}
 
-    def test_bare_paths_are_404_pointing_at_v1(self, coordinator):
-        base, state = coordinator
-        for method, path in (
-            ("GET", "/healthz"), ("GET", "/jobs"), ("GET", "/sweeps"),
-            ("POST", "/sweeps"),
-        ):
-            payload = {"kind": "sweep", "config": []} \
-                if method == "POST" else None
-            status, _, body = request(method, base + path, payload)
-            assert status == 404, path
-            assert f"/v1{path}" in body["error"], path
-        assert state.sweeps == {}
-
-    def test_malformed_content_length_is_400(self, coordinator):
-        base, state = coordinator
-        for length in ("abc", "-5"):
-            status, _, body = request(
-                "POST", f"{base}/v1/sweeps",
-                {"kind": "sweep", "config": []},
-                headers={"Content-Length": length},
-            )
-            assert status == 400, length
-            assert "Content-Length" in body["error"], length
-        assert state.sweeps == {}
-
-    def test_metrics_prometheus_negotiation(self, coordinator):
-        base, _ = coordinator
-        for url, accept in (
-            (f"{base}/v1/metrics?format=prometheus", "application/json"),
-            (f"{base}/v1/metrics", "text/plain"),
-        ):
-            req = urllib.request.Request(url, headers={"Accept": accept})
-            with urllib.request.urlopen(req, timeout=30) as resp:
-                content_type = resp.headers["Content-Type"]
-            assert content_type == "text/plain; version=0.0.4; charset=utf-8"
+    def test_run_job_completes_in_process(self, service):
+        base = service.url
+        config = SimConfig("mcf", "deuce", n_writes=300, seed=3)
+        status, _, body = request(
+            "POST", f"{base}/v1/jobs",
+            {"kind": "run", "config": config.to_dict()},
+        )
+        assert status == 201
+        assert _poll_terminal(base, body["job_id"])["state"] == "done"
+        _, _, snap = request("GET", f"{base}{body['result_url']}")
+        (result,) = snap["result"]["results"]
+        assert _strip_volatile(result) == _strip_volatile(
+            Session(ledger=False).run(config).to_dict()
+        )
+        fleet = service.manager.worker_urls
+        assert fleet and all(_worker_jobs(url) == [] for url in fleet)

@@ -20,18 +20,7 @@ import pytest
 
 from repro.api import Session
 from repro.sim.config import SimConfig
-from tests.service.conftest import RUN_CONFIG, request
-
-
-def _poll_terminal(base: str, job_id: str, timeout: float = 60.0) -> dict:
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        status, _, body = request("GET", f"{base}/v1/jobs/{job_id}")
-        assert status == 200
-        if body["state"] in ("done", "failed", "cancelled"):
-            return body
-        time.sleep(0.02)
-    raise AssertionError(f"job {job_id} did not settle within {timeout}s")
+from tests.service.conftest import RUN_CONFIG, _poll_terminal, request
 
 
 class TestEndpoints:
@@ -47,6 +36,7 @@ class TestEndpoints:
         assert body["in_flight"] == 0
         assert body["jobs_completed"] == 0
         assert body["queue_capacity"] == 16
+        assert body["fleet"] == []
 
     def test_submit_run_result_bit_identical(self, service):
         base, session = service.url, service.session
@@ -187,6 +177,19 @@ class TestEndpoints:
         assert status == 200
         assert len(body["runs"]) == 1
         assert body["runs"][0]["workload"] == "mcf"
+
+    def test_runs_query_rejects_a_negative_limit(self, service):
+        base = service.url
+        _, _, body = request(
+            "POST", f"{base}/v1/jobs", {"kind": "run", "config": RUN_CONFIG}
+        )
+        _poll_terminal(base, body["job_id"])
+        for limit in ("-5", "x"):
+            status, _, body = request("GET", f"{base}/v1/runs?limit={limit}")
+            assert status == 400, limit
+            assert body["error"] == "'limit' must be a non-negative integer"
+        status, _, body = request("GET", f"{base}/v1/runs?limit=0")
+        assert status == 200 and len(body["runs"]) == 1
 
     def test_jobs_listing(self, service):
         base = service.url
@@ -329,6 +332,36 @@ class TestMetricsEndpoint:
 
 
 class TestServeProcess:
+    def test_a_server_without_a_fleet_never_imports_the_fleet_module(self):
+        """Fleet-less ``serve`` keeps its import set: no coordinator."""
+        code = """
+import sys
+
+import repro.service.server
+from repro.api import Session
+from repro.cli import build_parser
+from repro.service.jobs import JobManager, JobSpec
+
+assert build_parser().parse_args(["serve"]).workers_url is None
+manager = JobManager(Session(ledger=False)).start()
+job = manager.submit(JobSpec.decode({
+    "kind": "sweep",
+    "config": [{"workload": "mcf", "scheme": "deuce", "n_writes": 200}],
+}))
+assert job.wait(60) and job.state == "done", job.error
+manager.drain(10)
+print(sorted(m for m in sys.modules if m.startswith("repro.service")))
+"""
+        env = dict(os.environ)
+        repo_src = str(Path(__file__).resolve().parents[2] / "src")
+        env["PYTHONPATH"] = repo_src + os.pathsep + env.get("PYTHONPATH", "")
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True,
+            text=True, timeout=120, check=True,
+        ).stdout
+        assert "repro.service.jobs" in out
+        assert "repro.service.coordinator" not in out
+
     def test_sigterm_drains_cleanly(self, tmp_path):
         """`deuce-sim serve` + SIGTERM: drain, exit 0, no orphans."""
         env = dict(os.environ)

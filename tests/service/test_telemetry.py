@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import pytest
 
 from repro.api import Session
@@ -132,6 +135,67 @@ class TestServiceTelemetry:
         assert "# TYPE deuce_http_request_duration_seconds histogram" in text
         assert 'le="+Inf"' in text
         assert text.endswith("\n")
+
+
+class TestSharedRegistry:
+    def test_fleet_updates_race_scrapes_under_one_lock(self):
+        """Fleet counters and service scrapes share one registry safely.
+
+        Each fleet update may create a new labelled instrument while a
+        scrape iterates the registry; without the shared lock the scrape
+        raises "dictionary changed size during iteration" or a counter
+        loses increments.
+        """
+        from repro.service.coordinator import FleetTelemetry
+
+        service = ServiceTelemetry()
+        fleet = FleetTelemetry(service.registry, service.lock)
+        threads_n, updates = 4, 300
+        errors: list[BaseException] = []
+        done = threading.Event()
+
+        def update(t: int) -> None:
+            try:
+                for i in range(updates):
+                    fleet.dispatched(f"w{t}-{i}")
+                    fleet.dispatched("shared")
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        def scrape() -> None:
+            try:
+                while not done.is_set():
+                    service.snapshot()
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            scraper = threading.Thread(target=scrape)
+            workers = [
+                threading.Thread(target=update, args=(t,))
+                for t in range(threads_n)
+            ]
+            scraper.start()
+            for thread in workers:
+                thread.start()
+            for thread in workers:
+                thread.join(timeout=60)
+            done.set()
+            scraper.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not scraper.is_alive()
+        assert not any(thread.is_alive() for thread in workers)
+        assert errors == []
+        snaps = service.snapshot()
+        shared = _find(snaps, "fleet.cells_dispatched", worker="shared")
+        assert shared["value"] == threads_n * updates
+        dispatched = [
+            s for s in snaps if s["name"] == "fleet.cells_dispatched"
+        ]
+        assert len(dispatched) == threads_n * updates + 1
 
 
 class TestJobManagerTelemetry:

@@ -161,42 +161,6 @@ class TestRenderDashboard:
         assert "http://" not in html and "https://" not in html
 
 
-class TestPerfTrajectoryPanel:
-    def test_bench_emissions_chart_headline_metric(self, tmp_path):
-        ledger = seeded_ledger(tmp_path)
-        for i in range(3):
-            ledger.record(
-                build_manifest(
-                    kind="bench",
-                    label="writepath",
-                    summary={"writes_per_s": 1e6 + i * 1e5, "wall_s": 0.5},
-                )
-            )
-        html = render_dashboard(ledger, baselines_dir=tmp_path / "none")
-        assert_well_formed(html)
-        assert "Perf trajectory" in html
-        assert "writepath" in html
-        # Throughput outranks wall time as the headline metric.
-        assert "writes_per_s" in html
-        assert "3 emissions" in html
-
-    def test_no_benches_renders_empty_state(self, tmp_path):
-        ledger = seeded_ledger(tmp_path)
-        html = render_dashboard(ledger, baselines_dir=tmp_path / "none")
-        assert "no benchmark emissions" in html
-
-    def test_bench_rows_stay_out_of_the_runs_table(self, tmp_path):
-        ledger = seeded_ledger(tmp_path, schemes=("deuce",), runs_each=1)
-        ledger.record(
-            build_manifest(
-                kind="bench", label="tracepath", summary={"speedup": 12.0}
-            )
-        )
-        html = render_dashboard(ledger, baselines_dir=tmp_path / "none")
-        bench_id = ledger.list(kind="bench")[-1].run_id
-        assert f"<td>{bench_id}</td>" not in html
-
-
 class TestProfilePanel:
     def test_profile_bars_from_newest_profiled_run(self, tmp_path):
         ledger = seeded_ledger(tmp_path, schemes=("deuce",), runs_each=1)
