@@ -794,6 +794,21 @@ def _cmd_kv(args: argparse.Namespace) -> int:
     return 2
 
 
+def _limit(raw: str) -> int:
+    """``--limit``: newest N runs, ``0`` for all; never negative."""
+    try:
+        value = int(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer, got {raw!r}"
+        ) from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"must be >= 0 (0 = all), got {value}"
+        )
+    return value
+
+
 def _add_ledger_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--ledger",
@@ -1168,7 +1183,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_runs_list.add_argument("--scheme", default=None)
     p_runs_list.add_argument("--workload", default=None)
     p_runs_list.add_argument(
-        "--limit", type=int, default=20, help="newest N runs (0 = all)"
+        "--limit", type=_limit, default=20, help="newest N runs (0 = all)"
     )
     p_runs_show = runs_sub.add_parser("show", help="print one run's manifest")
     p_runs_show.add_argument("run_id")
@@ -1279,7 +1294,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_dash.add_argument(
         "--limit",
-        type=int,
+        type=_limit,
         default=200,
         help="newest N ledger runs to chart (0 = all)",
     )

@@ -92,6 +92,15 @@ def slots_for_batch_diffs(
     return presence.sum(axis=1, dtype=np.int64)
 
 
+def _add_rolled(dst: np.ndarray, h: np.ndarray, r: int) -> None:
+    """``dst += np.roll(h, r)`` for ``0 <= r < len(h)``, without the copy."""
+    if r:
+        dst[r:] += h[:-r]
+        dst[:r] += h[-r:]
+    else:
+        dst += h
+
+
 @dataclass
 class WearSummary:
     """Aggregate wear statistics over the tracked array region.
@@ -202,8 +211,7 @@ class PcmArray:
         :class:`~repro.schemes.batch.BatchOutcome`: ``addresses`` is the
         per-row line address, ``*_positions`` the flipped bit indices and
         ``*_rows`` the row each belongs to.  ``rotations``, when given, is
-        the per-row HWL rotation (static within a chunk — the runner cuts
-        chunks at rotation changes).  Equivalent to ``m`` sequential
+        the per-row HWL rotation.  Equivalent to ``m`` sequential
         :meth:`apply_write` calls; returns the total flip count.  The
         runner applies chunks through :meth:`apply_batch_diffs` instead;
         this form has no caller in ``repro`` but is still wrapped by name
@@ -252,9 +260,10 @@ class PcmArray:
 
         The histogram contribution of a chunk is a column-wise bit count of
         the unpacked diff — no flat position arrays.  ``rotations`` (per
-        row) must be constant within each line's rows, which the runner
-        guarantees by cutting chunks at wear-leveler events; a line's
-        rotated histogram is then just ``np.roll`` of its unrotated one.
+        row) may take any values: the rows are grouped by rotation (and by
+        address too when per-line wear is kept) in one stable sort, and
+        each group's column sum is added rolled by its rotation, so the
+        Python loop runs once per distinct rotation, not per line.
         Bit-identical to :meth:`apply_batch` over the expanded positions.
         """
         m, n_bytes = data_diff.shape
@@ -280,27 +289,46 @@ class PcmArray:
                 flips += int(meta_colsum.sum())
         else:
             flips = 0
-            uniq, inv = np.unique(addresses, return_inverse=True)
-            for k, addr in enumerate(uniq.tolist()):
-                rows = inv == k
-                h = np.zeros(self.bits_per_line, dtype=np.int64)
-                h[:data_bits] = bits[rows].sum(axis=0, dtype=np.int64)
+            n = self.bits_per_line
+            rot = (
+                np.asarray(rotations, dtype=np.int64) % n
+                if rotated
+                else np.zeros(m, dtype=np.int64)
+            )
+            if self.track_per_line:
+                order = np.lexsort((rot, addresses))
+                new_group = (np.diff(rot[order]) != 0) | (
+                    np.diff(addresses[order]) != 0
+                )
+            else:
+                order = np.argsort(rot, kind="stable")
+                new_group = np.diff(rot[order]) != 0
+            starts = np.flatnonzero(new_group) + 1
+            if starts.size:
+                # More than one group: gather rows into group order.
+                bits = bits[order]
                 if meta_w:
-                    h[data_bits : data_bits + meta_w] = meta_diff[rows].sum(
-                        axis=0, dtype=np.int64
-                    )
+                    meta_diff = meta_diff[order]
+            bounds = [0, *starts.tolist(), m]
+            firsts = order[bounds[:-1]]
+            group_rot = rot[firsts].tolist()
+            group_addr = addresses[firsts].tolist()
+            for g, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+                h = np.zeros(n, dtype=np.int64)
+                h[:data_bits] = bits[lo:hi].sum(axis=0, dtype=np.int64)
+                if meta_w:
+                    h[data_bits : data_bits + meta_w] = meta_diff[
+                        lo:hi
+                    ].sum(axis=0, dtype=np.int64)
                 flips += int(h.sum())
-                if rotations is not None:
-                    rot = int(rotations[int(np.argmax(rows))])
-                    if rot:
-                        h = np.roll(h, rot % self.bits_per_line)
-                self.position_writes += h
+                r = group_rot[g]
+                _add_rolled(self.position_writes, h, r)
                 if self.track_per_line:
-                    wear = self._line_wear.get(addr)
+                    wear = self._line_wear.get(group_addr[g])
                     if wear is None:
-                        wear = np.zeros(self.bits_per_line, dtype=np.int64)
-                        self._line_wear[addr] = wear
-                    wear += h
+                        wear = np.zeros(n, dtype=np.int64)
+                        self._line_wear[group_addr[g]] = wear
+                    _add_rolled(wear, h, r)
         self.total_writes += m
         self.total_flips += flips
         return flips

@@ -341,8 +341,11 @@ class RunLedger:
     ) -> list[RunManifest]:
         """Manifests in recording order, optionally filtered.
 
-        ``limit`` keeps only the *newest* N after filtering.
+        ``limit`` keeps only the *newest* N after filtering; a negative
+        ``limit`` raises :class:`ValueError`.
         """
+        if limit is not None and limit < 0:
+            raise ValueError(f"limit must be >= 0, got {limit}")
         manifests = [
             m
             for m in self._read_index()
@@ -351,7 +354,7 @@ class RunLedger:
             and (workload is None or m.workload == workload)
             and (label is None or m.label == label)
         ]
-        if limit is not None and limit >= 0:
+        if limit is not None:
             manifests = manifests[len(manifests) - limit:]
         return manifests
 

@@ -48,7 +48,12 @@ class BatchOutcome:
     Attributes
     ----------
     addresses:
-        ``(m,)`` line address per row (rows may be address-sorted).
+        ``(m,)`` line address per row.  Row-order contract: a kernel may
+        reorder rows across addresses (most return them stable-sorted by
+        :func:`group_by_address`), but one address's rows stay in write
+        order, so the ``j``-th row of an address is its ``j``-th write in
+        the chunk.  The runner relies on this to line per-write wear
+        rotations up with the rows.
     data_flips / meta_flips / set_flips / reset_flips / words_reencrypted:
         ``(m,)`` per-write counts, exactly the scalar outcome fields.
     full_line_reencrypted / epoch_reset / mode_switched:

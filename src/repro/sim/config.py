@@ -93,9 +93,11 @@ class SimConfig:
         Writes the runner hands to ``scheme.write_batch`` at once, for
         every scheme; ``1`` runs the scalar install/write reference.  Must
         be at least 1.  Results are bit-identical at any value (chunks are
-        cut at checkpoint, sampling, heartbeat, and wear-leveler
-        boundaries, and epoch resets are handled inside the batch); larger
-        chunks amortize dispatch overhead across the whole batch.
+        cut at checkpoint, sampling, heartbeat, abort-poll and phase
+        boundaries; epoch resets are handled inside the batch, and each
+        write gets its own wear-leveler rotation however many gap moves
+        or refreshes the chunk spans); larger chunks amortize dispatch
+        overhead across the whole batch.
     workload_params:
         Per-workload parameter overrides (a KV profile's ``n_keys``,
         ``zipf_alpha``, mix weights, ...), validated against the

@@ -333,15 +333,15 @@ def run(
             region &= region - 1
         region = max(region, 2)
     leveler = _build_leveler(config, region, pcm.bits_per_line)
-    vwl = getattr(leveler, "startgap", None) or getattr(
-        leveler, "refresh", None
-    )
-    # The write loop never consults the line index without a wear
-    # leveler, so skip building it then.
+    # Logical line of each address, as (sorted addresses, lines) arrays
+    # the write loop searches.  It never consults them without a wear
+    # leveler, so skip them then.
     if isinstance(leveler, NoWearLeveler):
-        line_index: dict[int, int] = {}
+        line_index = None
     else:
-        line_index = {addr: i % region for i, addr in enumerate(addresses)}
+        keys = np.asarray(addresses, dtype=np.int64)
+        lines = np.arange(keys.shape[0], dtype=np.int64) % region
+        line_index = (keys, lines)
 
     result = RunResult(
         workload=config.workload,
@@ -376,7 +376,7 @@ def run(
         _PhaseTracker(trace, result, start=start) if trace.phases else None
     )
     _write_loop(
-        config, trace, write, chunk_size, pcm, leveler, vwl, line_index,
+        config, trace, write, chunk_size, pcm, leveler, line_index,
         result, obs, profile, pad_cache, start=start,
         checkpointer=checkpointer, tracker=tracker,
     )
@@ -444,6 +444,37 @@ def _kernels(scheme: WriteScheme, chunk_size: int):
     )
 
 
+def _scalar_rotations(leveler, lines: np.ndarray) -> np.ndarray:
+    """The reference for ``leveler.rotations``: per write, the scalar
+    ``rotation(line)`` then one ``on_write()``.  The write loop uses it at
+    ``chunk_size=1`` for the same reason :func:`_kernels` picks the scalar
+    scheme code there."""
+    out = np.empty(lines.shape[0], dtype=np.int64)
+    for j, line in enumerate(lines.tolist()):
+        out[j] = leveler.rotation(line)
+        leveler.on_write()
+    return out
+
+
+def _to_row_order(
+    trace_addresses: np.ndarray, row_addresses: np.ndarray, values
+) -> np.ndarray:
+    """Per-write ``values`` in trace order, moved onto a batch's row order.
+
+    A kernel may reorder rows across addresses but keeps each address's
+    rows in write order (the :class:`BatchOutcome` contract), so the
+    ``j``-th row of an address is its ``j``-th write in the chunk; two
+    stable argsorts pair them up.
+    """
+    if np.array_equal(trace_addresses, row_addresses):
+        return values
+    out = np.empty_like(values)
+    out[np.argsort(row_addresses, kind="stable")] = values[
+        np.argsort(trace_addresses, kind="stable")
+    ]
+    return out
+
+
 #: Profile phases whose totals fill a metrics timer when the run ends.
 _TIMED_PHASES = (
     ("scheme.write", "scheme.write_s"),
@@ -460,8 +491,7 @@ def _write_loop(
     chunk_size: int,
     pcm: PcmArray,
     leveler,
-    vwl,
-    line_index: dict[int, int],
+    line_index: tuple[np.ndarray, np.ndarray] | None,
     result: RunResult,
     obs: Instruments,
     profile: PhaseProfile | None,
@@ -474,16 +504,20 @@ def _write_loop(
 
     ``write`` is the kernel :func:`_kernels` picked.  Chunks are cut so
     that every interval-triggered side effect (abort polls, checkpoint
-    saves, interval samples, heartbeats, phase boundaries, and
-    wear-leveler gap movements) lands on the same write at any chunk size:
+    saves, interval samples, heartbeats and phase boundaries) lands on the
+    same write at any chunk size:
 
     * sample/heartbeat/checkpoint intervals fire *after* the write at each
       multiple, so a chunk never crosses a multiple (it ends on one);
     * abort polls happen *before* the write at each multiple, so a chunk
-      never contains one (the poll runs at the top of the next chunk);
-    * a Start-Gap/Security-Refresh event fires at most once per chunk, as
-      its final write, keeping the HWL rotation constant across the chunk
-      (the triggering write itself still uses the old rotation).
+      never contains one (the poll runs at the top of the next chunk).
+
+    Wear-leveler events do not cut chunks: ``leveler.rotations`` returns
+    each write's own HWL rotation, however many gap moves or refreshes
+    the chunk spans (the triggering write still uses the old rotation),
+    and :func:`_to_row_order` lines them up with the batch's rows.
+    ``line_index`` is the ``(sorted addresses, logical lines)`` pair the
+    trace addresses are looked up in.
 
     Epoch resets, pad-cache traffic and flip accounting happen inside the
     kernel.  Phase times go into the run's ``profile`` (``None`` when
@@ -495,7 +529,12 @@ def _write_loop(
     line_bits = 8 * config.line_bytes
     addresses_arr, data_arr = trace.write_arrays()
     n_records = int(addresses_arr.shape[0])
-    no_rotation = isinstance(leveler, NoWearLeveler)
+    if line_index is None:
+        rotate = None
+    elif chunk_size == 1:
+        rotate = partial(_scalar_rotations, leveler)
+    else:
+        rotate = leveler.rotations
     enabled = obs.enabled
     metrics = obs.metrics
     tracer = obs.tracer
@@ -535,35 +574,31 @@ def _write_loop(
             end = min(end, _next_multiple(i, checkpointer.every))
         if abort_every:
             end = min(end, _next_multiple(i + 1, abort_every) - 1)
-        if vwl is not None:
-            end = min(end, i + vwl.writes_until_event)
         if tracker is not None and tracker.next_end is not None:
             # End chunks on phase boundaries so the cumulative
             # snapshot lands exactly on the boundary write.
             end = min(end, tracker.next_end)
         k = end - i
 
+        chunk_addresses = addresses_arr[i:end]
         t0 = perf()
-        batch = write(addresses_arr[i:end], data_arr[i:end])
+        batch = write(chunk_addresses, data_arr[i:end])
         t1 = perf()
-        if no_rotation:
+        if rotate is None:
             rotations = None
         else:
-            uniq, inv = np.unique(batch.addresses, return_inverse=True)
-            per_line = np.fromiter(
-                (leveler.rotation(line_index[int(a)]) for a in uniq),
-                dtype=np.int64,
-                count=uniq.size,
+            keys, lines = line_index
+            rotations = _to_row_order(
+                chunk_addresses,
+                batch.addresses,
+                rotate(lines[np.searchsorted(keys, chunk_addresses)]),
             )
-            rotations = per_line[inv]
         t2 = perf()
         pcm.apply_batch_diffs(
             batch.addresses, batch.data_diff, batch.meta_diff,
             rotations=rotations,
         )
         t3 = perf()
-        if vwl is not None:
-            vwl.advance(k)
         _accumulate_batch(result, batch, line_bits)
         i = end
         if tracker is not None:

@@ -15,13 +15,80 @@ is being copied anyway — re-rotating costs no extra writes.
 Footnote 2's hardened variant makes the rotation a keyed hash of
 ``(Start', line address)`` so an adversary cannot phase-lock a write pattern
 to the rotation schedule.
+
+Because the rotation is a pure function of the registers, the rotation of
+every write in a batch follows from the registers at its start: each
+leveler's :meth:`rotations` walks the batch's wear events segment by
+segment, one numpy expression per segment, instead of asking line by line.
 """
 
 from __future__ import annotations
 
 import hashlib
+from typing import Callable
+
+import numpy as np
 
 from repro.wear.startgap import StartGap
+
+
+def rotation_schedule(
+    vwl, lines: np.ndarray, rotations_now: Callable[[np.ndarray], np.ndarray]
+) -> np.ndarray:
+    """Rotations of the next ``len(lines)`` writes; counts them on ``vwl``.
+
+    ``vwl`` is the vertical leveler (Start-Gap or Security Refresh) whose
+    registers drive the rotation.  The writes are cut into segments that
+    end on the write triggering the next wear event, so the registers are
+    constant within a segment (the triggering write still sees the old
+    rotation); ``rotations_now`` rotates one segment's lines under the
+    current registers, then ``vwl.advance`` counts the segment.
+    Equivalent to ``rotation(line); on_write()`` per write.
+    """
+    lines = np.asarray(lines, dtype=np.int64)
+    n = lines.shape[0]
+    out = np.empty(n, dtype=np.int64)
+    lo = 0
+    while lo < n:
+        hi = min(n, lo + vwl.writes_until_event)
+        out[lo:hi] = rotations_now(lines[lo:hi])
+        vwl.advance(hi - lo)
+        lo = hi
+    return out
+
+
+def keyed_rotation(key: bytes, epoch: int, line: int, bits: int) -> int:
+    """Footnote 2's ``Hash(epoch, line) % bits`` (keyed BLAKE2b)."""
+    digest = hashlib.blake2b(
+        epoch.to_bytes(8, "little") + line.to_bytes(8, "little"),
+        key=key,
+        digest_size=8,
+    ).digest()
+    return int.from_bytes(digest, "little") % bits
+
+
+def keyed_rotations(
+    key: bytes, epochs: np.ndarray, lines: np.ndarray, bits: int
+) -> np.ndarray:
+    """:func:`keyed_rotation` per write, one hash per distinct pair."""
+    if lines.shape[0] == 0:
+        return np.empty(0, dtype=np.int64)
+    low = epochs.min()
+    pairs = (epochs - low) * (int(lines.max()) + 1) + lines
+    _, first, inverse = np.unique(
+        pairs, return_index=True, return_inverse=True
+    )
+    values = np.fromiter(
+        (
+            keyed_rotation(key, e, line, bits)
+            for e, line in zip(
+                epochs[first].tolist(), lines[first].tolist()
+            )
+        ),
+        dtype=np.int64,
+        count=first.shape[0],
+    )
+    return values[inverse]
 
 
 class HorizontalWearLeveler:
@@ -69,13 +136,31 @@ class HorizontalWearLeveler:
         start_prime = self.startgap.effective_start(logical_line)
         if not self.hashed:
             return start_prime % self.bits_per_line
-        digest = hashlib.blake2b(
-            start_prime.to_bytes(8, "little")
-            + logical_line.to_bytes(8, "little"),
-            key=self.key,
-            digest_size=8,
-        ).digest()
-        return int.from_bytes(digest, "little") % self.bits_per_line
+        return keyed_rotation(
+            self.key, start_prime, logical_line, self.bits_per_line
+        )
+
+    def on_write(self) -> bool:
+        """Count one demand write on Start-Gap (True on a gap move)."""
+        return self.startgap.on_write()
+
+    def rotations(self, lines: np.ndarray) -> np.ndarray:
+        """Rotation of each of the next ``len(lines)`` writes, counted.
+
+        Per segment between gap moves, ``Start'`` is one expression over
+        the segment's lines; the hashed variant hashes each distinct
+        ``(Start', line)`` once.  Equivalent to :meth:`rotation` then
+        :meth:`on_write` per write.
+        """
+        return rotation_schedule(self.startgap, lines, self._rotations_now)
+
+    def _rotations_now(self, lines: np.ndarray) -> np.ndarray:
+        start_prime = self.startgap.effective_starts(lines)
+        if not self.hashed:
+            return start_prime % self.bits_per_line
+        return keyed_rotations(
+            self.key, start_prime, lines, self.bits_per_line
+        )
 
 
 class NoWearLeveler:
@@ -83,6 +168,9 @@ class NoWearLeveler:
 
     def rotation(self, logical_line: int) -> int:
         return 0
+
+    def rotations(self, lines: np.ndarray) -> np.ndarray:
+        return np.zeros(len(lines), dtype=np.int64)
 
     def state_dict(self) -> dict[str, object]:
         return {}

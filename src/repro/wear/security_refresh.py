@@ -17,7 +17,9 @@ what keeps the mid-round mapping a permutation.
 Horizontal Wear Leveling composes with it the same way as with Start-Gap
 (section 5.3's insight is "make the rotation an algebraic function of the
 global structures"): here the natural choice is the hashed variant keyed by
-the completed-round count, exposed via :meth:`rotation_round`.
+the completed-round count, exposed via :meth:`rotation_round` (and its
+array form :meth:`rotation_rounds`, which the batched rotation schedule
+evaluates once per segment between refreshes).
 """
 
 from __future__ import annotations
@@ -25,6 +27,8 @@ from __future__ import annotations
 import hashlib
 
 import numpy as np
+
+from repro.wear.hwl import keyed_rotation, keyed_rotations, rotation_schedule
 
 
 class SecurityRefresh:
@@ -56,7 +60,7 @@ class SecurityRefresh:
         self.next_key = self._key_for_round(1)
         #: Sweep pointer over logical ids for the current round.
         self.refresh_ptr = 0
-        self._migrated = [False] * n_lines
+        self._migrated = np.zeros(n_lines, dtype=bool)
         self._writes_since_refresh = 0
         #: Extra line writes caused by refresh swaps.
         self.refresh_writes = 0
@@ -86,28 +90,25 @@ class SecurityRefresh:
     def writes_until_event(self) -> int:
         """Demand writes remaining until the next refresh (>= 1).
 
-        Chunk-boundary hook for the batched runner, mirroring
+        Segment boundary of the batched rotation schedule, mirroring
         :attr:`StartGap.writes_until_event`.
         """
         return self.refresh_interval - self._writes_since_refresh
 
-    def advance(self, k: int) -> bool:
+    def advance(self, k: int) -> int:
         """Count ``k`` demand writes at once; equivalent to ``k`` on_write().
 
-        ``k`` must not exceed :attr:`writes_until_event`, so at most one
-        refresh can fire (on the final write).  Returns True when it did.
+        ``k`` may cross any number of refreshes, which run in order.
+        Returns the number of refreshes.
         """
-        if k < 0 or k > self.writes_until_event:
-            raise ValueError(
-                f"advance({k}) crosses a refresh "
-                f"(writes_until_event={self.writes_until_event})"
-            )
-        self._writes_since_refresh += k
-        if self._writes_since_refresh < self.refresh_interval:
-            return False
-        self._writes_since_refresh = 0
-        self._refresh_one()
-        return True
+        if k < 0:
+            raise ValueError(f"advance({k}): k must be >= 0")
+        refreshes, self._writes_since_refresh = divmod(
+            self._writes_since_refresh + k, self.refresh_interval
+        )
+        for _ in range(refreshes):
+            self._refresh_one()
+        return refreshes
 
     def _refresh_one(self) -> None:
         # Skip lines already migrated as a partner of an earlier refresh.
@@ -136,7 +137,7 @@ class SecurityRefresh:
             self.current_key = self.next_key
             self.next_key = self._key_for_round(self.round + 1)
             self.refresh_ptr = 0
-            self._migrated = [False] * self.n_lines
+            self._migrated = np.zeros(self.n_lines, dtype=bool)
 
     # -- checkpointing ---------------------------------------------------------
 
@@ -158,9 +159,7 @@ class SecurityRefresh:
         self.refresh_ptr = int(state["refresh_ptr"])
         self._writes_since_refresh = int(state["writes_since_refresh"])
         self.refresh_writes = int(state["refresh_writes"])
-        self._migrated = [
-            bool(v) for v in np.asarray(state["migrated"], dtype=np.uint8)
-        ]
+        self._migrated = np.asarray(state["migrated"], dtype=np.uint8) != 0
 
     # -- mapping --------------------------------------------------------------------
 
@@ -173,7 +172,7 @@ class SecurityRefresh:
 
     def remapped_by_sweep(self, logical: int) -> bool:
         """Has the current round's sweep already migrated this line?"""
-        return self._migrated[logical]
+        return bool(self._migrated[logical])
 
     # -- HWL hook ---------------------------------------------------------------------
 
@@ -185,6 +184,10 @@ class SecurityRefresh:
         ``effective_start``.
         """
         return self.round + (1 if self.remapped_by_sweep(logical) else 0)
+
+    def rotation_rounds(self, logical: np.ndarray) -> np.ndarray:
+        """:meth:`rotation_round` of every line in an int64 array."""
+        return self.round + self._migrated[logical]
 
 
 class SecurityRefreshHWL:
@@ -216,10 +219,28 @@ class SecurityRefreshHWL:
 
     def rotation(self, logical_line: int) -> int:
         round_prime = self.refresh.rotation_round(logical_line)
-        digest = hashlib.blake2b(
-            round_prime.to_bytes(8, "little")
-            + logical_line.to_bytes(8, "little"),
-            key=self.key,
-            digest_size=8,
-        ).digest()
-        return int.from_bytes(digest, "little") % self.bits_per_line
+        return keyed_rotation(
+            self.key, round_prime, logical_line, self.bits_per_line
+        )
+
+    def on_write(self) -> bool:
+        """Count one demand write on Security Refresh (True on a refresh)."""
+        return self.refresh.on_write()
+
+    def rotations(self, lines: np.ndarray) -> np.ndarray:
+        """Rotation of each of the next ``len(lines)`` writes, counted.
+
+        Per segment between refreshes, ``round'`` is one lookup into the
+        migrated-line mask and each distinct ``(round', line)`` is hashed
+        once.  Equivalent to :meth:`rotation` then :meth:`on_write` per
+        write.
+        """
+        return rotation_schedule(self.refresh, lines, self._rotations_now)
+
+    def _rotations_now(self, lines: np.ndarray) -> np.ndarray:
+        return keyed_rotations(
+            self.key,
+            self.refresh.rotation_rounds(lines),
+            lines,
+            self.bits_per_line,
+        )

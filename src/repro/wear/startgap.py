@@ -14,6 +14,8 @@ cross-checked against an explicit permutation simulation.
 
 from __future__ import annotations
 
+import numpy as np
+
 
 class StartGap:
     """Start-Gap remapping over ``n_lines`` logical lines (+1 gap line).
@@ -59,30 +61,34 @@ class StartGap:
     def writes_until_event(self) -> int:
         """Demand writes remaining until the next gap movement (>= 1).
 
-        The chunked runner cuts its batches here so a chunk contains at
-        most one gap movement — as its final write — keeping the rotation
-        constant across the chunk.
+        The rotation schedule (:meth:`HorizontalWearLeveler.rotations
+        <repro.wear.hwl.HorizontalWearLeveler.rotations>`) splits a batch
+        of writes into segments here, so the registers are constant within
+        each segment.
         """
         return self.gap_write_interval - self._writes_since_move
 
-    def advance(self, k: int) -> bool:
+    def advance(self, k: int) -> int:
         """Count ``k`` demand writes at once; equivalent to ``k`` on_write().
 
-        ``k`` must not exceed :attr:`writes_until_event`, so at most one
-        gap movement can fire (on the final write).  Returns True when it
-        did.
+        ``k`` may cross any number of gap movements; the registers jump to
+        where the ``k``-th write leaves them (the gap walks ``N`` down to
+        ``0`` and wraps to ``N``, bumping ``Start``, every ``N + 1``
+        moves).  Returns the number of gap movements.
         """
-        if k < 0 or k > self.writes_until_event:
-            raise ValueError(
-                f"advance({k}) crosses a gap movement "
-                f"(writes_until_event={self.writes_until_event})"
+        if k < 0:
+            raise ValueError(f"advance({k}): k must be >= 0")
+        moves, self._writes_since_move = divmod(
+            self._writes_since_move + k, self.gap_write_interval
+        )
+        if moves:
+            self.move_writes += moves
+            wraps, done = divmod(
+                self.n_lines - self.gap + moves, self.n_lines + 1
             )
-        self._writes_since_move += k
-        if self._writes_since_move < self.gap_write_interval:
-            return False
-        self._writes_since_move = 0
-        self._move_gap()
-        return True
+            self.start += wraps
+            self.gap = self.n_lines - done
+        return moves
 
     def _move_gap(self) -> None:
         self.move_writes += 1
@@ -138,6 +144,11 @@ class StartGap:
     def effective_start(self, logical: int) -> int:
         """The Start' of section 5.3: Start+1 once the gap crossed the line."""
         return self.start + 1 if self.gap_crossed(logical) else self.start
+
+    def effective_starts(self, logical: np.ndarray) -> np.ndarray:
+        """:meth:`effective_start` of every line in an int64 array."""
+        start = self.start
+        return start + ((logical + start) % self.n_lines >= self.gap)
 
     def _check(self, logical: int) -> None:
         if not 0 <= logical < self.n_lines:

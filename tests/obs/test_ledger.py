@@ -143,6 +143,12 @@ class TestRunLedger:
         assert ledger.latest(scheme="ble") is None
         assert ledger.list(limit=1)[0].run_id == newest.run_id
 
+    def test_negative_limit_raises(self, tmp_path):
+        ledger = RunLedger(tmp_path / "runs")
+        ledger.record(make_manifest())
+        with pytest.raises(ValueError, match="limit"):
+            ledger.list(limit=-5)
+
     def test_diff_reports_numeric_deltas(self, tmp_path):
         ledger = RunLedger(tmp_path / "runs")
         a = ledger.record(make_manifest(flips_pct=10.0))

@@ -24,6 +24,7 @@ from repro.obs.instruments import Instruments
 from repro.obs.metrics import MetricsRegistry
 from repro.schemes.base import WriteScheme
 from repro.schemes.invmm import INvmm
+from repro.sim import runner as runner_module
 from repro.sim.config import SimConfig
 from repro.sim.runner import run
 
@@ -116,9 +117,9 @@ class TestChunkedMatchesSerial:
         assert chunked.epoch_resets > 0
         assert comparable(serial) == comparable(chunked)
 
-    def test_wear_leveling_cuts_chunks(self):
-        # Start-Gap rotations are interval side effects: chunks must end
-        # exactly at rotation boundaries to stay bit-identical.
+    def test_wear_events_inside_chunks(self):
+        # Start-Gap moves land mid-chunk; each write still gets the
+        # rotation of its own moment in the schedule.
         serial, chunked = run_pair(
             scheme="deuce", wear_leveling="hwl", gap_write_interval=37
         )
@@ -150,6 +151,70 @@ class TestChunkedMatchesSerial:
         serial, chunked = run_pair(scheme="deuce", pad_cache_lines=64)
         assert serial.pad_hits == chunked.pad_hits
         assert serial.pad_misses == chunked.pad_misses
+
+
+#: Wear levelers whose rotation schedule the chunked path must follow
+#: write for write.
+LEVELERS = ("hwl", "hwl-hashed", "sr-hwl")
+
+#: A 16-line region at a 7-write interval: a 512-write chunk spans 73 gap
+#: moves and four ``Start`` wraps, or several Security Refresh rounds.
+LEVELER_KNOBS = dict(hwl_region_lines=16, gap_write_interval=7)
+
+
+def _capture_levelers(monkeypatch) -> list:
+    """Record every leveler the runner builds, for state assertions."""
+    built = []
+    original = runner_module._build_leveler
+
+    def build(*args):
+        leveler = original(*args)
+        built.append(leveler)
+        return leveler
+
+    monkeypatch.setattr(runner_module, "_build_leveler", build)
+    return built
+
+
+class TestLevelerSchedulesMatchSerial:
+    @pytest.mark.parametrize("tracked", [False, True], ids=["agg", "per-line"])
+    @pytest.mark.parametrize("leveling", LEVELERS)
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_chunk_sizes_agree(self, scheme, leveling, tracked):
+        config = dict(
+            BASE, scheme=scheme, wear_leveling=leveling,
+            track_per_line_wear=tracked, **LEVELER_KNOBS,
+        )
+        serial = run(SimConfig(**config, chunk_size=1))
+        for chunk_size in (64, 512):
+            chunked = run(SimConfig(**config, chunk_size=chunk_size))
+            assert comparable(serial) == comparable(chunked), chunk_size
+            assert np.array_equal(
+                serial.wear.position_writes, chunked.wear.position_writes
+            )
+            assert (
+                serial.wear.max_line_bit_writes
+                == chunked.wear.max_line_bit_writes
+            )
+
+    @pytest.mark.parametrize("leveling", LEVELERS)
+    def test_one_chunk_spans_many_wear_events(self, leveling, monkeypatch):
+        # The parity cases above only mean something if a chunk really
+        # crosses gap moves, a Start wrap, or a completed refresh round.
+        built = _capture_levelers(monkeypatch)
+        config = SimConfig(
+            **BASE, scheme="deuce", wear_leveling=leveling,
+            chunk_size=512, **LEVELER_KNOBS,
+        )
+        run(config)
+        (leveler,) = built
+        n_chunks = -(-BASE["n_writes"] // 512)
+        if leveling == "sr-hwl":
+            assert leveler.refresh.round > n_chunks
+        else:
+            startgap = leveler.startgap
+            assert startgap.move_writes > n_chunks
+            assert startgap.start > n_chunks
 
 
 def _scheme_cls(name: str):
@@ -450,6 +515,28 @@ class TestChunkedCheckpointResume:
         straight = run(cfg.with_(chunk_size=1))
         assert comparable(full) == comparable(resumed)
         assert comparable(full) == comparable(straight)
+
+    @pytest.mark.parametrize("leveling", ["hwl", "sr-hwl"])
+    def test_resume_across_wear_events_is_bit_identical(
+        self, tmp_path, leveling
+    ):
+        # 93 is not a multiple of the 7-write interval, so every saved
+        # chunk crosses gap moves (or refreshes) and the last snapshot
+        # lands mid-interval.
+        cfg = SimConfig(
+            "mcf", "deuce", n_writes=800, seed=3, chunk_size=512,
+            wear_leveling=leveling, track_per_line_wear=True,
+            **LEVELER_KNOBS,
+        )
+        ckpt_dir = tmp_path / leveling
+        full = run(cfg, checkpoint_dir=ckpt_dir, checkpoint_every=93)
+        resumed = run(resume_from=str(ckpt_dir))
+        straight = run(cfg.with_(chunk_size=1))
+        assert comparable(full) == comparable(resumed)
+        assert comparable(full) == comparable(straight)
+        assert np.array_equal(
+            resumed.wear.position_writes, straight.wear.position_writes
+        )
 
     @given(checkpoint_every=st.integers(min_value=13, max_value=590))
     @settings(

@@ -320,6 +320,20 @@ class TestRunsCommand:
         assert main(["runs", "list"]) == 0
         assert "no runs recorded" in capsys.readouterr().out
 
+    def test_limit_zero_lists_all_and_negative_is_rejected(self, capsys):
+        ids = self._seed()
+        capsys.readouterr()
+        assert main(["runs", "list", "--limit", "1"]) == 0
+        out = capsys.readouterr().out
+        assert ids[1] in out and ids[0] not in out
+        assert main(["runs", "list", "--limit", "0"]) == 0
+        out = capsys.readouterr().out
+        assert all(run_id in out for run_id in ids)
+        with pytest.raises(SystemExit) as exc:
+            main(["runs", "list", "--limit", "-5"])
+        assert exc.value.code == 2
+        assert "--limit" in capsys.readouterr().err
+
 
 class TestGateCommand:
     def _pin_and_seed(self, tmp_path, flips_pct_offset: float = 0.0) -> str:
@@ -378,6 +392,14 @@ class TestDashboardCommand:
         html = out_path.read_text()
         assert html.startswith("<!DOCTYPE html>")
         assert 'class="spark' in html and "deuce" in html
+
+    def test_negative_limit_is_rejected(self, tmp_path, capsys):
+        out_path = tmp_path / "dash.html"
+        with pytest.raises(SystemExit) as exc:
+            main(["dashboard", "--output", str(out_path), "--limit", "-1"])
+        assert exc.value.code == 2
+        assert "--limit" in capsys.readouterr().err
+        assert not out_path.exists()
 
 
 class TestTraceCommand:
