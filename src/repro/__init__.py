@@ -27,11 +27,7 @@ behind the CLI and the ``deuce-sim serve`` job service)::
     result = Session().run(SimConfig("mcf", "deuce", n_writes=10_000))
 """
 
-from repro.api import Session
-from repro.memory.controller import ControllerStats, SecureMemoryController
-from repro.schemes import SCHEME_NAMES, WriteOutcome, WriteScheme, make_scheme
-from repro.sim import RunResult, SimConfig, run
-from repro.workloads import PROFILES, WORKLOAD_NAMES, generate_trace
+from repro._lazy import lazy_exports as _lazy_exports
 
 __version__ = "1.0.0"
 
@@ -51,3 +47,27 @@ __all__ = [
     "make_scheme",
     "run",
 ]
+
+# Names resolve on first use, so ``import repro`` (and every
+# ``import repro.<module>``) loads no submodule it does not name.
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "repro.api": ("Session",),
+        "repro.memory.controller": (
+            "ControllerStats",
+            "SecureMemoryController",
+        ),
+        "repro.schemes": (
+            "SCHEME_NAMES",
+            "WriteOutcome",
+            "WriteScheme",
+            "make_scheme",
+        ),
+        "repro.sim.config": ("SimConfig",),
+        "repro.sim.results": ("RunResult",),
+        "repro.sim.runner": ("run",),
+        "repro.workloads.profiles": ("PROFILES", "WORKLOAD_NAMES"),
+        "repro.workloads.trace": ("generate_trace",),
+    },
+)

@@ -1,8 +1,6 @@
 """Reporting helpers: text tables and ASCII charts."""
 
-from repro.analysis.charts import bar_chart, grouped_bar_chart, hbar, sparkline
-from repro.analysis.report import generate_report, write_report
-from repro.analysis.tables import format_cell, render_comparison, render_table
+from repro._lazy import lazy_exports as _lazy_exports
 
 __all__ = [
     "bar_chart",
@@ -15,3 +13,21 @@ __all__ = [
     "sparkline",
     "write_report",
 ]
+
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "repro.analysis.charts": (
+            "bar_chart",
+            "grouped_bar_chart",
+            "hbar",
+            "sparkline",
+        ),
+        "repro.analysis.report": ("generate_report", "write_report"),
+        "repro.analysis.tables": (
+            "format_cell",
+            "render_comparison",
+            "render_table",
+        ),
+    },
+)

@@ -31,14 +31,16 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
+from repro._lazy import lazy_exports as _lazy_exports
 from repro.obs.context import TraceContext
-from repro.obs.instruments import RunAborted
+from repro.obs.instruments import Instruments, RunAborted
 from repro.obs.ledger import (
     RunLedger,
     RunManifest,
     build_manifest,
     new_run_id,
 )
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.progress import (
     DONE,
     HEARTBEAT,
@@ -46,6 +48,8 @@ from repro.obs.progress import (
     ProgressEvent,
     ProgressRenderer,
 )
+from repro.obs.tracing import NULL_TRACER, JsonlSink, Tracer
+from repro.sim import runner
 from repro.sim.checkpoint import (
     RUN_CHECKPOINT_DIRNAME,
     CheckpointError,
@@ -53,12 +57,6 @@ from repro.sim.checkpoint import (
     load_run_checkpoint,
 )
 from repro.sim.config import ConfigError, SimConfig
-from repro.sim.experiments import EXPERIMENTS, ExperimentResult
-from repro.sim.parallel import (
-    SweepCancelled,
-    SweepCellFailed,
-    resolve_workers,
-)
 from repro.sim.results import RunResult
 
 __all__ = [
@@ -79,6 +77,20 @@ __all__ = [
     "TraceContext",
     "resolve_workers",
 ]
+
+# The sweep engine and the experiments load on first use, so a run
+# through the facade imports neither.
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "repro.sim.experiments": ("ExperimentResult",),
+        "repro.sim.parallel": (
+            "SweepCancelled",
+            "SweepCellFailed",
+            "resolve_workers",
+        ),
+    },
+)
 
 
 @dataclass(frozen=True)
@@ -207,8 +219,6 @@ class Session:
             or should_stop is not None
         ):
             return None, None, None
-        from repro.obs import Instruments, JsonlSink, MetricsRegistry, Tracer
-
         instruments = Instruments(
             sample_interval=sample_interval,
             abort=should_stop,
@@ -337,10 +347,8 @@ class Session:
             instruments.heartbeat = lambda done, total: progress(
                 ProgressEvent.for_cell(HEARTBEAT, config, writes_done=done)
             )
-        from repro.sim.runner import run as _run
-
         try:
-            result = _run(
+            result = runner.run(
                 config,
                 trace=trace,
                 instruments=instruments,
@@ -435,7 +443,6 @@ class Session:
         merged ledger/checkpoint interchangeable with a local one
         (``workers`` is a pool knob and is ignored with an executor).
         """
-        from repro.obs.tracing import JsonlSink, Tracer
         from repro.sim.parallel import SweepTracing, run_suite_parallel
 
         if sweep_id is not None:
@@ -467,8 +474,6 @@ class Session:
             if sweep_tracer is not None:
                 span = sweep_tracer.span("sweep", cells=len(resolved))
             else:
-                from repro.obs.tracing import NULL_TRACER
-
                 span = NULL_TRACER.span("sweep")
             with span:
                 if executor is not None:
@@ -517,6 +522,8 @@ class Session:
         callers can thread uniform knobs.  The returned result carries
         ``result.manifest`` when recorded.
         """
+        from repro.sim.experiments import EXPERIMENTS
+
         fn = EXPERIMENTS.get(name)
         if fn is None:
             raise ConfigError(

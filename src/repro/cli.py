@@ -65,9 +65,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.analysis.tables import render_table
 from repro.sim.config import SimConfig
-from repro.sim.experiments import EXPERIMENTS
 
 
 def _make_session(args: argparse.Namespace):
@@ -110,6 +108,7 @@ def _parse_workload_params(raw: str | None) -> dict:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     from repro.analysis.export import summary_row
+    from repro.analysis.tables import render_table
     from repro.api import CheckpointError, ObsOptions
     from repro.sim.config import ConfigError
 
@@ -190,6 +189,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     import json
 
+    from repro.analysis.tables import render_table
     from repro.api import CheckpointError, SweepCellFailed
     from repro.sim.config import ConfigError
 
@@ -292,12 +292,14 @@ def _progress_renderer(args: argparse.Namespace, label: str):
         enabled = sys.stderr.isatty()
     if not enabled:
         return None
-    from repro.obs import ProgressRenderer
+    from repro.obs.progress import ProgressRenderer
 
     return ProgressRenderer(label=label)
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
+    from repro.sim.experiments import EXPERIMENTS
+
     session = _make_session(args)
     for name in (list(EXPERIMENTS) if args.name == "all" else [args.name]):
         if name not in EXPERIMENTS:
@@ -417,6 +419,7 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
 
 
 def _cmd_runs(args: argparse.Namespace) -> int:
+    from repro.analysis.tables import render_table
     from repro.obs.ledger import LedgerError, RunLedger
 
     ledger = RunLedger(args.runs_dir)
@@ -613,6 +616,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 def _cmd_list(_: argparse.Namespace) -> int:
     from repro import registry
+    from repro.sim.experiments import EXPERIMENTS
 
     print("workloads: " + ", ".join(registry.WORKLOADS.names))
     print("schemes:   " + ", ".join(registry.SCHEMES.names))
@@ -624,6 +628,7 @@ def _cmd_plugins(args: argparse.Namespace) -> int:
     import json
 
     from repro import registry
+    from repro.analysis.tables import render_table
 
     registries = registry.REGISTRIES
     if args.plugins_verb == "describe" and not args.name:
@@ -1048,7 +1053,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_exp = sub.add_parser("experiment", help="reproduce a paper figure/table")
-    p_exp.add_argument("name", help=f"one of {', '.join(EXPERIMENTS)} or 'all'")
+    p_exp.add_argument(
+        "name", help="an experiment listed by 'deuce-sim list', or 'all'"
+    )
     p_exp.add_argument("--writes", type=int, default=5_000)
     p_exp.add_argument(
         "--workers",

@@ -1,15 +1,6 @@
 """Cryptographic substrate: AES, counter-mode pads, line encryption."""
 
-from repro.crypto.aes import AES, BLOCK_SIZE
-from repro.crypto.ctr import CounterModeEngine, mix_pads, xor_bytes
-from repro.crypto.pads import (
-    AesPadSource,
-    Blake2PadSource,
-    CachingPadSource,
-    PadSource,
-    make_pad_source,
-)
-from repro.crypto.rekey import VersionedPadSource
+from repro._lazy import lazy_exports as _lazy_exports
 
 __all__ = [
     "AES",
@@ -24,3 +15,19 @@ __all__ = [
     "mix_pads",
     "xor_bytes",
 ]
+
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "repro.crypto.aes": ("AES", "BLOCK_SIZE"),
+        "repro.crypto.ctr": ("CounterModeEngine", "mix_pads", "xor_bytes"),
+        "repro.crypto.pads": (
+            "AesPadSource",
+            "Blake2PadSource",
+            "CachingPadSource",
+            "PadSource",
+            "make_pad_source",
+        ),
+        "repro.crypto.rekey": ("VersionedPadSource",),
+    },
+)

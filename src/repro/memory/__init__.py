@@ -1,16 +1,6 @@
 """Memory substrate: bit utilities, line images, the PCM array model."""
 
-from repro.memory.line import StoredLine, make_meta, meta_flips
-from repro.memory.pcm import (
-    READ_LATENCY_NS,
-    SLOT_BITS,
-    SLOT_FLIP_BUDGET,
-    SLOT_LATENCY_NS,
-    PcmArray,
-    WearSummary,
-    slots_for_positions,
-    slots_for_write,
-)
+from repro._lazy import lazy_exports as _lazy_exports
 
 __all__ = [
     "READ_LATENCY_NS",
@@ -25,3 +15,20 @@ __all__ = [
     "slots_for_positions",
     "slots_for_write",
 ]
+
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "repro.memory.line": ("StoredLine", "make_meta", "meta_flips"),
+        "repro.memory.pcm": (
+            "READ_LATENCY_NS",
+            "SLOT_BITS",
+            "SLOT_FLIP_BUDGET",
+            "SLOT_LATENCY_NS",
+            "PcmArray",
+            "WearSummary",
+            "slots_for_positions",
+            "slots_for_write",
+        ),
+    },
+)

@@ -35,61 +35,7 @@ Four pieces, all zero-dependency and null-by-default:
 all-null default under which runs are bit-identical to uninstrumented code.
 """
 
-from repro.obs.context import TraceContext
-from repro.obs.gate import (
-    GateCheck,
-    GateError,
-    GateReport,
-    evaluate_gate,
-    load_baselines,
-    pin_baselines,
-)
-from repro.obs.instruments import DISABLED, Instruments, InstrumentedPadSource
-from repro.obs.ledger import (
-    LedgerError,
-    RunLedger,
-    RunManifest,
-    build_manifest,
-    config_hash,
-    default_runs_dir,
-    git_revision,
-    manifest_from_result,
-    new_run_id,
-)
-from repro.obs.metrics import (
-    DEFAULT_LATENCY_BUCKETS,
-    NULL_METRICS,
-    BucketHistogram,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    NullMetricsRegistry,
-    Timer,
-)
-from repro.obs.profile import PhaseProfile
-from repro.obs.promfmt import render_prometheus
-from repro.obs.progress import (
-    ProgressEvent,
-    ProgressRenderer,
-    ProgressState,
-    format_progress,
-)
-from repro.obs.sampling import IntervalSampler, Sample, TimeSeries
-from repro.obs.traceexport import (
-    Lane,
-    build_report,
-    export_chrome_trace,
-    load_trace,
-    to_chrome_trace,
-)
-from repro.obs.tracing import (
-    NULL_TRACER,
-    JsonlSink,
-    ListSink,
-    NullTracer,
-    Tracer,
-)
+from repro._lazy import lazy_exports as _lazy_exports
 
 __all__ = [
     "DISABLED",
@@ -140,3 +86,68 @@ __all__ = [
     "NullTracer",
     "Tracer",
 ]
+
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "repro.obs.context": ("TraceContext",),
+        "repro.obs.gate": (
+            "GateCheck",
+            "GateError",
+            "GateReport",
+            "evaluate_gate",
+            "load_baselines",
+            "pin_baselines",
+        ),
+        "repro.obs.instruments": (
+            "DISABLED",
+            "Instruments",
+            "InstrumentedPadSource",
+        ),
+        "repro.obs.ledger": (
+            "LedgerError",
+            "RunLedger",
+            "RunManifest",
+            "build_manifest",
+            "config_hash",
+            "default_runs_dir",
+            "git_revision",
+            "manifest_from_result",
+            "new_run_id",
+        ),
+        "repro.obs.metrics": (
+            "DEFAULT_LATENCY_BUCKETS",
+            "NULL_METRICS",
+            "BucketHistogram",
+            "Counter",
+            "Gauge",
+            "Histogram",
+            "MetricsRegistry",
+            "NullMetricsRegistry",
+            "Timer",
+        ),
+        "repro.obs.profile": ("PhaseProfile",),
+        "repro.obs.promfmt": ("render_prometheus",),
+        "repro.obs.progress": (
+            "ProgressEvent",
+            "ProgressRenderer",
+            "ProgressState",
+            "format_progress",
+        ),
+        "repro.obs.sampling": ("IntervalSampler", "Sample", "TimeSeries"),
+        "repro.obs.traceexport": (
+            "Lane",
+            "build_report",
+            "export_chrome_trace",
+            "load_trace",
+            "to_chrome_trace",
+        ),
+        "repro.obs.tracing": (
+            "NULL_TRACER",
+            "JsonlSink",
+            "ListSink",
+            "NullTracer",
+            "Tracer",
+        ),
+    },
+)

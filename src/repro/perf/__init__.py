@@ -1,18 +1,6 @@
 """Performance substrate: bank timing, system model, energy model."""
 
-from repro.perf.energy import (
-    EnergyConfig,
-    EnergyReport,
-    energy_report,
-)
-from repro.perf.queueing import (
-    QueueingEstimate,
-    analytic_read_latency,
-    per_bank_rates,
-    write_service_moments,
-)
-from repro.perf.system import CoreConfig, ExecutionResult, simulate_execution
-from repro.perf.timing import BankModel, BankStats, MemorySystem, MemorySystemStats
+from repro._lazy import lazy_exports as _lazy_exports
 
 __all__ = [
     "BankModel",
@@ -30,3 +18,27 @@ __all__ = [
     "simulate_execution",
     "write_service_moments",
 ]
+
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "repro.perf.energy": ("EnergyConfig", "EnergyReport", "energy_report"),
+        "repro.perf.queueing": (
+            "QueueingEstimate",
+            "analytic_read_latency",
+            "per_bank_rates",
+            "write_service_moments",
+        ),
+        "repro.perf.system": (
+            "CoreConfig",
+            "ExecutionResult",
+            "simulate_execution",
+        ),
+        "repro.perf.timing": (
+            "BankModel",
+            "BankStats",
+            "MemorySystem",
+            "MemorySystemStats",
+        ),
+    },
+)

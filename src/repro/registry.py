@@ -26,7 +26,10 @@ Out-of-tree plugins register through the ``importlib.metadata`` entry
 point group :data:`ENTRY_POINT_GROUP` (``deuce_sim.plugins``): each entry
 point resolves to a callable invoked with the registry mapping
 (:data:`REGISTRIES`), letting external packages add schemes or workloads
-without editing this repo.
+without editing this repo.  The installed distributions are scanned once
+per process, on the first lookup of a name no registry holds or the first
+listing of a registry, so a run that only names built-in plugins never
+imports ``importlib.metadata``.
 
 Downstream lookups (``build_scheme``, ``_build_leveler``,
 ``make_pad_source``, ``get_profile``, ``SimConfig.from_dict`` name
@@ -38,8 +41,11 @@ config dict, a CLI flag, or a service payload.
 from __future__ import annotations
 
 import difflib
+import threading
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Mapping, Sequence
+
+from repro.fieldspec import FieldSpec, RegistryError
 
 __all__ = [
     "ENTRY_POINT_GROUP",
@@ -58,112 +64,6 @@ __all__ = [
 
 #: ``importlib.metadata`` entry-point group scanned for external plugins.
 ENTRY_POINT_GROUP = "deuce_sim.plugins"
-
-
-class RegistryError(ValueError):
-    """Invalid plugin name or parameter value.
-
-    ``suggestion`` holds the closest name match (or "") for unknown-name
-    errors; parameter errors carry the full field path in the message
-    (e.g. ``workload_params.zipf_alpha: expected float, got str``).
-    """
-
-    def __init__(self, message: str, *, suggestion: str = "") -> None:
-        super().__init__(message)
-        self.suggestion = suggestion
-
-
-#: Accepted runtime types per declared FieldSpec type name.  ``float``
-#: accepts ints (JSON has one number type); ``bool`` is never accepted
-#: where ``int`` is declared (Python's bool-is-int would let ``true``
-#: sneak into counters).
-_PARAM_TYPES: dict[str, tuple[type, ...]] = {
-    "int": (int,),
-    "float": (int, float),
-    "str": (str,),
-    "bool": (bool,),
-}
-
-
-@dataclass(frozen=True)
-class FieldSpec:
-    """One declared plugin parameter: its type, range, and enum.
-
-    Attributes
-    ----------
-    name:
-        Parameter keyword (the key in a params dict).
-    type:
-        ``"int"``, ``"float"``, ``"str"``, or ``"bool"``.  ``float``
-        accepts JSON integers too; ``int`` rejects booleans.
-    default:
-        Documented default (informational; factories own real defaults).
-    minimum / maximum:
-        Inclusive numeric bounds, when the type is numeric.
-    choices:
-        Allowed values, when the parameter is an enum.
-    doc:
-        One-line human description.
-    """
-
-    name: str
-    type: str = "str"
-    default: object = None
-    minimum: float | None = None
-    maximum: float | None = None
-    choices: tuple = ()
-    doc: str = ""
-
-    def __post_init__(self) -> None:
-        if self.type not in _PARAM_TYPES:
-            raise ValueError(
-                f"FieldSpec type must be one of {tuple(_PARAM_TYPES)}, "
-                f"got {self.type!r}"
-            )
-
-    def check(self, value: object, path: str) -> None:
-        """Raise :class:`RegistryError` unless ``value`` satisfies the spec.
-
-        ``path`` prefixes the message (``workload_params.zipf_alpha``) so
-        every surface that funnels here reports the same field path.
-        """
-        expected = _PARAM_TYPES[self.type]
-        ok = isinstance(value, expected) and not (
-            isinstance(value, bool) and self.type != "bool"
-        )
-        if not ok:
-            raise RegistryError(
-                f"{path}: expected {self.type}, "
-                f"got {type(value).__name__} ({value!r})"
-            )
-        if self.choices and value not in self.choices:
-            raise RegistryError(
-                f"{path}: must be one of "
-                f"{', '.join(repr(c) for c in self.choices)}, got {value!r}"
-            )
-        if self.minimum is not None and value < self.minimum:  # type: ignore[operator]
-            raise RegistryError(
-                f"{path}: must be >= {self.minimum}, got {value!r}"
-            )
-        if self.maximum is not None and value > self.maximum:  # type: ignore[operator]
-            raise RegistryError(
-                f"{path}: must be <= {self.maximum}, got {value!r}"
-            )
-
-    def to_dict(self) -> dict[str, object]:
-        """JSON-friendly form for ``describe()`` and the plugins CLI."""
-        out: dict[str, object] = {"name": self.name, "type": self.type}
-        if self.default is not None:
-            out["default"] = self.default
-        if self.minimum is not None:
-            out["minimum"] = self.minimum
-        if self.maximum is not None:
-            out["maximum"] = self.maximum
-        if self.choices:
-            out["choices"] = list(self.choices)
-        if self.doc:
-            out["doc"] = self.doc
-        return out
 
 
 @dataclass(frozen=True)
@@ -234,20 +134,29 @@ class Registry:
 
     @property
     def names(self) -> tuple[str, ...]:
+        _scan_plugins_once()
         return tuple(self._specs)
 
     def __contains__(self, name: object) -> bool:
+        if name in self._specs:
+            return True
+        _scan_plugins_once()
         return name in self._specs
 
     def __iter__(self) -> Iterator[PluginSpec]:
+        _scan_plugins_once()
         return iter(self._specs.values())
 
     def __len__(self) -> int:
+        _scan_plugins_once()
         return len(self._specs)
 
     def get(self, name: str) -> PluginSpec:
         """The spec for ``name``; :class:`RegistryError` with a suggestion."""
         spec = self._specs.get(name)
+        if spec is None:
+            _scan_plugins_once()
+            spec = self._specs.get(name)
         if spec is not None:
             return spec
         matches = difflib.get_close_matches(str(name), self._specs, n=1)
@@ -450,7 +359,7 @@ def load_entry_point_plugins(entry_points=None) -> list[str]:
     iterable of objects with ``.name`` and ``.load()``); by default the
     installed-distribution metadata is scanned.  A plugin that fails to
     import or register is skipped — an external package must not be able
-    to break ``import repro``.  Returns the entry-point names loaded.
+    to break a lookup.  Returns the entry-point names loaded.
     """
     if entry_points is None:
         import importlib.metadata as metadata
@@ -472,8 +381,25 @@ def load_entry_point_plugins(entry_points=None) -> list[str]:
     return loaded
 
 
+_SCAN_LOCK = threading.RLock()
+_plugins_scanned = False
+
+
+def _scan_plugins_once() -> None:
+    """Load the installed entry-point plugins, once per process.
+
+    Other threads wait for a scan in progress; a plugin hook that looks a
+    name up re-enters here and returns at once.
+    """
+    global _plugins_scanned
+    with _SCAN_LOCK:
+        if _plugins_scanned:
+            return
+        _plugins_scanned = True
+        load_entry_point_plugins()
+
+
 _populate()
-load_entry_point_plugins()
 
 
 def validate_config_names(

@@ -1,29 +1,6 @@
 """Attack models, integrity protection, and security auditing."""
 
-from repro.security.attacks import (
-    AddressTweakedMemory,
-    BusSnooper,
-    CounterModeMemory,
-    CounterResetMemory,
-    GlobalKeyMemory,
-    StolenDimmView,
-)
-from repro.security.endurance import (
-    AttackReport,
-    ThrottlingGuard,
-    WriteStreamDetector,
-)
-from repro.security.invariants import (
-    PadReuse,
-    PadUsageAuditor,
-    audit_deuce_write_path,
-)
-from repro.security.merkle import (
-    IntegrityError,
-    MerkleTree,
-    TamperedCounterStore,
-    VerifiedRead,
-)
+from repro._lazy import lazy_exports as _lazy_exports
 
 __all__ = [
     "AddressTweakedMemory",
@@ -43,3 +20,33 @@ __all__ = [
     "WriteStreamDetector",
     "audit_deuce_write_path",
 ]
+
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "repro.security.attacks": (
+            "AddressTweakedMemory",
+            "BusSnooper",
+            "CounterModeMemory",
+            "CounterResetMemory",
+            "GlobalKeyMemory",
+            "StolenDimmView",
+        ),
+        "repro.security.endurance": (
+            "AttackReport",
+            "ThrottlingGuard",
+            "WriteStreamDetector",
+        ),
+        "repro.security.invariants": (
+            "PadReuse",
+            "PadUsageAuditor",
+            "audit_deuce_write_path",
+        ),
+        "repro.security.merkle": (
+            "IntegrityError",
+            "MerkleTree",
+            "TamperedCounterStore",
+            "VerifiedRead",
+        ),
+    },
+)

@@ -9,31 +9,7 @@ and ledger manifests are bit-identical to direct library/CLI use.
 stack with concurrent clients (``deuce-sim loadtest``).
 """
 
-from repro.service.jobs import (
-    CANCELLED,
-    DONE,
-    FAILED,
-    JOB_KINDS,
-    QUEUED,
-    RUNNING,
-    TERMINAL_STATES,
-    Job,
-    JobError,
-    JobManager,
-    JobSpec,
-    QueueFullError,
-    ServiceDraining,
-    UnknownJobError,
-)
-from repro.service.loadtest import (
-    DEFAULT_MIX,
-    LoadTestOptions,
-    parse_mix,
-    run_loadtest,
-    spawned_service,
-)
-from repro.service.server import SimulationServer, serve
-from repro.service.telemetry import ServiceTelemetry
+from repro._lazy import lazy_exports as _lazy_exports
 
 __all__ = [
     "CANCELLED",
@@ -59,3 +35,34 @@ __all__ = [
     "run_loadtest",
     "spawned_service",
 ]
+
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "repro.service.jobs": (
+            "CANCELLED",
+            "DONE",
+            "FAILED",
+            "JOB_KINDS",
+            "QUEUED",
+            "RUNNING",
+            "TERMINAL_STATES",
+            "Job",
+            "JobError",
+            "JobManager",
+            "JobSpec",
+            "QueueFullError",
+            "ServiceDraining",
+            "UnknownJobError",
+        ),
+        "repro.service.loadtest": (
+            "DEFAULT_MIX",
+            "LoadTestOptions",
+            "parse_mix",
+            "run_loadtest",
+            "spawned_service",
+        ),
+        "repro.service.server": ("SimulationServer", "serve"),
+        "repro.service.telemetry": ("ServiceTelemetry",),
+    },
+)

@@ -1,8 +1,6 @@
 """Simulation layer: configs, the runner, result containers, experiments."""
 
-from repro.sim.config import DEFAULT_KEY, DEFAULT_N_WRITES, SimConfig
-from repro.sim.results import RunResult
-from repro.sim.runner import build_scheme, cached_trace, run, run_suite
+from repro._lazy import lazy_exports as _lazy_exports
 
 __all__ = [
     "DEFAULT_KEY",
@@ -14,3 +12,17 @@ __all__ = [
     "run",
     "run_suite",
 ]
+
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "repro.sim.config": ("DEFAULT_KEY", "DEFAULT_N_WRITES", "SimConfig"),
+        "repro.sim.results": ("RunResult",),
+        "repro.sim.runner": (
+            "build_scheme",
+            "cached_trace",
+            "run",
+            "run_suite",
+        ),
+    },
+)

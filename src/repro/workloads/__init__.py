@@ -1,31 +1,6 @@
 """Workload models: SPEC-like profiles, trace generation, trace I/O."""
 
-from repro.workloads.generator import TraceGenerator, WriteRecord
-from repro.workloads.profiles import (
-    PAPER_TARGETS,
-    PROFILES,
-    WORKLOAD_NAMES,
-    WorkloadProfile,
-    get_profile,
-)
-from repro.workloads.kv import (
-    KV_PROFILES,
-    KvEngine,
-    KvProfile,
-    KvRequest,
-    generate_kv_trace,
-    request_stream,
-)
-from repro.workloads.stats import TraceStats, analyze_trace, recommend_scheme
-from repro.workloads.suite import (
-    CANNED_SUITES,
-    RequestSuite,
-    build_canned_suite,
-    load_suite,
-    record_suite,
-    replay_suite,
-)
-from repro.workloads.trace import Trace, generate_trace
+from repro._lazy import lazy_exports as _lazy_exports
 
 __all__ = [
     "CANNED_SUITES",
@@ -52,3 +27,39 @@ __all__ = [
     "recommend_scheme",
     "replay_suite",
 ]
+
+__getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "repro.workloads.generator": ("TraceGenerator", "WriteRecord"),
+        "repro.workloads.kv": (
+            "KV_PROFILES",
+            "KvEngine",
+            "KvProfile",
+            "KvRequest",
+            "generate_kv_trace",
+            "request_stream",
+        ),
+        "repro.workloads.profiles": (
+            "PAPER_TARGETS",
+            "PROFILES",
+            "WORKLOAD_NAMES",
+            "WorkloadProfile",
+            "get_profile",
+        ),
+        "repro.workloads.stats": (
+            "TraceStats",
+            "analyze_trace",
+            "recommend_scheme",
+        ),
+        "repro.workloads.suite": (
+            "CANNED_SUITES",
+            "RequestSuite",
+            "build_canned_suite",
+            "load_suite",
+            "record_suite",
+            "replay_suite",
+        ),
+        "repro.workloads.trace": ("Trace", "generate_trace"),
+    },
+)

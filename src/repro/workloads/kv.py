@@ -40,7 +40,7 @@ from itertools import islice
 from typing import Callable, Iterable, Iterator
 
 from repro.memory.cache import MemoryHierarchy
-from repro.registry import FieldSpec
+from repro.fieldspec import FieldSpec
 from repro.workloads.generator import WriteRecord
 from repro.workloads.trace import Trace
 

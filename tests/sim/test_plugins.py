@@ -271,3 +271,86 @@ class TestEntryPointPlugins:
         )
         assert loaded == ["ok"]
         assert set(WORKLOADS.names) == before
+
+
+class TestDeferredScan:
+    """The entry-point scan runs on the first miss, once per process.
+
+    That importing the registry scans nothing is checked in a fresh
+    interpreter by ``tests/integration/test_import_layering.py``.
+    """
+
+    def test_first_miss_finds_an_installed_plugin_and_scans_once(
+        self, monkeypatch
+    ):
+        import importlib.metadata
+
+        from repro.workloads.profiles import PROFILES
+
+        scans = []
+
+        def hook(registries):
+            registries["workloads"].register(
+                "ext-mcf", lambda: PROFILES["mcf"],
+                description="entry-point test workload",
+            )
+
+        def entry_points(**params):
+            scans.append(params)
+            if params.get("group") == registry.ENTRY_POINT_GROUP:
+                return [_FakeEntryPoint("ext", hook)]
+            return []
+
+        monkeypatch.setattr(importlib.metadata, "entry_points", entry_points)
+        monkeypatch.setattr(registry, "_plugins_scanned", False)
+        try:
+            # hits never scan
+            assert SCHEMES.get("deuce").name == "deuce"
+            assert "mcf" in WORKLOADS
+            assert scans == []
+            # the first miss does, and finds the plugin
+            assert WORKLOADS.get("ext-mcf").description == (
+                "entry-point test workload"
+            )
+            assert scans == [{"group": registry.ENTRY_POINT_GROUP}]
+            # later misses, listings and did-you-mean errors reuse it
+            assert "nope" not in SCHEMES
+            with pytest.raises(RegistryError, match="did you mean 'deuce'"):
+                SCHEMES.get("duece")
+            assert "ext-mcf" in WORKLOADS.names
+            assert len(WEAR_LEVELERS) == len(list(WEAR_LEVELERS))
+            assert len(scans) == 1
+        finally:
+            WORKLOADS.unregister("ext-mcf")
+
+    @pytest.mark.parametrize(
+        "first_use",
+        [
+            lambda: "nope" in PAD_SOURCES,
+            lambda: PAD_SOURCES.names,
+            lambda: list(PAD_SOURCES),
+            lambda: len(PAD_SOURCES),
+            lambda: PAD_SOURCES.describe(),
+        ],
+        ids=["contains-miss", "names", "iter", "len", "describe"],
+    )
+    def test_each_listing_or_miss_triggers_the_scan(
+        self, monkeypatch, first_use
+    ):
+        scans = []
+        monkeypatch.setattr(
+            registry, "load_entry_point_plugins", lambda: scans.append(1)
+        )
+        monkeypatch.setattr(registry, "_plugins_scanned", False)
+        first_use()
+        first_use()
+        assert scans == [1]
+
+    def test_unknown_name_message_is_unchanged(self):
+        with pytest.raises(RegistryError) as err:
+            SCHEMES.get("duece")
+        assert str(err.value) == (
+            f"unknown scheme 'duece' (choose from {SCHEMES.names})"
+            " — did you mean 'deuce'?"
+        )
+        assert err.value.suggestion == "deuce"
