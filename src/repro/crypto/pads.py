@@ -34,7 +34,8 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from collections import OrderedDict
+from collections import deque
+from functools import lru_cache
 from typing import Protocol
 
 import numpy as np
@@ -55,14 +56,16 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 #: Pre-compiled (address, counter, lane) tweak packer for the Blake2 path.
 _pack_qqb = struct.Struct("<QQB").pack
 
-#: Sentinel for the batched cache walk: "not cached".
-_MISS = object()
+#: Requests per slice of a block-pad batch.  A block stream runs to
+#: thousands of requests (a working set's install, a BLE+DEUCE chunk);
+#: walked and generated whole, its keys as Python objects and its pads'
+#: intermediates raised the peak RSS of a ten-scheme, 5k-write Gems round
+#: by about 0.4 MB.
+_BLOCK_SLICE = 1024
 
-#: Requests per block-cache walk.  A walk holds a few Python objects per
-#: request (key, placeholder, pad view), about half a kilobyte, and a block
-#: stream runs to thousands of requests (a working set's install, a
-#: BLE+DEUCE chunk): walked whole, one raised peak RSS by about 2 MB.
-_BLOCK_REPLAY_SLICE = 1024
+#: An LRU counter's key log is compacted once it holds this many times
+#: the cache's capacity in rows.
+_LOG_SLACK = 4
 
 
 class PadSource(Protocol):
@@ -427,14 +430,98 @@ class Blake2PadSource(_PadSourceBase):
         return _freeze(table[digest_of, blocks % per_lane])
 
 
+class _LruCounter:
+    """Hit and miss counts of an LRU cache of ``capacity`` keys.
+
+    Pads are pure functions of their key, so the cache of a simulation
+    needs no values to count: ``functools.lru_cache`` keeps the recency
+    list in C, a batch of keys is walked by mapping them through it, and
+    ``cache_info()`` holds the counts.  A key's cached value is
+    ``list(key)``, a fresh list per miss; a scalar :meth:`fetch` appends
+    the key's pad to it, so a repeated scalar hit returns the same object
+    and the pad leaves memory with its key.
+
+    ``lru_cache`` does not expose its order.  An LRU cache always holds
+    the last ``capacity`` distinct keys by last use, though, so a log of
+    the requested keys rebuilds it; the log is compacted to those keys
+    whenever it grows past ``_LOG_SLACK * capacity`` rows.
+    """
+
+    def __init__(self, capacity: int) -> None:
+        self._capacity = capacity
+        self._bound = _LOG_SLACK * capacity
+        self._lookup = lru_cache(maxsize=capacity)(list)
+        #: ``(3, n)`` int64 key columns, oldest request first.
+        self._log = [np.empty((3, 0), dtype=np.int64)]
+        self._rows = 0
+        #: Scalar keys, as tuples, not yet moved into ``_log``.
+        self._tail: list[tuple[int, int, int]] = []
+
+    @property
+    def hits(self) -> int:
+        return self._lookup.cache_info().hits
+
+    @property
+    def misses(self) -> int:
+        return self._lookup.cache_info().misses
+
+    def fetch(self, key: tuple[int, int, int], make):
+        """One lookup of ``key``; its pad, ``make(*key)`` unless held."""
+        tail = self._tail
+        tail.append(key)
+        if len(tail) > self._bound:
+            self._compact()
+        slot = self._lookup(key)
+        if len(slot) == 3:
+            slot.append(make(*key))
+        return slot[3]
+
+    def walk(self, *columns: np.ndarray) -> None:
+        """One lookup per row of the int64 key ``columns``, in order."""
+        self._flush()
+        keys = np.stack(columns)
+        self._log.append(keys)
+        self._rows += keys.shape[1]
+        if self._rows > self._bound:
+            self._compact()
+        deque(map(self._lookup, zip(*keys.tolist())), 0)
+
+    def keys(self) -> np.ndarray:
+        """The cached keys, least recently used first, as ``(n, 3)`` int64."""
+        self._compact()
+        return np.ascontiguousarray(self._log[0].T)
+
+    def _flush(self) -> None:
+        if self._tail:
+            self._log.append(np.array(self._tail, dtype=np.int64).T)
+            self._rows += len(self._tail)
+            self._tail = []
+
+    def _compact(self) -> None:
+        """Cut the log to each cached key's last request, oldest first."""
+        self._flush()
+        log = np.concatenate(self._log, axis=1)
+        # A stable sort groups equal keys with their requests oldest
+        # first, so each group's last request is the key's last use.
+        order = np.lexsort(log[::-1])
+        ordered = np.take(log, order, axis=1)
+        last = np.ones(log.shape[1], dtype=bool)
+        last[:-1] = (ordered[:, 1:] != ordered[:, :-1]).any(axis=0)
+        keep = np.sort(order[last])[-self._capacity:]
+        self._log = [np.take(log, keep, axis=1)]
+        self._rows = len(keep)
+
+
 class CachingPadSource(_PadSourceBase):
-    """Memoizing LRU wrapper around another :class:`PadSource`.
+    """LRU pad cache in front of another :class:`PadSource`.
 
     DEUCE reads regenerate both the LCTR and TCTR pads on every access; a
-    small cache mirrors the hardware's ability to hold recent pads and spares
-    the simulation recomputing them.  Whole line pads and individual pad
-    blocks are cached separately, each under a true LRU policy (a hit moves
-    the entry to the back of the eviction order).
+    small cache mirrors the hardware's ability to hold recent pads.  A pad
+    is a pure function of its key, so here the cache only yields
+    statistics: ``hits``, ``misses`` and :meth:`state_dict`.  Whole line
+    pads and individual pad blocks are counted by two true LRU caches of
+    ``capacity`` keys each (a hit moves the key to the back of the
+    eviction order); every batch's pads come from the inner source.
     """
 
     def __init__(self, inner: PadSource, capacity: int = 4096) -> None:
@@ -442,12 +529,14 @@ class CachingPadSource(_PadSourceBase):
             raise ValueError("capacity must be positive")
         self._inner = inner
         self._capacity = capacity
-        self._cache: OrderedDict[tuple[int, int, int], bytes] = OrderedDict()
-        self._line_cache: OrderedDict[
-            tuple[int, int, int], np.ndarray
-        ] = OrderedDict()
-        self.hits = 0
-        self.misses = 0
+        self._reset(_LruCounter(capacity), _LruCounter(capacity), 0, 0)
+
+    def _reset(self, blocks, lines, hits: int, misses: int) -> None:
+        self._blocks = blocks
+        self._lines = lines
+        #: Counts restored from a checkpoint that the counters do not hold.
+        self._hits0 = hits - blocks.hits - lines.hits
+        self._misses0 = misses - blocks.misses - lines.misses
 
     @property
     def inner(self) -> PadSource:
@@ -458,35 +547,25 @@ class CachingPadSource(_PadSourceBase):
     def capacity(self) -> int:
         return self._capacity
 
+    @property
+    def hits(self) -> int:
+        return self._blocks.hits + self._lines.hits + self._hits0
+
+    @property
+    def misses(self) -> int:
+        return self._blocks.misses + self._lines.misses + self._misses0
+
     def pad_block(self, address: int, counter: int, block_index: int) -> bytes:
-        key = (address, counter, block_index)
-        cached = self._cache.get(key)
-        if cached is not None:
-            self.hits += 1
-            self._cache.move_to_end(key)
-            return cached
-        self.misses += 1
-        pad = self._inner.pad_block(address, counter, block_index)
-        if len(self._cache) >= self._capacity:
-            self._cache.popitem(last=False)
-        self._cache[key] = pad
-        return pad
+        return self._blocks.fetch(
+            (address, counter, block_index), self._inner.pad_block
+        )
 
     def line_pad_array(
         self, address: int, counter: int, n_bytes: int
     ) -> np.ndarray:
-        key = (address, counter, n_bytes)
-        cached = self._line_cache.get(key)
-        if cached is not None:
-            self.hits += 1
-            self._line_cache.move_to_end(key)
-            return cached
-        self.misses += 1
-        pad = self._inner.line_pad_array(address, counter, n_bytes)
-        if len(self._line_cache) >= self._capacity:
-            self._line_cache.popitem(last=False)
-        self._line_cache[key] = pad
-        return pad
+        return self._lines.fetch(
+            (address, counter, n_bytes), self._inner.line_pad_array
+        )
 
     def line_pad(self, address: int, counter: int, n_bytes: int) -> bytes:
         return self.line_pad_array(address, counter, n_bytes).tobytes()
@@ -494,72 +573,27 @@ class CachingPadSource(_PadSourceBase):
     def line_pads_batch(
         self, addresses: np.ndarray, counters: np.ndarray, n_bytes: int
     ) -> np.ndarray:
-        """Batched line pads with per-request LRU bookkeeping.
+        """Batched line pads, counted as ``m`` :meth:`line_pad_array` calls.
 
-        Walks the requests in order, performing exactly the hit/miss
-        accounting, recency updates, and evictions the per-write path would
-        — a miss installs a placeholder at the correct LRU position — then
-        generates every missing pad with one wide call to the inner source.
-        Cache contents, eviction order, and the hit/miss counters end up
-        byte-identical to ``m`` sequential :meth:`line_pad_array` calls,
-        which is what keeps checkpoint and ``RunResult`` pad stats invariant
-        under chunking.
+        The requests walk the line cache in order, so the hit/miss counts
+        and the cached keys end up as sequential calls leave them; every
+        pad comes from one wide call to the inner source.
         """
-        m = len(addresses)
-        cache = self._line_cache
-        addr_list = np.asarray(addresses, dtype=np.int64).tolist()
-        ctr_list = np.asarray(counters, dtype=np.int64).tolist()
-        keys = [(a, c, n_bytes) for a, c in zip(addr_list, ctr_list)]
-        # All-miss fast path.  The dominant batch shapes — a working set's
-        # initial encryption and DEUCE/Encr write chunks, whose counters are
-        # strictly fresh — never hit the cache.  When every key is distinct
-        # and absent (both checks run at C speed), the serial walk reduces
-        # to: m misses, evict the max(0, size + m - capacity) oldest
-        # entries, append the surviving keys in order.  Final cache
-        # contents, LRU order, and hit/miss counters are identical to the
-        # walk in :meth:`_replay`; only the per-row Python bookkeeping is
-        # skipped.
-        if m and len(set(keys)) == m and cache.keys().isdisjoint(keys):
-            capacity = self._capacity
-            generated = _freeze(
-                self._inner.line_pads_batch(
-                    np.asarray(addresses, dtype=np.int64),
-                    np.asarray(counters, dtype=np.int64),
-                    n_bytes,
-                )
-            )
-            self.misses += m
-            start = m - capacity
-            if start >= 0:
-                cache.clear()
-            else:
-                start = 0
-                for _ in range(max(0, len(cache) + m - capacity)):
-                    cache.popitem(last=False)
-            # Row views of the frozen buffer are themselves read-only.
-            cache.update(zip(keys[start:], list(generated[start:])))
-            return generated
-
-        def generate(miss: np.ndarray) -> np.ndarray:
-            return self._inner.line_pads_batch(
-                np.asarray(addresses, dtype=np.int64)[miss],
-                np.asarray(counters, dtype=np.int64)[miss],
-                n_bytes,
-            )
-
-        # Row views of the frozen buffer are read-only.
-        return self._replay(cache, keys, n_bytes, generate, lambda row: row)
+        addresses = np.asarray(addresses, dtype=np.int64)
+        counters = np.asarray(counters, dtype=np.int64)
+        widths = np.full(addresses.shape[0], n_bytes, dtype=np.int64)
+        self._lines.walk(addresses, counters, widths)
+        return _freeze(
+            self._inner.line_pads_batch(addresses, counters, n_bytes)
+        )
 
     def pad_blocks_batch(
         self, addresses: np.ndarray, counters: np.ndarray, blocks: np.ndarray
     ) -> np.ndarray:
-        """Batched pad blocks with per-request LRU bookkeeping.
+        """Batched pad blocks, counted as ``m`` :meth:`pad_block` calls.
 
-        Replays the requests through the block cache in order, so its
-        contents, LRU order and hit/miss counters end up as ``m``
-        sequential :meth:`pad_block` calls leave them; every missing block
-        comes from one wide call to the inner source.  Cached values stay
-        ``bytes``, so scalar and batched calls mix freely.
+        The requests walk the block cache in order and their pads come
+        from the inner source, both in slices of ``_BLOCK_SLICE``.
         """
         columns = [
             np.asarray(col, dtype=np.int64)
@@ -567,80 +601,11 @@ class CachingPadSource(_PadSourceBase):
         ]
         m = columns[0].shape[0]
         out = np.empty((m, PAD_BLOCK_BYTES), dtype=np.uint8)
-        for lo in range(0, m, _BLOCK_REPLAY_SLICE):
-            part = [col[lo: lo + _BLOCK_REPLAY_SLICE] for col in columns]
-            out[lo: lo + _BLOCK_REPLAY_SLICE] = self._replay(
-                self._cache,
-                list(zip(*(col.tolist() for col in part))),
-                PAD_BLOCK_BYTES,
-                lambda miss: self._inner.pad_blocks_batch(
-                    *(col[miss] for col in part)
-                ),
-                np.ndarray.tobytes,
-            )
+        for lo in range(0, m, _BLOCK_SLICE):
+            part = [col[lo: lo + _BLOCK_SLICE] for col in columns]
+            self._blocks.walk(*part)
+            out[lo: lo + _BLOCK_SLICE] = self._inner.pad_blocks_batch(*part)
         return _freeze(out)
-
-    def _replay(
-        self, cache: OrderedDict, keys: list, width: int, generate, cached
-    ) -> np.ndarray:
-        """Walk ``keys`` through ``cache`` as sequential lookups would.
-
-        Performs exactly the hit/miss accounting, recency updates and
-        evictions of one lookup per key, then calls ``generate`` once with
-        the request indices of the misses, for their ``(n_miss, width)``
-        pads.  Returns every request's pad as one read-only
-        ``(len(keys), width)`` array.
-
-        ``pop`` then re-insert is one LRU touch: a hit moves to the back
-        with its value, a miss takes the back slot with a placeholder, its
-        index into the miss list (the oldest entry is evicted first when
-        the cache is full).  Placeholders still cached then take their pad,
-        as ``cached(row)``, in place at the same LRU position.
-        """
-        capacity = self._capacity
-        pop = cache.pop
-        popitem = cache.popitem
-        size = len(cache)
-        n_miss = 0
-        misses: list[int] = []
-        add_miss = misses.append
-        rows: list = []
-        add_row = rows.append
-        for i, key in enumerate(keys):
-            value = pop(key, _MISS)
-            if value is _MISS:
-                if size >= capacity:
-                    popitem(last=False)
-                else:
-                    size += 1
-                value = n_miss
-                n_miss += 1
-                add_miss(i)
-            cache[key] = value
-            add_row(value)
-        self.hits += len(keys) - n_miss
-        self.misses += n_miss
-        if misses:
-            generated = list(_freeze(
-                np.asarray(generate(np.array(misses, dtype=np.int64)))
-            ))
-            rows = [generated[v] if v.__class__ is int else v for v in rows]
-            # Fill the placeholders that survived, scanning whichever of
-            # the miss list and the cache is shorter.
-            if n_miss < len(cache):
-                pending = [keys[i] for i in misses]
-            else:
-                pending = [k for k, v in cache.items() if v.__class__ is int]
-            cache_get = cache.get
-            for key in pending:
-                value = cache_get(key)
-                if value.__class__ is int:
-                    cache[key] = cached(generated[value])
-        return _freeze(
-            np.frombuffer(b"".join(rows), dtype=np.uint8).reshape(
-                len(keys), width
-            )
-        )
 
     def peek_line_pads_batch(
         self, addresses: np.ndarray, counters: np.ndarray, n_bytes: int
@@ -668,60 +633,44 @@ class CachingPadSource(_PadSourceBase):
     # -- checkpointing -------------------------------------------------------
 
     def state_dict(self) -> dict[str, object]:
-        """Cache contents, LRU order, and hit counters.
+        """Cached keys in LRU order, their pads, and the hit counters.
 
         Restoring this makes a resumed run's ``pad_hits``/``pad_misses``
         match the uninterrupted run exactly.  Pads are pure functions of
         (key, address, counter), so correctness never depends on it — only
-        the cache statistics do.  Block-cache keys/values pack into fixed
-        (N, 3) / (N, 16) arrays; line-cache values vary in width, so they
-        are concatenated and re-split on load from each key's ``n_bytes``.
+        the cache statistics do.  The pads are regenerated for the cached
+        keys: block pads as an (N, 16) array, line pads, which vary in
+        width, concatenated in key order (each key's ``n_bytes`` re-splits
+        them).
         """
-        n_blocks = len(self._cache)
-        block_keys = np.empty((n_blocks, 3), dtype=np.int64)
-        block_pads = np.empty((n_blocks, PAD_BLOCK_BYTES), dtype=np.uint8)
-        for i, (key, pad) in enumerate(self._cache.items()):
-            block_keys[i] = key
-            block_pads[i] = np.frombuffer(pad, dtype=np.uint8)
-        n_lines = len(self._line_cache)
-        line_keys = np.empty((n_lines, 3), dtype=np.int64)
-        chunks = []
-        for i, (key, pad) in enumerate(self._line_cache.items()):
-            line_keys[i] = key
-            chunks.append(pad)
-        line_pads = (
-            np.concatenate(chunks) if chunks else np.zeros(0, dtype=np.uint8)
-        )
+        block_keys = self._blocks.keys()
+        line_keys = self._lines.keys()
+        line_pads = [np.zeros(0, dtype=np.uint8)] * len(line_keys)
+        for width in np.unique(line_keys[:, 2]).tolist():
+            (rows,) = np.nonzero(line_keys[:, 2] == width)
+            pads = self._inner.line_pads_batch(
+                line_keys[rows, 0], line_keys[rows, 1], width
+            )
+            for row, pad in zip(rows.tolist(), pads):
+                line_pads[row] = pad
         return {
             "block_keys": block_keys,
-            "block_pads": block_pads,
+            "block_pads": np.array(self._inner.pad_blocks_batch(*block_keys.T)),
             "line_keys": line_keys,
-            "line_pads": line_pads,
+            "line_pads": np.concatenate([np.zeros(0, np.uint8), *line_pads]),
             "hits": self.hits,
             "misses": self.misses,
         }
 
     def load_state_dict(self, state: dict[str, object]) -> None:
-        block_keys = np.asarray(state["block_keys"], dtype=np.int64)
-        block_pads = np.asarray(state["block_pads"], dtype=np.uint8)
-        self._cache = OrderedDict(
-            (
-                tuple(int(v) for v in block_keys[i]),
-                block_pads[i].tobytes(),
-            )
-            for i in range(block_keys.shape[0])
-        )
-        line_keys = np.asarray(state["line_keys"], dtype=np.int64)
-        line_pads = np.asarray(state["line_pads"], dtype=np.uint8)
-        self._line_cache = OrderedDict()
-        offset = 0
-        for i in range(line_keys.shape[0]):
-            key = tuple(int(v) for v in line_keys[i])
-            pad = line_pads[offset: offset + key[2]].copy()
-            offset += key[2]
-            self._line_cache[key] = _freeze(pad)
-        self.hits = int(state["hits"])
-        self.misses = int(state["misses"])
+        """Replay the saved keys, oldest first, into fresh caches."""
+        counters = []
+        for name in ("block_keys", "line_keys"):
+            lru = _LruCounter(self._capacity)
+            keys = np.asarray(state[name], dtype=np.int64).reshape(-1, 3)
+            lru.walk(*keys.T)
+            counters.append(lru)
+        self._reset(*counters, int(state["hits"]), int(state["misses"]))
 
 
 def make_pad_source(kind: str, key: bytes) -> PadSource:

@@ -1,11 +1,12 @@
-"""Batched pad fetches keep the LRU cache bit-identical to serial fetches.
+"""Batched pad fetches count exactly as serial fetches do.
 
 ``CachingPadSource.line_pads_batch`` promises that after any batch the
-cache contents, the eviction (LRU) order, and the hit/miss counters are
-exactly what ``m`` sequential ``line_pad_array`` calls would have left —
-including the all-miss fast path the chunked write loop rides.  These
-tests drive a batch instance and a serial reference instance through the
-same request streams and compare everything observable.
+cached keys, the eviction (LRU) order, and the hit/miss counters are
+exactly what ``m`` sequential ``line_pad_array`` calls would have left,
+for the all-miss batches the chunked write loop sends and for batches with
+hits and duplicates alike.  These tests drive a batch instance and a
+serial reference instance through the same request streams and compare
+everything observable, through ``state_dict()``.
 """
 
 from __future__ import annotations
@@ -43,11 +44,9 @@ def _assert_equivalent(batch, serial, got, want) -> None:
     assert batch.hits == serial.hits
     assert batch.misses == serial.misses
     # Same keys in the same LRU (eviction) order, mapping to equal pads.
-    b_items = list(batch._line_cache.items())
-    s_items = list(serial._line_cache.items())
-    assert [k for k, _ in b_items] == [k for k, _ in s_items]
-    for (_, bv), (_, sv) in zip(b_items, s_items):
-        assert np.array_equal(bv, sv)
+    b_state, s_state = batch.state_dict(), serial.state_dict()
+    assert np.array_equal(b_state["line_keys"], s_state["line_keys"])
+    assert np.array_equal(b_state["line_pads"], s_state["line_pads"])
 
 
 def _drive(capacity: int, requests: list[tuple[int, int]]) -> None:
@@ -97,7 +96,7 @@ class TestAllMissFastPath:
 
 
 class TestGeneralWalk:
-    """Batches with hits or duplicates fall back to the per-request walk."""
+    """Batches with hits or duplicates."""
 
     def test_warm_hits(self):
         batch, serial = _pair(32)
@@ -115,8 +114,8 @@ class TestGeneralWalk:
         assert batch.hits == 3
 
     def test_duplicate_keys_within_batch(self):
-        # The second occurrence of a key is a hit on the pending entry
-        # installed by the first — same accounting as serial.
+        # The second occurrence of a key is a hit on the entry the first
+        # installed — same accounting as serial.
         _drive(capacity=16, requests=[(5, 1), (6, 1), (5, 1), (5, 1)])
 
     def test_duplicates_with_eviction_pressure(self):
@@ -250,8 +249,11 @@ class TestPadBlocksBatch:
                 for row, pad in zip(got, want):
                     assert np.array_equal(row, pad)
             _assert_same_state(batch, serial)
-        # Cached block pads stay ``bytes`` for the scalar path.
-        assert all(type(pad) is bytes for pad in batch._cache.values())
+        # ``pad_block`` still returns ``bytes`` after batches.
+        keys = [
+            k for kind, p in steps for k in ([p] if kind == "scalar" else p)
+        ]
+        assert all(type(batch.pad_block(*key)) is bytes for key in keys)
 
     @pytest.mark.parametrize("source", sorted(_BLOCK_SOURCES))
     def test_bare_source_matches_pad_block(self, source):
@@ -278,8 +280,8 @@ class TestPadBlocksBatch:
 
     @pytest.mark.parametrize("capacity", [16, 1024])
     def test_stream_longer_than_one_walk(self, capacity):
-        # The cache walks long streams in slices; keys repeat across the
-        # slice boundaries.
+        # The cache walks long streams in slices and compacts its key log;
+        # keys repeat across the slice boundaries.
         rng = np.random.default_rng(capacity)
         keys = [
             (int(a), int(c), int(b))

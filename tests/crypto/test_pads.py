@@ -134,7 +134,7 @@ class TestCachingPadSource:
         cache = CachingPadSource(Blake2PadSource(KEY), capacity=4)
         for ctr in range(10):
             cache.pad_block(0, ctr, 0)
-        assert len(cache._cache) <= 4
+        assert len(cache.state_dict()["block_keys"]) <= 4
 
     def test_hit_rate(self):
         cache = CachingPadSource(Blake2PadSource(KEY), capacity=8)
@@ -173,8 +173,8 @@ class TestCachingPadSource:
         cache.pad_block(1, 0, 0)
         cache.pad_block(0, 0, 0)  # touch the oldest insertion
         cache.pad_block(2, 0, 0)
-        assert len(cache._cache) == 2
-        keys = list(cache._cache)
+        keys = [tuple(k) for k in cache.state_dict()["block_keys"].tolist()]
+        assert len(keys) == 2
         assert any(k[0] == 0 for k in keys)  # A survived its FIFO slot
         assert not any(k[0] == 1 for k in keys)
 
