@@ -7,13 +7,13 @@ DynDEUCE and the combined schemes, a per-bit PCM wear model, Start-Gap and
 Horizontal Wear Leveling, SPEC-like workload models, and bank-level
 performance/energy models.
 
-Quick start::
+Quick start:
 
-    from repro import SecureMemoryController
-
-    mc = SecureMemoryController(scheme="deuce", key=b"0123456789abcdef")
-    mc.write(0x40, b"hello world".ljust(64, b"\\0"))
-    assert mc.read(0x40).startswith(b"hello world")
+>>> from repro import SecureMemoryController
+>>> mc = SecureMemoryController(scheme="deuce", key=b"0123456789abcdef")
+>>> mc.write(0x40, b"hello world".ljust(64, b"\\0"))
+>>> mc.read(0x40).startswith(b"hello world")
+True
 
 Paper figures::
 

@@ -12,8 +12,6 @@ __all__ = [
     "WearSummary",
     "make_meta",
     "meta_flips",
-    "slots_for_positions",
-    "slots_for_write",
 ]
 
 __getattr__, __dir__ = _lazy_exports(
@@ -27,8 +25,6 @@ __getattr__, __dir__ = _lazy_exports(
             "SLOT_LATENCY_NS",
             "PcmArray",
             "WearSummary",
-            "slots_for_positions",
-            "slots_for_write",
         ),
     },
 )

@@ -1,10 +1,15 @@
 """Secure PCM memory controller — the library's high-level facade.
 
-Combines a write scheme, the PCM wear model, and (optionally) Start-Gap +
-Horizontal Wear Leveling behind the interface a memory controller presents:
+Combines a write scheme, the PCM wear model, and (optionally) a horizontal
+wear leveler behind the interface a memory controller presents:
 ``read(address)`` and ``write(address, data)``.  Lines are installed
 (initially encrypted) transparently on first touch, matching section 3.1's
 assumption that pages are encrypted as they are placed into memory.
+
+A writeback takes the runner's ``chunk_size=1`` write step, with scheme and
+leveler built from :mod:`repro.registry`, so a controller fed a trace
+matches :func:`repro.sim.runner.run` in flips, slots and per-bit wear.
+Integrity, re-keying and the endurance guard are layers on top.
 
 This is what the examples and downstream users drive; the lower-level
 pieces stay importable for research use.
@@ -21,19 +26,22 @@ True
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
+import numpy as np
+
+from repro import registry
 from repro.crypto.pads import make_pad_source
 from repro.crypto.rekey import VersionedPadSource
 from repro.memory import bitops
 from repro.memory.line import meta_flips
-from repro.memory.pcm import PcmArray, WearSummary, slots_for_write
-from repro.schemes import ENCRYPTED_SCHEMES, make_scheme
+from repro.memory.pcm import PcmArray, WearSummary, slots_for_batch_diffs
+from repro.schemes import make_scheme
 from repro.schemes.base import WriteOutcome
+from repro.schemes.batch import BatchOutcome
 from repro.security.endurance import ThrottlingGuard, WriteStreamDetector
 from repro.security.merkle import IntegrityError, MerkleTree
-from repro.wear.hwl import HorizontalWearLeveler, NoWearLeveler
 from repro.wear.lifetime import LifetimeReport, lifetime_report
-from repro.wear.startgap import StartGap
 
 
 @dataclass
@@ -74,12 +82,15 @@ class SecureMemoryController:
     line_bytes / word_bytes / epoch_interval / fnw_group_bits:
         Scheme geometry (paper defaults).
     wear_leveling:
-        ``"none"``, ``"hwl"``, or ``"hwl-hashed"``.
+        Any :data:`repro.registry.WEAR_LEVELERS` name: ``"none"``,
+        ``"hwl"``, ``"hwl-hashed"``, ``"sr-hwl"`` or a plugin's.
     region_lines:
-        Lines covered by one Start-Gap region (sets HWL's rotation cadence
-        together with ``gap_write_interval``).
+        Lines covered by one leveling region (sets HWL's rotation cadence
+        together with ``gap_write_interval``; a power of two for
+        ``"sr-hwl"``) and the integrity tree's capacity.  A line's logical
+        line is its first-touch (install) order modulo ``region_lines``.
     gap_write_interval:
-        Demand writes per Start-Gap movement.
+        Demand writes per Start-Gap movement (per refresh for ``sr-hwl``).
     integrity:
         Protect per-line counters with a Merkle tree (footnote 1's defence
         against bus-tampering / counter-reset attacks).  Reads verify the
@@ -90,7 +101,8 @@ class SecureMemoryController:
         stream and throttle flagged lines; throttle cost accumulates in
         ``stats.throttle_slots``.
     counter_bits:
-        Per-line counter width (the paper provisions 28 bits).  When set,
+        Per-line counter width (the paper provisions 28 bits) of an
+        encrypting scheme.  When set,
         a line whose counter saturates is *re-keyed*: re-encrypted under a
         fresh key version with its counter reset, preserving the
         no-pad-reuse invariant.  Maintenance cost accumulates in
@@ -113,10 +125,18 @@ class SecureMemoryController:
         attack_detection: bool = False,
         counter_bits: int | None = None,
     ) -> None:
+        if region_lines < 1:
+            raise ValueError(f"region_lines must be >= 1, got {region_lines}")
+        encrypts = registry.SCHEMES.get(scheme).factory.requires_pads
+        if counter_bits is not None and not encrypts:
+            raise ValueError(
+                f"counter_bits: scheme {scheme!r} does not encrypt, so it "
+                "has no counters to re-key"
+            )
         if counter_bits is not None and counter_bits < 2:
             raise ValueError("counter_bits must be >= 2")
         pads = None
-        if scheme in ENCRYPTED_SCHEMES:
+        if encrypts:
             if not key:
                 raise ValueError(
                     f"scheme {scheme!r} encrypts and needs a non-empty key"
@@ -143,40 +163,33 @@ class SecureMemoryController:
             meta_bits=self.scheme.metadata_bits_per_line,
             track_per_line=False,
         )
-        if wear_leveling == "none":
-            self._startgap = None
-            self._leveler = NoWearLeveler()
-        elif wear_leveling in ("hwl", "hwl-hashed"):
-            self._startgap = StartGap(region_lines, gap_write_interval)
-            self._leveler = HorizontalWearLeveler(
-                self._startgap,
-                self.pcm.bits_per_line,
-                hashed=(wear_leveling == "hwl-hashed"),
-            )
-        else:
-            raise ValueError(f"unknown wear_leveling {wear_leveling!r}")
+        leveler = registry.WEAR_LEVELERS.get(wear_leveling).factory
+        params = SimpleNamespace(gap_write_interval=gap_write_interval)
+        try:
+            self._leveler = leveler(params, region_lines, self.pcm.bits_per_line)
+        except ValueError as exc:
+            raise ValueError(
+                f"wear_leveling {wear_leveling!r}, region_lines={region_lines}"
+                f", gap_write_interval={gap_write_interval}: {exc}"
+            ) from exc
         self._region_lines = region_lines
         self._merkle = (
             MerkleTree(region_lines, key=key or b"merkle") if integrity else None
         )
-        self._merkle_leaves: dict[int, int] = {}
+        #: Address -> slot, in install order: the Merkle leaf, and modulo
+        #: ``region_lines`` the leveler's logical line.
+        self._slots: dict[int, int] = {}
         self._guard = (
             ThrottlingGuard(WriteStreamDetector()) if attack_detection else None
         )
         self.stats = ControllerStats()
 
     def _leaf_for(self, address: int) -> int:
-        """Merkle leaf index for an address (assigned on first touch)."""
-        leaf = self._merkle_leaves.get(address)
-        if leaf is None:
-            leaf = len(self._merkle_leaves)
-            if leaf >= self._region_lines:
-                raise ValueError(
-                    "integrity tree is full: raise region_lines above the "
-                    f"number of distinct lines ({self._region_lines})"
-                )
-            self._merkle_leaves[address] = leaf
-        return leaf
+        """Slot of an installed line (its Merkle leaf)."""
+        slot = self._slots.get(address)
+        if slot is None:
+            raise KeyError(f"line {address:#x} was never written")
+        return slot
 
     # -- data path ----------------------------------------------------------
 
@@ -186,12 +199,18 @@ class SecureMemoryController:
         Returns the :class:`WriteOutcome` for a writeback, or ``None`` for
         an install (initial encryption is not a writeback, section 3.1).
         """
-        if address not in self.scheme._lines:
-            self.scheme.install(address, data)
-            if self._merkle is not None:
-                self._merkle.update(
-                    self._leaf_for(address), self.scheme.stored(address).counter
+        slot = self._slots.get(address)
+        if slot is None:
+            slot = len(self._slots)
+            if self._merkle is not None and slot >= self._region_lines:
+                raise ValueError(
+                    "integrity tree is full: raise region_lines above the "
+                    f"number of distinct lines ({self._region_lines})"
                 )
+            self.scheme.install(address, data)
+            self._slots[address] = slot
+            if self._merkle is not None:
+                self._merkle.update(slot, self.scheme.stored(address).counter)
             self.stats.installs += 1
             return None
         outcome = self.scheme.write(address, data)
@@ -201,18 +220,20 @@ class SecureMemoryController:
         ):
             self._rekey_line(address)
         if self._merkle is not None:
-            self._merkle.update(
-                self._leaf_for(address), self.scheme.stored(address).counter
-            )
+            self._merkle.update(slot, self.scheme.stored(address).counter)
         if self._guard is not None:
             self.stats.throttle_slots += self._guard.on_write(address)
-        rotation = self._leveler.rotation(address % self._region_lines)
-        self.pcm.apply_write(outcome, rotation=rotation)
-        if self._startgap is not None:
-            self._startgap.on_write()
+        batch = BatchOutcome.from_outcomes(
+            (outcome,), 1, self.line_bytes, self.pcm.meta_bits
+        )
+        rotations = self._leveler.rotations(np.array([slot % self._region_lines]))
+        diffs = (batch.data_diff, batch.meta_diff)
+        self.pcm.apply_batch_diffs(batch.addresses, *diffs, rotations)
         self.stats.writes += 1
         self.stats.total_flips += outcome.total_flips
-        self.stats.total_slots += slots_for_write(outcome, 8 * self.line_bytes)
+        self.stats.total_slots += int(
+            slots_for_batch_diffs(*diffs, 8 * self.line_bytes)[0]
+        )
         return outcome
 
     def _rekey_line(self, address: int) -> None:
@@ -235,8 +256,9 @@ class SecureMemoryController:
         before the pad is regenerated; a mismatch (counter-reset attack)
         raises :class:`~repro.security.merkle.IntegrityError`.
         """
+        slot = self._leaf_for(address)
         if self._merkle is not None:
-            expected = self._merkle.read_or_raise(self._leaf_for(address))
+            expected = self._merkle.read_or_raise(slot)
             actual = self.scheme.stored(address).counter
             self.stats.integrity_checks += 1
             if expected != actual:
@@ -256,7 +278,7 @@ class SecureMemoryController:
         )
 
     def contains(self, address: int) -> bool:
-        return address in self.scheme._lines
+        return address in self._slots
 
     # -- reporting ----------------------------------------------------------
 

@@ -33,36 +33,6 @@ SLOT_LATENCY_NS = 150.0
 READ_LATENCY_NS = 75.0
 
 
-def slots_for_positions(
-    flipped_positions: np.ndarray,
-    line_bits: int,
-    slot_bits: int = SLOT_BITS,
-) -> int:
-    """Write slots consumed by a write that flips the given bit positions.
-
-    Each ``slot_bits``-wide region of the line needs one slot iff any of its
-    bits flip.  Metadata bits (positions >= ``line_bits``) ride along with
-    the last region, matching hardware where the 32 tracking bits live in
-    the same row as the data.
-    """
-    if flipped_positions.size == 0:
-        return 0
-    n_regions = -(-line_bits // slot_bits)
-    regions = np.minimum(flipped_positions // slot_bits, n_regions - 1)
-    return int(np.unique(regions).size)
-
-
-def slots_for_write(
-    outcome: WriteOutcome, line_bits: int, slot_bits: int = SLOT_BITS
-) -> int:
-    """Slots consumed by a :class:`WriteOutcome` (data + metadata flips)."""
-    positions = outcome.flipped_data_positions
-    if outcome.flipped_meta_positions.size:
-        meta = outcome.flipped_meta_positions + line_bits
-        positions = np.concatenate([positions, meta])
-    return slots_for_positions(positions, line_bits, slot_bits)
-
-
 def slots_for_batch_diffs(
     data_diff: np.ndarray,
     meta_diff: np.ndarray | None,
@@ -71,11 +41,13 @@ def slots_for_batch_diffs(
 ) -> np.ndarray:
     """Per-write slot counts straight from a chunk's packed diff matrices.
 
-    The batched form of :func:`slots_for_write`, working on the
-    ``(m, line_bytes)`` byte diff: a region is occupied iff any of its
-    bytes differ, one ``reduceat`` per chunk.  Requires
-    byte-aligned regions (``slot_bits % 8 == 0``, true for the hardware's
-    128-bit slots).
+    Each ``slot_bits``-wide region of the line needs one slot iff any of
+    its bits flip.  Metadata bits ride along with the last region,
+    matching hardware where the 32 tracking bits live in the same row as
+    the data.  Works on the ``(m, line_bytes)`` byte diff: a region is
+    occupied iff any of its bytes differ, one ``reduceat`` per chunk.
+    Requires byte-aligned regions (``slot_bits % 8 == 0``, true for the
+    hardware's 128-bit slots).
     """
     if slot_bits % 8:
         raise ValueError("slot_bits must be a multiple of 8")
@@ -170,6 +142,9 @@ class PcmArray:
 
     def apply_write(self, outcome: WriteOutcome, rotation: int = 0) -> int:
         """Record one write's cell programs; returns the flip count.
+
+        The scalar reference the tests hold :meth:`apply_batch_diffs` to
+        (the runner and the controller apply through that).
 
         Parameters
         ----------

@@ -1,9 +1,9 @@
 """Write schemes: baselines, DEUCE, and its combinations.
 
 Every class here implements :class:`repro.schemes.base.WriteScheme`;
-:data:`SCHEME_REGISTRY` maps table names to classes, and every
-instantiation — ``build_scheme(config)``, :func:`make_scheme`, service
-payloads — funnels through each class's ``from_config`` classmethod.
+:data:`SCHEME_REGISTRY` seeds :data:`repro.registry.SCHEMES`, which resolves
+every name, and every instantiation — ``build_scheme(config)``,
+:func:`make_scheme`, service payloads — funnels through ``from_config``.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ from repro.schemes.dyndeuce import DynDeuce
 from repro.schemes.fnw import EncryptedFNW, FnwCodec, PlainFNW
 from repro.schemes.invmm import INvmm
 
-#: Name -> class registry behind ``build_scheme`` and :func:`make_scheme`,
-#: in presentation order.
+#: Name -> class table of the built-in schemes, in presentation order;
+#: :data:`repro.registry.SCHEMES` registers each of them.
 SCHEME_REGISTRY: dict[str, type[WriteScheme]] = {
     cls.name: cls
     for cls in (
@@ -61,15 +61,15 @@ def make_scheme(
 
     Parameters mirror the paper's defaults: 64-byte lines, 2-byte DEUCE
     words, epoch interval 32, 16-bit FNW groups.  Thin front end over
-    :data:`SCHEME_REGISTRY`: the keywords are packed into an ad-hoc config
-    and handed to the class's ``from_config``, so name-based and
+    :data:`repro.registry.SCHEMES` (plugins resolve; typos get a
+    did-you-mean): the keywords are packed into an ad-hoc config and
+    handed to the class's ``from_config``, so name-based and
     config-driven construction share one code path.
     """
-    cls = SCHEME_REGISTRY.get(name)
-    if cls is None:
-        raise ValueError(
-            f"unknown scheme: {name!r} (choose from {SCHEME_NAMES})"
-        )
+    # The registry imports this package to populate itself.
+    from repro import registry
+
+    cls = registry.SCHEMES.get(name).factory
     params = SimpleNamespace(
         line_bytes=line_bytes,
         word_bytes=word_bytes,

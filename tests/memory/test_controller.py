@@ -111,6 +111,47 @@ class TestConfiguration:
         mc.write(0, new)
         assert mc.read(0) == new
 
+    def test_unknown_scheme_suggests_a_name(self):
+        with pytest.raises(ValueError, match="did you mean 'deuce'"):
+            SecureMemoryController(scheme="duece", key=KEY)
+
+    def test_security_refresh_hwl_mode(self, rng):
+        mc = SecureMemoryController(
+            scheme="deuce", key=KEY, wear_leveling="sr-hwl",
+            region_lines=16, gap_write_interval=1,
+        )
+        data = random_line(rng)
+        mc.write(0, data)
+        for _ in range(50):
+            data = mutate_words(rng, data, 1)
+            mc.write(0, data)
+        assert mc.read(0) == data
+        assert mc.wear_summary().total_writes == 50
+
+    def test_counter_bits_needs_an_encrypting_scheme(self):
+        with pytest.raises(ValueError, match="counter_bits.*'noencr-dcw'"):
+            SecureMemoryController(
+                scheme="noencr-dcw", wear_leveling="none", counter_bits=2
+            )
+
+    def test_zero_region_lines_without_leveling(self):
+        with pytest.raises(ValueError, match="region_lines"):
+            SecureMemoryController(
+                scheme="noencr-dcw", wear_leveling="none", region_lines=0
+            )
+
+    def test_zero_region_lines_with_hwl(self):
+        with pytest.raises(ValueError, match="region_lines"):
+            SecureMemoryController(
+                scheme="noencr-dcw", wear_leveling="hwl", region_lines=0
+            )
+
+    def test_sr_hwl_region_must_be_a_power_of_two(self):
+        with pytest.raises(ValueError, match="region_lines=12.*power of two"):
+            SecureMemoryController(
+                scheme="noencr-dcw", wear_leveling="sr-hwl", region_lines=12
+            )
+
     def test_hashed_hwl_mode(self, rng):
         mc = SecureMemoryController(
             scheme="deuce", key=KEY, wear_leveling="hwl-hashed"
@@ -160,6 +201,18 @@ class TestIntegrityProtection:
 
         with _pytest.raises(ValueError, match="integrity tree is full"):
             mc.write(128, bytes(64))
+
+    def test_failed_read_takes_no_leaf(self):
+        mc = SecureMemoryController(
+            scheme="deuce", key=KEY, integrity=True, region_lines=2
+        )
+        for _ in range(2):
+            with pytest.raises(KeyError, match="0x40"):
+                mc.read(64)
+        mc.write(0, bytes(64))
+        mc.write(64, bytes(64))
+        assert mc.read(64) == bytes(64)
+        assert mc.stats.reads == 1
 
 
 class TestAttackDetection:
