@@ -1,6 +1,6 @@
 """Microbenchmarks of the hot kernels (true pytest-benchmark usage).
 
-These measure throughput of the pieces the figure benchmarks spend their
+These measure throughput of the pieces the paper experiments spend their
 time in: AES blocks, BLAKE2 line pads, FNW encoding, and single DEUCE
 writes.
 """

@@ -1,24 +1,15 @@
-"""Shared helpers for the benchmark suite.
+"""``record``: print a bench's rendering and persist it for CI.
 
-Every ``bench_*`` file reproduces one paper exhibit: it runs the experiment
-function from :mod:`repro.sim.experiments`, prints the same rows the paper
-reports (visible with ``pytest -s`` or in ``benchmarks/results/``), and
-registers the wall time with pytest-benchmark.
-
-Experiments are executed once per session (``pedantic`` with one round) —
-these are deterministic simulations, not microbenchmarks, so re-running them
-for statistics would only waste time.  Microbenchmarks of the hot kernels
-live in ``bench_microbench.py``.
+``bench_writepath.py`` and ``bench_tracepath.py`` write their tables and
+JSON through it.  The paper's figures and tables are not benchmarks: their
+targets are checked by ``tests/integration/test_paper_scorecard.py``, and
+``deuce-sim experiment <id>`` renders them.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-
-#: Writebacks per (workload, scheme) cell in the figure benchmarks.  Large
-#: enough for sub-percentage-point convergence of flip averages.
-BENCH_WRITES = 3_000
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
@@ -39,7 +30,3 @@ def record(exp_id: str, rendered: str, data: dict | None = None) -> None:
         blob = json.dumps(data, indent=2, sort_keys=True) + "\n"
         (RESULTS_DIR / f"BENCH_{exp_id}.json").write_text(blob)
 
-
-def run_once(benchmark, fn, *args, **kwargs):
-    """Run an experiment exactly once under pytest-benchmark timing."""
-    return benchmark.pedantic(fn, args=args, kwargs=kwargs, rounds=1, iterations=1)

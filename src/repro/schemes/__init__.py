@@ -43,12 +43,6 @@ SCHEME_REGISTRY: dict[str, type[WriteScheme]] = {
 #: Scheme names accepted by :func:`make_scheme`, in presentation order.
 SCHEME_NAMES = tuple(SCHEME_REGISTRY)
 
-#: Schemes that need a pad source (i.e. that encrypt).
-ENCRYPTED_SCHEMES = frozenset(
-    name for name, cls in SCHEME_REGISTRY.items() if cls.requires_pads
-)
-
-
 def make_scheme(
     name: str,
     pads: PadSource | None = None,
@@ -80,7 +74,6 @@ def make_scheme(
 
 
 __all__ = [
-    "ENCRYPTED_SCHEMES",
     "SCHEME_NAMES",
     "SCHEME_REGISTRY",
     "BleDeuce",

@@ -78,8 +78,11 @@ class SimConfig:
     gap_write_interval:
         Start-Gap's ψ (writes per gap movement).
     hwl_region_lines:
-        Lines per Start-Gap region.  Defaults to the trace's working set;
-        set smaller to accelerate Start increments so a short simulated
+        Lines per Start-Gap region.  Defaults to the trace's working set
+        (rounded down to a power of two for ``"sr-hwl"``).  An explicit
+        value must be >= 1, and a power of two >= 2 under ``"sr-hwl"``;
+        :func:`~repro.sim.runner.run` raises ``ValueError`` otherwise.  Set
+        it smaller to accelerate Start increments so a short simulated
         window exhibits the rotation coverage a real device accumulates
         over its lifetime (the paper's Start advances "several hundred
         thousand" times, section 5.3).

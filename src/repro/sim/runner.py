@@ -282,6 +282,8 @@ def run(
             )
     if config is None:
         raise ValueError("run() needs a config or a resume_from checkpoint")
+    if config.hwl_region_lines is not None:
+        hwl_region(config, 0)  # reject a bad explicit region before any setup
 
     if trace is None:
         with _timed(profile, tracer, "trace.gen", workload=config.workload):
@@ -325,13 +327,7 @@ def run(
         meta_bits=meta_bits,
         track_per_line=config.track_per_line_wear,
     )
-    region = config.hwl_region_lines or len(addresses)
-    if config.wear_leveling == "sr-hwl":
-        # Security Refresh remaps by XOR, so its region must be a power
-        # of two; round down if the working set is not.
-        while region & (region - 1):
-            region &= region - 1
-        region = max(region, 2)
+    region = hwl_region(config, len(addresses))
     leveler = _build_leveler(config, region, pcm.bits_per_line)
     # Logical line of each address, as (sorted addresses, lines) arrays
     # the write loop searches.  It never consults them without a wear
@@ -668,6 +664,28 @@ def run_suite(
 ) -> list[RunResult]:
     """Run several configurations (sharing cached traces per workload)."""
     return [run(config, trace=trace) for config in configs]
+
+
+def hwl_region(config: SimConfig, n_lines: int) -> int:
+    """Lines per wear-leveling region for a run over ``n_lines`` lines.
+
+    An explicit ``hwl_region_lines`` is used as given: below 1 it is an
+    error, and so is anything but a power of two >= 2 under ``sr-hwl``
+    (Security Refresh remaps by XOR).  Only the default, the working set,
+    is rounded down to a power of two >= 2 for ``sr-hwl``.
+    """
+    region = config.hwl_region_lines
+    sr = config.wear_leveling == "sr-hwl"
+    if region is None:
+        return 1 << max(n_lines.bit_length() - 1, 1) if sr else n_lines
+    if region < 1:
+        raise ValueError(f"hwl_region_lines must be >= 1, got {region}")
+    if sr and (region < 2 or region & (region - 1)):
+        raise ValueError(
+            "hwl_region_lines must be a power of two >= 2 under sr-hwl, "
+            f"got {region}"
+        )
+    return region
 
 
 def _build_leveler(config: SimConfig, n_lines: int, bits_per_line: int):
