@@ -24,10 +24,20 @@ Besides the byte-string ``pad_block``/``line_pad`` interface, every source
 offers :meth:`PadSource.line_pad_array`, which produces the whole line's pad
 as one read-only ``np.uint8`` array — a single BLAKE2 call for 64-byte lines,
 or all N AES blocks materialized in one pass — so the vectorized scheme write
-paths never round-trip pads through ``bytes``.  The batch kernels fetch a
-whole chunk's pads at once through :meth:`PadSource.line_pads_batch` and
-:meth:`PadSource.pad_blocks_batch`, or read them without cache bookkeeping
-through the ``peek_`` forms.
+paths never round-trip pads through ``bytes``.
+
+A batch of requests has two halves that the batch kernels call apart.  The
+``count_`` calls walk a stream of scalar requests through the pad cache's
+bookkeeping and make no pads; a bare source keeps no bookkeeping, so for it
+they do nothing.  The ``peek_`` calls make the pads of a batch and touch no
+bookkeeping.  :meth:`PadSource.line_pads_batch` and
+:meth:`PadSource.pad_blocks_batch` are the two halves together.  A kernel
+that needs pad values before it knows its request stream peeks them, then
+counts the stream, and so makes each pad once.
+
+:class:`CachingPadSource` counts with :class:`_LruCounter`, whose LRU keys
+are one Python ``int`` packed from (address, counter, block or width) when
+the three fit 31, 24 and 8 bits, and a tuple otherwise.
 """
 
 from __future__ import annotations
@@ -53,6 +63,51 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def row_ids(*columns: np.ndarray) -> np.ndarray:
+    """One int64 per row of the int64 ``columns``, equal iff the rows are.
+
+    Non-negative columns whose widths sum to at most 63 bits are packed
+    into one int64, each column in its own bits; anything else is ranked
+    with one ``np.lexsort``.
+    """
+    m = columns[0].shape[0]
+    if m == 0:
+        return np.zeros(0, dtype=np.int64)
+    widths = [int(col.max()).bit_length() for col in columns]
+    if sum(widths) <= 63 and min(int(col.min()) for col in columns) >= 0:
+        ids = np.array(columns[0], dtype=np.int64)
+        for col, width in zip(columns[1:], widths[1:]):
+            ids <<= width
+            ids |= col
+        return ids
+    order = np.lexsort(columns[::-1])
+    new = np.zeros(m, dtype=bool)
+    new[0] = True
+    for col in columns:
+        ordered = col[order]
+        new[1:] |= ordered[1:] != ordered[:-1]
+    ids = np.empty(m, dtype=np.int64)
+    ids[order] = np.cumsum(new) - 1
+    return ids
+
+
+def unique_rows(*columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Group the equal rows of the int64 ``columns``.
+
+    Returns one row of each distinct key and, per row, the index of its
+    key among them.
+    """
+    ids = row_ids(*columns)
+    order = np.argsort(ids)
+    ordered = ids[order]
+    new = np.empty(ids.shape[0], dtype=bool)
+    new[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    inverse = np.empty_like(order)
+    inverse[order] = np.cumsum(new) - 1
+    return order[new], inverse
+
+
 #: Pre-compiled (address, counter, lane) tweak packer for the Blake2 path.
 _pack_qqb = struct.Struct("<QQB").pack
 
@@ -66,6 +121,14 @@ _BLOCK_SLICE = 1024
 #: An LRU counter's key log is compacted once it holds this many times
 #: the cache's capacity in rows.
 _LOG_SLACK = 4
+
+#: Widths of an LRU key packed into one int: address, counter, and block
+#: index or width, most significant first.  ``functools.lru_cache`` takes
+#: an exact ``int`` argument as the key itself, where a tuple argument
+#: costs a tuple hash per lookup.
+_ADDR_BITS, _CTR_BITS, _INDEX_BITS = 31, 24, 8
+_CTR_SHIFT = _INDEX_BITS
+_ADDR_SHIFT = _CTR_BITS + _INDEX_BITS
 
 
 class PadSource(Protocol):
@@ -103,6 +166,13 @@ class PadSource(Protocol):
         """:meth:`line_pads_batch` with no side effects on caches or stats."""
         ...
 
+    def count_line_pads(
+        self, addresses: np.ndarray, counters: np.ndarray, n_bytes: int
+    ) -> None:
+        """Count ``len(addresses)`` :meth:`line_pad_array` requests, in
+        order, in the caches and stats, without making their pads."""
+        ...
+
     def pad_blocks_batch(
         self, addresses: np.ndarray, counters: np.ndarray, blocks: np.ndarray
     ) -> np.ndarray:
@@ -113,6 +183,12 @@ class PadSource(Protocol):
         self, addresses: np.ndarray, counters: np.ndarray, blocks: np.ndarray
     ) -> np.ndarray:
         """:meth:`pad_blocks_batch` with no side effects on caches or stats."""
+        ...
+
+    def count_pad_blocks(
+        self, addresses: np.ndarray, counters: np.ndarray, blocks: np.ndarray
+    ) -> None:
+        """:meth:`count_line_pads` for :meth:`pad_block` requests."""
         ...
 
 
@@ -186,6 +262,11 @@ class _PadSourceBase:
         bookkeeping, so the two are one call."""
         return self.line_pads_batch(addresses, counters, n_bytes)
 
+    def count_line_pads(
+        self, addresses: np.ndarray, counters: np.ndarray, n_bytes: int
+    ) -> None:
+        """Nothing to count: a bare source keeps no bookkeeping."""
+
     def pad_blocks_batch(
         self, addresses: np.ndarray, counters: np.ndarray, blocks: np.ndarray
     ) -> np.ndarray:
@@ -212,6 +293,11 @@ class _PadSourceBase:
     ) -> np.ndarray:
         """Same pads as :meth:`pad_blocks_batch` (no bookkeeping to skip)."""
         return self.pad_blocks_batch(addresses, counters, blocks)
+
+    def count_pad_blocks(
+        self, addresses: np.ndarray, counters: np.ndarray, blocks: np.ndarray
+    ) -> None:
+        """Nothing to count, as :meth:`count_line_pads`."""
 
 
 class AesPadSource(_PadSourceBase):
@@ -407,20 +493,13 @@ class Blake2PadSource(_PadSourceBase):
         addresses = np.asarray(addresses, dtype=np.int64)
         counters = np.asarray(counters, dtype=np.int64)
         lanes = blocks // per_lane
-        # Group equal (address, counter, lane) keys with one sort.
-        order = np.lexsort((lanes, counters, addresses))
-        keys = (addresses[order], counters[order], lanes[order])
-        same = np.ones(m - 1, dtype=bool)
-        for col in keys:
-            same &= col[1:] == col[:-1]
-        first = np.concatenate([[True], ~same])
-        digest_of = np.empty(m, dtype=np.int64)
-        digest_of[order] = np.cumsum(first) - 1
+        rows, digest_of = unique_rows(addresses, counters, lanes)
         pack = _pack_qqb
         copy = self._h0.copy
         out = []
         append = out.append
-        for key in zip(*(col[first].tolist() for col in keys)):
+        keys = (addresses[rows], counters[rows], lanes[rows])
+        for key in zip(*(col.tolist() for col in keys)):
             h = copy()
             h.update(pack(*key))
             append(h.digest())
@@ -430,16 +509,57 @@ class Blake2PadSource(_PadSourceBase):
         return _freeze(table[digest_of, blocks % per_lane])
 
 
+def _lru_key(address: int, counter: int, index: int):
+    """The LRU key of one request: a packed int, or a tuple if wider."""
+    if address >> _ADDR_BITS or counter >> _CTR_BITS or index >> _INDEX_BITS:
+        return (address, counter, index)
+    return address << _ADDR_SHIFT | counter << _CTR_SHIFT | index
+
+
+def _lru_keys(keys: np.ndarray) -> list:
+    """:func:`_lru_key` of every column of ``(3, n)`` int64 ``keys``."""
+    address, counter, index = keys
+    out = (address << _ADDR_SHIFT | counter << _CTR_SHIFT | index).tolist()
+    wide = (
+        address >> _ADDR_BITS | counter >> _CTR_BITS | index >> _INDEX_BITS
+    ) != 0
+    if wide.any():
+        for row in np.flatnonzero(wide).tolist():
+            out[row] = tuple(keys[:, row].tolist())
+    return out
+
+
+def _key_columns(keys: list) -> np.ndarray:
+    """The ``(3, n)`` int64 columns of a list of :func:`_lru_key` keys."""
+    packed = np.array(
+        [key if key.__class__ is int else -1 for key in keys], dtype=np.int64
+    )
+    columns = np.stack([
+        packed >> _ADDR_SHIFT,
+        (packed >> _CTR_SHIFT) & ((1 << _CTR_BITS) - 1),
+        packed & ((1 << _INDEX_BITS) - 1),
+    ])
+    for row in np.flatnonzero(packed < 0).tolist():
+        columns[:, row] = keys[row]
+    return columns
+
+
 class _LruCounter:
     """Hit and miss counts of an LRU cache of ``capacity`` keys.
 
     Pads are pure functions of their key, so the cache of a simulation
     needs no values to count: ``functools.lru_cache`` keeps the recency
     list in C, a batch of keys is walked by mapping them through it, and
-    ``cache_info()`` holds the counts.  A key's cached value is
-    ``list(key)``, a fresh list per miss; a scalar :meth:`fetch` appends
-    the key's pad to it, so a repeated scalar hit returns the same object
-    and the pad leaves memory with its key.
+    ``cache_info()`` holds the counts.  A key is one ``int`` packed from
+    (address, counter, index) when they fit, a tuple otherwise (an int
+    never equals a tuple, so the two kinds never collide).
+
+    The cached function is ``dict.get`` on ``_pending``, which a walk
+    leaves empty: a walk's miss caches ``None`` and allocates nothing.  A
+    scalar :meth:`fetch` puts a fresh list under its key first, so its
+    miss caches that list, and the key's pad goes into it: a repeated
+    scalar hit returns the same object, and the pad leaves memory with
+    its key.
 
     ``lru_cache`` does not expose its order.  An LRU cache always holds
     the last ``capacity`` distinct keys by last use, though, so a log of
@@ -450,12 +570,13 @@ class _LruCounter:
     def __init__(self, capacity: int) -> None:
         self._capacity = capacity
         self._bound = _LOG_SLACK * capacity
-        self._lookup = lru_cache(maxsize=capacity)(list)
+        self._pending: dict = {}
+        self._lookup = lru_cache(maxsize=capacity)(self._pending.get)
         #: ``(3, n)`` int64 key columns, oldest request first.
         self._log = [np.empty((3, 0), dtype=np.int64)]
         self._rows = 0
-        #: Scalar keys, as tuples, not yet moved into ``_log``.
-        self._tail: list[tuple[int, int, int]] = []
+        #: Scalar requests' LRU keys not yet moved into ``_log``.
+        self._tail: list = []
 
     @property
     def hits(self) -> int:
@@ -465,16 +586,25 @@ class _LruCounter:
     def misses(self) -> int:
         return self._lookup.cache_info().misses
 
-    def fetch(self, key: tuple[int, int, int], make):
-        """One lookup of ``key``; its pad, ``make(*key)`` unless held."""
+    def fetch(self, address: int, counter: int, index: int, make):
+        """One lookup; the key's pad, ``make(address, counter, index)``
+        unless held.  Numpy scalars are taken as Python ints."""
+        address, counter, index = int(address), int(counter), int(index)
+        key = _lru_key(address, counter, index)
         tail = self._tail
         tail.append(key)
         if len(tail) > self._bound:
             self._compact()
+        pending = self._pending
+        pending[key] = []
         slot = self._lookup(key)
-        if len(slot) == 3:
-            slot.append(make(*key))
-        return slot[3]
+        del pending[key]
+        if slot is None:
+            # First requested by a walk, which keeps no pad.
+            return make(address, counter, index)
+        if not slot:
+            slot.append(make(address, counter, index))
+        return slot[0]
 
     def walk(self, *columns: np.ndarray) -> None:
         """One lookup per row of the int64 key ``columns``, in order."""
@@ -484,7 +614,7 @@ class _LruCounter:
         self._rows += keys.shape[1]
         if self._rows > self._bound:
             self._compact()
-        deque(map(self._lookup, zip(*keys.tolist())), 0)
+        deque(map(self._lookup, _lru_keys(keys)), 0)
 
     def keys(self) -> np.ndarray:
         """The cached keys, least recently used first, as ``(n, 3)`` int64."""
@@ -493,7 +623,7 @@ class _LruCounter:
 
     def _flush(self) -> None:
         if self._tail:
-            self._log.append(np.array(self._tail, dtype=np.int64).T)
+            self._log.append(_key_columns(self._tail))
             self._rows += len(self._tail)
             self._tail = []
 
@@ -503,7 +633,7 @@ class _LruCounter:
         log = np.concatenate(self._log, axis=1)
         # A stable sort groups equal keys with their requests oldest
         # first, so each group's last request is the key's last use.
-        order = np.lexsort(log[::-1])
+        order = np.argsort(row_ids(*log), kind="stable")
         ordered = np.take(log, order, axis=1)
         last = np.ones(log.shape[1], dtype=bool)
         last[:-1] = (ordered[:, 1:] != ordered[:, :-1]).any(axis=0)
@@ -521,7 +651,14 @@ class CachingPadSource(_PadSourceBase):
     statistics: ``hits``, ``misses`` and :meth:`state_dict`.  Whole line
     pads and individual pad blocks are counted by two true LRU caches of
     ``capacity`` keys each (a hit moves the key to the back of the
-    eviction order); every batch's pads come from the inner source.
+    eviction order).
+
+    The ``count_`` calls walk a request stream through an LRU and make no
+    pads; the ``peek_`` calls take pads from the inner source and leave
+    the LRUs alone.  A batch fetch is one of each, so the batch kernels,
+    which peek what they need and count the scalar stream, make each pad
+    once.  The scalar ``pad_block`` and ``line_pad_array`` are one LRU
+    step each, and keep their pad with its key.
     """
 
     def __init__(self, inner: PadSource, capacity: int = 4096) -> None:
@@ -557,44 +694,58 @@ class CachingPadSource(_PadSourceBase):
 
     def pad_block(self, address: int, counter: int, block_index: int) -> bytes:
         return self._blocks.fetch(
-            (address, counter, block_index), self._inner.pad_block
+            address, counter, block_index, self._inner.pad_block
         )
 
     def line_pad_array(
         self, address: int, counter: int, n_bytes: int
     ) -> np.ndarray:
         return self._lines.fetch(
-            (address, counter, n_bytes), self._inner.line_pad_array
+            address, counter, n_bytes, self._inner.line_pad_array
         )
 
     def line_pad(self, address: int, counter: int, n_bytes: int) -> bytes:
         return self.line_pad_array(address, counter, n_bytes).tobytes()
 
+    def count_line_pads(
+        self, addresses: np.ndarray, counters: np.ndarray, n_bytes: int
+    ) -> None:
+        """Walk ``m`` :meth:`line_pad_array` requests through the line LRU,
+        in order: the hit/miss counts and the cached keys end up as
+        sequential calls leave them."""
+        addresses = np.asarray(addresses, dtype=np.int64)
+        self._lines.walk(
+            addresses,
+            np.asarray(counters, dtype=np.int64),
+            np.full(addresses.shape[0], n_bytes, dtype=np.int64),
+        )
+
+    def count_pad_blocks(
+        self, addresses: np.ndarray, counters: np.ndarray, blocks: np.ndarray
+    ) -> None:
+        """Walk ``m`` :meth:`pad_block` requests through the block LRU, in
+        order, in slices of ``_BLOCK_SLICE``."""
+        columns = [
+            np.asarray(col, dtype=np.int64)
+            for col in (addresses, counters, blocks)
+        ]
+        for lo in range(0, columns[0].shape[0], _BLOCK_SLICE):
+            self._blocks.walk(*(col[lo: lo + _BLOCK_SLICE] for col in columns))
+
     def line_pads_batch(
         self, addresses: np.ndarray, counters: np.ndarray, n_bytes: int
     ) -> np.ndarray:
-        """Batched line pads, counted as ``m`` :meth:`line_pad_array` calls.
-
-        The requests walk the line cache in order, so the hit/miss counts
-        and the cached keys end up as sequential calls leave them; every
-        pad comes from one wide call to the inner source.
-        """
-        addresses = np.asarray(addresses, dtype=np.int64)
-        counters = np.asarray(counters, dtype=np.int64)
-        widths = np.full(addresses.shape[0], n_bytes, dtype=np.int64)
-        self._lines.walk(addresses, counters, widths)
-        return _freeze(
-            self._inner.line_pads_batch(addresses, counters, n_bytes)
-        )
+        """Batched line pads, counted as ``m`` :meth:`line_pad_array` calls:
+        :meth:`count_line_pads`, then one :meth:`peek_line_pads_batch`."""
+        self.count_line_pads(addresses, counters, n_bytes)
+        return _freeze(self.peek_line_pads_batch(addresses, counters, n_bytes))
 
     def pad_blocks_batch(
         self, addresses: np.ndarray, counters: np.ndarray, blocks: np.ndarray
     ) -> np.ndarray:
-        """Batched pad blocks, counted as ``m`` :meth:`pad_block` calls.
-
-        The requests walk the block cache in order and their pads come
-        from the inner source, both in slices of ``_BLOCK_SLICE``.
-        """
+        """Batched pad blocks, counted as ``m`` :meth:`pad_block` calls:
+        :meth:`count_pad_blocks` and :meth:`peek_pad_blocks_batch`, slice
+        by slice."""
         columns = [
             np.asarray(col, dtype=np.int64)
             for col in (addresses, counters, blocks)
@@ -604,19 +755,13 @@ class CachingPadSource(_PadSourceBase):
         for lo in range(0, m, _BLOCK_SLICE):
             part = [col[lo: lo + _BLOCK_SLICE] for col in columns]
             self._blocks.walk(*part)
-            out[lo: lo + _BLOCK_SLICE] = self._inner.pad_blocks_batch(*part)
+            out[lo: lo + _BLOCK_SLICE] = self.peek_pad_blocks_batch(*part)
         return _freeze(out)
 
     def peek_line_pads_batch(
         self, addresses: np.ndarray, counters: np.ndarray, n_bytes: int
     ) -> np.ndarray:
-        """Pads for a batch, leaving the LRU order and hit/miss counts alone.
-
-        For batch kernels whose scalar pad-request stream depends on pad
-        values (a mode choice, a decode before the first write): they peek
-        the values first, then send the exact stream through
-        :meth:`line_pads_batch` once.
-        """
+        """Pads for a batch, leaving the LRU order and hit/miss counts alone."""
         return self._inner.peek_line_pads_batch(addresses, counters, n_bytes)
 
     def peek_pad_blocks_batch(

@@ -105,6 +105,11 @@ class InstrumentedPadSource:
     Adds each fetch to the run's ``pad.fetch`` profile phase (the runner
     fills the ``pad.fetch_s`` timer and ``pad.fetches`` counter from it)
     and, when tracing is on, emits one ``pad.fetch`` span per fetch.
+
+    The batch kernels split a batch fetch into a count-only walk of the
+    scalar requests and a peek that makes the pads.  A walk counts one
+    fetch per request, so ``pad.fetches`` equals the scalar path's count;
+    a peek is timed into the same phase but counts no fetch.
     """
 
     def __init__(self, inner, profile=None, tracer=NULL_TRACER):
@@ -150,26 +155,50 @@ class InstrumentedPadSource:
         matches the per-write path exactly.
         """
         return self._observe_batch(
-            self._inner.line_pads_batch, addresses, counters, n_bytes
+            "batch", True, self._inner.line_pads_batch,
+            addresses, counters, n_bytes,
         )
 
     def pad_blocks_batch(self, addresses, counters, blocks):
         """Batched :meth:`pad_block` fetches, counted as one per block."""
         return self._observe_batch(
-            self._inner.pad_blocks_batch, addresses, counters, blocks
+            "batch", True, self._inner.pad_blocks_batch,
+            addresses, counters, blocks,
         )
 
-    def _observe_batch(self, fetch, addresses, *args):
-        t0 = self._clock()
-        pads = fetch(addresses, *args)
-        n = len(addresses)
-        self._observe(t0, n, op="batch", n=n)
-        return pads
+    def count_line_pads(self, addresses, counters, n_bytes: int) -> None:
+        """A count-only walk, counted as one fetch per request."""
+        self._observe_batch(
+            "count", True, self._inner.count_line_pads,
+            addresses, counters, n_bytes,
+        )
+
+    def count_pad_blocks(self, addresses, counters, blocks) -> None:
+        """A count-only walk of :meth:`pad_block` requests, as
+        :meth:`count_line_pads`."""
+        self._observe_batch(
+            "count", True, self._inner.count_pad_blocks,
+            addresses, counters, blocks,
+        )
 
     def peek_line_pads_batch(self, addresses, counters, n_bytes: int):
-        """Untimed, uncounted: a peek is not one of the scalar path's fetches."""
-        return self._inner.peek_line_pads_batch(addresses, counters, n_bytes)
+        """Timed, but no fetch: a peek is not one of the scalar path's
+        fetches, though it is where the pads are made."""
+        return self._observe_batch(
+            "peek", False, self._inner.peek_line_pads_batch,
+            addresses, counters, n_bytes,
+        )
 
     def peek_pad_blocks_batch(self, addresses, counters, blocks):
-        """Untimed, uncounted, as :meth:`peek_line_pads_batch`."""
-        return self._inner.peek_pad_blocks_batch(addresses, counters, blocks)
+        """Timed, but no fetch, as :meth:`peek_line_pads_batch`."""
+        return self._observe_batch(
+            "peek", False, self._inner.peek_pad_blocks_batch,
+            addresses, counters, blocks,
+        )
+
+    def _observe_batch(self, op: str, fetches: bool, call, addresses, *args):
+        t0 = self._clock()
+        out = call(addresses, *args)
+        n = len(addresses)
+        self._observe(t0, n if fetches else 0, op=op, n=n)
+        return out

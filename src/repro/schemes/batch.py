@@ -17,8 +17,9 @@ flip counts and packed diff matrices in one wide pass.  Rows of a
 consumer aggregates over the chunk, so row order never affects results.
 
 On top of that sit the pieces the kernels share: gathering and
-committing line state, replaying a scalar line-pad or pad-block request
-stream in trace order, running event counts and block carries for the
+committing line state, counting a scalar line-pad or pad-block request
+stream in trace order while :class:`ChunkPads` makes each of a chunk's
+pads once, running event counts and block carries for the
 per-block-counter schemes, DEUCE's modified bits as a segmented
 cumulative OR, and the Flip-N-Write encoder :func:`fnw_encode_runs`.
 """
@@ -31,6 +32,7 @@ from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
+from repro.crypto.pads import PAD_BLOCK_BYTES, unique_rows
 from repro.memory import bitops
 from repro.memory.line import StoredLine
 
@@ -364,60 +366,156 @@ def to_trace_order(groups: AddressGroups, rows: np.ndarray) -> np.ndarray:
     return out
 
 
-def request_pads(
+class ChunkPads:
+    """The line pads one chunk has made, each distinct key made once.
+
+    Row ``i`` of :attr:`rows` is the ``line_bytes`` pad of the ``i``-th
+    distinct (address, counter) key asked for.  :meth:`index` makes the
+    keys it has not seen in one ``peek_line_pads_batch`` call, so a
+    kernel that peeks pads before it knows its request stream takes them
+    again for free when the stream asks for the same keys.  A pad block
+    is a slice of its line's pad (a line pad is its pad blocks, one
+    after another), so the block streams read the same table.
+    """
+
+    def __init__(self, pads, line_bytes: int) -> None:
+        self.source = pads
+        self.line_bytes = line_bytes
+        self.rows = np.zeros((0, line_bytes), dtype=np.uint8)
+        self._keys = (_EMPTY_I64, _EMPTY_I64)
+
+    def index(self, addresses: np.ndarray, counters: np.ndarray) -> np.ndarray:
+        """Row of :attr:`rows` holding each key's pad."""
+        known = self._keys[0].shape[0]
+        keys = [
+            np.concatenate([old, np.asarray(new, dtype=np.int64)])
+            for old, new in zip(self._keys, (addresses, counters))
+        ]
+        rows, inverse = unique_rows(*keys)
+        # Known keys are distinct and keep their rows; the rest are made.
+        row_of = np.empty_like(rows)
+        row_of[inverse[:known]] = np.arange(known)
+        fresh = np.ones(rows.shape[0], dtype=bool)
+        fresh[inverse[:known]] = False
+        made = rows[fresh]
+        row_of[fresh] = known + np.arange(made.shape[0])
+        if made.size:
+            self._keys = tuple(
+                np.concatenate([old, key[made]])
+                for old, key in zip(self._keys, keys)
+            )
+            self.rows = np.concatenate([
+                self.rows,
+                self.source.peek_line_pads_batch(
+                    *(key[made] for key in keys), self.line_bytes
+                ),
+            ])
+        return row_of[inverse[known:]]
+
+    def line_pads(
+        self, addresses: np.ndarray, counters: np.ndarray
+    ) -> np.ndarray:
+        """``(k, line_bytes)`` pads of ``k`` keys."""
+        rows = self.index(addresses, counters)
+        return self.rows[rows]
+
+    def blocks(self) -> np.ndarray:
+        """:attr:`rows` as ``(rows * n_blocks, 16)`` pad blocks."""
+        return self.rows.reshape(-1, PAD_BLOCK_BYTES)
+
+    def block_index(
+        self, addresses: np.ndarray, counters: np.ndarray, blocks: np.ndarray
+    ) -> np.ndarray:
+        """Row of :meth:`blocks` holding each (address, counter, block)."""
+        n_blocks = self.line_bytes // PAD_BLOCK_BYTES
+        return self.index(addresses, counters) * n_blocks + blocks
+
+
+def _trace_columns(
+    groups: AddressGroups, used: np.ndarray, *columns: np.ndarray
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The used slots of ``(m, k)`` sorted-order columns, in trace order.
+
+    Column ``s`` of row ``j`` is the ``s``-th request of that row's write,
+    if ``used``; the requests come out write by write, as the scalar path
+    sends them.  Returns the trace-order ``used`` mask and the columns.
+    """
+    used_t = to_trace_order(groups, used)
+    return used_t, [
+        to_trace_order(groups, np.broadcast_to(col, used.shape))[used_t]
+        for col in columns
+    ]
+
+
+def _sorted_index(
+    groups: AddressGroups, used_t: np.ndarray, rows: np.ndarray
+) -> np.ndarray:
+    """``(m, k)`` ``rows`` of the used slots in sorted order, -1 if unused."""
+    index_t = np.full(used_t.shape, -1, dtype=np.int64)
+    index_t[used_t] = rows
+    return index_t[groups.order]
+
+
+def count_pads(
     pads,
     groups: AddressGroups,
     counters: np.ndarray,
     used: np.ndarray,
     n_bytes: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Send a chunk's pad requests through ``pads`` in scalar order.
+) -> None:
+    """Count a chunk's line-pad requests through ``pads`` in scalar order.
 
     ``counters`` and ``used`` are ``(m, k)`` in the chunk's sorted row
     order: column ``s`` of row ``j`` is the ``s``-th line pad the scalar
-    write of that row requests, if ``used``.  The requests go out as one
-    ``line_pads_batch`` call in trace order, write by write, so a caching
-    source sees the stream of ``m`` scalar writes: the same hits, misses
-    and evictions.  Returns the pads and an ``(m, k)`` row index into them
-    (-1 where unused).
+    write of that row requests, if ``used``.  They go out as one
+    ``count_line_pads`` call in trace order, so a caching source sees
+    the stream of ``m`` scalar writes: the same hits, misses and
+    evictions.
     """
-    return _request_stream(
-        lambda a, c: pads.line_pads_batch(a, c, n_bytes),
-        groups, used, groups.addresses[:, None], counters,
+    _, columns = _trace_columns(
+        groups, used, groups.addresses[:, None], counters
     )
+    pads.count_line_pads(*columns, n_bytes)
+
+
+def request_pads(
+    table: ChunkPads,
+    groups: AddressGroups,
+    counters: np.ndarray,
+    used: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`count_pads`, and the requested pads from ``table``.
+
+    Returns the table's pads and an ``(m, k)`` row index into them (-1
+    where unused).
+    """
+    used_t, columns = _trace_columns(
+        groups, used, groups.addresses[:, None], counters
+    )
+    table.source.count_line_pads(*columns, table.line_bytes)
+    rows = table.index(*columns)
+    return table.rows, _sorted_index(groups, used_t, rows)
 
 
 def request_pad_blocks(
-    pads,
+    table: ChunkPads,
     groups: AddressGroups,
     counters: np.ndarray,
     blocks: np.ndarray,
     used: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`request_pads` for single pad blocks (``pad_blocks_batch``).
+    """:func:`request_pads` for single pad blocks (``count_pad_blocks``).
 
     Slot ``s`` of row ``j`` requests block ``blocks[j, s]`` of the row's
     line under ``counters[j, s]``.  Returns ``(n, 16)`` pad blocks and the
     ``(m, k)`` row index into them (-1 where unused).
     """
-    return _request_stream(
-        pads.pad_blocks_batch,
-        groups, used, groups.addresses[:, None], counters, blocks,
+    used_t, columns = _trace_columns(
+        groups, used, groups.addresses[:, None], counters, blocks
     )
-
-
-def _request_stream(
-    fetch, groups: AddressGroups, used: np.ndarray, *columns: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """One ``fetch(*columns)`` call over the used slots, in trace order."""
-    used_t = to_trace_order(groups, used)
-    out = np.asarray(fetch(*(
-        to_trace_order(groups, np.broadcast_to(col, used.shape))[used_t]
-        for col in columns
-    )))
-    index_t = np.full(used_t.shape, -1, dtype=np.int64)
-    index_t[used_t] = np.arange(out.shape[0])
-    return out, index_t[groups.order]
+    table.source.count_pad_blocks(*columns)
+    rows = table.block_index(*columns)
+    return table.blocks(), _sorted_index(groups, used_t, rows)
 
 
 def run_counts(groups: AddressGroups, events: np.ndarray) -> np.ndarray:

@@ -19,6 +19,7 @@ from repro.memory.line import StoredLine, make_meta
 from repro.schemes.base import WriteOutcome, WriteScheme
 from repro.schemes.batch import (
     BatchOutcome,
+    ChunkPads,
     carry_blocks,
     changed_words,
     commit_lines,
@@ -143,18 +144,17 @@ class BlockCounterScheme(WriteScheme):
         self._block_counters.update(zip(addresses.tolist(), counters.tolist()))
 
     def _peek_pads(
-        self, addresses: np.ndarray, counters: np.ndarray
+        self, table: ChunkPads, addresses: np.ndarray, counters: np.ndarray
     ) -> np.ndarray:
         """``(n, line_bytes)`` line pads, block ``b`` under ``counters[:, b]``,
-        read without cache bookkeeping."""
+        read from ``table`` without cache bookkeeping."""
         n, nb = counters.shape
-        return np.asarray(
-            self.pads.peek_pad_blocks_batch(
-                np.repeat(addresses, nb),
-                counters.ravel(),
-                np.tile(np.arange(nb, dtype=np.int64), n),
-            )
-        ).reshape(n, self.line_bytes)
+        rows = table.block_index(
+            np.repeat(addresses, nb),
+            counters.ravel(),
+            np.tile(np.arange(nb, dtype=np.int64), n),
+        )
+        return table.blocks()[rows].reshape(n, self.line_bytes)
 
 
 class BlockLevelEncryption(BlockCounterScheme):
@@ -214,10 +214,12 @@ class BlockLevelEncryption(BlockCounterScheme):
         (line, block) counter is a running count over the line's run.
         Every write reads before it writes: it requests every block's pad
         under the block's counter, then each changed block's pad under the
-        incremented one.  That stream goes through the pad source once, in
-        trace order; only the pre-chunk plaintext, which each run's first
-        write compares against, is decoded from peeked pads first.  A
-        block's stored bytes come from the latest write that changed it.
+        incremented one.  That stream is counted through the pad source
+        once, in trace order; only the pre-chunk plaintext, which each
+        run's first write compares against, is decoded from peeked pads
+        first, and the stream takes those pads again from the chunk's
+        :class:`ChunkPads`.  A block's stored bytes come from the latest
+        write that changed it.
         Bit-identical to sequential :meth:`write` calls, pad-cache
         statistics included.
         """
@@ -230,7 +232,8 @@ class BlockLevelEncryption(BlockCounterScheme):
         uniq = groups.unique_addresses
         base_counters, old_stored, _ = gather_lines(self._lines, uniq, lb, 0)
         base_blocks = self._gather_block_counters(uniq)
-        old_plain = old_stored ^ self._peek_pads(uniq, base_blocks)
+        table = ChunkPads(self.pads, lb)
+        old_plain = old_stored ^ self._peek_pads(table, uniq, base_blocks)
 
         prev_plain = previous_rows(s_data, starts, old_plain)
         changed = changed_words(prev_plain, s_data, self.block_bytes)
@@ -239,7 +242,7 @@ class BlockLevelEncryption(BlockCounterScheme):
         # Per write: [read block 0..nb-1, write block 0..nb-1 if changed].
         block_ids = np.tile(np.arange(nb, dtype=np.int64), 2)
         pads, index = request_pad_blocks(
-            self.pads,
+            table,
             groups,
             np.concatenate([after - changed, after], axis=1),
             block_ids,

@@ -19,6 +19,7 @@ from repro.memory.line import StoredLine
 from repro.schemes.base import WriteOutcome
 from repro.schemes.batch import (
     BatchOutcome,
+    ChunkPads,
     carry_blocks,
     changed_words,
     commit_lines,
@@ -171,9 +172,10 @@ class BleDeuce(BlockCounterScheme):
         into an address-run-like segment of one :func:`modified_bits` call.
         Each write requests, per block, the read's pad (one request, or
         lead then trail), then per changed block the write's pad (the
-        epoch pad, or the mixed pad's requests); that stream goes through
-        the pad source once, in trace order, after the pre-chunk plaintext
-        is decoded from peeked pads.  Bit-identical to sequential
+        epoch pad, or the mixed pad's requests); that stream is counted
+        through the pad source once, in trace order, after the pre-chunk
+        plaintext is decoded from peeked pads, and takes its pads from the
+        chunk's :class:`ChunkPads`.  Bit-identical to sequential
         :meth:`write` calls, pad-cache statistics included.
         """
         m = len(addresses)
@@ -190,7 +192,9 @@ class BleDeuce(BlockCounterScheme):
             self._lines, uniq, lb, nw
         )
         base_blocks = self._gather_block_counters(uniq)
+        table = ChunkPads(self.pads, lb)
         peeked = self._peek_pads(
+            table,
             np.concatenate([uniq, uniq]),
             np.concatenate([base_blocks, base_blocks & mask]),
         )
@@ -243,7 +247,7 @@ class BleDeuce(BlockCounterScheme):
             np.arange(nb, dtype=np.int64)[:, None], (2, nb, 2)
         ).reshape(-1)
         pads, index = request_pad_blocks(
-            self.pads, groups, ctr.reshape(m, -1), blocks, used.reshape(m, -1)
+            table, groups, ctr.reshape(m, -1), blocks, used.reshape(m, -1)
         )
         index = index.reshape(m, 2, nb, 2)[:, 1]
         trailing = pads[index[:, :, 1]].reshape(m, lb)

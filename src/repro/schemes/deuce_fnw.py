@@ -19,6 +19,7 @@ from repro.memory.line import StoredLine
 from repro.schemes.base import WriteOutcome, WriteScheme
 from repro.schemes.batch import (
     BatchOutcome,
+    ChunkPads,
     changed_words,
     commit_lines,
     diff_stored_rows,
@@ -185,7 +186,9 @@ class DeuceFnw(WriteScheme):
         the old state, then the write's for the new one, sent through the
         pad source in trace order.  Only the pre-chunk plaintext, which the
         first write of each run compares against, needs pad values before
-        that stream is known; those are peeked without cache bookkeeping.
+        that stream is known; those are peeked without cache bookkeeping,
+        and the stream takes them again from the chunk's
+        :class:`ChunkPads`.
         Bit-identical to sequential :meth:`write` calls, pad-cache
         statistics included.
         """
@@ -207,12 +210,10 @@ class DeuceFnw(WriteScheme):
         # Pre-chunk plaintext: decode the cells under the peeked pads.
         uniq = groups.unique_addresses
         base_tctr = base_counters & self._epoch_mask
-        peeked = np.asarray(
-            self.pads.peek_line_pads_batch(
-                np.concatenate([uniq, uniq]),
-                np.concatenate([base_counters, base_tctr]),
-                lb,
-            )
+        table = ChunkPads(self.pads, lb)
+        peeked = table.line_pads(
+            np.concatenate([uniq, uniq]),
+            np.concatenate([base_counters, base_tctr]),
         )
         n = uniq.size
         old_plain = (
@@ -241,7 +242,7 @@ class DeuceFnw(WriteScheme):
             prev_mod.any(axis=1)
         )
         used[:, 2] = ~epoch & modified.any(axis=1)
-        pads, index = request_pads(self.pads, groups, ctr_slots, used, lb)
+        pads, index = request_pads(table, groups, ctr_slots, used)
         trailing = pads[index[:, 3]]
         leading = pads[np.where(used[:, 2], index[:, 2], index[:, 3])]
         targets = s_data ^ mix_pad_rows(leading, trailing, modified, wb)

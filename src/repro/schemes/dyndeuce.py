@@ -30,8 +30,10 @@ from repro.memory.line import StoredLine
 from repro.schemes.base import WriteOutcome, WriteScheme
 from repro.schemes.batch import (
     BatchOutcome,
+    ChunkPads,
     changed_words,
     commit_lines,
+    count_pads,
     diff_stored_rows,
     empty_batch,
     expand_groups,
@@ -43,7 +45,6 @@ from repro.schemes.batch import (
     mix_pad_rows,
     modified_bits,
     previous_rows,
-    request_pads,
     row_popcounts,
     segment_begins,
     since_epoch,
@@ -218,10 +219,10 @@ class DynDeuce(WriteScheme):
 
         The mode choice needs pad values before the scalar pad-request
         stream is known, so every pad it uses is peeked without cache
-        bookkeeping; the exact stream (read, DEUCE candidate, FNW
-        candidate, per write) then goes through the pad source once, in
-        trace order.  Bit-identical to sequential :meth:`write` calls, pad
-        cache statistics included.
+        bookkeeping, each distinct key once; the exact stream (read, DEUCE
+        candidate, FNW candidate, per write) is then counted through the
+        pad source once, in trace order, and makes no pads.  Bit-identical
+        to sequential :meth:`write` calls, pad cache statistics included.
         """
         m = len(addresses)
         if m == 0:
@@ -243,14 +244,11 @@ class DynDeuce(WriteScheme):
         # Peeked pads: each write's LCTR pad, and each line's pre-chunk
         # LCTR and TCTR pads.  A write's TCTR pad is its run's latest
         # epoch write's LCTR pad, or else the pre-chunk TCTR pad.
-        peeked = np.asarray(
-            self.pads.peek_line_pads_batch(
-                np.concatenate([groups.addresses, uniq, uniq]),
-                np.concatenate(
-                    [counters, base_counters, base_counters & self._epoch_mask]
-                ),
-                lb,
-            )
+        peeked = ChunkPads(self.pads, lb).line_pads(
+            np.concatenate([groups.addresses, uniq, uniq]),
+            np.concatenate(
+                [counters, base_counters, base_counters & self._epoch_mask]
+            ),
         )
         leading, base_leading, base_trailing = (
             peeked[:m], peeked[m:m + n], peeked[m + n:]
@@ -347,7 +345,7 @@ class DynDeuce(WriteScheme):
             ],
             axis=1,
         )
-        request_pads(self.pads, groups, ctr_slots, used, lb)
+        count_pads(self.pads, groups, ctr_slots, used, lb)
 
         diffs = diff_stored_rows(
             previous_rows(stored, starts, old_stored), stored, prev_meta, meta

@@ -27,6 +27,7 @@ from repro.memory.line import StoredLine, make_meta
 from repro.schemes.base import WriteOutcome, WriteScheme
 from repro.schemes.batch import (
     BatchOutcome,
+    ChunkPads,
     commit_lines,
     diff_stored_rows,
     empty_batch,
@@ -262,7 +263,8 @@ class INvmm(WriteScheme):
             # A line is only encrypted while plaintext: its previous event
             # is a write, or there is none and the cells hold plaintext.
             pads, index = request_pads(
-                self.pads, groups, counters[:, None], is_enc[:, None], lb
+                ChunkPads(self.pads, lb), groups, counters[:, None],
+                is_enc[:, None],
             )
             plain = previous_rows(images, starts, old_stored)[enc_rows]
             images[enc_rows] = plain ^ pads[index[enc_rows, 0]]
