@@ -112,13 +112,14 @@ def main() -> None:
 
     # Integrity: a repairman resets a counter in the stolen DIMM.
     addr = store._slot_address(store._keys[sample])
-    store.memory.scheme._lines[addr].counter = 0
+    table = store.memory.scheme.table
+    table.counters[table.row(addr)] = 0
     try:
         store.get(sample)
     except IntegrityError as exc:
         print(f"\ntamper attempt caught by the Merkle tree:\n  {exc}")
     # Repair the demo state (put() reads before writing).
-    store.memory.scheme._lines[addr].counter = (
+    table.counters[table.row(addr)] = (
         store.memory._merkle.read_or_raise(store.memory._leaf_for(addr))
     )
 

@@ -47,7 +47,8 @@ else:  # pragma: no cover - exercised only on numpy < 2.0
 
 def as_array(data: bytes) -> np.ndarray:
     """View a byte string as a read-only ``np.uint8`` array (zero-copy)."""
-    return np.frombuffer(data, dtype=np.uint8)
+    # Positional dtype: numpy parses it faster than the keyword.
+    return np.frombuffer(data, np.uint8)
 
 
 def to_bytes(arr: np.ndarray) -> bytes:

@@ -64,30 +64,11 @@ class StoredLine:
         else:
             self._data = bytes(data)
             # bytes own an immutable buffer: this view is free and read-only.
-            self.arr = np.frombuffer(self._data, dtype=np.uint8)
+            self.arr = np.frombuffer(self._data, np.uint8)
         self.meta = (
             np.asarray(meta, dtype=np.uint8) if meta is not None else make_meta(0)
         )
         self.counter = counter
-
-    @classmethod
-    def from_parts(
-        cls, arr: np.ndarray, meta: np.ndarray, counter: int
-    ) -> "StoredLine":
-        """Zero-validation construction for the batch write paths.
-
-        The caller must pass read-only ``uint8`` arrays (typically row views
-        of a frozen parent buffer); no copies, casts, or flag changes are
-        performed.  Semantically identical to ``StoredLine(arr, meta,
-        counter)`` — this exists because the batch commit loops create
-        thousands of lines per chunk and the constructor's checks dominate.
-        """
-        self = cls.__new__(cls)
-        self._data = None
-        self.arr = arr
-        self.meta = meta
-        self.counter = counter
-        return self
 
     @property
     def data(self) -> bytes:

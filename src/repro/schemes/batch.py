@@ -16,12 +16,12 @@ flip counts and packed diff matrices in one wide pass.  Rows of a
 :class:`BatchOutcome` are in the scheme's internal (sorted) order — every
 consumer aggregates over the chunk, so row order never affects results.
 
-On top of that sit the pieces the kernels share: gathering and
-committing line state, counting a scalar line-pad or pad-block request
-stream in trace order while :class:`ChunkPads` makes each of a chunk's
-pads once, running event counts and block carries for the
-per-block-counter schemes, DEUCE's modified bits as a segmented
-cumulative OR, and the Flip-N-Write encoder :func:`fnw_encode_runs`.
+On top of that sit the pieces the kernels share: counting a scalar
+line-pad or pad-block request stream through the pad source in trace
+order (the kernels make only the pads they encrypt with), running event
+counts and carries of the latest rewrite for the per-block-counter
+schemes, DEUCE's modified bits as a segmented cumulative OR, and the
+Flip-N-Write encoder :func:`fnw_encode_runs`.
 """
 
 from __future__ import annotations
@@ -32,9 +32,7 @@ from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
-from repro.crypto.pads import PAD_BLOCK_BYTES, unique_rows
 from repro.memory import bitops
-from repro.memory.line import StoredLine
 
 if TYPE_CHECKING:
     from repro.schemes.base import WriteOutcome
@@ -267,7 +265,7 @@ def row_popcounts(rows: np.ndarray) -> np.ndarray:
     return bitops.byte_popcounts(rows).sum(axis=1, dtype=np.int64)
 
 
-# -- line state gather / commit ---------------------------------------------
+# -- install -----------------------------------------------------------------
 
 
 def line_matrix(data, line_bytes: int) -> np.ndarray:
@@ -278,82 +276,12 @@ def line_matrix(data, line_bytes: int) -> np.ndarray:
     return rows
 
 
-def gather_lines(
-    lines: dict[int, StoredLine],
-    addresses: np.ndarray,
-    line_bytes: int,
-    meta_bits: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pre-chunk ``(counters, stored, meta)`` of each line in ``addresses``.
-
-    Raises the scalar path's ``KeyError`` for a line never installed.
-    """
-    lines_get = lines.get
-    counters: list[int] = []
-    stored: list[np.ndarray] = []
-    meta: list[np.ndarray] = []
-    for addr in addresses.tolist():
-        line = lines_get(addr)
-        if line is None:
-            raise KeyError(
-                f"line {addr:#x} was never installed; call install() first"
-            )
-        counters.append(line.counter)
-        stored.append(line.arr)
-        meta.append(line.meta)
-    n = len(counters)
-    return (
-        np.asarray(counters, dtype=np.int64),
-        np.concatenate(stored).reshape(n, line_bytes),
-        np.concatenate(meta).reshape(n, meta_bits)
-        if meta_bits
-        else np.zeros((n, 0), dtype=np.uint8),
-    )
-
-
-def commit_lines(
-    lines: dict[int, StoredLine],
-    addresses: np.ndarray,
-    stored: np.ndarray,
-    meta: np.ndarray,
-    counters: np.ndarray,
-) -> None:
-    """Make row ``i`` the state of line ``addresses[i]``, in order.
-
-    ``stored`` and ``meta`` must be buffers the caller owns, such as
-    fancy-index copies of a chunk's final rows: they are frozen, and each
-    line holds row views into them, so no chunk-sized array stays alive.
-    Duplicate addresses resolve last-wins, as sequential stores do.
-    """
-    stored.setflags(write=False)
-    meta.setflags(write=False)
-    from_parts = StoredLine.from_parts
-    for addr, s_row, m_row, ctr in zip(
-        addresses.tolist(), stored, meta, counters.tolist()
-    ):
-        lines[addr] = from_parts(s_row, m_row, ctr)
-
-
 def initial_ciphertext(pads, addresses, data, line_bytes: int) -> np.ndarray:
     """Install images under counter 0: one pad batch for the working set."""
     plain = line_matrix(data, line_bytes)
     addresses = np.asarray(addresses, dtype=np.int64)
     zeros = np.zeros(addresses.size, dtype=np.int64)
     return plain ^ np.asarray(pads.line_pads_batch(addresses, zeros, line_bytes))
-
-
-def install_lines(
-    lines: dict[int, StoredLine], addresses, stored: np.ndarray, meta_bits: int
-) -> None:
-    """Commit freshly installed lines: zero metadata, counter 0."""
-    n = stored.shape[0]
-    commit_lines(
-        lines,
-        np.asarray(addresses, dtype=np.int64),
-        stored,
-        np.zeros((n, meta_bits), dtype=np.uint8),
-        np.zeros(n, dtype=np.int64),
-    )
 
 
 # -- pad streams -------------------------------------------------------------
@@ -366,94 +294,20 @@ def to_trace_order(groups: AddressGroups, rows: np.ndarray) -> np.ndarray:
     return out
 
 
-class ChunkPads:
-    """The line pads one chunk has made, each distinct key made once.
-
-    Row ``i`` of :attr:`rows` is the ``line_bytes`` pad of the ``i``-th
-    distinct (address, counter) key asked for.  :meth:`index` makes the
-    keys it has not seen in one ``peek_line_pads_batch`` call, so a
-    kernel that peeks pads before it knows its request stream takes them
-    again for free when the stream asks for the same keys.  A pad block
-    is a slice of its line's pad (a line pad is its pad blocks, one
-    after another), so the block streams read the same table.
-    """
-
-    def __init__(self, pads, line_bytes: int) -> None:
-        self.source = pads
-        self.line_bytes = line_bytes
-        self.rows = np.zeros((0, line_bytes), dtype=np.uint8)
-        self._keys = (_EMPTY_I64, _EMPTY_I64)
-
-    def index(self, addresses: np.ndarray, counters: np.ndarray) -> np.ndarray:
-        """Row of :attr:`rows` holding each key's pad."""
-        known = self._keys[0].shape[0]
-        keys = [
-            np.concatenate([old, np.asarray(new, dtype=np.int64)])
-            for old, new in zip(self._keys, (addresses, counters))
-        ]
-        rows, inverse = unique_rows(*keys)
-        # Known keys are distinct and keep their rows; the rest are made.
-        row_of = np.empty_like(rows)
-        row_of[inverse[:known]] = np.arange(known)
-        fresh = np.ones(rows.shape[0], dtype=bool)
-        fresh[inverse[:known]] = False
-        made = rows[fresh]
-        row_of[fresh] = known + np.arange(made.shape[0])
-        if made.size:
-            self._keys = tuple(
-                np.concatenate([old, key[made]])
-                for old, key in zip(self._keys, keys)
-            )
-            self.rows = np.concatenate([
-                self.rows,
-                self.source.peek_line_pads_batch(
-                    *(key[made] for key in keys), self.line_bytes
-                ),
-            ])
-        return row_of[inverse[known:]]
-
-    def line_pads(
-        self, addresses: np.ndarray, counters: np.ndarray
-    ) -> np.ndarray:
-        """``(k, line_bytes)`` pads of ``k`` keys."""
-        rows = self.index(addresses, counters)
-        return self.rows[rows]
-
-    def blocks(self) -> np.ndarray:
-        """:attr:`rows` as ``(rows * n_blocks, 16)`` pad blocks."""
-        return self.rows.reshape(-1, PAD_BLOCK_BYTES)
-
-    def block_index(
-        self, addresses: np.ndarray, counters: np.ndarray, blocks: np.ndarray
-    ) -> np.ndarray:
-        """Row of :meth:`blocks` holding each (address, counter, block)."""
-        n_blocks = self.line_bytes // PAD_BLOCK_BYTES
-        return self.index(addresses, counters) * n_blocks + blocks
-
-
 def _trace_columns(
     groups: AddressGroups, used: np.ndarray, *columns: np.ndarray
-) -> tuple[np.ndarray, list[np.ndarray]]:
+) -> list[np.ndarray]:
     """The used slots of ``(m, k)`` sorted-order columns, in trace order.
 
     Column ``s`` of row ``j`` is the ``s``-th request of that row's write,
     if ``used``; the requests come out write by write, as the scalar path
-    sends them.  Returns the trace-order ``used`` mask and the columns.
+    sends them.
     """
     used_t = to_trace_order(groups, used)
-    return used_t, [
+    return [
         to_trace_order(groups, np.broadcast_to(col, used.shape))[used_t]
         for col in columns
     ]
-
-
-def _sorted_index(
-    groups: AddressGroups, used_t: np.ndarray, rows: np.ndarray
-) -> np.ndarray:
-    """``(m, k)`` ``rows`` of the used slots in sorted order, -1 if unused."""
-    index_t = np.full(used_t.shape, -1, dtype=np.int64)
-    index_t[used_t] = rows
-    return index_t[groups.order]
 
 
 def count_pads(
@@ -470,52 +324,31 @@ def count_pads(
     write of that row requests, if ``used``.  They go out as one
     ``count_line_pads`` call in trace order, so a caching source sees
     the stream of ``m`` scalar writes: the same hits, misses and
-    evictions.
+    evictions.  No pad is made.
     """
-    _, columns = _trace_columns(
-        groups, used, groups.addresses[:, None], counters
+    pads.count_line_pads(
+        *_trace_columns(groups, used, groups.addresses[:, None], counters),
+        n_bytes,
     )
-    pads.count_line_pads(*columns, n_bytes)
 
 
-def request_pads(
-    table: ChunkPads,
-    groups: AddressGroups,
-    counters: np.ndarray,
-    used: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`count_pads`, and the requested pads from ``table``.
-
-    Returns the table's pads and an ``(m, k)`` row index into them (-1
-    where unused).
-    """
-    used_t, columns = _trace_columns(
-        groups, used, groups.addresses[:, None], counters
-    )
-    table.source.count_line_pads(*columns, table.line_bytes)
-    rows = table.index(*columns)
-    return table.rows, _sorted_index(groups, used_t, rows)
-
-
-def request_pad_blocks(
-    table: ChunkPads,
+def count_blocks(
+    pads,
     groups: AddressGroups,
     counters: np.ndarray,
     blocks: np.ndarray,
     used: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`request_pads` for single pad blocks (``count_pad_blocks``).
+) -> None:
+    """:func:`count_pads` for single pad blocks (``count_pad_blocks``).
 
     Slot ``s`` of row ``j`` requests block ``blocks[j, s]`` of the row's
-    line under ``counters[j, s]``.  Returns ``(n, 16)`` pad blocks and the
-    ``(m, k)`` row index into them (-1 where unused).
+    line under ``counters[j, s]``.
     """
-    used_t, columns = _trace_columns(
-        groups, used, groups.addresses[:, None], counters, blocks
+    pads.count_pad_blocks(
+        *_trace_columns(
+            groups, used, groups.addresses[:, None], counters, blocks
+        )
     )
-    table.source.count_pad_blocks(*columns)
-    rows = table.block_index(*columns)
-    return table.blocks(), _sorted_index(groups, used_t, rows)
 
 
 def run_counts(groups: AddressGroups, events: np.ndarray) -> np.ndarray:
@@ -538,7 +371,8 @@ def carry_blocks(
     ``events`` is ``(m, n_blocks)``: the blocks each row rewrites, with
     the bytes in that row of ``fresh`` (``(m, line_bytes)``).  A block
     keeps its bytes from the latest row in its run that rewrote it, or
-    from the run's pre-chunk image in ``firsts`` when none did.
+    from the run's pre-chunk image in ``firsts`` when none did.  A
+    "block" is any equal split of the line: BLE+DEUCE carries words.
     """
     m, n_blocks = events.shape
     row_idx = np.arange(m, dtype=np.int64)
@@ -552,19 +386,6 @@ def carry_blocks(
         latest[rows, blocks], blocks
     ]
     return stored.reshape(m, -1)
-
-
-def mix_pad_rows(
-    leading: np.ndarray,
-    trailing: np.ndarray,
-    modified: np.ndarray,
-    word_bytes: int,
-) -> np.ndarray:
-    """Row-wise DEUCE pad select (Figure 7): LCTR pad on modified words."""
-    mask = modified.astype(bool, copy=False)
-    if word_bytes > 1:
-        mask = np.repeat(mask, word_bytes, axis=1)
-    return np.where(mask, leading, trailing)
 
 
 # -- DEUCE modified bits -----------------------------------------------------
@@ -622,20 +443,34 @@ def modified_bits(
     return meta
 
 
-def since_epoch(
-    groups: AddressGroups, epoch: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Rows preceded (inclusively) by an epoch write in their run.
+def deuce_images(
+    groups: AddressGroups,
+    firsts: np.ndarray,
+    fresh: np.ndarray,
+    modified: np.ndarray,
+    epoch: np.ndarray,
+    word_bytes: int,
+) -> np.ndarray:
+    """DEUCE's image of every write of a chunk, ``(m, line_bytes)``.
 
-    Returns those rows and, for each, the row of that run's latest epoch
-    write: the full re-encryption the row's unmodified words still hold.
+    ``fresh`` is each write's line under its leading counter.  An epoch
+    write is all ``fresh``; otherwise a modified word is ``fresh`` and an
+    unmodified one keeps its trailing-counter image, which has not
+    changed since its segment began: the latest epoch write's ``fresh``
+    in the run, or else the run's pre-chunk image in ``firsts``.  So no
+    trailing pad is ever needed.
     """
+    images = firsts[groups.group_id]
     row_idx = np.arange(epoch.shape[0], dtype=np.int32)
-    last_epoch = np.maximum.accumulate(
-        np.where(epoch, row_idx, np.int32(-1))
-    )
+    last_epoch = np.maximum.accumulate(np.where(epoch, row_idx, np.int32(-1)))
     rows = np.flatnonzero(last_epoch >= groups.starts[groups.group_id])
-    return rows, last_epoch[rows]
+    if rows.size:
+        images[rows] = fresh[last_epoch[rows]]
+    mask = modified.astype(bool, copy=False)
+    if word_bytes > 1:
+        mask = np.repeat(mask, word_bytes, axis=1)
+    np.copyto(images, fresh, where=mask)
+    return images
 
 
 # -- Flip-N-Write ------------------------------------------------------------

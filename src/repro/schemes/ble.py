@@ -18,19 +18,16 @@ from repro.memory import bitops
 from repro.memory.line import StoredLine, make_meta
 from repro.schemes.base import WriteOutcome, WriteScheme
 from repro.schemes.batch import (
+    AddressGroups,
     BatchOutcome,
-    ChunkPads,
     carry_blocks,
     changed_words,
-    commit_lines,
+    count_blocks,
     diff_stored_rows,
     empty_batch,
-    gather_lines,
     group_by_address,
-    install_lines,
     line_matrix,
     previous_rows,
-    request_pad_blocks,
     run_counts,
 )
 
@@ -38,10 +35,12 @@ from repro.schemes.batch import (
 class BlockCounterScheme(WriteScheme):
     """Shared plumbing of the schemes with one counter per AES block.
 
-    Per-block counters are kept in ``self._block_counters`` (address ->
-    list of ``n_blocks`` counters) and checkpointed as two arrays.  A line
-    is installed with every block counter and metadata bit at zero.
+    Per-block counters are the table's ``blocks`` column (``n_blocks``
+    counters per line) and are checkpointed as two arrays.  A line is
+    installed with every block counter and metadata bit at zero.
     """
+
+    keeps_plain = True
 
     def __init__(self, pads: PadSource, line_bytes: int = 64) -> None:
         super().__init__(line_bytes)
@@ -53,11 +52,13 @@ class BlockCounterScheme(WriteScheme):
         self.pads = pads
         self.block_bytes = PAD_BLOCK_BYTES
         self.n_blocks = line_bytes // self.block_bytes
-        self._block_counters: dict[int, list[int]] = {}
+
+    def _line_columns(self) -> dict[str, int]:
+        return {"blocks": self.n_blocks}
 
     def block_counters(self, address: int) -> list[int]:
-        """The per-block counters of a line (read-only copy)."""
-        return list(self._block_counters[address])
+        """The per-block counters of a line (a copy)."""
+        return self.table.columns["blocks"][self.table.row(address)].tolist()
 
     def _block_pad(self, address: int, counter: int, block: int) -> np.ndarray:
         return np.frombuffer(
@@ -77,28 +78,25 @@ class BlockCounterScheme(WriteScheme):
     # -- checkpointing -------------------------------------------------------
 
     def _extra_state(self) -> dict[str, object]:
-        n = len(self._block_counters)
-        addresses = np.empty(n, dtype=np.int64)
-        counters = np.empty((n, self.n_blocks), dtype=np.int64)
-        for i, (addr, blocks) in enumerate(self._block_counters.items()):
-            addresses[i] = addr
-            counters[i] = blocks
-        return {"block_addresses": addresses, "block_counters": counters}
+        table = self.table
+        return {
+            "block_addresses": table.addresses[: table.n].copy(),
+            "block_counters": table.columns["blocks"][: table.n].copy(),
+        }
 
     def _load_extra_state(self, extra: dict[str, object]) -> None:
-        addresses = np.asarray(extra["block_addresses"], dtype=np.int64)
-        counters = np.asarray(extra["block_counters"], dtype=np.int64)
-        self._block_counters = {
-            int(addresses[i]): [int(c) for c in counters[i]]
-            for i in range(addresses.size)
-        }
+        table = self.table
+        rows = table.rows(np.asarray(extra["block_addresses"], dtype=np.int64))
+        table.columns["blocks"][rows] = np.asarray(
+            extra["block_counters"], dtype=np.int64
+        )
 
     # -- lifecycle -----------------------------------------------------------
 
     def _install(self, address: int, plaintext: bytes) -> StoredLine:
-        counters = [0] * self.n_blocks
-        self._block_counters[address] = counters
-        stored = bitops.as_array(plaintext) ^ self._line_pad(address, counters)
+        stored = bitops.as_array(plaintext) ^ self._line_pad(
+            address, [0] * self.n_blocks
+        )
         return StoredLine(stored, make_meta(self.metadata_bits_per_line), 0)
 
     def install_batch(self, addresses, data) -> None:
@@ -115,12 +113,11 @@ class BlockCounterScheme(WriteScheme):
             np.zeros(n * nb, dtype=np.int64),
             np.tile(np.arange(nb, dtype=np.int64), n),
         )
-        stored = plain ^ np.asarray(pads).reshape(n, self.line_bytes)
-        install_lines(
-            self._lines, addresses, stored, self.metadata_bits_per_line
+        self.table.install(
+            addresses,
+            plain,
+            plain ^ np.asarray(pads).reshape(n, self.line_bytes),
         )
-        for addr in addresses.tolist():
-            self._block_counters[addr] = [0] * nb
 
     @abstractmethod
     def _read_array(self, address: int) -> np.ndarray:
@@ -131,30 +128,21 @@ class BlockCounterScheme(WriteScheme):
 
     # -- batch helpers -------------------------------------------------------
 
-    def _gather_block_counters(self, addresses: np.ndarray) -> np.ndarray:
-        """``(n, n_blocks)`` counters of installed lines."""
-        get = self._block_counters.__getitem__
-        return np.array(
-            [get(a) for a in addresses.tolist()], dtype=np.int64
-        ).reshape(addresses.size, self.n_blocks)
-
-    def _set_block_counters(
-        self, addresses: np.ndarray, counters: np.ndarray
-    ) -> None:
-        self._block_counters.update(zip(addresses.tolist(), counters.tolist()))
-
-    def _peek_pads(
-        self, table: ChunkPads, addresses: np.ndarray, counters: np.ndarray
+    def _peek_blocks(
+        self, groups: AddressGroups, counters: np.ndarray, used: np.ndarray
     ) -> np.ndarray:
-        """``(n, line_bytes)`` line pads, block ``b`` under ``counters[:, b]``,
-        read from ``table`` without cache bookkeeping."""
-        n, nb = counters.shape
-        rows = table.block_index(
-            np.repeat(addresses, nb),
-            counters.ravel(),
-            np.tile(np.arange(nb, dtype=np.int64), n),
+        """``(m, line_bytes)`` pads: block ``b`` of row ``j`` under
+        ``counters[j, b]`` where ``used[j, b]``, zero elsewhere.
+
+        One peek, without cache bookkeeping; BLAKE2 hashes each lane of
+        it once.
+        """
+        rows, blocks = np.nonzero(used)
+        pads = np.zeros((*used.shape, self.block_bytes), dtype=np.uint8)
+        pads[rows, blocks] = self.pads.peek_pad_blocks_batch(
+            groups.addresses[rows], counters[rows, blocks], blocks
         )
-        return table.blocks()[rows].reshape(n, self.line_bytes)
+        return pads.reshape(used.shape[0], self.line_bytes)
 
 
 class BlockLevelEncryption(BlockCounterScheme):
@@ -172,15 +160,14 @@ class BlockLevelEncryption(BlockCounterScheme):
         return 0  # counters excluded, as for the line-counter baseline
 
     def _read_array(self, address: int) -> np.ndarray:
-        line = self._lines[address]
-        counters = self._block_counters[address]
-        return line.arr ^ self._line_pad(address, counters)
+        line = self._line(address)
+        return line.arr ^ self._line_pad(address, self.block_counters(address))
 
     def _write(self, address: int, plaintext: bytes) -> WriteOutcome:
-        old = self._lines[address]
+        old = self._line(address)
         old_plain = self._read_array(address)
         new_plain = bitops.as_array(plaintext)
-        counters = self._block_counters[address]
+        counters = self.block_counters(address)
 
         changed = np.nonzero(
             (old_plain != new_plain)
@@ -197,8 +184,8 @@ class BlockLevelEncryption(BlockCounterScheme):
             )
 
         new = StoredLine(stored, make_meta(0), old.counter + 1)
-        self._lines[address] = new
-        return self._outcome(
+        self.table.columns["blocks"][self.table.index[address]] = counters
+        return self._commit(
             address,
             old,
             new,
@@ -215,55 +202,52 @@ class BlockLevelEncryption(BlockCounterScheme):
         Every write reads before it writes: it requests every block's pad
         under the block's counter, then each changed block's pad under the
         incremented one.  That stream is counted through the pad source
-        once, in trace order; only the pre-chunk plaintext, which each
-        run's first write compares against, is decoded from peeked pads
-        first, and the stream takes those pads again from the chunk's
-        :class:`ChunkPads`.  A block's stored bytes come from the latest
-        write that changed it.
+        once, in trace order.  The pre-chunk plaintext comes from the
+        table's memo, so the only pads made are the changed blocks' new
+        ones, peeked without cache bookkeeping.  A block's stored bytes
+        come from the latest write that changed it.
         Bit-identical to sequential :meth:`write` calls, pad-cache
         statistics included.
         """
         m = len(addresses)
         if m == 0:
             return empty_batch()
-        nb, lb = self.n_blocks, self.line_bytes
+        nb = self.n_blocks
         groups = group_by_address(addresses, data)
         starts, s_data = groups.starts, groups.data
-        uniq = groups.unique_addresses
-        base_counters, old_stored, _ = gather_lines(self._lines, uniq, lb, 0)
-        base_blocks = self._gather_block_counters(uniq)
-        table = ChunkPads(self.pads, lb)
-        old_plain = old_stored ^ self._peek_pads(table, uniq, base_blocks)
-
-        prev_plain = previous_rows(s_data, starts, old_plain)
+        table = self.table
+        rows = table.rows(groups.unique_addresses)
+        old_stored = table.stored[rows]
+        prev_plain = previous_rows(s_data, starts, table.plain[rows])
         changed = changed_words(prev_plain, s_data, self.block_bytes)
-        after = base_blocks[groups.group_id] + run_counts(groups, changed)
+        after = table.columns["blocks"][rows][groups.group_id] + run_counts(
+            groups, changed
+        )
 
         # Per write: [read block 0..nb-1, write block 0..nb-1 if changed].
-        block_ids = np.tile(np.arange(nb, dtype=np.int64), 2)
-        pads, index = request_pad_blocks(
-            table,
+        count_blocks(
+            self.pads,
             groups,
             np.concatenate([after - changed, after], axis=1),
-            block_ids,
+            np.tile(np.arange(nb, dtype=np.int64), 2),
             np.concatenate([np.ones_like(changed), changed], axis=1),
         )
-        fresh = s_data ^ pads[index[:, nb:]].reshape(m, lb)
+        fresh = s_data ^ self._peek_blocks(groups, after, changed)
         stored = carry_blocks(groups, fresh, changed, old_stored)
         diffs = diff_stored_rows(
             previous_rows(stored, starts, old_stored), stored, None, None
         )
 
         last_rows = groups.last_rows
-        counters = base_counters[groups.group_id] + groups.rank + 1
-        commit_lines(
-            self._lines,
-            uniq,
-            stored[last_rows],
-            np.zeros((last_rows.size, 0), dtype=np.uint8),
+        counters = table.counters[rows][groups.group_id] + groups.rank + 1
+        table.commit(
+            rows,
             counters[last_rows],
+            stored[last_rows],
+            0,
+            s_data[last_rows],
         )
-        self._set_block_counters(uniq, after[last_rows])
+        table.columns["blocks"][rows] = after[last_rows]
         n_changed = changed.sum(axis=1, dtype=np.int64)
         return BatchOutcome(
             addresses=groups.addresses,

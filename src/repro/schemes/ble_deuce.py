@@ -19,18 +19,14 @@ from repro.memory.line import StoredLine
 from repro.schemes.base import WriteOutcome
 from repro.schemes.batch import (
     BatchOutcome,
-    ChunkPads,
     carry_blocks,
     changed_words,
-    commit_lines,
+    count_blocks,
     diff_stored_rows,
     empty_batch,
-    gather_lines,
     group_by_address,
-    mix_pad_rows,
     modified_bits,
     previous_rows,
-    request_pad_blocks,
     run_counts,
 )
 from repro.schemes.ble import BlockCounterScheme
@@ -103,8 +99,8 @@ class BleDeuce(BlockCounterScheme):
     # -- lifecycle ---------------------------------------------------------------
 
     def _read_array(self, address: int) -> np.ndarray:
-        line = self._lines[address]
-        counters = self._block_counters[address]
+        line = self._line(address)
+        counters = self.block_counters(address)
         plain = np.empty(self.line_bytes, dtype=np.uint8)
         for b in range(self.n_blocks):
             pad = self._mixed_block_pad(
@@ -114,10 +110,10 @@ class BleDeuce(BlockCounterScheme):
         return plain
 
     def _write(self, address: int, plaintext: bytes) -> WriteOutcome:
-        old = self._lines[address]
+        old = self._line(address)
         old_plain = self._read_array(address)
         new_plain = bitops.as_array(plaintext)
-        counters = self._block_counters[address]
+        counters = self.block_counters(address)
 
         changed_blocks = np.nonzero(
             (old_plain != new_plain)
@@ -148,10 +144,10 @@ class BleDeuce(BlockCounterScheme):
             self._block_slice(stored, b)[:] = new_block ^ pad
 
         new = StoredLine(stored, meta, old.counter + 1)
-        self._lines[address] = new
+        self.table.columns["blocks"][self.table.index[address]] = counters
         # A line-wide epoch reset only happens when every block crossed its
         # epoch boundary on this same write.
-        return self._outcome(
+        return self._commit(
             address,
             old,
             new,
@@ -173,39 +169,31 @@ class BleDeuce(BlockCounterScheme):
         Each write requests, per block, the read's pad (one request, or
         lead then trail), then per changed block the write's pad (the
         epoch pad, or the mixed pad's requests); that stream is counted
-        through the pad source once, in trace order, after the pre-chunk
-        plaintext is decoded from peeked pads, and takes its pads from the
-        chunk's :class:`ChunkPads`.  Bit-identical to sequential
-        :meth:`write` calls, pad-cache statistics included.
+        through the pad source once, in trace order.  A changed block
+        rewrites its modified words (all of them at its epoch) under its
+        leading pad, and every other word keeps its cells, so with the
+        pre-chunk plaintext from the table's memo the only pads made are
+        the changed blocks' leading ones, peeked without cache
+        bookkeeping.  Bit-identical to sequential :meth:`write` calls,
+        pad-cache statistics included.
         """
         m = len(addresses)
         if m == 0:
             return empty_batch()
-        nb, lb, nw = self.n_blocks, self.line_bytes, self.n_words
+        nb, nw = self.n_blocks, self.n_words
         wb, wpb = self.word_bytes, self.words_per_block
         low, mask = self.epoch_interval - 1, self._epoch_mask
         groups = group_by_address(addresses, data)
         starts, s_data = groups.starts, groups.data
-        uniq = groups.unique_addresses
-        n = uniq.size
-        base_counters, old_stored, old_meta = gather_lines(
-            self._lines, uniq, lb, nw
-        )
-        base_blocks = self._gather_block_counters(uniq)
-        table = ChunkPads(self.pads, lb)
-        peeked = self._peek_pads(
-            table,
-            np.concatenate([uniq, uniq]),
-            np.concatenate([base_blocks, base_blocks & mask]),
-        )
-        old_plain = old_stored ^ mix_pad_rows(
-            peeked[:n], peeked[n:], old_meta, wb
-        )
-
-        prev_plain = previous_rows(s_data, starts, old_plain)
+        table = self.table
+        rows = table.rows(groups.unique_addresses)
+        old_stored, old_meta = table.stored[rows], table.meta[rows]
+        prev_plain = previous_rows(s_data, starts, table.plain[rows])
         changed_w = changed_words(prev_plain, s_data, wb)
         changed = changed_w.reshape(m, nb, wpb).any(axis=2)
-        after = base_blocks[groups.group_id] + run_counts(groups, changed)
+        after = table.columns["blocks"][rows][groups.group_id] + run_counts(
+            groups, changed
+        )
         before = after - changed
         epoch = changed & ((after & low) == 0)
 
@@ -246,30 +234,28 @@ class BleDeuce(BlockCounterScheme):
         blocks = np.broadcast_to(
             np.arange(nb, dtype=np.int64)[:, None], (2, nb, 2)
         ).reshape(-1)
-        pads, index = request_pad_blocks(
-            table, groups, ctr.reshape(m, -1), blocks, used.reshape(m, -1)
+        count_blocks(
+            self.pads, groups, ctr.reshape(m, -1), blocks, used.reshape(m, -1)
         )
-        index = index.reshape(m, 2, nb, 2)[:, 1]
-        trailing = pads[index[:, :, 1]].reshape(m, lb)
-        leading = pads[
-            np.where(used[:, 1, :, 0], index[:, :, 0], index[:, :, 1])
-        ].reshape(m, lb)
-        fresh = s_data ^ mix_pad_rows(leading, trailing, meta, wb)
-        stored = carry_blocks(groups, fresh, changed, old_stored)
+        rewrite = np.repeat(changed, wpb, axis=1) & (
+            modified.reshape(m, nw) | np.repeat(epoch, wpb, axis=1)
+        )
+        fresh = s_data ^ self._peek_blocks(groups, after, changed)
+        stored = carry_blocks(groups, fresh, rewrite, old_stored)
         diffs = diff_stored_rows(
             previous_rows(stored, starts, old_stored), stored, prev_meta, meta
         )
 
         last_rows = groups.last_rows
-        counters = base_counters[groups.group_id] + groups.rank + 1
-        commit_lines(
-            self._lines,
-            uniq,
+        counters = table.counters[rows][groups.group_id] + groups.rank + 1
+        table.commit(
+            rows,
+            counters[last_rows],
             stored[last_rows],
             meta[last_rows],
-            counters[last_rows],
+            s_data[last_rows],
         )
-        self._set_block_counters(uniq, after[last_rows])
+        table.columns["blocks"][rows] = after[last_rows]
         block_words = np.where(
             epoch, wpb, modified.sum(axis=2, dtype=np.int64)
         )

@@ -16,13 +16,11 @@ from repro.memory.line import StoredLine, make_meta
 from repro.schemes.base import WriteOutcome, WriteScheme
 from repro.schemes.batch import (
     BatchOutcome,
-    commit_lines,
     diff_stored_rows,
     empty_batch,
-    gather_lines,
     group_by_address,
     initial_ciphertext,
-    install_lines,
+    line_matrix,
     previous_rows,
     to_trace_order,
 )
@@ -55,28 +53,26 @@ class EncryptedDCW(WriteScheme):
 
     def install_batch(self, addresses, data) -> None:
         """Vectorized initial encryption: one pad batch for the working set."""
-        install_lines(
-            self._lines,
+        self.table.install(
             addresses,
+            line_matrix(data, self.line_bytes),
             initial_ciphertext(self.pads, addresses, data, self.line_bytes),
-            0,
         )
 
     def _write(self, address: int, plaintext: bytes) -> WriteOutcome:
-        old = self._lines[address]
+        old = self._line(address)
         counter = old.counter + 1
         new = StoredLine(
             bitops.as_array(plaintext) ^ self._pad(address, counter),
             make_meta(0),
             counter,
         )
-        self._lines[address] = new
-        return self._outcome(
+        return self._commit(
             address, old, new, full_line_reencrypted=True
         )
 
     def read(self, address: int) -> bytes:
-        line = self._lines[address]
+        line = self._line(address)
         return bitops.to_bytes(line.arr ^ self._pad(address, line.counter))
 
     def write_batch(self, addresses, data) -> BatchOutcome:
@@ -91,10 +87,10 @@ class EncryptedDCW(WriteScheme):
             return empty_batch()
         groups = group_by_address(addresses, data)
         starts = groups.starts
-        base_counters, old_stored, _ = gather_lines(
-            self._lines, groups.unique_addresses, self.line_bytes, 0
-        )
-        counters = base_counters[groups.group_id] + groups.rank + 1
+        table = self.table
+        rows = table.rows(groups.unique_addresses)
+        old_stored = table.stored[rows]
+        counters = table.counters[rows][groups.group_id] + groups.rank + 1
         pads = self.pads.line_pads_batch(
             np.asarray(addresses, dtype=np.int64),
             to_trace_order(groups, counters),
@@ -104,13 +100,7 @@ class EncryptedDCW(WriteScheme):
         prev_stored = previous_rows(stored, starts, old_stored)
         diffs = diff_stored_rows(prev_stored, stored, None, None)
         last_rows = groups.last_rows
-        commit_lines(
-            self._lines,
-            groups.unique_addresses,
-            stored[last_rows],
-            np.zeros((last_rows.size, 0), dtype=np.uint8),
-            counters[last_rows],
-        )
+        table.commit(rows, counters[last_rows], stored[last_rows], 0, None)
         return BatchOutcome(
             addresses=groups.addresses,
             words_reencrypted=np.zeros(m, dtype=np.int64),

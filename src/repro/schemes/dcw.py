@@ -15,12 +15,9 @@ from repro.memory.line import StoredLine, make_meta
 from repro.schemes.base import WriteOutcome, WriteScheme
 from repro.schemes.batch import (
     BatchOutcome,
-    commit_lines,
     diff_stored_rows,
     empty_batch,
-    gather_lines,
     group_by_address,
-    install_lines,
     line_matrix,
     previous_rows,
 )
@@ -42,18 +39,16 @@ class PlainDCW(WriteScheme):
 
     def install_batch(self, addresses, data) -> None:
         """Bulk plaintext placement (no pads to fetch, just line images)."""
-        install_lines(
-            self._lines, addresses, line_matrix(data, self.line_bytes).copy(), 0
-        )
+        plain = line_matrix(data, self.line_bytes)
+        self.table.install(addresses, plain, plain)
 
     def _write(self, address: int, plaintext: bytes) -> WriteOutcome:
-        old = self._lines[address]
+        old = self._line(address)
         new = StoredLine(plaintext, make_meta(0), old.counter + 1)
-        self._lines[address] = new
-        return self._outcome(address, old, new)
+        return self._commit(address, old, new)
 
     def read(self, address: int) -> bytes:
-        return self._lines[address].data
+        return self._line(address).data
 
     def write_batch(self, addresses, data) -> BatchOutcome:
         """Vectorized plaintext stores: the chunk diff IS the flip count."""
@@ -62,21 +57,15 @@ class PlainDCW(WriteScheme):
             return empty_batch()
         groups = group_by_address(addresses, data)
         starts = groups.starts
-        base_counters, old_stored, _ = gather_lines(
-            self._lines, groups.unique_addresses, self.line_bytes, 0
-        )
-        counters = base_counters[groups.group_id] + groups.rank + 1
+        table = self.table
+        rows = table.rows(groups.unique_addresses)
+        old_stored = table.stored[rows]
+        counters = table.counters[rows][groups.group_id] + groups.rank + 1
         stored = groups.data
         prev_stored = previous_rows(stored, starts, old_stored)
         diffs = diff_stored_rows(prev_stored, stored, None, None)
         last_rows = groups.last_rows
-        commit_lines(
-            self._lines,
-            groups.unique_addresses,
-            stored[last_rows],
-            np.zeros((last_rows.size, 0), dtype=np.uint8),
-            counters[last_rows],
-        )
+        table.commit(rows, counters[last_rows], stored[last_rows], 0, None)
         return BatchOutcome(
             addresses=groups.addresses,
             words_reencrypted=np.zeros(m, dtype=np.int64),

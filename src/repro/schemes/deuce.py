@@ -35,15 +35,14 @@ from repro.schemes.base import WriteOutcome, WriteScheme
 from repro.schemes.batch import (
     BatchOutcome,
     changed_words,
+    deuce_images,
     diff_stored_rows,
     empty_batch,
     group_by_address,
     initial_ciphertext,
-    install_lines,
     line_matrix,
     modified_bits,
     previous_rows,
-    since_epoch,
     to_trace_order,
 )
 
@@ -55,35 +54,6 @@ def _check_epoch_interval(epoch_interval: int) -> int:
             f"{epoch_interval}"
         )
     return epoch_interval
-
-
-class _DenseLines:
-    """Structure-of-arrays line state for the batched write path.
-
-    The chunked loop reads and commits whole address groups per chunk;
-    keeping counters, stored images, metadata, and the plaintext memo as
-    parallel arrays turns both into a handful of fancy-index gathers and
-    scatters instead of thousands of per-line ``StoredLine`` constructions.
-    ``index`` maps a line address to its row.  The dict-of-``StoredLine``
-    view every serial accessor expects is materialized lazily by
-    ``Deuce._flush_dense`` — results are bit-identical either way.
-    """
-
-    __slots__ = ("index", "counters", "stored", "meta", "plain")
-
-    def __init__(
-        self,
-        index: dict[int, int],
-        counters: np.ndarray,
-        stored: np.ndarray,
-        meta: np.ndarray,
-        plain: np.ndarray,
-    ) -> None:
-        self.index = index
-        self.counters = counters
-        self.stored = stored
-        self.meta = meta
-        self.plain = plain
 
 
 class Deuce(WriteScheme):
@@ -104,6 +74,8 @@ class Deuce(WriteScheme):
     """
 
     name = "deuce"
+
+    keeps_plain = True
 
     config_fields = {
         "line_bytes": "line_bytes",
@@ -128,16 +100,6 @@ class Deuce(WriteScheme):
         self.n_words = line_bytes // word_bytes
         self.epoch_interval = _check_epoch_interval(epoch_interval)
         self._epoch_mask = ~(epoch_interval - 1)
-        # Plaintext memo: the simulator's stand-in for the controller's
-        # read-before-write (4.3.2).  Decryption through read() stays fully
-        # functional; the memo only spares the write path re-deriving a
-        # plaintext it wrote itself.
-        self._plain: dict[int, np.ndarray] = {}
-        # Dense batch state (see _DenseLines); None until a batch call
-        # needs it.  ``_dense_dirty`` marks commits not yet reflected in
-        # the ``_lines``/``_plain`` dicts.
-        self._dense: _DenseLines | None = None
-        self._dense_dirty = False
 
     # -- counters -----------------------------------------------------------
 
@@ -170,161 +132,49 @@ class Deuce(WriteScheme):
             self.word_bytes,
         )
 
-    # -- dense batch state ---------------------------------------------------
-
-    def _ensure_dense(self) -> _DenseLines:
-        """The SoA view of the line state, built from the dicts on demand."""
-        dense = self._dense
-        if dense is None:
-            n = len(self._lines)
-            index: dict[int, int] = {}
-            counters = np.empty(n, dtype=np.int64)
-            stored = np.empty((n, self.line_bytes), dtype=np.uint8)
-            meta = np.empty((n, self.n_words), dtype=np.uint8)
-            plain = np.empty((n, self.line_bytes), dtype=np.uint8)
-            plain_get = self._plain.get
-            for i, (addr, line) in enumerate(self._lines.items()):
-                index[addr] = i
-                counters[i] = line.counter
-                stored[i] = line.arr
-                meta[i] = line.meta
-                p = plain_get(addr)
-                if p is None:
-                    p = line.arr ^ self._effective_pad(addr, line)
-                plain[i] = p
-            dense = self._dense = _DenseLines(
-                index, counters, stored, meta, plain
-            )
-        return dense
-
-    def _flush_dense(self) -> None:
-        """Materialize pending dense commits back into the line dicts.
-
-        Called by every serial accessor, so the dict view is always current
-        when something outside the batch path looks at it.  Snapshot copies
-        are taken so later batch commits can keep mutating the dense arrays
-        without aliasing the handed-out ``StoredLine`` images.
-        """
-        dense = self._dense
-        if dense is None or not self._dense_dirty:
-            return
-        stored = dense.stored.copy()
-        meta = dense.meta.copy()
-        plain = dense.plain.copy()
-        stored.setflags(write=False)
-        meta.setflags(write=False)
-        plain.setflags(write=False)
-        counters = dense.counters.tolist()
-        from_parts = StoredLine.from_parts
-        lines: dict[int, StoredLine] = {}
-        memo: dict[int, np.ndarray] = {}
-        for addr, i in dense.index.items():
-            lines[addr] = from_parts(stored[i], meta[i], counters[i])
-            memo[addr] = plain[i]
-        self._lines = lines
-        self._plain = memo
-        self._dense_dirty = False
-
-    def _drop_dense(self) -> None:
-        """Flush and discard the dense view (before serial-path mutation)."""
-        self._flush_dense()
-        self._dense = None
-
-    def install(self, address: int, plaintext: bytes) -> StoredLine:
-        self._drop_dense()
-        return super().install(address, plaintext)
-
-    def write(self, address: int, plaintext: bytes) -> WriteOutcome:
-        self._drop_dense()
-        return super().write(address, plaintext)
-
-    def stored(self, address: int) -> StoredLine:
-        self._flush_dense()
-        return super().stored(address)
-
-    def addresses(self) -> list[int]:
-        self._flush_dense()
-        return super().addresses()
-
-    def state_dict(self) -> dict[str, object]:
-        self._flush_dense()
-        return super().state_dict()
-
-    def load_state_dict(self, state: dict[str, object]) -> None:
-        self._dense = None
-        self._dense_dirty = False
-        super().load_state_dict(state)
-
     # -- checkpointing -------------------------------------------------------
 
     def _extra_state(self) -> dict[str, object]:
-        n = len(self._plain)
-        addresses = np.empty(n, dtype=np.int64)
-        plain = np.empty((n, self.line_bytes), dtype=np.uint8)
-        for i, (addr, arr) in enumerate(self._plain.items()):
-            addresses[i] = addr
-            plain[i] = arr
-        return {"plain_addresses": addresses, "plain_data": plain}
+        # The plaintext memo, which spares the write path the
+        # read-before-write (4.3.2), is part of DEUCE's checkpoint.
+        table = self.table
+        return {
+            "plain_addresses": table.addresses[: table.n].copy(),
+            "plain_data": table.plain[: table.n].copy(),
+        }
 
     def _load_extra_state(self, extra: dict[str, object]) -> None:
-        addresses = np.asarray(extra["plain_addresses"], dtype=np.int64)
-        plain = np.asarray(extra["plain_data"], dtype=np.uint8)
-        self._plain = {
-            int(addresses[i]): plain[i].copy()
-            for i in range(addresses.size)
-        }
+        table = self.table
+        rows = table.rows(np.asarray(extra["plain_addresses"], dtype=np.int64))
+        table.plain[rows] = np.asarray(extra["plain_data"], dtype=np.uint8)
+
+    def _load_plain(self) -> None:
+        """Nothing to rebuild: the checkpoint holds the memo."""
 
     # -- lifecycle -----------------------------------------------------------
 
     def _install(self, address: int, plaintext: bytes) -> StoredLine:
-        plain = bitops.as_array(plaintext)
-        self._plain[address] = plain
-        stored = plain ^ self._pad(address, 0)
+        stored = bitops.as_array(plaintext) ^ self._pad(address, 0)
         return StoredLine(stored, np.zeros(self.n_words, dtype=np.uint8), 0)
 
     def install_batch(self, addresses, data) -> None:
-        """Vectorized initial encryption: one pad batch for the working set.
-
-        On a virgin scheme the computed arrays directly become the dense
-        batch state; installing over existing lines falls back to the dict
-        commit so re-installs keep their serial semantics.
-        """
-        addresses = np.asarray(addresses, dtype=np.int64)
-        plain = line_matrix(data, self.line_bytes).copy()
-        stored = initial_ciphertext(
-            self.pads, addresses, plain, self.line_bytes
+        """Vectorized initial encryption: one pad batch for the working set."""
+        self.table.install(
+            addresses,
+            line_matrix(data, self.line_bytes),
+            initial_ciphertext(self.pads, addresses, data, self.line_bytes),
         )
-        n = addresses.size
-        addr_list = addresses.tolist()
-        if self._dense is None and not self._lines:
-            # Duplicate addresses resolve last-wins through the index while
-            # preserving first-occurrence flush order, same as dict stores.
-            index = {addr: i for i, addr in enumerate(addr_list)}
-            self._dense = _DenseLines(
-                index,
-                np.zeros(n, dtype=np.int64),
-                stored,
-                np.zeros((n, self.n_words), dtype=np.uint8),
-                plain,
-            )
-            self._dense_dirty = True
-            return
-        self._drop_dense()
-        install_lines(self._lines, addresses, stored, self.n_words)
-        plain.setflags(write=False)
-        self._plain.update(zip(addr_list, plain))
 
     def read(self, address: int) -> bytes:
-        self._flush_dense()
-        line = self._lines[address]
+        line = self._line(address)
         return bitops.to_bytes(line.arr ^ self._effective_pad(address, line))
 
     def _write(self, address: int, plaintext: bytes) -> WriteOutcome:
-        old = self._lines[address]
-        # The read-before-write of 4.3.2: decrypt unless memoized.
-        old_plain = self._plain.get(address)
-        if old_plain is None:
-            old_plain = old.arr ^ self._effective_pad(address, old)
+        table = self.table
+        row = table.index[address]
+        old = table.line(row)
+        # The read-before-write of 4.3.2, from the plaintext memo.
+        old_plain = table.plain[row]
         counter = old.counter + 1
         new_plain = bitops.as_array(plaintext)
 
@@ -336,9 +186,7 @@ class Deuce(WriteScheme):
                 address, old, old_plain, new_plain, counter
             )
             full = False
-        self._lines[address] = new
-        self._plain[address] = new_plain
-        return self._outcome(
+        return self._commit(
             address,
             old,
             new,
@@ -372,29 +220,17 @@ class Deuce(WriteScheme):
         groups = group_by_address(addresses, data)
         s_data = groups.data
         starts = groups.starts
-        n_groups = starts.size
         line_bytes, n_words, word_bytes = (
             self.line_bytes, self.n_words, self.word_bytes
         )
 
-        # Pre-chunk state per line: one row-index lookup per unique address,
-        # then pure fancy-index gathers from the dense SoA state.
-        dense = self._ensure_dense()
-        index = dense.index
-        uniq_list = groups.unique_addresses.tolist()
-        try:
-            rows_idx = np.fromiter(
-                (index[a] for a in uniq_list), dtype=np.int64, count=n_groups
-            )
-        except KeyError:
-            missing = next(a for a in uniq_list if a not in index)
-            raise KeyError(
-                f"line {missing:#x} was never installed; call install() first"
-            ) from None
-        base_counters = dense.counters[rows_idx]
-        old_stored = dense.stored[rows_idx]
-        old_meta = dense.meta[rows_idx]
-        old_plain = dense.plain[rows_idx]
+        # Pre-chunk state per line: fancy-index gathers from the table.
+        table = self.table
+        rows = table.rows(groups.unique_addresses)
+        base_counters = table.counters[rows]
+        old_stored = table.stored[rows]
+        old_meta = table.meta[rows]
+        old_plain = table.plain[rows]
 
         counters = base_counters[groups.group_id] + groups.rank + 1
         epoch = (counters & (self.epoch_interval - 1)) == 0
@@ -420,36 +256,21 @@ class Deuce(WriteScheme):
             epoch, n_words, meta.sum(axis=1, dtype=np.int64)
         )
 
-        # Stored images.  Mid-epoch, unmodified words keep the segment's
-        # base image: the last epoch write's full re-encryption, or the
-        # pre-chunk cells when the run hasn't hit an epoch yet.  The base
-        # is assembled in place: start from the pre-chunk cells, overwrite
-        # the rows following an in-chunk epoch, then overlay the modified
-        # words' fresh re-encryptions through the byte mask.
-        reenc = s_data ^ pads_sorted
-        stored = old_stored[groups.group_id]
-        rows, epoch_of = since_epoch(groups, epoch)
-        if rows.size:
-            stored[rows] = reenc[epoch_of]
-        byte_mask = (
-            meta if word_bytes == 1 else np.repeat(meta, word_bytes, axis=1)
+        stored = deuce_images(
+            groups, old_stored, s_data ^ pads_sorted, meta, epoch, word_bytes
         )
-        np.copyto(stored, reenc, where=byte_mask)
-        stored[epoch] = reenc[epoch]
-
         prev_stored = previous_rows(stored, starts, old_stored)
         prev_meta = previous_rows(meta_u8, starts, old_meta)
         diffs = diff_stored_rows(prev_stored, stored, prev_meta, meta_u8)
 
-        # Commit each line's final state: one fancy-index scatter per dense
-        # array.  The dict view is refreshed lazily by _flush_dense when a
-        # serial accessor next needs it.
         last_rows = groups.last_rows
-        dense.counters[rows_idx] = counters[last_rows]
-        dense.stored[rows_idx] = stored[last_rows]
-        dense.meta[rows_idx] = meta_u8[last_rows]
-        dense.plain[rows_idx] = s_data[last_rows]
-        self._dense_dirty = True
+        table.commit(
+            rows,
+            counters[last_rows],
+            stored[last_rows],
+            meta_u8[last_rows],
+            s_data[last_rows],
+        )
 
         return BatchOutcome(
             addresses=groups.addresses,

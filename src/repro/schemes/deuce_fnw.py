@@ -19,21 +19,18 @@ from repro.memory.line import StoredLine
 from repro.schemes.base import WriteOutcome, WriteScheme
 from repro.schemes.batch import (
     BatchOutcome,
-    ChunkPads,
     changed_words,
-    commit_lines,
+    count_pads,
+    deuce_images,
     diff_stored_rows,
     empty_batch,
     expand_groups,
     fnw_encode_runs,
-    gather_lines,
     group_by_address,
     initial_ciphertext,
-    install_lines,
-    mix_pad_rows,
+    line_matrix,
     modified_bits,
     previous_rows,
-    request_pads,
 )
 from repro.schemes.deuce import _check_epoch_interval
 from repro.schemes.fnw import FnwCodec
@@ -47,6 +44,8 @@ class DeuceFnw(WriteScheme):
     """
 
     name = "deuce+fnw"
+
+    keeps_plain = True
 
     config_fields = {
         "line_bytes": "line_bytes",
@@ -122,15 +121,14 @@ class DeuceFnw(WriteScheme):
 
     def install_batch(self, addresses, data) -> None:
         """Vectorized initial encryption: one pad batch for the working set."""
-        install_lines(
-            self._lines,
+        self.table.install(
             addresses,
+            line_matrix(data, self.line_bytes),
             initial_ciphertext(self.pads, addresses, data, self.line_bytes),
-            self.metadata_bits_per_line,
         )
 
     def _read_array(self, address: int) -> np.ndarray:
-        line = self._lines[address]
+        line = self._line(address)
         ciphertext = self.codec.decode_array(
             line.arr, self._flip_bits(line.meta)
         )
@@ -143,7 +141,7 @@ class DeuceFnw(WriteScheme):
     # -- write path ------------------------------------------------------------------
 
     def _write(self, address: int, plaintext: bytes) -> WriteOutcome:
-        old = self._lines[address]
+        old = self._line(address)
         old_plain = self._read_array(address)
         new_plain = bitops.as_array(plaintext)
         counter = old.counter + 1
@@ -164,9 +162,8 @@ class DeuceFnw(WriteScheme):
             old.arr, self._flip_bits(old.meta), ciphertext
         )
         new = StoredLine(stored, self._make_meta(modified, flip_bits), counter)
-        self._lines[address] = new
         n_reenc = self.n_words if full else int(modified.sum())
-        return self._outcome(
+        return self._commit(
             address,
             old,
             new,
@@ -183,12 +180,11 @@ class DeuceFnw(WriteScheme):
         resets; the FNW flip bits run on across epochs, encoded for every
         line's run at once by :func:`fnw_encode_runs`.  Each write reads
         before it writes: its pad requests are the read's mixed pad for
-        the old state, then the write's for the new one, sent through the
-        pad source in trace order.  Only the pre-chunk plaintext, which the
-        first write of each run compares against, needs pad values before
-        that stream is known; those are peeked without cache bookkeeping,
-        and the stream takes them again from the chunk's
-        :class:`ChunkPads`.
+        the old state, then the write's for the new one, counted through
+        the pad source in trace order.  The pre-chunk plaintext comes from
+        the table's memo and an unmodified word's ciphertext from the
+        cells (:func:`deuce_images`), so the only pads made are each
+        write's leading pad, peeked without cache bookkeeping.
         Bit-identical to sequential :meth:`write` calls, pad-cache
         statistics included.
         """
@@ -198,31 +194,14 @@ class DeuceFnw(WriteScheme):
         nw, wb, lb = self.n_words, self.word_bytes, self.line_bytes
         groups = group_by_address(addresses, data)
         starts, s_data = groups.starts, groups.data
-        base_counters, old_stored, old_meta = gather_lines(
-            self._lines, groups.unique_addresses, lb,
-            self.metadata_bits_per_line,
-        )
+        table = self.table
+        rows = table.rows(groups.unique_addresses)
+        old_stored, old_meta = table.stored[rows], table.meta[rows]
         old_mod, old_flips = old_meta[:, :nw], old_meta[:, nw:]
-        counters = base_counters[groups.group_id] + groups.rank + 1
+        counters = table.counters[rows][groups.group_id] + groups.rank + 1
         epoch = (counters & (self.epoch_interval - 1)) == 0
-        tctr = counters & self._epoch_mask
 
-        # Pre-chunk plaintext: decode the cells under the peeked pads.
-        uniq = groups.unique_addresses
-        base_tctr = base_counters & self._epoch_mask
-        table = ChunkPads(self.pads, lb)
-        peeked = table.line_pads(
-            np.concatenate([uniq, uniq]),
-            np.concatenate([base_counters, base_tctr]),
-        )
-        n = uniq.size
-        old_plain = (
-            old_stored
-            ^ expand_groups(old_flips, self.codec.group_bytes)
-            ^ mix_pad_rows(peeked[:n], peeked[n:], old_mod, wb)
-        )
-
-        prev_plain = previous_rows(s_data, starts, old_plain)
+        prev_plain = previous_rows(s_data, starts, table.plain[rows])
         modified = modified_bits(
             changed_words(prev_plain, s_data, wb), starts, old_mod, epoch
         )
@@ -234,7 +213,12 @@ class DeuceFnw(WriteScheme):
         # modified; at a boundary the TCTR pad is the LCTR pad.
         old_counters = counters - 1
         ctr_slots = np.stack(
-            [old_counters, old_counters & self._epoch_mask, counters, tctr],
+            [
+                old_counters,
+                old_counters & self._epoch_mask,
+                counters,
+                counters & self._epoch_mask,
+            ],
             axis=1,
         )
         used = np.ones((m, 4), dtype=bool)
@@ -242,10 +226,17 @@ class DeuceFnw(WriteScheme):
             prev_mod.any(axis=1)
         )
         used[:, 2] = ~epoch & modified.any(axis=1)
-        pads, index = request_pads(table, groups, ctr_slots, used)
-        trailing = pads[index[:, 3]]
-        leading = pads[np.where(used[:, 2], index[:, 2], index[:, 3])]
-        targets = s_data ^ mix_pad_rows(leading, trailing, modified, wb)
+        count_pads(self.pads, groups, ctr_slots, used, lb)
+        targets = deuce_images(
+            groups,
+            old_stored ^ expand_groups(old_flips, self.codec.group_bytes),
+            s_data ^ self.pads.peek_line_pads_batch(
+                groups.addresses, counters, lb
+            ),
+            modified,
+            epoch,
+            wb,
+        )
 
         stored, flips = fnw_encode_runs(
             targets, starts, old_stored, old_flips, self.codec.group_bits
@@ -258,12 +249,12 @@ class DeuceFnw(WriteScheme):
             meta,
         )
         last_rows = groups.last_rows
-        commit_lines(
-            self._lines,
-            uniq,
+        table.commit(
+            rows,
+            counters[last_rows],
             stored[last_rows],
             meta[last_rows],
-            counters[last_rows],
+            s_data[last_rows],
         )
         return BatchOutcome(
             addresses=groups.addresses,

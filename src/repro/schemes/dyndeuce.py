@@ -30,24 +30,19 @@ from repro.memory.line import StoredLine
 from repro.schemes.base import WriteOutcome, WriteScheme
 from repro.schemes.batch import (
     BatchOutcome,
-    ChunkPads,
     changed_words,
-    commit_lines,
     count_pads,
+    deuce_images,
     diff_stored_rows,
     empty_batch,
-    expand_groups,
     fnw_encode_runs,
-    gather_lines,
     group_by_address,
     initial_ciphertext,
-    install_lines,
-    mix_pad_rows,
+    line_matrix,
     modified_bits,
     previous_rows,
     row_popcounts,
     segment_begins,
-    since_epoch,
 )
 from repro.schemes.deuce import _check_epoch_interval
 from repro.schemes.fnw import FnwCodec
@@ -65,6 +60,8 @@ class DynDeuce(WriteScheme):
     """
 
     name = "dyndeuce"
+
+    keeps_plain = True
 
     config_fields = {
         "line_bytes": "line_bytes",
@@ -141,15 +138,14 @@ class DynDeuce(WriteScheme):
 
     def install_batch(self, addresses, data) -> None:
         """Vectorized initial encryption: one pad batch for the working set."""
-        install_lines(
-            self._lines,
+        self.table.install(
             addresses,
+            line_matrix(data, self.line_bytes),
             initial_ciphertext(self.pads, addresses, data, self.line_bytes),
-            self.metadata_bits_per_line,
         )
 
     def _read_array(self, address: int) -> np.ndarray:
-        line = self._lines[address]
+        line = self._line(address)
         tracking = self._tracking(line.meta)
         if self._mode(line.meta) == MODE_FNW:
             ciphertext = self.codec.decode_array(line.arr, tracking)
@@ -162,13 +158,13 @@ class DynDeuce(WriteScheme):
     # -- write path -----------------------------------------------------------------
 
     def _write(self, address: int, plaintext: bytes) -> WriteOutcome:
-        old = self._lines[address]
+        old = self._line(address)
         old_plain = self._read_array(address)
         counter = old.counter + 1
 
         if counter % self.epoch_interval == 0:
             new = self._epoch_write(address, plaintext, counter)
-            outcome = self._outcome(
+            outcome = self._commit(
                 address,
                 old,
                 new,
@@ -180,7 +176,7 @@ class DynDeuce(WriteScheme):
             )
         elif self._mode(old.meta) == MODE_FNW:
             new = self._fnw_write(address, old, plaintext, counter)
-            outcome = self._outcome(
+            outcome = self._commit(
                 address,
                 old,
                 new,
@@ -192,7 +188,7 @@ class DynDeuce(WriteScheme):
             new, label, n_reenc = self._choose_write(
                 address, old, old_plain, plaintext, counter
             )
-            outcome = self._outcome(
+            outcome = self._commit(
                 address,
                 old,
                 new,
@@ -201,7 +197,6 @@ class DynDeuce(WriteScheme):
                 mode_switched=(label == "fnw"),
                 mode=label,
             )
-        self._lines[address] = new
         return outcome
 
     def write_batch(self, addresses, data) -> BatchOutcome:
@@ -217,9 +212,10 @@ class DynDeuce(WriteScheme):
         switch onward.  A line already in FNW mode before the chunk stays
         FNW until its first epoch write.
 
-        The mode choice needs pad values before the scalar pad-request
-        stream is known, so every pad it uses is peeked without cache
-        bookkeeping, each distinct key once; the exact stream (read, DEUCE
+        The pre-chunk plaintext comes from the table's memo, and a DEUCE
+        image's unmodified words from the cells (:func:`deuce_images`),
+        so the only pads made are each write's leading pad, peeked
+        without cache bookkeeping.  The exact stream (read, DEUCE
         candidate, FNW candidate, per write) is then counted through the
         pad source once, in trace order, and makes no pads.  Bit-identical
         to sequential :meth:`write` calls, pad cache statistics included.
@@ -231,50 +227,30 @@ class DynDeuce(WriteScheme):
         group_bits = self.codec.group_bits
         groups = group_by_address(addresses, data)
         starts, s_data, gid = groups.starts, groups.data, groups.group_id
-        uniq = groups.unique_addresses
-        n = uniq.size
-        base_counters, old_stored, old_meta = gather_lines(
-            self._lines, uniq, lb, self.metadata_bits_per_line
-        )
+        table = self.table
+        rows = table.rows(groups.unique_addresses)
+        old_stored, old_meta = table.stored[rows], table.meta[rows]
         old_trk = old_meta[:, :nw]
         old_fnw = old_meta[:, nw] == MODE_FNW
-        counters = base_counters[gid] + groups.rank + 1
+        counters = table.counters[rows][gid] + groups.rank + 1
         epoch = (counters & (self.epoch_interval - 1)) == 0
-
-        # Peeked pads: each write's LCTR pad, and each line's pre-chunk
-        # LCTR and TCTR pads.  A write's TCTR pad is its run's latest
-        # epoch write's LCTR pad, or else the pre-chunk TCTR pad.
-        peeked = ChunkPads(self.pads, lb).line_pads(
-            np.concatenate([groups.addresses, uniq, uniq]),
-            np.concatenate(
-                [counters, base_counters, base_counters & self._epoch_mask]
-            ),
-        )
-        leading, base_leading, base_trailing = (
-            peeked[:m], peeked[m:m + n], peeked[m + n:]
-        )
-        trailing = base_trailing[gid]
-        rows, epoch_of = since_epoch(groups, epoch)
-        trailing[rows] = leading[epoch_of]
-        old_plain = np.where(
-            old_fnw[:, None],
-            old_stored ^ expand_groups(old_trk, wb) ^ base_leading,
-            old_stored ^ mix_pad_rows(base_leading, base_trailing, old_trk, wb),
+        cipher = s_data ^ self.pads.peek_line_pads_batch(
+            groups.addresses, counters, lb
         )
 
-        # Every write as if its segment had stayed in DEUCE mode.
+        # Every write as if its segment had stayed in DEUCE mode.  (In a
+        # segment inherited in FNW mode these images are never used.)
         trk = modified_bits(
             changed_words(
-                previous_rows(s_data, starts, old_plain), s_data, wb
+                previous_rows(s_data, starts, table.plain[rows]), s_data, wb
             ),
             starts,
             old_trk,
             epoch,
         )
-        deuce = s_data ^ mix_pad_rows(leading, trailing, trk, wb)
+        deuce = deuce_images(groups, old_stored, cipher, trk, epoch, wb)
         prev_stored = previous_rows(deuce, starts, old_stored)
         prev_trk = previous_rows(trk.view(np.uint8), starts, old_trk)
-        cipher = s_data ^ leading
         cand, cand_flips = fnw_encode_runs(
             cipher, np.arange(m), prev_stored, prev_trk, group_bits
         )
@@ -351,12 +327,12 @@ class DynDeuce(WriteScheme):
             previous_rows(stored, starts, old_stored), stored, prev_meta, meta
         )
         last_rows = groups.last_rows
-        commit_lines(
-            self._lines,
-            uniq,
+        table.commit(
+            rows,
+            counters[last_rows],
             stored[last_rows],
             meta[last_rows],
-            counters[last_rows],
+            s_data[last_rows],
         )
         full = epoch | fnw
         n_fnw = int(fnw_rows.size)

@@ -20,14 +20,11 @@ from repro.memory.line import StoredLine, make_meta
 from repro.schemes.base import WriteOutcome, WriteScheme
 from repro.schemes.batch import (
     BatchOutcome,
-    commit_lines,
     diff_stored_rows,
     empty_batch,
     fnw_encode_runs,
-    gather_lines,
     group_by_address,
     initial_ciphertext,
-    install_lines,
     line_matrix,
     previous_rows,
     to_trace_order,
@@ -155,11 +152,10 @@ def _fnw_write_batch(scheme, addresses, data, pads) -> BatchOutcome:
     codec = scheme.codec
     groups = group_by_address(addresses, data)
     starts = groups.starts
-    base_counters, old_stored, old_flips = gather_lines(
-        scheme._lines, groups.unique_addresses, scheme.line_bytes,
-        codec.n_groups,
-    )
-    counters = base_counters[groups.group_id] + groups.rank + 1
+    table = scheme.table
+    rows = table.rows(groups.unique_addresses)
+    old_stored, old_flips = table.stored[rows], table.meta[rows]
+    counters = table.counters[rows][groups.group_id] + groups.rank + 1
     targets = groups.data
     if pads is not None:
         stream = pads.line_pads_batch(
@@ -178,12 +174,8 @@ def _fnw_write_batch(scheme, addresses, data, pads) -> BatchOutcome:
         flips,
     )
     last_rows = groups.last_rows
-    commit_lines(
-        scheme._lines,
-        groups.unique_addresses,
-        stored[last_rows],
-        flips[last_rows],
-        counters[last_rows],
+    table.commit(
+        rows, counters[last_rows], stored[last_rows], flips[last_rows], None
     )
     encrypted = pads is not None
     return BatchOutcome(
@@ -221,28 +213,23 @@ class PlainFNW(WriteScheme):
 
     def install_batch(self, addresses, data) -> None:
         """Bulk plaintext placement with fresh flip bits."""
-        install_lines(
-            self._lines,
-            addresses,
-            line_matrix(data, self.line_bytes).copy(),
-            self.codec.n_groups,
-        )
+        plain = line_matrix(data, self.line_bytes)
+        self.table.install(addresses, plain, plain)
 
     def _write(self, address: int, plaintext: bytes) -> WriteOutcome:
-        old = self._lines[address]
+        old = self._line(address)
         stored, flip_bits = self.codec.encode_array(
             old.arr, old.meta, bitops.as_array(plaintext)
         )
         new = StoredLine(stored, flip_bits, old.counter + 1)
-        self._lines[address] = new
-        return self._outcome(address, old, new)
+        return self._commit(address, old, new)
 
     def write_batch(self, addresses, data) -> BatchOutcome:
         """Vectorized FNW over a chunk; bit-identical to sequential writes."""
         return _fnw_write_batch(self, addresses, data, None)
 
     def read(self, address: int) -> bytes:
-        line = self._lines[address]
+        line = self._line(address)
         return bitops.to_bytes(self.codec.decode_array(line.arr, line.meta))
 
 
@@ -286,23 +273,21 @@ class EncryptedFNW(WriteScheme):
 
     def install_batch(self, addresses, data) -> None:
         """Vectorized initial encryption: one pad batch for the working set."""
-        install_lines(
-            self._lines,
+        self.table.install(
             addresses,
+            line_matrix(data, self.line_bytes),
             initial_ciphertext(self.pads, addresses, data, self.line_bytes),
-            self.codec.n_groups,
         )
 
     def _write(self, address: int, plaintext: bytes) -> WriteOutcome:
-        old = self._lines[address]
+        old = self._line(address)
         counter = old.counter + 1
         ciphertext = bitops.as_array(plaintext) ^ self._pad(address, counter)
         stored, flip_bits = self.codec.encode_array(
             old.arr, old.meta, ciphertext
         )
         new = StoredLine(stored, flip_bits, counter)
-        self._lines[address] = new
-        return self._outcome(
+        return self._commit(
             address, old, new, full_line_reencrypted=True, mode="fnw"
         )
 
@@ -312,6 +297,6 @@ class EncryptedFNW(WriteScheme):
         return _fnw_write_batch(self, addresses, data, self.pads)
 
     def read(self, address: int) -> bytes:
-        line = self._lines[address]
+        line = self._line(address)
         ciphertext = self.codec.decode_array(line.arr, line.meta)
         return bitops.to_bytes(ciphertext ^ self._pad(address, line.counter))

@@ -27,15 +27,12 @@ from repro.memory.line import StoredLine, make_meta
 from repro.schemes.base import WriteOutcome, WriteScheme
 from repro.schemes.batch import (
     BatchOutcome,
-    ChunkPads,
-    commit_lines,
     diff_stored_rows,
     empty_batch,
-    gather_lines,
     group_by_address,
     initial_ciphertext,
+    line_matrix,
     previous_rows,
-    request_pads,
     row_popcounts,
     run_counts,
 )
@@ -95,29 +92,29 @@ class INvmm(WriteScheme):
         return self.pads.line_pad(address, counter, self.line_bytes)
 
     def is_encrypted(self, address: int) -> bool:
-        return bool(self._lines[address].meta[_ENCRYPTED_BIT])
+        table = self.table
+        return bool(table.meta[table.row(address), _ENCRYPTED_BIT])
 
     def _encrypt_line(self, address: int) -> int:
         """Encrypt a plaintext-resident line in place; returns flips."""
-        line = self._lines[address]
+        line = self._line(address)
         counter = line.counter + 1
         stored = bitops.xor(line.data, self._pad(address, counter))
         meta = make_meta(1)
         meta[_ENCRYPTED_BIT] = 1
         new = StoredLine(stored, meta, counter)
         flips = bitops.bit_flips(line.data, stored) + 1  # + the flag bit
-        self._lines[address] = new
+        self._store(address, new)
         return flips
 
     def _sweep(self) -> None:
         """Advance the background sweep, encrypting cold plaintext lines."""
         if not self._sweep_order:
-            self._sweep_order = sorted(self._lines)
+            self._sweep_order = sorted(self.addresses())
         for _ in range(min(self.sweep_lines_per_write, len(self._sweep_order))):
             address = self._sweep_order[self._sweep_pos % len(self._sweep_order)]
             self._sweep_pos += 1
-            line = self._lines.get(address)
-            if line is None or line.meta[_ENCRYPTED_BIT]:
+            if self.is_encrypted(address):
                 continue
             idle = self._tick - self._last_write.get(address, 0)
             if idle >= self.idle_threshold:
@@ -169,33 +166,30 @@ class INvmm(WriteScheme):
     def install_batch(self, addresses, data) -> None:
         """Vectorized initial encryption: one pad batch for the working set."""
         addresses = np.asarray(addresses, dtype=np.int64)
-        n = addresses.size
-        if not n:
+        if not addresses.size:
             return
-        commit_lines(
-            self._lines,
+        self.table.install(
             addresses,
+            line_matrix(data, self.line_bytes),
             initial_ciphertext(self.pads, addresses, data, self.line_bytes),
-            np.ones((n, 1), dtype=np.uint8),
-            np.zeros(n, dtype=np.int64),
+            meta=1,
         )
         self._last_write.update(dict.fromkeys(addresses.tolist(), self._tick))
         self._sweep_order = []
 
     def read(self, address: int) -> bytes:
-        line = self._lines[address]
+        line = self._line(address)
         if line.meta[_ENCRYPTED_BIT]:
             return bitops.xor(line.data, self._pad(address, line.counter))
         return line.data
 
     def _write(self, address: int, plaintext: bytes) -> WriteOutcome:
-        old = self._lines[address]
+        old = self._line(address)
         self._tick += 1
         self._last_write[address] = self._tick
         # A written line is hot: it lives (and travels) in plaintext.
         new = StoredLine(plaintext, make_meta(1), old.counter)
-        self._lines[address] = new
-        outcome = self._outcome(
+        outcome = self._commit(
             address,
             old,
             new,
@@ -218,10 +212,10 @@ class INvmm(WriteScheme):
         encryptions then form one event stream per line: an encryption
         turns the line's latest plaintext into ciphertext under the next
         counter, and each write diffs against the image left by the events
-        before it.  Encryption pads go through the pad source once, in the
-        order the scalar sweep requests them.  Bit-identical to sequential
-        :meth:`write` calls, sweep statistics and pad-cache statistics
-        included.
+        before it.  Encryption pads come from one ``line_pads_batch`` call,
+        in the order the scalar sweep requests them; no key repeats.
+        Bit-identical to sequential :meth:`write` calls, sweep statistics
+        and pad-cache statistics included.
         """
         m = len(addresses)
         if m == 0:
@@ -229,7 +223,7 @@ class INvmm(WriteScheme):
         addresses = np.asarray(addresses, dtype=np.int64)
         lb = self.line_bytes
         if not self._sweep_order:
-            self._sweep_order = sorted(self._lines)
+            self._sweep_order = sorted(self.addresses())
         per_write = min(self.sweep_lines_per_write, len(self._sweep_order))
         tick0 = self._tick
         enc_visits, enc_addresses = self._sweep_visits(
@@ -253,21 +247,22 @@ class INvmm(WriteScheme):
         )
         starts = groups.starts
         is_enc = is_enc[by_time][groups.order]
-        base_counters, old_stored, old_meta = gather_lines(
-            self._lines, groups.unique_addresses, lb, 1
+        table = self.table
+        rows = table.rows(groups.unique_addresses)
+        old_stored, old_meta = table.stored[rows], table.meta[rows]
+        counters = table.counters[rows][groups.group_id] + run_counts(
+            groups, is_enc
         )
-        counters = base_counters[groups.group_id] + run_counts(groups, is_enc)
         images = groups.data
-        enc_rows = np.flatnonzero(is_enc)
         if n_enc:
             # A line is only encrypted while plaintext: its previous event
             # is a write, or there is none and the cells hold plaintext.
-            pads, index = request_pads(
-                ChunkPads(self.pads, lb), groups, counters[:, None],
-                is_enc[:, None],
-            )
+            enc_rows = np.flatnonzero(is_enc)
+            enc_rows = enc_rows[np.argsort(groups.order[enc_rows])]
             plain = previous_rows(images, starts, old_stored)[enc_rows]
-            images[enc_rows] = plain ^ pads[index[enc_rows, 0]]
+            images[enc_rows] = plain ^ self.pads.line_pads_batch(
+                groups.addresses[enc_rows], counters[enc_rows], lb
+            )
             self.sweep_flips += int(
                 row_popcounts(plain ^ images[enc_rows]).sum()
             ) + n_enc
@@ -282,12 +277,8 @@ class INvmm(WriteScheme):
             meta[writes],
         )
         last_rows = groups.last_rows
-        commit_lines(
-            self._lines,
-            groups.unique_addresses,
-            images[last_rows],
-            meta[last_rows],
-            counters[last_rows],
+        table.commit(
+            rows, counters[last_rows], images[last_rows], meta[last_rows], None
         )
         self._last_write.update(
             zip(addresses.tolist(), range(tick0 + 1, tick0 + m + 1))
@@ -327,15 +318,8 @@ class INvmm(WriteScheme):
             : max(0, first + window - n_lines)
         ]
         visited_arr = np.asarray(visited, dtype=np.int64)
-        line_of = self._lines.get
-        pre_plain = np.fromiter(
-            (
-                line is not None and not line.meta[_ENCRYPTED_BIT]
-                for line in map(line_of, visited)
-            ),
-            dtype=bool,
-            count=window,
-        )
+        table = self.table
+        pre_plain = table.meta[table.rows(visited_arr), _ENCRYPTED_BIT] == 0
         last_of = self._last_write.get
         pre_last = np.fromiter(
             (last_of(a, 0) for a in visited), dtype=np.int64, count=window
@@ -385,15 +369,14 @@ class INvmm(WriteScheme):
 
     def snapshot(self) -> dict[int, bytes]:
         """What a stolen DIMM exposes: every line's stored image."""
-        return {addr: line.data for addr, line in self._lines.items()}
+        table = self.table
+        return {a: table.stored[i].tobytes() for a, i in table.index.items()}
 
     def plaintext_lines(self) -> list[int]:
         """Addresses currently resident in plaintext (the hot set)."""
-        return [
-            addr
-            for addr, line in self._lines.items()
-            if not line.meta[_ENCRYPTED_BIT]
-        ]
+        table = self.table
+        plain = table.meta[: table.n, _ENCRYPTED_BIT] == 0
+        return table.addresses[: table.n][plain].tolist()
 
     def power_down(self) -> int:
         """Encrypt the entire hot set (graceful shutdown); returns flips."""

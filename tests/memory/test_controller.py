@@ -185,7 +185,7 @@ class TestIntegrityProtection:
         mc.write(0, data)
         mc.write(0, mutate_words(rng, data, 1))
         # Adversary resets the counter stored in the (untrusted) array.
-        mc.scheme._lines[0].counter = 0
+        mc.scheme.table.counters[mc.scheme.table.row(0)] = 0
         import pytest as _pytest
 
         with _pytest.raises(IntegrityError, match="does not match"):

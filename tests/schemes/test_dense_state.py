@@ -1,12 +1,13 @@
-"""Dense batch state stays consistent with DEUCE's serial accessors.
+"""The line table stays consistent between batch and serial paths.
 
-The batch write path keeps DEUCE line state in structure-of-arrays form
-(:class:`repro.schemes.deuce._DenseLines`) and only materializes the
-per-line dict views when a serial accessor needs them.  These tests
-interleave batch and serial operations every way the runner can and check
-the scheme never observes stale or diverged state: a batch-driven scheme
-and a write-by-write twin must agree on reads, stored images, outcomes,
-and ``state_dict`` snapshots at every switchover point.
+Every scheme keeps its line state in one
+:class:`repro.schemes.base.LineTable`, which the batch kernels gather and
+scatter by row and the serial ``write``/``read``/``stored`` paths read and
+write row by row.  These tests interleave batch and serial operations
+every way the runner can, for every registered scheme, and check the
+scheme never observes stale or diverged state: a batch-driven scheme and
+a write-by-write twin must agree on reads, stored images, outcomes, and
+``state_dict`` snapshots at every switchover point.
 """
 
 from __future__ import annotations
@@ -16,15 +17,33 @@ import random
 import numpy as np
 import pytest
 
+from repro import registry
 from repro.crypto.pads import Blake2PadSource
-from repro.schemes.deuce import Deuce
+from repro.schemes import make_scheme
+from repro.schemes.base import WriteScheme
 
 KEY = b"dense-state-k-16"
 LINE = 64
 
 
-def _scheme() -> Deuce:
-    return Deuce(Blake2PadSource(KEY), line_bytes=LINE, epoch_interval=4)
+def _every_scheme(check):
+    """One test that runs ``check(self, name, rng)`` for every registered
+    scheme, naming the scheme a failure came from."""
+
+    def test(self, rng):
+        for name in registry.SCHEMES.names:
+            try:
+                check(self, name, rng)
+            except AssertionError as exc:
+                raise AssertionError(f"scheme {name!r}: {exc}") from exc
+
+    return test
+
+
+def _scheme(name: str) -> WriteScheme:
+    return make_scheme(
+        name, Blake2PadSource(KEY), line_bytes=LINE, epoch_interval=4
+    )
 
 
 def _rand_lines(rng: random.Random, n: int) -> list[bytes]:
@@ -38,14 +57,16 @@ def _mutate(rng: random.Random, line: bytes) -> bytes:
     return bytes(data)
 
 
-def _install_batch(scheme: Deuce, lines: list[bytes]) -> None:
+def _install_batch(scheme: WriteScheme, lines: list[bytes]) -> None:
     scheme.install_batch(
         np.arange(len(lines), dtype=np.int64),
         np.frombuffer(b"".join(lines), np.uint8).reshape(len(lines), LINE),
     )
 
 
-def _assert_same_state(batch: Deuce, serial: Deuce, n_lines: int) -> None:
+def _assert_same_state(
+    batch: WriteScheme, serial: WriteScheme, n_lines: int
+) -> None:
     assert batch.addresses() == serial.addresses()
     for addr in range(n_lines):
         assert batch.read(addr) == serial.read(addr)
@@ -63,16 +84,18 @@ def _assert_same_state(batch: Deuce, serial: Deuce, n_lines: int) -> None:
 
 
 class TestBatchThenSerialAccess:
-    def test_install_batch_then_read(self, rng):
+    @_every_scheme
+    def test_install_batch_then_read(self, name, rng):
         lines = _rand_lines(rng, 5)
-        scheme = _scheme()
+        scheme = _scheme(name)
         _install_batch(scheme, lines)
         for addr, line in enumerate(lines):
             assert scheme.read(addr) == line
 
-    def test_batch_writes_visible_to_serial_accessors(self, rng):
+    @_every_scheme
+    def test_batch_writes_visible_to_serial_accessors(self, name, rng):
         lines = _rand_lines(rng, 4)
-        batch, serial = _scheme(), _scheme()
+        batch, serial = _scheme(name), _scheme(name)
         _install_batch(batch, lines)
         for addr, line in enumerate(lines):
             serial.install(addr, line)
@@ -102,9 +125,10 @@ class TestBatchThenSerialAccess:
             o.words_reencrypted for o in serial_outcomes
         ]
 
-    def test_serial_write_after_batch_then_batch_again(self, rng):
+    @_every_scheme
+    def test_serial_write_after_batch_then_batch_again(self, name, rng):
         lines = _rand_lines(rng, 3)
-        batch, serial = _scheme(), _scheme()
+        batch, serial = _scheme(name), _scheme(name)
         _install_batch(batch, lines)
         for addr, line in enumerate(lines):
             serial.install(addr, line)
@@ -120,7 +144,7 @@ class TestBatchThenSerialAccess:
             for a, d in writes:
                 serial.write(a, d)
 
-        # batch -> serial mutation (drops dense) -> batch again
+        # batch -> serial mutation -> batch again
         first = []
         for _ in range(8):
             addr = rng.randrange(3)
@@ -138,11 +162,12 @@ class TestBatchThenSerialAccess:
         step_batch(second)
         _assert_same_state(batch, serial, 3)
 
-    def test_reinstall_after_batch_falls_back(self, rng):
-        # install() on a scheme holding dense state must drop/flush it and
-        # still leave a coherent store.
+    @_every_scheme
+    def test_reinstall_after_batch_falls_back(self, name, rng):
+        # install() over a batch-installed line keeps its row, takes the
+        # new value and leaves the other rows alone.
         lines = _rand_lines(rng, 3)
-        scheme = _scheme()
+        scheme = _scheme(name)
         _install_batch(scheme, lines)
         replacement = _rand_lines(rng, 1)[0]
         scheme.install(1, replacement)
@@ -152,9 +177,10 @@ class TestBatchThenSerialAccess:
 
 
 class TestStateDictRoundtrip:
-    def test_snapshot_restore_continue(self, rng):
+    @_every_scheme
+    def test_snapshot_restore_continue(self, name, rng):
         lines = _rand_lines(rng, 4)
-        batch, serial = _scheme(), _scheme()
+        batch, serial = _scheme(name), _scheme(name)
         _install_batch(batch, lines)
         for addr, line in enumerate(lines):
             serial.install(addr, line)
@@ -174,7 +200,7 @@ class TestStateDictRoundtrip:
             serial.write(a, d)
         # Restore the batch scheme's snapshot into a fresh instance and
         # keep writing through the batch path: still identical.
-        restored = _scheme()
+        restored = _scheme(name)
         restored.load_state_dict(batch.state_dict())
         more = []
         for _ in range(12):
@@ -191,10 +217,11 @@ class TestStateDictRoundtrip:
             serial.write(a, d)
         _assert_same_state(restored, serial, 4)
 
-    def test_write_batch_unknown_address_raises(self, rng):
-        scheme = _scheme()
+    @_every_scheme
+    def test_write_batch_unknown_address_raises(self, name, rng):
+        scheme = _scheme(name)
         _install_batch(scheme, _rand_lines(rng, 2))
-        with pytest.raises(KeyError, match="never installed"):
+        with pytest.raises(KeyError, match="line 0x7 was never installed"):
             scheme.write_batch(
                 np.asarray([0, 7], dtype=np.int64),
                 np.zeros((2, LINE), dtype=np.uint8),

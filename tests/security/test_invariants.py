@@ -92,10 +92,9 @@ class TestDeuceNeverReusesPads:
         class BrokenDeuce(Deuce):
             def _write(self, address, plaintext):
                 outcome = super()._write(address, plaintext)
-                line = self._lines[address]
                 # Sabotage: freeze the counter, so the next write reuses
                 # the same leading pad with different data.
-                line.counter -= 1
+                self.table.counters[self.table.row(address)] -= 1
                 return outcome
 
         scheme = BrokenDeuce(pads, epoch_interval=32)
