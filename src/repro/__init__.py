@@ -17,8 +17,8 @@ True
 
 Paper figures::
 
-    from repro.sim.experiments import fig10_scheme_comparison
-    print(fig10_scheme_comparison().render())
+    from repro.sim.experiments import EXPERIMENTS
+    print(EXPERIMENTS["fig10"]().render())
 
 Sessions (ledger-recording runs/sweeps/experiments; the stable facade
 behind the CLI and the ``deuce-sim serve`` job service)::

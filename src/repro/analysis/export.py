@@ -85,21 +85,19 @@ def export_all(
     progress: Callable[[str], None] | None = None,
 ) -> list[Path]:
     """Run experiments and export each to ``directory``; returns the paths."""
-    from repro.sim.experiments import EXPERIMENTS  # lazy: avoids a cycle
+    from repro.sim.experiments import (  # lazy: avoids a cycle
+        EXPERIMENTS,
+        run_exhibits,
+    )
 
+    results = run_exhibits(experiments or list(EXPERIMENTS), n_writes)
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    names = experiments or list(EXPERIMENTS)
-    unknown = [n for n in names if n not in EXPERIMENTS]
-    if unknown:
-        raise ValueError(f"unknown experiments: {unknown}")
     written = []
     index_rows = []
-    for name in names:
+    for name, result in results.items():
         if progress is not None:
             progress(f"exporting {name} ...")
-        fn = EXPERIMENTS[name]
-        result = fn() if name == "table2" else fn(n_writes=n_writes)
         path = export_csv(result, directory / f"{name}.csv")
         written.append(path)
         index_rows.append(

@@ -25,7 +25,6 @@ API" section and is the surface the service's JSON API is a transport for.
 
 from __future__ import annotations
 
-import inspect
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -56,7 +55,7 @@ from repro.sim.checkpoint import (
     SweepCheckpoint,
     load_run_checkpoint,
 )
-from repro.sim.config import ConfigError, SimConfig
+from repro.sim.config import ConfigError, SimConfig, unknown_keys
 from repro.sim.results import RunResult
 
 __all__ = [
@@ -509,60 +508,79 @@ class Session:
         name: str,
         *,
         n_writes: int | None = None,
+        seed: int = 0,
         workers: int | None = 1,
         progress: Callable[[ProgressEvent], None] | None = None,
         should_stop: Callable[[], bool] | None = None,
-        **kwargs: object,
+        **unknown: object,
     ) -> ExperimentResult:
         """Reproduce one paper exhibit; record it when the ledger is on.
 
-        ``name`` must be a key of
-        :data:`~repro.sim.experiments.EXPERIMENTS`.  Arguments the chosen
-        experiment does not accept (``table2`` takes none) are dropped, so
-        callers can thread uniform knobs.  The returned result carries
-        ``result.manifest`` when recorded.
+        The one-exhibit case of :meth:`experiments`.  Any other keyword is
+        a :class:`ConfigError` naming it, with a did-you-mean hint.
         """
-        from repro.sim.experiments import EXPERIMENTS
+        message = unknown_keys(
+            unknown,
+            ("n_writes", "seed", "workers", "progress", "should_stop"),
+            "experiment option",
+        )
+        if message:
+            raise ConfigError(message)
+        return self.experiments(
+            [name], n_writes=n_writes, seed=seed, workers=workers,
+            progress=progress, should_stop=should_stop,
+        )[name]
 
-        fn = EXPERIMENTS.get(name)
-        if fn is None:
-            raise ConfigError(
-                f"unknown experiment {name!r}; choose from "
-                + ", ".join(EXPERIMENTS)
-            )
-        call_kwargs: dict[str, object] = {
-            "max_workers": workers,
-            "progress": progress,
-            "ledger": self.ledger,
-            "should_stop": should_stop,
-            **kwargs,
-        }
-        if n_writes is not None:
-            call_kwargs["n_writes"] = n_writes
-        accepted = inspect.signature(fn).parameters
-        call_kwargs = {
-            k: v for k, v in call_kwargs.items() if k in accepted
-        }
-        result = fn(**call_kwargs)
-        if self.ledger is not None:
-            summary = {
-                key: value
-                for key, value in (result.averages or {}).items()
-                if isinstance(value, (int, float))
-            }
+    def experiments(
+        self,
+        names: list[str],
+        *,
+        n_writes: int | None = None,
+        seed: int = 0,
+        workers: int | None = 1,
+        progress: Callable[[ProgressEvent], None] | None = None,
+        should_stop: Callable[[], bool] | None = None,
+    ) -> dict[str, ExperimentResult]:
+        """Reproduce paper exhibits in one driver call; record each one.
+
+        Every name must be a key of
+        :data:`~repro.sim.experiments.EXPERIMENTS`.  A cell several of the
+        exhibits share runs once, and the ledger records it once (see
+        :func:`~repro.sim.experiments.run_exhibits`).  Each returned result
+        carries ``result.manifest`` when recorded.
+        """
+        from repro.sim.experiments import EXPERIMENTS, run_exhibits
+
+        for name in names:
+            if name not in EXPERIMENTS:
+                raise ConfigError(
+                    f"unknown experiment {name!r}; choose from "
+                    + ", ".join(EXPERIMENTS)
+                )
+        results = run_exhibits(
+            names, n_writes, seed, workers=workers, progress=progress,
+            ledger=self.ledger, should_stop=should_stop,
+        )
+        if self.ledger is None:
+            return results
+        for name, result in results.items():
             manifest = build_manifest(
                 kind="experiment",
                 label=name,
-                n_writes=int(call_kwargs.get("n_writes", 0) or 0),
+                n_writes=n_writes or 0,
                 wall_time_s=result.wall_time_s,
-                summary=summary,
+                summary={
+                    key: value
+                    for key, value in result.averages.items()
+                    if isinstance(value, (int, float))
+                },
             )
             self.ledger.record(
                 manifest,
                 artifact_text={"result.txt": result.render() + "\n"},
             )
             result.manifest = manifest
-        return result
+        return results
 
 
 def _series_csv_text(series) -> str:

@@ -300,26 +300,25 @@ def _progress_renderer(args: argparse.Namespace, label: str):
 def _cmd_experiment(args: argparse.Namespace) -> int:
     from repro.sim.experiments import EXPERIMENTS
 
+    names = list(EXPERIMENTS) if args.name == "all" else [args.name]
+    if names[0] not in EXPERIMENTS:
+        print(
+            f"unknown experiment {args.name!r}; choose from "
+            f"{', '.join(EXPERIMENTS)} or 'all'",
+            file=sys.stderr,
+        )
+        return 2
     session = _make_session(args)
-    for name in (list(EXPERIMENTS) if args.name == "all" else [args.name]):
-        if name not in EXPERIMENTS:
-            print(
-                f"unknown experiment {name!r}; choose from "
-                f"{', '.join(EXPERIMENTS)} or 'all'",
-                file=sys.stderr,
-            )
-            return 2
-        renderer = _progress_renderer(args, name)
-        try:
-            result = session.experiment(
-                name,
-                n_writes=args.writes,
-                workers=args.workers,
-                progress=renderer,
-            )
-        finally:
-            if renderer is not None:
-                renderer.close()
+    renderer = _progress_renderer(args, args.name)
+    try:
+        results = session.experiments(
+            names, n_writes=args.writes, workers=args.workers,
+            progress=renderer,
+        )
+    finally:
+        if renderer is not None:
+            renderer.close()
+    for name, result in results.items():
         print(result.render())
         if result.manifest is not None:
             print(f"experiment {name} recorded as {result.manifest.run_id}")

@@ -18,10 +18,10 @@ import hashlib
 
 import numpy as np
 
-from repro.crypto.pads import PadSource, make_pad_source
+from repro.crypto.pads import PadSource, _PadSourceBase, make_pad_source
 
 
-class VersionedPadSource:
+class VersionedPadSource(_PadSourceBase):
     """Pad source with a per-line key version.
 
     Parameters
@@ -32,7 +32,9 @@ class VersionedPadSource:
         Underlying pad source kind (``"blake2"`` or ``"aes"``).
 
     Derived keys are ``BLAKE2(version, key=master_key)``; version 0 is the
-    initial state for every line.
+    initial state for every line.  The batch, peek and count calls are the
+    base class's loops over :meth:`line_pad_array` and :meth:`pad_block`,
+    so every row is made under its own line's key version.
     """
 
     def __init__(self, master_key: bytes, kind: str = "blake2") -> None:

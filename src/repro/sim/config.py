@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import difflib
 from dataclasses import dataclass, field, replace
+from typing import Iterable, Sequence
 
 #: Default trace length: long enough for flip statistics to converge to
 #: well under a percentage point while keeping full-suite sweeps fast.
@@ -26,6 +27,28 @@ class ConfigError(ValueError):
     Raised with messages meant for API/service clients: the offending key,
     what was expected, and a close-match suggestion for typos.
     """
+
+
+def unknown_keys(
+    keys: Iterable[str], valid: Sequence[str], what: str = "config key"
+) -> str:
+    """``""`` when every key is in ``valid``, else the error message.
+
+    The message names each unknown key with a did-you-mean hint, then
+    lists the valid ones.
+    """
+    parts = []
+    for key in keys:
+        if key not in valid:
+            close = difflib.get_close_matches(str(key), valid, n=1)
+            hint = f" (did you mean {close[0]!r}?)" if close else ""
+            parts.append(f"{key!r}{hint}")
+    if not parts:
+        return ""
+    return (
+        f"unknown {what}(s): " + ", ".join(parts)
+        + f"; valid {what.split()[-1]}s: " + ", ".join(valid)
+    )
 
 
 #: Accepted runtime types per field, for :meth:`SimConfig.from_dict`.
@@ -187,18 +210,9 @@ class SimConfig:
             raise ConfigError(
                 f"config must be a JSON object, got {type(data).__name__}"
             )
-        names = [f.name for f in dataclasses.fields(cls)]
-        unknown = [key for key in data if key not in names]
-        if unknown:
-            parts = []
-            for key in unknown:
-                close = difflib.get_close_matches(str(key), names, n=1)
-                hint = f" (did you mean {close[0]!r}?)" if close else ""
-                parts.append(f"{key!r}{hint}")
-            raise ConfigError(
-                "unknown config key(s): " + ", ".join(parts)
-                + "; valid keys: " + ", ".join(names)
-            )
+        message = unknown_keys(data, [f.name for f in dataclasses.fields(cls)])
+        if message:
+            raise ConfigError(message)
         for required in ("workload", "scheme"):
             if required not in data:
                 raise ConfigError(

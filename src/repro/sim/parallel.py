@@ -283,7 +283,7 @@ class SweepRun:
     budget: RetryBudget
     tracing: SweepTracing | None = None
     ledger: object = None
-    ledger_label: str = ""
+    ledger_label: str | Sequence[str] = ""
     checkpoint: SweepCheckpoint | None = None
 
     def trace(self, name: str, index: int, **fields: object) -> None:
@@ -307,8 +307,10 @@ class SweepRun:
         self.results[index] = result
         self.trace("cell.done", index)
         if self.ledger is not None:
+            label = self.ledger_label
             result.manifest = self.ledger.record_result(
-                result, config, kind="sweep-cell", label=self.ledger_label
+                result, config, kind="sweep-cell",
+                label=label if isinstance(label, str) else label[index],
             )
         if self.checkpoint is not None:
             run_id = result.manifest.run_id if result.manifest else ""
@@ -329,7 +331,7 @@ def run_sweep(
     schedule: Callable[[SweepRun], None],
     *,
     ledger=None,
-    ledger_label: str = "",
+    ledger_label: str | Sequence[str] = "",
     retries: int = 0,
     retry_backoff_s: float = 0.5,
     checkpoint: "SweepCheckpoint | str | None" = None,
@@ -449,7 +451,7 @@ def run_suite_parallel(
     progress: Callable[[ProgressEvent], None] | None = None,
     heartbeat_every: int = 0,
     ledger=None,
-    ledger_label: str = "",
+    ledger_label: str | Sequence[str] = "",
     should_stop: Callable[[], bool] | None = None,
     *,
     retries: int = 0,
@@ -486,7 +488,7 @@ def run_suite_parallel(
         so it never affects worker execution or result identity.
     ledger_label:
         The ``label`` stamped on recorded sweep-cell manifests (typically
-        the experiment id).
+        the experiment id), or one label per cell.
     should_stop:
         Optional ``() -> bool`` polled between cells (and, serially, every
         few hundred writes *within* a cell); when it goes true the sweep

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
+from repro import registry
 from repro.crypto.rekey import VersionedPadSource
+from repro.schemes import make_scheme
 from repro.memory.bitops import bit_flips
 from repro.memory.controller import SecureMemoryController
 from repro.security.invariants import PadUsageAuditor
@@ -46,6 +49,72 @@ class TestVersionedPadSource:
     def test_empty_key_rejected(self):
         with pytest.raises(ValueError):
             VersionedPadSource(b"")
+
+
+def _versioned_scheme(name: str):
+    """``name`` on a versioned source whose line 1 is one version up."""
+    pads = VersionedPadSource(KEY)
+    pads.bump_version(1)
+    return make_scheme(name, pads, epoch_interval=4)
+
+
+ENCRYPTED = [
+    name for name in registry.SCHEMES.names
+    if registry.SCHEMES.get(name).factory.requires_pads
+]
+
+
+class TestVersionedBatchCalls:
+    """Every encrypted scheme runs its batch kernels on a versioned source."""
+
+    @pytest.mark.parametrize("name", ENCRYPTED)
+    def test_batch_matches_scalar(self, name, rng):
+        lines = [random_line(rng) for _ in range(3)]
+        writes = []
+        current = list(lines)
+        for _ in range(12):
+            addr = rng.randrange(3)
+            current[addr] = mutate_words(rng, current[addr], 2)
+            writes.append((addr, current[addr]))
+        batch, serial = _versioned_scheme(name), _versioned_scheme(name)
+        batch.install_batch(
+            np.arange(3, dtype=np.int64),
+            np.frombuffer(b"".join(lines), np.uint8).reshape(3, -1),
+        )
+        outcome = batch.write_batch(
+            np.asarray([a for a, _ in writes], dtype=np.int64),
+            np.frombuffer(b"".join(d for _, d in writes), np.uint8)
+            .reshape(len(writes), -1),
+        )
+        for addr, line in enumerate(lines):
+            serial.install(addr, line)
+        flips = sum(serial.write(a, d).data_flips for a, d in writes)
+        assert int(outcome.data_flips.sum()) == flips
+        for addr in range(3):
+            b_line, s_line = batch.stored(addr), serial.stored(addr)
+            assert np.array_equal(b_line.arr, s_line.arr)
+            assert np.array_equal(b_line.meta, s_line.meta)
+            assert batch.read(addr) == serial.read(addr) == current[addr]
+
+    @pytest.mark.parametrize(
+        "name", [n for n in ENCRYPTED
+                 if registry.SCHEMES.get(n).factory.keeps_plain]
+    )
+    def test_keeps_plain_scheme_restores(self, name, rng):
+        lines = [random_line(rng) for _ in range(3)]
+        scheme = _versioned_scheme(name)
+        for addr, line in enumerate(lines):
+            scheme.install(addr, line)
+            scheme.write(addr, mutate_words(rng, line, 2))
+        expected = [scheme.read(addr) for addr in range(3)]
+        restored = _versioned_scheme(name)
+        restored.load_state_dict(scheme.state_dict())
+        assert [restored.read(addr) for addr in range(3)] == expected
+        nxt = mutate_words(rng, expected[1], 2)
+        assert restored.write(1, nxt).data_flips == (
+            scheme.write(1, nxt).data_flips
+        )
+        assert restored.read(1) == nxt
 
 
 class TestControllerRekeying:

@@ -8,12 +8,14 @@ from __future__ import annotations
 
 import pytest
 
+import repro.sim.runner
+from repro.obs.progress import DONE, START
 from repro.sim.experiments import (
     EXPERIMENTS,
     bit_position_profile,
-    fig5_encryption_overhead,
-    table2_workloads,
+    run_exhibits,
 )
+from repro.sim.parallel import SweepCancelled
 
 N = 600  # tiny: these tests check structure, not the paper's numbers
 
@@ -36,16 +38,69 @@ class TestStructure:
         }
 
     def test_table2_lists_all_workloads(self):
-        result = table2_workloads()
+        result = EXPERIMENTS["table2"]()
         assert len(result.rows) == 12
         assert result.rows[0]["workload"] == "libq"
 
     def test_render_includes_title_and_average(self):
-        result = fig5_encryption_overhead(n_writes=N)
+        result = EXPERIMENTS["fig5"](n_writes=N)
         text = result.render()
         assert "Fig 5" in text
         assert "AVG" in text
         assert "Paper reports" in text
+
+
+@pytest.fixture
+def run_calls(monkeypatch):
+    """The ``(config, trace given)`` of every ``runner.run`` call."""
+    calls = []
+    real = repro.sim.runner.run
+
+    def counting(config=None, trace=None, instruments=None):
+        calls.append((config, trace is not None))
+        return real(config, trace=trace, instruments=instruments)
+
+    monkeypatch.setattr(repro.sim.runner, "run", counting)
+    monkeypatch.setattr("repro.sim.experiments.run", counting)
+    return calls
+
+
+def _table(result):
+    return result.rows, result.averages, result.paper
+
+
+class TestDriver:
+    def test_each_distinct_cell_runs_once(self, run_calls):
+        names = ["fig10", "fig18", "table3"]
+        together = run_exhibits(names, n_writes=300)
+        assert len(run_calls) == len(set(run_calls))
+        # fig10's five columns and fig18's BLE pair; table3 adds none.
+        assert len(run_calls) == 12 * 7
+        for name in names:
+            assert _table(together[name]) == _table(
+                EXPERIMENTS[name](n_writes=300)
+            )
+
+    def test_should_stop_cancels_before_any_traced_cell(self, run_calls):
+        events = []
+
+        def stop():
+            return sum(e.kind == DONE for e in events) >= 2
+
+        with pytest.raises(SweepCancelled):
+            run_exhibits(
+                ["fig12", "fig14"], n_writes=300,
+                progress=events.append, should_stop=stop,
+            )
+        # fig12's two plain cells ran; none of fig14's traced cells did.
+        assert [traced for _, traced in run_calls] == [False, False]
+
+    def test_fig14_emits_progress(self):
+        events = []
+        run_exhibits(["fig14"], n_writes=100, progress=events.append)
+        assert [e.kind for e in events] == [START, DONE] * 48
+        assert {e.n_cells for e in events} == {48}
+        assert [e.cell for e in events if e.kind == DONE] == list(range(48))
 
 
 class TestProfiles:

@@ -7,12 +7,12 @@ import csv
 import pytest
 
 from repro.analysis.export import export_all, export_csv
-from repro.sim.experiments import fig12_bit_position_skew, table2_workloads
+from repro.sim.experiments import EXPERIMENTS
 
 
 class TestExportCsv:
     def test_rows_and_header(self, tmp_path):
-        path = export_csv(table2_workloads(), tmp_path / "t2.csv")
+        path = export_csv(EXPERIMENTS["table2"](), tmp_path / "t2.csv")
         with open(path) as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 12
@@ -20,7 +20,7 @@ class TestExportCsv:
         assert float(rows[0]["read_mpki"]) == 22.9
 
     def test_average_row_appended(self, tmp_path):
-        result = fig12_bit_position_skew(n_writes=600)
+        result = EXPERIMENTS["fig12"](n_writes=600)
         result.averages = {"max_over_mean": 1.0}
         path = export_csv(result, tmp_path / "f12.csv")
         with open(path) as fh:
