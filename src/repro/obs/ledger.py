@@ -341,7 +341,10 @@ class RunLedger:
     ) -> list[RunManifest]:
         """Manifests in recording order, optionally filtered.
 
-        ``limit`` keeps only the *newest* N after filtering; a negative
+        ``label`` matches a manifest whose label equals it or whose
+        comma-separated label lists it: a sweep cell that several exhibits
+        share is recorded once, labelled ``fig8,fig9,...``, and is found
+        under each of those ids.  ``limit`` keeps only the *newest* N after filtering; a negative
         ``limit`` raises :class:`ValueError`.
         """
         if limit is not None and limit < 0:
@@ -352,7 +355,8 @@ class RunLedger:
             if (kind is None or m.kind == kind)
             and (scheme is None or m.scheme == scheme)
             and (workload is None or m.workload == workload)
-            and (label is None or m.label == label)
+            and (label is None or m.label == label
+                 or label in m.label.split(","))
         ]
         if limit is not None:
             manifests = manifests[len(manifests) - limit:]
