@@ -567,7 +567,7 @@ class Session:
             manifest = build_manifest(
                 kind="experiment",
                 label=name,
-                n_writes=n_writes or 0,
+                n_writes=n_writes or EXPERIMENTS[name].n_writes,
                 wall_time_s=result.wall_time_s,
                 summary={
                     key: value

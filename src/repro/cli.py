@@ -63,7 +63,9 @@ Examples
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
+from typing import get_args
 
 from repro.sim.config import SimConfig
 
@@ -82,6 +84,48 @@ def _make_session(args: argparse.Namespace):
         runs_dir=getattr(args, "runs_dir", None),
         label=getattr(args, "label", "") or "",
     )
+
+
+def _config_flag(f: dataclasses.Field) -> str:
+    """The ``deuce-sim run``/``sweep`` flag of a :class:`SimConfig` field."""
+    return "--" + (f.metadata["flag"] or f.name.replace("_", "-"))
+
+
+def _add_config_flags(
+    parser: argparse.ArgumentParser, skip: tuple[str, ...] = ()
+) -> None:
+    """One flag per :class:`SimConfig` field (but ``skip``), from its
+    declaration.
+
+    Flags have no argparse default: an unset flag is ``None``, stays out of
+    the config dict, and the field keeps :class:`SimConfig`'s own default.
+    """
+    for f in dataclasses.fields(SimConfig):
+        if f.name in skip:
+            continue
+        text = f.metadata["help"]
+        if isinstance(f.default, (int, str)):
+            text += f" (default: {f.default})"
+        kwargs: dict = {"dest": f.name, "help": text}
+        if f.type is bool:
+            kwargs["action"] = argparse.BooleanOptionalAction
+        elif f.type is dict:
+            kwargs["metavar"] = "JSON"
+        elif int in (get_args(f.type) or (f.type,)):
+            kwargs.update(type=int, metavar="N")
+        parser.add_argument(_config_flag(f), **kwargs)
+
+
+def _config_dict(args: argparse.Namespace) -> dict:
+    """The :class:`SimConfig` fields set by flags, JSON flags decoded."""
+    data = {}
+    for f in dataclasses.fields(SimConfig):
+        value = getattr(args, f.name, None)
+        if value is not None:
+            data[f.name] = (
+                _parse_workload_params(value) if f.type is dict else value
+            )
+    return data
 
 
 def _parse_workload_params(raw: str | None) -> dict:
@@ -112,39 +156,24 @@ def _cmd_run(args: argparse.Namespace) -> int:
     from repro.api import CheckpointError, ObsOptions
     from repro.sim.config import ConfigError
 
-    config = None
-    if args.resume is None:
-        if not args.workload:
-            print(
-                "error: --workload is required unless --resume is given",
-                file=sys.stderr,
+    # Decode through SimConfig.from_dict — the exact validation path
+    # Session and the /v1 envelope use — so a bad value fails here with
+    # the same message naming the field an API client would see.
+    try:
+        data = _config_dict(args)
+        if args.resume is not None and data:
+            raise ConfigError(
+                ", ".join(
+                    _config_flag(f) for f in dataclasses.fields(SimConfig)
+                    if f.name in data
+                )
+                + " cannot be combined with --resume: a resumed run takes "
+                "its config from the checkpoint"
             )
-            return 2
-        # Decode through SimConfig.from_dict — the exact validation path
-        # Session and the /v1 envelope use — so a typo'd workload or a bad
-        # workload_params field fails here with the same field-path
-        # message an API client would see.
-        try:
-            config = SimConfig.from_dict(
-                {
-                    "workload": args.workload,
-                    "scheme": args.scheme,
-                    "n_writes": args.writes,
-                    "seed": args.seed,
-                    "word_bytes": args.word_bytes,
-                    "epoch_interval": args.epoch_interval,
-                    "wear_leveling": args.wear_leveling,
-                    "pad_kind": args.pad_kind,
-                    "pad_cache_lines": args.pad_cache_lines,
-                    "chunk_size": args.chunk_size,
-                    "workload_params": _parse_workload_params(
-                        args.workload_params
-                    ),
-                }
-            )
-        except ConfigError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        config = None if args.resume else SimConfig.from_dict(data)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     session = _make_session(args)
     try:
         result = session.run(
@@ -195,17 +224,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
     session = _make_session(args)
     try:
-        params = _parse_workload_params(args.workload_params)
+        data = _config_dict(args)
         configs = [
             SimConfig.from_dict(
-                {
-                    "workload": workload,
-                    "scheme": scheme,
-                    "n_writes": args.writes,
-                    "seed": args.seed,
-                    "chunk_size": args.chunk_size,
-                    "workload_params": params,
-                }
+                {"workload": workload, "scheme": scheme, **data}
             )
             for workload in args.workloads
             for scheme in args.schemes
@@ -298,6 +320,7 @@ def _progress_renderer(args: argparse.Namespace, label: str):
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
+    from repro.sim.config import ConfigError
     from repro.sim.experiments import EXPERIMENTS
 
     names = list(EXPERIMENTS) if args.name == "all" else [args.name]
@@ -315,6 +338,9 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
             names, n_writes=args.writes, workers=args.workers,
             progress=renderer,
         )
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     finally:
         if renderer is not None:
             renderer.close()
@@ -864,51 +890,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run one (workload, scheme) simulation")
-    p_run.add_argument(
-        "--workload",
-        default=None,
-        help="workload registry name: a Table 2 trace or a KV profile "
-        "(required unless --resume is given; see 'deuce-sim plugins'); "
-        "unknown names fail with a did-you-mean registry error",
-    )
-    p_run.add_argument(
-        "--scheme",
-        default="deuce",
-        help="scheme registry name (see 'deuce-sim plugins')",
-    )
-    p_run.add_argument(
-        "--workload-params",
-        default=None,
-        metavar="JSON",
-        help="workload parameter overrides as a JSON object, validated "
-        "against the plugin's declared schema (e.g. "
-        "'{\"zipf_alpha\": 1.2}' for kv-* profiles)",
-    )
-    p_run.add_argument("--writes", type=int, default=10_000)
-    p_run.add_argument("--seed", type=int, default=0)
-    p_run.add_argument("--word-bytes", type=int, default=2)
-    p_run.add_argument("--epoch-interval", type=int, default=32)
-    p_run.add_argument(
-        "--wear-leveling",
-        choices=("none", "hwl", "hwl-hashed", "sr-hwl"),
-        default="none",
-    )
-    p_run.add_argument("--pad-kind", choices=("blake2", "aes"), default="blake2")
-    p_run.add_argument(
-        "--pad-cache-lines",
-        type=int,
-        default=SimConfig("mcf", "deuce").pad_cache_lines,
-        help="LRU pad-cache capacity in line pads (0 disables caching)",
-    )
-    p_run.add_argument(
-        "--chunk-size",
-        type=int,
-        default=SimConfig("mcf", "deuce").chunk_size,
-        metavar="N",
-        help="writes handed to the scheme's batched write path at once "
-        "(>= 1; 1 runs the scalar install/write reference; results are "
-        "bit-identical at any value)",
-    )
+    _add_config_flags(p_run)
     p_run.add_argument(
         "--metrics-out",
         metavar="PATH",
@@ -948,7 +930,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="RUN_ID",
         help="continue a checkpointed run (a ledger run id or a "
-        "checkpoint directory); config flags are read from the checkpoint",
+        "checkpoint directory); the config comes from the checkpoint, so "
+        "no config flag may be given",
     )
     _add_ledger_flags(p_run)
     p_run.add_argument(
@@ -975,24 +958,7 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help="scheme registry names",
     )
-    p_sweep.add_argument(
-        "--workload-params",
-        default=None,
-        metavar="JSON",
-        help="workload parameter overrides (JSON object) applied to every "
-        "workload in the grid; schema-validated per workload",
-    )
-    p_sweep.add_argument("--writes", type=int, default=10_000)
-    p_sweep.add_argument("--seed", type=int, default=0)
-    p_sweep.add_argument(
-        "--chunk-size",
-        type=int,
-        default=SimConfig("mcf", "deuce").chunk_size,
-        metavar="N",
-        help="batched write-path chunk size for every cell (>= 1; 1 runs "
-        "the scalar install/write reference; results are bit-identical at "
-        "any value)",
-    )
+    _add_config_flags(p_sweep, skip=("workload", "scheme"))
     p_sweep.add_argument(
         "--workers",
         type=int,
@@ -1055,7 +1021,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument(
         "name", help="an experiment listed by 'deuce-sim list', or 'all'"
     )
-    p_exp.add_argument("--writes", type=int, default=5_000)
+    p_exp.add_argument(
+        "--writes",
+        type=int,
+        default=None,
+        help="writebacks per cell (default: each exhibit's own scale)",
+    )
     p_exp.add_argument(
         "--workers",
         type=int,

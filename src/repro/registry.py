@@ -328,20 +328,31 @@ def _populate() -> None:
         description="BLAKE2b keyed-hash pad source (fast surrogate)",
     )
 
+    from dataclasses import replace as _replace
+
+    def overridable(profile: Any) -> Callable[..., Any]:
+        """The profile with its declared params applied as field overrides."""
+        return lambda **params: _replace(profile, **params)
+
     for name, profile in PROFILES.items():
         WORKLOADS.register(
             name,
-            (lambda p: lambda: p)(profile),
-            schema=("n_writes", "seed", "line_bytes"),
+            overridable(profile),
+            schema=("n_writes", "seed", "line_bytes", "workload_params"),
+            params=(
+                FieldSpec(
+                    "working_set_lines", "int",
+                    default=profile.working_set_lines, minimum=1,
+                    doc="distinct lines the write stream cycles over",
+                ),
+            ),
             description=f"Table 2 workload profile {name!r}",
         )
-
-    from dataclasses import replace as _replace
 
     for name, kv_profile in KV_PROFILES.items():
         WORKLOADS.register(
             name,
-            (lambda p: lambda **kw: _replace(p, **kw))(kv_profile),
+            overridable(kv_profile),
             schema=("n_writes", "seed", "line_bytes", "workload_params"),
             params=KV_PARAM_SPECS,
             description=(

@@ -6,12 +6,10 @@ pad source, and the wear-leveling mode.  Identical configs produce identical
 results.
 """
 
-from __future__ import annotations
-
 import dataclasses
 import difflib
-from dataclasses import dataclass, field, replace
-from typing import Iterable, Sequence
+from dataclasses import MISSING, dataclass, field, replace
+from typing import Iterable, Sequence, get_args
 
 #: Default trace length: long enough for flip statistics to converge to
 #: well under a percentage point while keeping full-suite sweeps fast.
@@ -51,104 +49,102 @@ def unknown_keys(
     )
 
 
-#: Accepted runtime types per field, for :meth:`SimConfig.from_dict`.
-#: ``key`` also accepts ``str`` (hex), normalized in ``__post_init__``.
-_FIELD_TYPES: dict[str, tuple[type, ...]] = {
-    "workload": (str,),
-    "scheme": (str,),
-    "n_writes": (int,),
-    "seed": (int,),
-    "pad_kind": (str,),
-    "key": (bytes, str),
-    "line_bytes": (int,),
-    "word_bytes": (int,),
-    "epoch_interval": (int,),
-    "fnw_group_bits": (int,),
-    "wear_leveling": (str,),
-    "gap_write_interval": (int,),
-    "hwl_region_lines": (int, type(None)),
-    "track_per_line_wear": (bool,),
-    "pad_cache_lines": (int,),
-    "chunk_size": (int,),
-    "workload_params": (dict,),
-}
+def _field(help: str, default=MISSING, *, default_factory=MISSING,
+           minimum: int | None = None, flag: str = "",
+           types: tuple[type, ...] = ()):
+    """A :class:`SimConfig` field declared with its grammar.
+
+    ``help`` is the one-line description (the CLI flag's help);
+    ``minimum`` an inclusive lower bound, checked on construction;
+    ``flag`` the CLI spelling when it is not the name with dashes;
+    ``types`` the accepted runtime types when they are wider than the
+    annotation.  :meth:`SimConfig.from_dict` and the ``deuce-sim run`` /
+    ``sweep`` flags are both built from these declarations.
+    """
+    return field(default=default, default_factory=default_factory, metadata={
+        "help": help, "minimum": minimum, "flag": flag, "types": types,
+    })
 
 
 @dataclass(frozen=True)
 class SimConfig:
     """Everything needed to reproduce one (workload, scheme) run.
 
-    Attributes
-    ----------
-    workload:
-        Table 2 benchmark name.
-    scheme:
-        Scheme registry name (see :data:`repro.schemes.SCHEME_NAMES`).
-    n_writes:
-        Writebacks to stream through the scheme.
-    seed:
-        Trace generator seed.
-    pad_kind:
-        ``"blake2"`` (fast surrogate, default) or ``"aes"`` (real cipher).
-    key:
-        Pad-source secret key.
-    line_bytes / word_bytes / epoch_interval / fnw_group_bits:
-        Scheme geometry; defaults are the paper's (64B lines, 2B DEUCE
-        words, epoch 32, 16-bit FNW groups).
-    wear_leveling:
-        ``"none"``, ``"hwl"`` (Start-Gap-derived rotation), or
-        ``"hwl-hashed"`` (footnote-2 keyed rotation).
-    gap_write_interval:
-        Start-Gap's ψ (writes per gap movement).
-    hwl_region_lines:
-        Lines per Start-Gap region.  Defaults to the trace's working set
-        (rounded down to a power of two for ``"sr-hwl"``).  An explicit
-        value must be >= 1, and a power of two >= 2 under ``"sr-hwl"``;
-        :func:`~repro.sim.runner.run` raises ``ValueError`` otherwise.  Set
-        it smaller to accelerate Start increments so a short simulated
-        window exhibits the rotation coverage a real device accumulates
-        over its lifetime (the paper's Start advances "several hundred
-        thousand" times, section 5.3).
-    track_per_line_wear:
-        Keep the full (line, bit) wear matrix (needed for exact hottest-
-        cell queries; the per-position aggregate is always kept).
-    pad_cache_lines:
-        Capacity (in cached line pads) of the LRU pad cache wrapped around
-        the pad source; ``0`` disables caching.
-    chunk_size:
-        Writes the runner hands to ``scheme.write_batch`` at once, for
-        every scheme; ``1`` runs the scalar install/write reference.  Must
-        be at least 1.  Results are bit-identical at any value (chunks are
-        cut at checkpoint, sampling, heartbeat, abort-poll and phase
-        boundaries; epoch resets are handled inside the batch, and each
-        write gets its own wear-leveler rotation however many gap moves
-        or refreshes the chunk spans); larger chunks amortize dispatch
-        overhead across the whole batch.
-    workload_params:
-        Per-workload parameter overrides (a KV profile's ``n_keys``,
-        ``zipf_alpha``, mix weights, ...), validated against the
-        workload plugin's declared :class:`~repro.registry.FieldSpec`
-        schema at decode time.  Table 2 workloads declare no parameters,
-        so any override there is rejected.
+    Each field carries its help line, lower bound and CLI spelling (see
+    :func:`_field`); the comments below add what one line cannot.
     """
 
-    workload: str
-    scheme: str
-    n_writes: int = DEFAULT_N_WRITES
-    seed: int = 0
-    pad_kind: str = "blake2"
-    key: bytes = DEFAULT_KEY
-    line_bytes: int = 64
-    word_bytes: int = 2
-    epoch_interval: int = 32
-    fnw_group_bits: int = 16
-    wear_leveling: str = "none"
-    gap_write_interval: int = 100
-    hwl_region_lines: int | None = None
-    track_per_line_wear: bool = False
-    pad_cache_lines: int = 1024
-    chunk_size: int = 512
-    workload_params: dict = field(default_factory=dict)
+    workload: str = _field(
+        "workload registry name: a Table 2 trace or a KV profile "
+        "(see 'deuce-sim plugins')"
+    )
+    scheme: str = _field("scheme registry name (see 'deuce-sim plugins')")
+    n_writes: int = _field(
+        "writebacks to stream through the scheme", DEFAULT_N_WRITES,
+        minimum=1, flag="writes",
+    )
+    seed: int = _field("trace generator seed", 0)
+    pad_kind: str = _field(
+        "pad source registry name: blake2 (fast surrogate) or aes "
+        "(the real cipher)", "blake2",
+    )
+    # ``key`` also accepts a hex string, decoded in ``__post_init__``.
+    key: bytes = _field(
+        "pad-source secret key, as hex", DEFAULT_KEY, types=(bytes, str)
+    )
+    # Scheme geometry: the defaults are the paper's (64B lines, 2B DEUCE
+    # words, epoch 32, 16-bit FNW groups).
+    line_bytes: int = _field("bytes per memory line", 64, minimum=1)
+    word_bytes: int = _field("DEUCE word size in bytes", 2)
+    epoch_interval: int = _field(
+        "writes per DEUCE epoch (full re-encryption)", 32
+    )
+    fnw_group_bits: int = _field("bits per Flip-N-Write group", 16)
+    wear_leveling: str = _field(
+        "wear leveler registry name: none, hwl (Start-Gap-derived "
+        "rotation), hwl-hashed (footnote-2 keyed rotation) or sr-hwl",
+        "none",
+    )
+    gap_write_interval: int = _field(
+        "Start-Gap's psi: writes per gap movement", 100
+    )
+    # Defaults to the trace's working set (rounded down to a power of two
+    # for "sr-hwl").  An explicit value must be >= 1, and a power of two
+    # >= 2 under "sr-hwl"; repro.sim.runner.run raises ValueError
+    # otherwise.  Set it smaller to accelerate Start increments so a short
+    # simulated window exhibits the rotation coverage a real device
+    # accumulates over its lifetime (the paper's Start advances "several
+    # hundred thousand" times, section 5.3).
+    hwl_region_lines: int | None = _field(
+        "lines per Start-Gap region (default: the trace's working set)",
+        None,
+    )
+    # The per-position aggregate is always kept; the full matrix is needed
+    # for exact hottest-cell queries.
+    track_per_line_wear: bool = _field(
+        "keep the full (line, bit) wear matrix", False
+    )
+    pad_cache_lines: int = _field(
+        "LRU pad-cache capacity in line pads (0 disables caching)", 1024,
+        minimum=0,
+    )
+    # Results are bit-identical at any value: chunks are cut at
+    # checkpoint, sampling, heartbeat, abort-poll and phase boundaries;
+    # epoch resets are handled inside the batch, and each write gets its
+    # own wear-leveler rotation however many gap moves or refreshes the
+    # chunk spans.  Larger chunks amortize dispatch overhead.
+    chunk_size: int = _field(
+        "writes handed to the scheme's batched write path at once "
+        "(1 runs the scalar install/write reference)", 512, minimum=1,
+    )
+    # Validated against the workload plugin's declared FieldSpec schema
+    # at decode time (a KV profile's n_keys, zipf_alpha, mix weights, ...;
+    # a Table 2 trace's working_set_lines).
+    workload_params: dict = _field(
+        "workload parameter overrides as a JSON object, validated against "
+        "the plugin's declared schema (see 'deuce-sim plugins describe')",
+        default_factory=dict,
+    )
 
     def __hash__(self) -> int:
         # The workload_params dict is the one unhashable field; fold it in
@@ -174,10 +170,13 @@ class SimConfig:
                     f"got {self.key!r} (not valid hex)"
                 ) from None
             object.__setattr__(self, "key", decoded)
-        if self.chunk_size < 1:
-            raise ConfigError(
-                f"config key 'chunk_size' must be >= 1, got {self.chunk_size}"
-            )
+        for f in dataclasses.fields(self):
+            minimum = f.metadata["minimum"]
+            value = getattr(self, f.name)
+            if minimum is not None and value < minimum:
+                raise ConfigError(
+                    f"config key {f.name!r} must be >= {minimum}, got {value}"
+                )
 
     def with_(self, **changes: object) -> "SimConfig":
         """A modified copy (dataclasses.replace convenience).
@@ -201,8 +200,9 @@ class SimConfig:
         """Build a config from a JSON-decoded dict, strictly validated.
 
         Unknown keys are rejected (with a did-you-mean suggestion), the
-        required ``workload``/``scheme`` keys must be present, and every
-        value must have the field's type (``key`` accepts a hex string).
+        required ``workload``/``scheme`` keys must be present, every value
+        must have the field's type (``key`` accepts a hex string), and a
+        bounded field must lie within its bound.
         Raises :class:`ConfigError` with a message fit to echo back to an
         API client.
         """
@@ -219,15 +219,18 @@ class SimConfig:
                     f"missing required config key {required!r} "
                     "(a config needs at least 'workload' and 'scheme')"
                 )
-        for key, value in data.items():
-            expected = _FIELD_TYPES[key]
+        for f in dataclasses.fields(cls):
+            if f.name not in data:
+                continue
+            value = data[f.name]
+            expected = f.metadata["types"] or get_args(f.type) or (f.type,)
             ok = isinstance(value, expected) and not (
                 isinstance(value, bool) and bool not in expected
             )
             if not ok:
                 wanted = " or ".join(t.__name__ for t in expected)
                 raise ConfigError(
-                    f"config key {key!r} expects {wanted}, "
+                    f"config key {f.name!r} expects {wanted}, "
                     f"got {type(value).__name__} ({value!r})"
                 )
         # Backend names resolve through the uniform plugin registries, so

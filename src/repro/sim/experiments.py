@@ -2,10 +2,10 @@
 
 Each paper exhibit (see DESIGN.md's experiment index) is an
 :class:`Exhibit` declaration: its id, title, columns and paper values; the
-:class:`Cell`\\ s it needs for a given ``(n_writes, seed)``; and a reducer
-from those cells' results to its rows and suite averages.  The
-``ablation_*`` exhibits quantify the implementation's own knobs (DESIGN.md
-section 6).
+cells (plain :class:`SimConfig`\\ s) it needs for a given ``(n_writes,
+seed)``; and a reducer from those cells' results to its rows and suite
+averages.  The ``ablation_*`` exhibits quantify the implementation's own
+knobs (DESIGN.md section 6).
 
 :func:`run_exhibits` is the one driver.  It runs the union of the cells of
 the exhibits asked for, each distinct cell once, and hands every reducer
@@ -19,18 +19,17 @@ from __future__ import annotations
 
 import time
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 import numpy as np
 
 from repro.analysis.tables import render_table
-from repro.obs.instruments import Instruments, RunAborted
-from repro.obs.progress import DONE, START, ProgressEvent
+from repro.obs.progress import ProgressEvent
 from repro.perf.energy import energy_report
 from repro.perf.system import CoreConfig, ExecutionResult, simulate_execution
 from repro.sim.config import SimConfig
-from repro.sim.parallel import SweepCancelled, run_suite_parallel
+from repro.sim.parallel import run_suite_parallel
 from repro.sim.results import RunResult
 from repro.sim.runner import build_scheme, run
 from repro.workloads.profiles import (
@@ -39,7 +38,6 @@ from repro.workloads.profiles import (
     WORKLOAD_NAMES,
     get_profile,
 )
-from repro.workloads.trace import generate_trace
 
 #: Default writebacks per (workload, scheme) cell.  Flip statistics converge
 #: to well under 1pp by a few thousand writes; benchmarks may pass more.
@@ -60,6 +58,8 @@ FIG12_WORKLOADS = ("mcf", "libq")
 WORKING_SET_LINES = 128
 HWL_REGION_LINES = 16
 GAP_WRITE_INTERVAL = 1
+#: The config fields that shrink a Table 2 workload's working set.
+_SHRUNK = {"workload_params": {"working_set_lines": WORKING_SET_LINES}}
 
 
 @dataclass
@@ -110,20 +110,6 @@ class ExperimentResult:
         return "\n\n".join(out)
 
 
-@dataclass(frozen=True)
-class Cell:
-    """One simulation an exhibit needs.
-
-    With ``working_set_lines`` set, the cell runs on a trace generated from
-    its workload shrunk to that many lines (Fig 14 and the HWL ablation);
-    such a cell is not expressible as a config alone, so it runs in
-    process.  Every other cell is a plain sweep cell.
-    """
-
-    config: SimConfig
-    working_set_lines: int | None = None
-
-
 #: A reducer's second argument: the system model's execution of a cell's
 #: result, made once per distinct input within one driver call.
 Execute = Callable[[RunResult], ExecutionResult]
@@ -143,7 +129,7 @@ class Exhibit:
     title: str
     columns: tuple[str, ...]
     paper: dict[str, float]
-    cells: Callable[[int, int], list[Cell]]
+    cells: Callable[[int, int], list[SimConfig]]
     reduce: Callable[[list[RunResult], Execute], tuple[Rows, dict]]
     n_writes: int = DEFAULT_WRITES
 
@@ -172,12 +158,12 @@ def _sweep(
         for label, (spec, _) in variants.items()
     }
 
-    def cells(n_writes: int, seed: int) -> list[Cell]:
+    def cells(n_writes: int, seed: int) -> list[SimConfig]:
         return [
-            Cell(SimConfig(**{
+            SimConfig(**{
                 "workload": workload, "n_writes": n_writes, "seed": seed,
                 **variant,
-            }))
+            })
             for workload in workloads
             for variant in fields.values()
         ]
@@ -203,10 +189,10 @@ def _sweep(
     )
 
 
-def _grid(*schemes: str) -> Callable[[int, int], list[Cell]]:
+def _grid(*schemes: str) -> Callable[[int, int], list[SimConfig]]:
     """Cells of ``schemes`` on every workload, workload-major."""
     return lambda n_writes, seed: [
-        Cell(SimConfig(workload, scheme, n_writes, seed))
+        SimConfig(workload, scheme, n_writes, seed)
         for workload in WORKLOAD_NAMES
         for scheme in schemes
     ]
@@ -221,7 +207,7 @@ def _averages(sums: dict[str, float], digits: int, n=len(WORKLOAD_NAMES)):
     return {label: round(total / n, digits) for label, total in sums.items()}
 
 
-def _no_cells(n_writes: int, seed: int) -> list[Cell]:
+def _no_cells(n_writes: int, seed: int) -> list[SimConfig]:
     return []
 
 
@@ -345,7 +331,7 @@ FIG12 = Exhibit(
     ("workload", "max_over_mean", "p99_over_mean"),
     {"mcf": PAPER_TARGETS["skew_mcf"], "libq": PAPER_TARGETS["skew_libq"]},
     lambda n_writes, seed: [
-        Cell(SimConfig(workload, "noencr-dcw", n_writes, seed))
+        SimConfig(workload, "noencr-dcw", n_writes, seed)
         for workload in FIG12_WORKLOADS
     ],
     _fig12,
@@ -367,18 +353,18 @@ def bit_position_profile(
 _FIG14 = ("FNW", "DEUCE", "DEUCE-HWL")
 
 
-def _fig14_cells(n_writes: int, seed: int) -> list[Cell]:
+def _fig14_cells(n_writes: int, seed: int) -> list[SimConfig]:
     return [
-        Cell(config, WORKING_SET_LINES)
+        config
         for workload in WORKLOAD_NAMES
         for config in (
-            SimConfig(workload, "encr-dcw", n_writes, seed),
-            SimConfig(workload, "encr-fnw", n_writes, seed),
-            SimConfig(workload, "deuce", n_writes, seed),
+            SimConfig(workload, "encr-dcw", n_writes, seed, **_SHRUNK),
+            SimConfig(workload, "encr-fnw", n_writes, seed, **_SHRUNK),
+            SimConfig(workload, "deuce", n_writes, seed, **_SHRUNK),
             SimConfig(
                 workload, "deuce", n_writes, seed, wear_leveling="hwl",
                 gap_write_interval=GAP_WRITE_INTERVAL,
-                hwl_region_lines=HWL_REGION_LINES,
+                hwl_region_lines=HWL_REGION_LINES, **_SHRUNK,
             ),
         )
     ]
@@ -553,13 +539,12 @@ _HWL_VARIANTS = (
 )
 
 
-def _hwl_variant_cells(_n_writes: int, _seed: int) -> list[Cell]:
-    configs = [SimConfig("mcf", "encr-dcw", 8_000)] + [
+def _hwl_variant_cells(_n_writes: int, _seed: int) -> list[SimConfig]:
+    return [SimConfig("mcf", "encr-dcw", 8_000, **_SHRUNK)] + [
         SimConfig("mcf", "deuce", 8_000, wear_leveling=mode,
-                  gap_write_interval=1, hwl_region_lines=region)
+                  gap_write_interval=1, hwl_region_lines=region, **_SHRUNK)
         for mode, region in _HWL_VARIANTS
     ]
-    return [Cell(config, WORKING_SET_LINES) for config in configs]
 
 
 def _hwl_variants(runs: list[RunResult], _execute: Execute):
@@ -666,13 +651,11 @@ def run_exhibits(
     """Build the exhibits ``exhibits`` (ids), running each distinct cell once.
 
     ``n_writes`` is every exhibit's scale; with ``None`` each runs at its
-    own default.  The union of the exhibits' plain cells runs in one
+    own default.  The union of the exhibits' cells runs in one
     :func:`~repro.sim.parallel.run_suite_parallel` call (``workers``
-    processes; ``ledger`` records each cell once, labelled with the ids of
-    the exhibits that share it).  The cells that carry their own trace then
-    run in process, with ``should_stop`` checked and progress emitted
-    between them.  ``progress`` sees every cell numbered within the whole
-    call.  Returns the results by id, in the order asked for.
+    processes, ``progress`` and ``should_stop`` as there; ``ledger``
+    records each cell once, labelled with the ids of the exhibits that
+    share it).  Returns the results by id, in the order asked for.
     """
     t0 = time.perf_counter()
     ids = list(exhibits)
@@ -683,26 +666,18 @@ def run_exhibits(
         e: _EXHIBITS[e].cells(n_writes or _EXHIBITS[e].n_writes, seed)
         for e in ids
     }
-    sharers: dict[Cell, list[str]] = {}
+    sharers: dict[SimConfig, list[str]] = {}
     for e, cells in wanted.items():
         for cell in dict.fromkeys(cells):
             sharers.setdefault(cell, []).append(e)
-    plain = [c for c in sharers if c.working_set_lines is None]
-    traced = [c for c in sharers if c.working_set_lines is not None]
-    n_cells = len(sharers)
-    results = dict(zip(plain, run_suite_parallel(
-        [c.config for c in plain],
+    results = dict(zip(sharers, run_suite_parallel(
+        list(sharers),
         max_workers=workers,
-        progress=(
-            None if progress is None
-            else lambda event: progress(replace(event, n_cells=n_cells))
-        ),
+        progress=progress,
         ledger=ledger,
-        ledger_label=[",".join(sharers[c]) for c in plain],
+        ledger_label=[",".join(names) for names in sharers.values()],
         should_stop=should_stop,
     )))
-    results.update(_run_traced(traced, len(plain), n_cells, progress,
-                               should_stop))
 
     executions: dict[tuple, ExecutionResult] = {}
 
@@ -730,52 +705,3 @@ def run_exhibits(
         result.wall_time_s = wall
     return out
 
-
-def _run_traced(
-    cells: list[Cell],
-    first: int,
-    n_cells: int,
-    progress: Callable[[ProgressEvent], None] | None,
-    should_stop: Callable[[], bool] | None,
-) -> dict[Cell, RunResult]:
-    """Run the trace-carrying cells in process, numbered from ``first``.
-
-    Each distinct (workload, writes, seed, working set) trace is generated
-    once.
-    """
-    traces = {}
-    results = {}
-    for index, cell in enumerate(cells, first):
-        if should_stop is not None and should_stop():
-            raise SweepCancelled(
-                f"experiment cancelled before cell {index}/{n_cells}"
-            )
-        config = cell.config
-        key = (config.workload, config.n_writes, config.seed,
-               cell.working_set_lines)
-        if key not in traces:
-            profile = replace(
-                get_profile(config.workload),
-                working_set_lines=cell.working_set_lines,
-            )
-            traces[key] = generate_trace(
-                profile, config.n_writes, seed=config.seed
-            )
-        if progress is not None:
-            progress(ProgressEvent.for_cell(START, config, index, n_cells))
-        try:
-            results[cell] = run(
-                config,
-                trace=traces[key],
-                instruments=(
-                    None if should_stop is None
-                    else Instruments(abort=should_stop)
-                ),
-            )
-        except RunAborted as exc:
-            raise SweepCancelled(
-                f"experiment cancelled in cell {index}/{n_cells}: {exc}"
-            ) from exc
-        if progress is not None:
-            progress(ProgressEvent.for_cell(DONE, config, index, n_cells))
-    return results

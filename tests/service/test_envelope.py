@@ -196,3 +196,51 @@ class TestKvThroughTheEnvelope:
         )
         assert spec.configs[0].workload == "kv-udb"
         assert spec.configs[0].workload_params == KV_CONFIG["workload_params"]
+
+
+#: One bad value per row: the config override and the message every
+#: surface must give for it.
+BAD_VALUES = [
+    ({"wear_leveling": "hwl-hashd"}, "did you mean 'hwl-hashed'?"),
+    ({"chunk_size": 0}, "config key 'chunk_size' must be >= 1, got 0"),
+    ({"n_writes": 0}, "config key 'n_writes' must be >= 1, got 0"),
+    ({"n_writes": -5}, "config key 'n_writes' must be >= 1, got -5"),
+    ({"line_bytes": 0}, "config key 'line_bytes' must be >= 1, got 0"),
+    ({"pad_cache_lines": -1},
+     "config key 'pad_cache_lines' must be >= 0, got -1"),
+]
+
+
+class TestOneConfigGrammar:
+    """The CLI, ``SimConfig.from_dict`` and ``/v1`` reject a bad value at
+    decode with the same message naming the field."""
+
+    @pytest.mark.parametrize(("override", "expected"), BAD_VALUES)
+    def test_same_message_on_every_surface(
+        self, service, capsys, override, expected
+    ):
+        from repro.cli import main
+        from repro.sim.config import ConfigError, SimConfig
+
+        config = dict(RUN_CONFIG, **override)
+        with pytest.raises(ConfigError) as info:
+            SimConfig.from_dict(config)
+        message = str(info.value)
+        assert expected in message
+
+        (key, value), = override.items()
+        flag = "--writes" if key == "n_writes" else (
+            "--" + key.replace("_", "-")
+        )
+        code = main(["run", "--workload", "mcf", "--scheme", "deuce",
+                     flag, str(value), "--no-ledger"])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+        status, _, body = request(
+            "POST", f"{service.url}/v1/jobs",
+            {"kind": "run", "config": config, "options": {}},
+        )
+        assert status == 400
+        assert body["error"] == message
+        assert service.manager.jobs() == []

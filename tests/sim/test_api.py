@@ -126,6 +126,19 @@ class TestSessionExperiment:
         with pytest.raises(ConfigError, match="did you mean 'n_writes'"):
             Session(ledger=False).experiment("table2", n_writs=300)
 
+    def test_manifest_records_the_scale_each_exhibit_ran_at(self, tmp_path):
+        from repro.sim.experiments import EXPERIMENTS
+
+        session = Session(ledger=tmp_path / "runs")
+        results = session.experiments(["fig12", "table2"])
+        for name, result in results.items():
+            assert result.manifest.n_writes == EXPERIMENTS[name].n_writes
+        assert results["fig12"].manifest.n_writes == 15_000
+        cells = session.ledger.list(kind="sweep-cell", label="fig12")
+        assert {c.n_writes for c in cells} == {15_000}
+        scaled = session.experiment("table2", n_writes=123)
+        assert scaled.manifest.n_writes == 123
+
     def test_experiments_record_each_exhibit_and_each_cell_once(
         self, tmp_path
     ):

@@ -105,6 +105,111 @@ class TestRun:
         assert "config key 'chunk_size' must be >= 1, got 0" in err
 
 
+#: A non-default value for every SimConfig field: its flag and its value.
+EVERY_FIELD = {
+    "workload": ("--workload", "kv-udb", "kv-udb"),
+    "scheme": ("--scheme", "dyndeuce", "dyndeuce"),
+    "n_writes": ("--writes", "1234", 1234),
+    "seed": ("--seed", "7", 7),
+    "pad_kind": ("--pad-kind", "aes", "aes"),
+    "key": ("--key", "00112233445566778899aabbccddeeff",
+            "00112233445566778899aabbccddeeff"),
+    "line_bytes": ("--line-bytes", "128", 128),
+    "word_bytes": ("--word-bytes", "4", 4),
+    "epoch_interval": ("--epoch-interval", "16", 16),
+    "fnw_group_bits": ("--fnw-group-bits", "8", 8),
+    "wear_leveling": ("--wear-leveling", "sr-hwl", "sr-hwl"),
+    "gap_write_interval": ("--gap-write-interval", "50", 50),
+    "hwl_region_lines": ("--hwl-region-lines", "8", 8),
+    "track_per_line_wear": ("--track-per-line-wear", None, True),
+    "pad_cache_lines": ("--pad-cache-lines", "0", 0),
+    "chunk_size": ("--chunk-size", "64", 64),
+    "workload_params": ("--workload-params", '{"n_keys": 256}',
+                        {"n_keys": 256}),
+}
+
+
+class _Captured(Exception):
+    """Raised by the stubbed Session once a command has built its configs."""
+
+
+def _configs_of(monkeypatch, argv: list[str]) -> list:
+    """The configs ``deuce-sim run|sweep <argv>`` hands its Session."""
+    from repro.api import Session
+
+    captured = []
+
+    def stub(self, configs, **_):
+        captured.extend(configs if isinstance(configs, list) else [configs])
+        raise _Captured
+
+    monkeypatch.setattr(Session, argv[0], stub)
+    with pytest.raises(_Captured):
+        main(argv)
+    return captured
+
+
+class TestConfigGrammar:
+    """The config flags of ``run`` and ``sweep`` are SimConfig's fields."""
+
+    @staticmethod
+    def _argv(*names: str) -> list[str]:
+        argv: list[str] = []
+        for name in names:
+            flag, raw, _ = EVERY_FIELD[name]
+            argv += [flag] if raw is None else [flag, raw]
+        return argv
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_flags_decode_like_from_dict_and_v1(self, monkeypatch, command):
+        from dataclasses import fields
+
+        from repro.service.jobs import JobSpec
+        from repro.sim.config import SimConfig
+
+        data = {name: value for name, (_, _, value) in EVERY_FIELD.items()}
+        expected = SimConfig.from_dict(data)
+        default = SimConfig("mcf", "deuce")
+        assert list(data) == [f.name for f in fields(SimConfig)]
+        for name in data:
+            assert getattr(expected, name) != getattr(default, name), name
+        if command == "run":
+            argv = ["run", *self._argv(*EVERY_FIELD)]
+        else:
+            rest = [n for n in EVERY_FIELD if n not in ("workload", "scheme")]
+            argv = ["sweep", "--workloads", "kv-udb", "--schemes", "dyndeuce",
+                    *self._argv(*rest)]
+        assert _configs_of(monkeypatch, [*argv, "--no-ledger"]) == [expected]
+        spec = JobSpec.decode({"kind": "run", "config": data})
+        assert spec.configs == (expected,)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["run", "--workload", "mcf", "--scheme", "deuce"],
+         ["sweep", "--workloads", "mcf", "--schemes", "deuce"]],
+    )
+    def test_bare_command_runs_simconfig_defaults(self, monkeypatch, argv):
+        from repro.sim.config import DEFAULT_N_WRITES, SimConfig
+
+        configs = _configs_of(monkeypatch, argv)
+        assert configs == [SimConfig("mcf", "deuce")]
+        assert configs[0].n_writes == DEFAULT_N_WRITES
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--writes", "5"], ["--no-track-per-line-wear"],
+         ["--workload", "mcf", "--hwl-region-lines", "8"]],
+    )
+    def test_resume_rejects_config_flags(self, capsys, flags):
+        code = main(["run", "--resume", "no-such-run", *flags])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "cannot be combined with --resume" in err
+        for flag in flags:
+            if flag.startswith("--"):
+                assert flag.replace("--no-", "--") in err
+
+
 class TestRunObservability:
     def test_metrics_trace_and_series_outputs(self, tmp_path, capsys):
         metrics = tmp_path / "m.jsonl"
@@ -175,6 +280,13 @@ class TestExperiment:
     def test_small_figure_run(self, capsys):
         assert main(["experiment", "fig12", "--writes", "800"]) == 0
         assert "Fig 12" in capsys.readouterr().out
+
+    def test_bad_writes_exits_2_naming_the_field(self, capsys):
+        assert main(["experiment", "fig12", "--writes", "-5"]) == 2
+        assert (
+            "config key 'n_writes' must be >= 1, got -5"
+            in capsys.readouterr().err
+        )
 
     def test_progress_renders_on_stderr(self, capsys):
         code = main(
@@ -463,16 +575,24 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
-    def test_defaults(self):
+    def test_config_flags_have_no_default(self):
+        """Unset config flags stay out of the config, so every field keeps
+        SimConfig's one default; the run-only flags keep theirs."""
         args = build_parser().parse_args(["run", "--workload", "mcf"])
-        assert args.scheme == "deuce"
-        assert args.epoch_interval == 32
-        assert args.wear_leveling == "none"
+        assert args.workload == "mcf"
+        for name in ("scheme", "n_writes", "epoch_interval", "wear_leveling",
+                     "pad_cache_lines", "track_per_line_wear"):
+            assert getattr(args, name) is None, name
         assert args.sample_interval == 0
         assert args.metrics_out is None
         assert args.trace_out is None
         assert args.series_out is None
-        assert args.pad_cache_lines > 0
+        assert args.resume is None
+        sweep = build_parser().parse_args(
+            ["sweep", "--workloads", "mcf", "--schemes", "deuce"]
+        )
+        assert sweep.n_writes is None and sweep.chunk_size is None
+        assert build_parser().parse_args(["experiment", "fig12"]).writes is None
 
     def test_progress_flag_tristate(self):
         parse = build_parser().parse_args

@@ -9,7 +9,7 @@ from __future__ import annotations
 import pytest
 
 import repro.sim.runner
-from repro.obs.progress import DONE, START
+from repro.obs.progress import DONE, HEARTBEAT, START
 from repro.sim.experiments import (
     EXPERIMENTS,
     bit_position_profile,
@@ -92,15 +92,51 @@ class TestDriver:
                 ["fig12", "fig14"], n_writes=300,
                 progress=events.append, should_stop=stop,
             )
-        # fig12's two plain cells ran; none of fig14's traced cells did.
+        # fig12's two cells ran; none of fig14's did.
         assert [traced for _, traced in run_calls] == [False, False]
 
     def test_fig14_emits_progress(self):
         events = []
         run_exhibits(["fig14"], n_writes=100, progress=events.append)
-        assert [e.kind for e in events] == [START, DONE] * 48
+        # Its cells are sweep cells like any other, heartbeats included.
+        assert HEARTBEAT in {e.kind for e in events}
+        kinds = [e.kind for e in events if e.kind != HEARTBEAT]
+        assert kinds == [START, DONE] * 48
         assert {e.n_cells for e in events} == {48}
         assert [e.cell for e in events if e.kind == DONE] == list(range(48))
+
+    def test_fig14_runs_on_workers_and_records_its_cells(self, tmp_path):
+        from repro.obs.ledger import RunLedger
+
+        ledger = RunLedger(tmp_path / "runs")
+        serial = run_exhibits(["fig14"], n_writes=100)
+        pooled = run_exhibits(["fig14"], n_writes=100, workers=2,
+                              ledger=ledger)
+        assert _table(pooled["fig14"]) == _table(serial["fig14"])
+        assert len(ledger.list(kind="sweep-cell", label="fig14")) == 48
+
+    def test_shrunk_working_set_is_a_workload_param(self):
+        """A fig14 cell's trace is its workload's profile with the working
+        set replaced, generated as any other config's trace is."""
+        from dataclasses import replace
+
+        import numpy as np
+
+        from repro.workloads.profiles import PROFILES
+        from repro.workloads.trace import generate_trace
+
+        by_param = generate_trace(
+            "mcf", 300, params={"working_set_lines": 128}
+        )
+        by_profile = generate_trace(
+            replace(PROFILES["mcf"], working_set_lines=128), 300
+        )
+        for a, b in zip(by_param.write_arrays(), by_profile.write_arrays()):
+            assert np.array_equal(a, b)
+        assert not np.array_equal(
+            by_param.write_arrays()[0],
+            generate_trace("mcf", 300).write_arrays()[0],
+        )
 
 
 class TestProfiles:

@@ -175,9 +175,31 @@ class TestValidateParams:
             )
 
     def test_paramless_plugin_rejects_any_params(self):
-        with pytest.raises(RegistryError, match="accepts no parameters"):
+        from repro.workloads.profiles import PROFILES
+
+        WORKLOADS.register("paramless-mcf", lambda: PROFILES["mcf"])
+        try:
+            with pytest.raises(RegistryError, match="accepts no parameters"):
+                WORKLOADS.validate(
+                    "paramless-mcf", {"zipf_alpha": 1.2},
+                    path="workload_params",
+                )
+        finally:
+            WORKLOADS.unregister("paramless-mcf")
+
+    def test_table2_workload_declares_working_set_lines(self):
+        assert WORKLOADS.validate(
+            "mcf", {"working_set_lines": 128}, path="workload_params"
+        ) == "mcf"
+        with pytest.raises(
+            RegistryError, match=r"workload_params\.working_set_lines: must be >= 1"
+        ):
             WORKLOADS.validate(
-                "mcf", {"zipf_alpha": 1.2}, path="workload_params"
+                "mcf", {"working_set_lines": 0}, path="workload_params"
+            )
+        with pytest.raises(RegistryError, match="did you mean 'working_set_lines'"):
+            WORKLOADS.validate(
+                "mcf", {"working_set_line": 128}, path="workload_params"
             )
 
     def test_error_message_identical_to_config_decode(self):
