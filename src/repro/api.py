@@ -567,7 +567,10 @@ class Session:
             manifest = build_manifest(
                 kind="experiment",
                 label=name,
-                n_writes=n_writes or EXPERIMENTS[name].n_writes,
+                n_writes=(
+                    EXPERIMENTS[name].n_writes if n_writes is None
+                    else n_writes
+                ),
                 wall_time_s=result.wall_time_s,
                 summary={
                     key: value

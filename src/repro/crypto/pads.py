@@ -778,37 +778,26 @@ class CachingPadSource(_PadSourceBase):
     # -- checkpointing -------------------------------------------------------
 
     def state_dict(self) -> dict[str, object]:
-        """Cached keys in LRU order, their pads, and the hit counters.
+        """Cached keys in LRU order and the hit counters.
 
         Restoring this makes a resumed run's ``pad_hits``/``pad_misses``
         match the uninterrupted run exactly.  Pads are pure functions of
-        (key, address, counter), so correctness never depends on it — only
-        the cache statistics do.  The pads are regenerated for the cached
-        keys: block pads as an (N, 16) array, line pads, which vary in
-        width, concatenated in key order (each key's ``n_bytes`` re-splits
-        them).
+        (key, address, counter), so correctness never depends on it, and
+        no pad is stored: the keys alone rebuild the cache.
         """
-        block_keys = self._blocks.keys()
-        line_keys = self._lines.keys()
-        line_pads = [np.zeros(0, dtype=np.uint8)] * len(line_keys)
-        for width in np.unique(line_keys[:, 2]).tolist():
-            (rows,) = np.nonzero(line_keys[:, 2] == width)
-            pads = self._inner.line_pads_batch(
-                line_keys[rows, 0], line_keys[rows, 1], width
-            )
-            for row, pad in zip(rows.tolist(), pads):
-                line_pads[row] = pad
         return {
-            "block_keys": block_keys,
-            "block_pads": np.array(self._inner.pad_blocks_batch(*block_keys.T)),
-            "line_keys": line_keys,
-            "line_pads": np.concatenate([np.zeros(0, np.uint8), *line_pads]),
+            "block_keys": self._blocks.keys(),
+            "line_keys": self._lines.keys(),
             "hits": self.hits,
             "misses": self.misses,
         }
 
     def load_state_dict(self, state: dict[str, object]) -> None:
-        """Replay the saved keys, oldest first, into fresh caches."""
+        """Replay the saved keys, oldest first, into fresh caches.
+
+        Any other entry is ignored: older checkpoints also stored the
+        cached pads as ``block_pads``/``line_pads``.
+        """
         counters = []
         for name in ("block_keys", "line_keys"):
             lru = _LruCounter(self._capacity)

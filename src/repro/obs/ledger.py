@@ -44,6 +44,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable
 
+from repro.obs.journal import append_record, read_records
+
 if TYPE_CHECKING:  # pragma: no cover - typing only; avoids import cycles
     from repro.sim.config import SimConfig
     from repro.sim.results import RunResult
@@ -301,12 +303,10 @@ class RunLedger:
             (run_dir / filename).write_text(content)
             name = filename.rsplit(".", 1)[0]
             manifest.artifacts[name] = filename
-        line = json.dumps(manifest.to_dict(), sort_keys=True)
         (run_dir / "manifest.json").write_text(
             json.dumps(manifest.to_dict(), indent=2, sort_keys=True) + "\n"
         )
-        with open(self.index_path, "a") as fh:
-            fh.write(line + "\n")
+        append_record(self.index_path, manifest.to_dict())
         return manifest
 
     def record_result(
@@ -464,15 +464,7 @@ class RunLedger:
         return removed
 
     def _read_index(self) -> list[RunManifest]:
-        if not self.index_path.exists():
-            return []
-        manifests = []
-        with open(self.index_path) as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    manifests.append(RunManifest.from_dict(json.loads(line)))
-        return manifests
+        return [RunManifest.from_dict(r) for r in read_records(self.index_path)]
 
     def __len__(self) -> int:
         return len(self._read_index())

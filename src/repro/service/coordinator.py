@@ -6,9 +6,10 @@ module turns N independent ``deuce-sim serve`` endpoints into a sweep
 fabric.  The scheduler owns the grid; workers own nothing but the cell
 they are currently running.
 
-* :class:`WorkerClient` — a stdlib-only HTTP client for one worker's
-  ``/v1`` job API (submit a cell as a ``kind="run"`` envelope, poll its
-  status, fetch its exact result payload, cancel, probe ``/v1/healthz``).
+* :class:`WorkerClient` — one worker's ``/v1`` job API (submit a cell as
+  a ``kind="run"`` envelope, poll its status, fetch its exact result
+  payload, cancel, probe ``/v1/healthz``) over the shared
+  :func:`repro.service.client.call`, raising :class:`WorkerError`.
 * :class:`FleetExecutor` — the scheduler.  ``run_suite`` has the same
   contract as :func:`repro.sim.parallel.run_suite_parallel` and the same
   front half (:func:`repro.sim.parallel.run_sweep`): results in
@@ -20,8 +21,10 @@ they are currently running.
   cells of a dead worker, and steals long-running cells onto idle
   workers (straggler re-dispatch with first-completion-wins dedup by
   cell index).
-* :class:`FleetTelemetry` — per-worker dispatch/latency/steal counters
-  on a :class:`~repro.obs.metrics.MetricsRegistry`.
+* :class:`FleetRun` — one sweep's scheduling state; ``run_suite`` calls
+  its :meth:`~FleetRun.tick` once per poll interval.
+* :class:`FleetTelemetry` — the per-worker ``fleet.*`` instruments on a
+  :class:`~repro.obs.metrics.MetricsRegistry`.
 
 Two front ends drive it: ``deuce-sim sweep --workers-url`` for one
 sweep from the command line, and ``deuce-sim serve --workers-url``,
@@ -40,12 +43,9 @@ grid, and its checkpoint resumes interchangeably.
 
 from __future__ import annotations
 
-import http.client
 import json
 import threading
 import time
-import urllib.error
-import urllib.request
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
@@ -54,7 +54,9 @@ from urllib.parse import urlsplit
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.progress import DONE, HEARTBEAT, START, ProgressEvent
-from repro.obs.tracing import JsonlSink, Tracer
+from repro.obs.tracing import NULL_TRACER, JsonlSink, Tracer
+from repro.service.client import call
+from repro.service.jobs import CANCELLED, DONE as JOB_DONE, FAILED
 from repro.sim.checkpoint import SweepCheckpoint
 from repro.sim.config import SimConfig
 from repro.sim.parallel import (
@@ -64,9 +66,11 @@ from repro.sim.parallel import (
     run_sweep,
 )
 from repro.sim.results import RunResult
-from repro.service.jobs import CANCELLED, DONE as JOB_DONE, FAILED
 
-__all__ = ["FleetExecutor", "FleetTelemetry", "WorkerClient", "WorkerError"]
+__all__ = [
+    "FleetExecutor", "FleetRun", "FleetTelemetry", "WorkerClient",
+    "WorkerError",
+]
 
 #: Fixed upper bounds for per-cell latency histograms (seconds).  Cells
 #: run whole traces, so the scale is job-like, not request-like.
@@ -77,6 +81,18 @@ CELL_SECONDS_BUCKETS = (
 #: Consecutive transport failures (probe or poll) before a worker is
 #: declared dead and its in-flight cells are requeued.
 DEAD_AFTER_ERRORS = 2
+
+#: The fleet events counted per worker, and the ``fleet.*`` counter each
+#: one feeds.  ``stolen`` counts against the worker a cell was stolen
+#: *from* (the straggler); ``requeued`` against the worker that died.
+EVENTS = {
+    "dispatched": "fleet.cells_dispatched",
+    "completed": "fleet.cells_completed",
+    "failed": "fleet.cells_failed",
+    "stolen": "fleet.cells_stolen",
+    "requeued": "fleet.cells_requeued",
+    "duplicates": "fleet.duplicate_completions",
+}
 
 
 class WorkerError(RuntimeError):
@@ -92,7 +108,7 @@ class WorkerError(RuntimeError):
 
 
 class WorkerClient:
-    """Stdlib HTTP client for one ``deuce-sim serve`` worker's /v1 API."""
+    """One ``deuce-sim serve`` worker's /v1 API; failures raise."""
 
     def __init__(self, url: str, *, timeout_s: float = 10.0) -> None:
         self.url = url.rstrip("/")
@@ -105,49 +121,22 @@ class WorkerClient:
         payload: object | None = None,
         trace_id: str = "",
     ) -> dict:
-        body = None
-        if payload is not None:
-            body = json.dumps(payload, sort_keys=True).encode()
-        request = urllib.request.Request(
-            self.url + path, data=body, method=method
+        where = f"{method} {self.url}{path}"
+        status, body = call(
+            method, self.url + path, payload, timeout=self.timeout_s,
+            headers={"X-Trace-Id": trace_id} if trace_id else None,
         )
-        request.add_header("Content-Type", "application/json")
-        if trace_id:
-            request.add_header("X-Trace-Id", trace_id)
-        try:
-            with urllib.request.urlopen(
-                request, timeout=self.timeout_s
-            ) as response:
-                raw = response.read()
-        except urllib.error.HTTPError as exc:
-            detail = ""
-            try:
-                detail = json.loads(exc.read() or b"{}").get("error", "")
-            except (ValueError, OSError):
-                pass
+        if status == 0:
+            raise WorkerError(str(body))
+        if status >= 400:
+            detail = body.get("error", "") if isinstance(body, dict) else ""
             raise WorkerError(
-                f"{method} {self.url}{path} -> HTTP {exc.code}"
-                + (f": {detail}" if detail else ""),
-                status=exc.code,
-            ) from exc
-        except (
-            urllib.error.URLError,
-            http.client.HTTPException,  # e.g. IncompleteRead on SIGKILL
-            OSError,
-            ValueError,
-        ) as exc:
-            raise WorkerError(
-                f"{method} {self.url}{path} failed: {exc}"
-            ) from exc
-        if not raw:
-            return {}
-        try:
-            decoded = json.loads(raw)
-        except ValueError as exc:
-            raise WorkerError(
-                f"{method} {self.url}{path} returned non-JSON"
-            ) from exc
-        return decoded if isinstance(decoded, dict) else {"value": decoded}
+                f"{where} -> HTTP {status}" + (f": {detail}" if detail else ""),
+                status=status,
+            )
+        if not isinstance(body, dict):
+            raise WorkerError(f"{where} returned no JSON object")
+        return body
 
     def healthz(self) -> dict:
         return self._request("GET", "/v1/healthz")
@@ -173,19 +162,11 @@ class WorkerClient:
 
 
 class FleetTelemetry:
-    """Per-worker fleet counters on a :class:`MetricsRegistry`.
+    """Per-worker fleet instruments on a :class:`MetricsRegistry`.
 
-    Instruments (all labeled ``worker=<name>``):
-
-    * ``fleet.cells_dispatched`` / ``fleet.cells_completed`` /
-      ``fleet.cells_failed`` — dispatch outcomes.
-    * ``fleet.cells_stolen`` — cells re-dispatched *away from* this
-      worker (it was the straggler).
-    * ``fleet.cells_requeued`` — in-flight cells requeued because this
-      worker died.
-    * ``fleet.duplicate_completions`` — steal-race losers deduplicated.
-    * ``fleet.cell_seconds`` — dispatch-to-completion latency histogram.
-    * ``fleet.worker_healthy`` / ``fleet.worker_in_flight`` — gauges.
+    All labeled ``worker=<name>``: one counter per :data:`EVENTS` entry,
+    the ``fleet.cell_seconds`` dispatch-to-completion histogram, and the
+    ``fleet.worker_healthy`` / ``fleet.worker_in_flight`` gauges.
 
     A registry shared with other writers must be shared with its lock
     (the job service passes its
@@ -201,72 +182,22 @@ class FleetTelemetry:
         self.registry = registry if registry is not None else MetricsRegistry()
         self._lock = lock if lock is not None else threading.Lock()
 
-    def _labels(self, worker: str) -> dict[str, str]:
-        return {"worker": worker}
-
-    def dispatched(self, worker: str) -> None:
+    def count(self, worker: str, event: str, n: int = 1) -> None:
         with self._lock:
-            self.registry.counter(
-                "fleet.cells_dispatched", self._labels(worker)
-            ).inc()
+            self.registry.counter(EVENTS[event], {"worker": worker}).inc(n)
 
-    def completed(self, worker: str, seconds: float, trace_id: str = "") -> None:
+    def cell_seconds(
+        self, worker: str, seconds: float, trace_id: str = ""
+    ) -> None:
         with self._lock:
-            self.registry.counter(
-                "fleet.cells_completed", self._labels(worker)
-            ).inc()
             self.registry.bucket_histogram(
-                "fleet.cell_seconds",
-                self._labels(worker),
+                "fleet.cell_seconds", {"worker": worker},
                 buckets=CELL_SECONDS_BUCKETS,
             ).observe(seconds, exemplar=trace_id)
 
-    def failed(self, worker: str) -> None:
+    def gauge(self, name: str, worker: str, value: float) -> None:
         with self._lock:
-            self.registry.counter(
-                "fleet.cells_failed", self._labels(worker)
-            ).inc()
-
-    def stolen(self, worker: str) -> None:
-        with self._lock:
-            self.registry.counter(
-                "fleet.cells_stolen", self._labels(worker)
-            ).inc()
-
-    def requeued(self, worker: str, cells: int) -> None:
-        with self._lock:
-            self.registry.counter(
-                "fleet.cells_requeued", self._labels(worker)
-            ).inc(cells)
-
-    def duplicate(self, worker: str) -> None:
-        with self._lock:
-            self.registry.counter(
-                "fleet.duplicate_completions", self._labels(worker)
-            ).inc()
-
-    def health(self, worker: str, healthy: bool) -> None:
-        with self._lock:
-            self.registry.gauge(
-                "fleet.worker_healthy", self._labels(worker)
-            ).set(1.0 if healthy else 0.0)
-
-    def in_flight(self, worker: str, count: int) -> None:
-        with self._lock:
-            self.registry.gauge(
-                "fleet.worker_in_flight", self._labels(worker)
-            ).set(float(count))
-
-
-@dataclass
-class _Dispatch:
-    """One live (worker, cell) assignment."""
-
-    job_id: str
-    index: int
-    started: float
-    stolen: bool = False
-    writes_done: int = 0
+            self.registry.gauge(name, {"worker": worker}).set(float(value))
 
 
 class _FleetWorker:
@@ -280,9 +211,8 @@ class _FleetWorker:
         self.errors = 0  # consecutive transport failures
         self.next_probe = 0.0
         self.in_flight: dict[str, _Dispatch] = {}
-        self.dispatched = 0
-        self.completed = 0
-        self.lane: Tracer | None = None
+        self.counts = dict.fromkeys(EVENTS, 0)
+        self.lane = NULL_TRACER
 
     def stats(self) -> dict[str, object]:
         return {
@@ -290,9 +220,20 @@ class _FleetWorker:
             "url": self.url,
             "healthy": self.healthy,
             "in_flight": len(self.in_flight),
-            "dispatched": self.dispatched,
-            "completed": self.completed,
+            **self.counts,
         }
+
+
+@dataclass(eq=False)
+class _Dispatch:
+    """One live (worker, cell) assignment."""
+
+    worker: _FleetWorker
+    job_id: str
+    index: int
+    started: float
+    stolen: bool = False
+    writes_done: int = 0
 
 
 def _worker_name(index: int, url: str) -> str:
@@ -367,24 +308,28 @@ class FleetExecutor:
         self.straggler_min_s = straggler_min_s
         self.fleet_down_timeout_s = fleet_down_timeout_s
         self.telemetry = telemetry if telemetry is not None else FleetTelemetry()
-        self.steals = 0
-        self.requeues = 0
-        self.duplicates = 0
 
-    # -- helpers -------------------------------------------------------------
+    # -- the one count of each fleet event -----------------------------------
 
-    def _cell_envelope(self, config: SimConfig, label: str) -> dict:
-        return {
-            "kind": "run",
-            "config": config.to_dict(),
-            "options": {"label": label},
-        }
+    def count(self, worker: _FleetWorker, event: str, n: int = 1) -> None:
+        """Count a fleet event once: ``fleet_stats()`` and ``fleet.*`` read it."""
+        worker.counts[event] += n
+        self.telemetry.count(worker.name, event, n)
 
-    def _try_cancel(self, worker: _FleetWorker, job_id: str) -> None:
-        try:
-            worker.client.cancel(job_id)
-        except WorkerError:
-            pass  # best-effort; the job will finish and be deduplicated
+    def _total(self, event: str) -> int:
+        return sum(worker.counts[event] for worker in self.workers)
+
+    @property
+    def steals(self) -> int:
+        return self._total("stolen")
+
+    @property
+    def requeues(self) -> int:
+        return self._total("requeued")
+
+    @property
+    def duplicates(self) -> int:
+        return self._total("duplicates")
 
     def fleet_stats(self) -> list[dict[str, object]]:
         return [worker.stats() for worker in self.workers]
@@ -416,7 +361,11 @@ class FleetExecutor:
             started_monotonic = time.monotonic()
             self._open_worker_lanes(tracing)
             try:
-                self._schedule(sweep, progress, should_stop)
+                run = FleetRun(self, sweep, progress, should_stop)
+                while run.remaining:
+                    run.tick()
+                    if run.remaining:
+                        time.sleep(self.poll_interval_s)
             finally:
                 self._close_worker_lanes()
             if ledger is not None:
@@ -430,338 +379,6 @@ class FleetExecutor:
             retries=retries, retry_backoff_s=retry_backoff_s,
             checkpoint=checkpoint, tracing=tracing,
         )
-
-    def _schedule(
-        self,
-        sweep: SweepRun,
-        progress: Callable[[ProgressEvent], None] | None,
-        should_stop: Callable[[], bool] | None,
-    ) -> None:
-        configs, results, budget = sweep.configs, sweep.results, sweep.budget
-        tracing = sweep.tracing
-        n = len(configs)
-        trace_id = tracing.context.trace_id if tracing is not None else ""
-        ready: deque[int] = deque(sweep.todo)
-        remaining = set(sweep.todo)
-        completed: set[int] = set()
-        # index -> live dispatches; 2 entries while a steal race is open.
-        active: dict[int, list[tuple[_FleetWorker, _Dispatch]]] = {}
-        latencies: list[float] = []
-        all_dead_since: float | None = None
-
-        def emit(kind: str, index: int, writes_done: int = 0) -> None:
-            if progress is not None:
-                progress(ProgressEvent.for_cell(
-                    kind, configs[index], index, n, writes_done
-                ))
-
-        def lane_event(worker: _FleetWorker, name: str, **fields) -> None:
-            if worker.lane is not None:
-                worker.lane.event(name, **fields)
-
-        def mark_dead(worker: _FleetWorker, why: str) -> None:
-            if not worker.healthy and not worker.in_flight:
-                return
-            worker.healthy = False
-            self.telemetry.health(worker.name, False)
-            lost = [
-                d for d in worker.in_flight.values()
-                if d.index not in completed
-            ]
-            worker.in_flight.clear()
-            self.telemetry.in_flight(worker.name, 0)
-            requeued = 0
-            for dispatch in lost:
-                entries = active.get(dispatch.index, [])
-                active[dispatch.index] = [
-                    (w, d) for (w, d) in entries if d is not dispatch
-                ]
-                if active[dispatch.index]:
-                    continue  # a stolen duplicate is still running elsewhere
-                active.pop(dispatch.index, None)
-                budget.charge(
-                    dispatch.index,
-                    WorkerError(f"worker {worker.name} died: {why}"),
-                )
-                requeued += 1
-            if requeued:
-                self.requeues += requeued
-                self.telemetry.requeued(worker.name, requeued)
-            lane_event(worker, "worker.dead", reason=why, requeued=requeued)
-            if tracing is not None:
-                tracing.tracer.event(
-                    "worker.dead", worker=worker.name, requeued=requeued
-                )
-
-        def transport_error(worker: _FleetWorker, why: str) -> None:
-            worker.errors += 1
-            if worker.errors >= DEAD_AFTER_ERRORS:
-                mark_dead(worker, why)
-
-        def remove_dispatch(
-            worker: _FleetWorker, dispatch: _Dispatch
-        ) -> None:
-            worker.in_flight.pop(dispatch.job_id, None)
-            self.telemetry.in_flight(worker.name, len(worker.in_flight))
-            entries = active.get(dispatch.index, [])
-            entries = [(w, d) for (w, d) in entries if d is not dispatch]
-            if entries:
-                active[dispatch.index] = entries
-            else:
-                active.pop(dispatch.index, None)
-
-        def fail_dispatch(
-            worker: _FleetWorker, dispatch: _Dispatch, exc: Exception
-        ) -> None:
-            remove_dispatch(worker, dispatch)
-            self.telemetry.failed(worker.name)
-            if dispatch.index in completed:
-                return
-            if any(True for _ in active.get(dispatch.index, ())):
-                return  # its duplicate is still in flight
-            budget.charge(dispatch.index, exc)
-
-        def complete(
-            worker: _FleetWorker, dispatch: _Dispatch, result: RunResult
-        ) -> None:
-            latency = time.monotonic() - dispatch.started
-            remove_dispatch(worker, dispatch)
-            if dispatch.index in completed:
-                # Steal-race loser: the cell already completed elsewhere.
-                self.duplicates += 1
-                self.telemetry.duplicate(worker.name)
-                lane_event(
-                    worker, "cell.duplicate", cell=dispatch.index,
-                    job_id=dispatch.job_id,
-                )
-                return
-            completed.add(dispatch.index)
-            remaining.discard(dispatch.index)
-            worker.completed += 1
-            latencies.append(latency)
-            sweep.complete(dispatch.index, result)
-            self.telemetry.completed(worker.name, latency, trace_id)
-            lane_event(
-                worker, "cell.complete", cell=dispatch.index,
-                job_id=dispatch.job_id, dur=round(latency, 6),
-            )
-            emit(DONE, dispatch.index)
-            # First completion wins: cancel the loser of a steal race.
-            for other_worker, other in list(active.get(dispatch.index, ())):
-                self._try_cancel(other_worker, other.job_id)
-
-        def dispatch_cell(
-            worker: _FleetWorker, index: int, *, stolen: bool = False
-        ) -> bool:
-            config = configs[index]
-            label = (
-                f"fleet/cell-{index}" if not stolen
-                else f"fleet/cell-{index}/steal"
-            )
-            envelope = self._cell_envelope(config, label)
-            try:
-                job_id = worker.client.submit(envelope, trace_id)
-            except WorkerError as exc:
-                transport_error(worker, str(exc))
-                return False
-            worker.errors = 0
-            record = _Dispatch(
-                job_id=job_id, index=index,
-                started=time.monotonic(), stolen=stolen,
-            )
-            worker.in_flight[job_id] = record
-            worker.dispatched += 1
-            active.setdefault(index, []).append((worker, record))
-            self.telemetry.dispatched(worker.name)
-            self.telemetry.in_flight(worker.name, len(worker.in_flight))
-            lane_event(
-                worker, "cell.dispatch", cell=index, job_id=job_id,
-                workload=config.workload, scheme=config.scheme,
-                stolen=stolen,
-            )
-            sweep.trace("cell.submit", index, worker=worker.name)
-            if not stolen:
-                emit(START, index)
-            return True
-
-        def poll_worker(worker: _FleetWorker) -> None:
-            for dispatch in list(worker.in_flight.values()):
-                if dispatch.job_id not in worker.in_flight:
-                    continue  # removed by a dead-worker sweep mid-loop
-                try:
-                    snapshot = worker.client.status(dispatch.job_id)
-                except WorkerError as exc:
-                    if exc.status == 404:
-                        # The worker restarted and forgot the job.
-                        fail_dispatch(worker, dispatch, exc)
-                        continue
-                    transport_error(worker, str(exc))
-                    return  # this worker's loop is over for the tick
-                worker.errors = 0
-                state = str(snapshot.get("state", ""))
-                if state == JOB_DONE:
-                    try:
-                        payload = worker.client.result(dispatch.job_id)
-                    except WorkerError as exc:
-                        if exc.status == 404:
-                            fail_dispatch(worker, dispatch, exc)
-                            continue
-                        transport_error(worker, str(exc))
-                        return
-                    result = _decode_cell_result(payload)
-                    if result is None:
-                        fail_dispatch(
-                            worker, dispatch,
-                            WorkerError("malformed result payload"),
-                        )
-                        continue
-                    complete(worker, dispatch, result)
-                elif state in (FAILED, CANCELLED):
-                    error = str(snapshot.get("error", "")) or state
-                    if dispatch.stolen or state == CANCELLED:
-                        # Cancelled steal losers aren't failures.
-                        remove_dispatch(worker, dispatch)
-                        if (
-                            dispatch.index not in completed
-                            and not active.get(dispatch.index)
-                        ):
-                            # Genuine cancel of the only dispatch: requeue.
-                            fail_dispatch(
-                                worker, dispatch,
-                                WorkerError(f"job {state}: {error}"),
-                            )
-                    else:
-                        fail_dispatch(
-                            worker, dispatch,
-                            WorkerError(f"job failed: {error}"),
-                        )
-                else:
-                    writes = snapshot.get("writes_done", 0)
-                    if (
-                        isinstance(writes, int)
-                        and writes > dispatch.writes_done
-                    ):
-                        dispatch.writes_done = writes
-                        emit(HEARTBEAT, dispatch.index, writes)
-
-        def steal_candidate() -> "tuple[_FleetWorker, _Dispatch] | None":
-            if not latencies:
-                threshold = self.straggler_min_s
-            else:
-                ordered = sorted(latencies)
-                median = ordered[len(ordered) // 2]
-                threshold = max(
-                    self.straggler_min_s, self.straggler_factor * median
-                )
-            now = time.monotonic()
-            best: "tuple[float, _FleetWorker, _Dispatch] | None" = None
-            for worker in self.workers:
-                if not worker.healthy:
-                    continue
-                for dispatch in worker.in_flight.values():
-                    if dispatch.index in completed:
-                        continue  # a steal-race loser still draining
-                    age = now - dispatch.started
-                    if age < threshold:
-                        continue
-                    if len(active.get(dispatch.index, ())) != 1:
-                        continue  # already stolen once
-                    if best is None or age > best[0]:
-                        best = (age, worker, dispatch)
-            return None if best is None else (best[1], best[2])
-
-        while remaining:
-            ready.extend(i for i in budget.due() if i not in completed)
-            now = time.monotonic()
-
-            # Health probes (they also revive recovered workers).
-            for worker in self.workers:
-                if now < worker.next_probe:
-                    continue
-                worker.next_probe = now + self.probe_interval_s
-                try:
-                    worker.client.healthz()
-                except WorkerError as exc:
-                    if worker.healthy:
-                        transport_error(worker, f"healthz failed: {exc}")
-                    continue
-                worker.errors = 0
-                if not worker.healthy:
-                    worker.healthy = True
-                    self.telemetry.health(worker.name, True)
-                    lane_event(worker, "worker.recovered")
-
-            healthy = [w for w in self.workers if w.healthy]
-            if not healthy:
-                if all_dead_since is None:
-                    all_dead_since = now
-                elif now - all_dead_since > self.fleet_down_timeout_s:
-                    index = min(remaining)
-                    raise SweepCellFailed(
-                        f"every fleet worker is unreachable "
-                        f"({len(remaining)} cell(s) outstanding)",
-                        index=index,
-                        config=configs[index],
-                        attempts=budget.attempts.get(index, 0),
-                        results=list(results),
-                    )
-                time.sleep(self.poll_interval_s)
-                continue
-            all_dead_since = None
-
-            # Dispatch into each healthy worker's bounded window.
-            for worker in sorted(healthy, key=lambda w: len(w.in_flight)):
-                while (
-                    ready
-                    and worker.healthy
-                    and len(worker.in_flight) < self.window
-                ):
-                    index = ready.popleft()
-                    if index in completed:
-                        continue
-                    if not dispatch_cell(worker, index):
-                        ready.appendleft(index)
-                        break
-
-            # Poll in-flight jobs for completion/progress.
-            for worker in self.workers:
-                if worker.healthy and worker.in_flight:
-                    poll_worker(worker)
-
-            # Work stealing: idle capacity + a straggler = duplicate
-            # dispatch; dedup-by-cell-index keeps the first completion.
-            if not ready and not budget.delayed:
-                idle = [
-                    w for w in self.workers
-                    if w.healthy and len(w.in_flight) < self.window
-                ]
-                candidate = steal_candidate()
-                if idle and candidate is not None:
-                    victim, dispatch = candidate
-                    thief = min(
-                        (w for w in idle if w is not victim),
-                        key=lambda w: len(w.in_flight),
-                        default=None,
-                    )
-                    if thief is not None and dispatch_cell(
-                        thief, dispatch.index, stolen=True
-                    ):
-                        self.steals += 1
-                        self.telemetry.stolen(victim.name)
-                        if tracing is not None:
-                            tracing.tracer.event(
-                                "cell.steal", cell=dispatch.index,
-                                victim=victim.name, thief=thief.name,
-                            )
-
-            if remaining and should_stop is not None and should_stop():
-                for worker in self.workers:
-                    for dispatch in list(worker.in_flight.values()):
-                        self._try_cancel(worker, dispatch.job_id)
-                raise sweep.cancelled()
-
-            if remaining:
-                time.sleep(self.poll_interval_s)
 
     # -- tracing / ledger side-channels --------------------------------------
 
@@ -789,16 +406,15 @@ class FleetExecutor:
                 )
                 worker.lane = Tracer(sink)
             except Exception:
-                worker.lane = None
+                worker.lane = NULL_TRACER
 
     def _close_worker_lanes(self) -> None:
         for worker in self.workers:
-            if worker.lane is not None:
-                try:
-                    worker.lane.close()
-                except Exception:
-                    pass
-                worker.lane = None
+            try:
+                worker.lane.close()
+            except Exception:
+                pass
+            worker.lane = NULL_TRACER
 
     def _record_fleet_manifest(
         self, ledger, label: str, n_cells: int, wall_time_s: float
@@ -810,7 +426,6 @@ class FleetExecutor:
         """
         from repro.obs.ledger import build_manifest
 
-        stats = self.fleet_stats()
         try:
             ledger.record(
                 build_manifest(
@@ -821,9 +436,7 @@ class FleetExecutor:
                     summary={
                         "cells": n_cells,
                         "workers": len(self.workers),
-                        "dispatched": sum(
-                            s["dispatched"] for s in stats  # type: ignore
-                        ),
+                        "dispatched": self._total("dispatched"),
                         "steals": self.steals,
                         "requeues": self.requeues,
                         "duplicates": self.duplicates,
@@ -831,12 +444,340 @@ class FleetExecutor:
                 ),
                 artifact_text={
                     "fleet.json": json.dumps(
-                        {"workers": stats}, indent=2, sort_keys=True
+                        {"workers": self.fleet_stats()},
+                        indent=2, sort_keys=True,
                     ) + "\n"
                 },
             )
         except Exception:
             pass  # telemetry must never fail a finished sweep
+
+
+class FleetRun:
+    """One sweep's scheduling state over a fleet, advanced by :meth:`tick`.
+
+    ``remaining`` holds the cells not yet completed, ``ready`` those
+    waiting for a worker; every live dispatch sits in its worker's
+    ``in_flight`` (two workers hold the same cell while a steal race is
+    open).  A tick probes, dispatches, polls and steals once and never
+    sleeps, so a test can drive it step by step with fake clients and a
+    fake ``clock``.
+    """
+
+    def __init__(
+        self,
+        executor: FleetExecutor,
+        sweep: SweepRun,
+        progress: Callable[[ProgressEvent], None] | None = None,
+        should_stop: Callable[[], bool] | None = None,
+        clock: Callable[[], float] = time.monotonic,
+    ) -> None:
+        self.executor = executor
+        self.workers = executor.workers
+        self.sweep = sweep
+        self.progress = progress
+        self.should_stop = should_stop
+        self.clock = clock
+        self.ready: deque[int] = deque(sweep.todo)
+        self.remaining = set(sweep.todo)
+        self.latencies: list[float] = []
+        self.all_dead_since: float | None = None
+        tracing = sweep.tracing
+        self.tracer = tracing.tracer if tracing is not None else NULL_TRACER
+        self.trace_id = tracing.context.trace_id if tracing is not None else ""
+
+    def tick(self) -> None:
+        """One scheduler pass; raises when the sweep fails or is stopped."""
+        budget = self.sweep.budget
+        self.ready.extend(i for i in budget.due() if i in self.remaining)
+        now = self.clock()
+        self.probe(now)
+        healthy = [w for w in self.workers if w.healthy]
+        if not healthy:
+            self.fleet_down(now)
+            return
+        self.all_dead_since = None
+        self.dispatch(healthy)
+        for worker in self.workers:
+            if worker.healthy and worker.in_flight:
+                self.poll(worker)
+        # Work stealing: idle capacity + a straggler = duplicate dispatch.
+        if not self.ready and not budget.delayed:
+            self.steal()
+        stop = self.should_stop
+        if self.remaining and stop is not None and stop():
+            for worker in self.workers:
+                for dispatch in list(worker.in_flight.values()):
+                    self.cancel(dispatch)
+            raise self.sweep.cancelled()
+
+    # -- steps ---------------------------------------------------------------
+
+    def probe(self, now: float) -> None:
+        """Health probes, each worker once per interval; they also revive."""
+        for worker in self.workers:
+            if now < worker.next_probe:
+                continue
+            worker.next_probe = now + self.executor.probe_interval_s
+            try:
+                worker.client.healthz()
+            except WorkerError as exc:
+                if worker.healthy:
+                    self.transport_error(worker, f"healthz failed: {exc}")
+                continue
+            worker.errors = 0
+            if not worker.healthy:
+                worker.healthy = True
+                self.executor.telemetry.gauge(
+                    "fleet.worker_healthy", worker.name, 1
+                )
+                worker.lane.event("worker.recovered")
+
+    def fleet_down(self, now: float) -> None:
+        """Every worker is dead: fail the sweep once that lasts too long."""
+        if self.all_dead_since is None:
+            self.all_dead_since = now
+        elif now - self.all_dead_since > self.executor.fleet_down_timeout_s:
+            index = min(self.remaining)
+            raise SweepCellFailed(
+                f"every fleet worker is unreachable "
+                f"({len(self.remaining)} cell(s) outstanding)",
+                index=index,
+                config=self.sweep.configs[index],
+                attempts=self.sweep.budget.attempts.get(index, 0),
+                results=list(self.sweep.results),
+            )
+
+    def dispatch(self, healthy: list[_FleetWorker]) -> None:
+        """Fill each healthy worker's bounded window from ``ready``."""
+        for worker in sorted(healthy, key=lambda w: len(w.in_flight)):
+            while (
+                self.ready
+                and worker.healthy
+                and len(worker.in_flight) < self.executor.window
+            ):
+                index = self.ready.popleft()
+                if index not in self.remaining:
+                    continue
+                if not self.submit(worker, index):
+                    self.ready.appendleft(index)
+                    break
+
+    def submit(
+        self, worker: _FleetWorker, index: int, *, stolen: bool = False
+    ) -> bool:
+        """Send cell ``index`` to ``worker`` as a run job; ``False`` if
+        the worker could not take it."""
+        config = self.sweep.configs[index]
+        label = f"fleet/cell-{index}" + ("/steal" if stolen else "")
+        envelope = {
+            "kind": "run",
+            "config": config.to_dict(),
+            "options": {"label": label},
+        }
+        try:
+            job_id = worker.client.submit(envelope, self.trace_id)
+        except WorkerError as exc:
+            self.transport_error(worker, str(exc))
+            return False
+        worker.errors = 0
+        worker.in_flight[job_id] = _Dispatch(
+            worker, job_id, index, self.clock(), stolen
+        )
+        self.executor.count(worker, "dispatched")
+        self._in_flight_changed(worker)
+        worker.lane.event(
+            "cell.dispatch", cell=index, job_id=job_id,
+            workload=config.workload, scheme=config.scheme, stolen=stolen,
+        )
+        self.sweep.trace("cell.submit", index, worker=worker.name)
+        if not stolen:
+            self.emit(START, index)
+        return True
+
+    def poll(self, worker: _FleetWorker) -> None:
+        """Poll each of ``worker``'s jobs for completion or progress."""
+        for dispatch in list(worker.in_flight.values()):
+            if dispatch.job_id not in worker.in_flight:
+                continue  # removed by a dead-worker sweep mid-loop
+            payload: dict = {}
+            try:
+                snapshot = worker.client.status(dispatch.job_id)
+                worker.errors = 0
+                if snapshot.get("state") == JOB_DONE:
+                    payload = worker.client.result(dispatch.job_id)
+            except WorkerError as exc:
+                if exc.status != 404:
+                    self.transport_error(worker, str(exc))
+                    return  # this worker's loop is over for the tick
+                # The worker restarted and forgot the job.
+                self.fail(dispatch, exc)
+                continue
+            state = str(snapshot.get("state", ""))
+            if state == JOB_DONE:
+                result = _decode_cell_result(payload)
+                if result is None:
+                    self.fail(
+                        dispatch, WorkerError("malformed result payload")
+                    )
+                else:
+                    self.complete(dispatch, result)
+            elif state in (FAILED, CANCELLED):
+                error = str(snapshot.get("error", "")) or state
+                if (dispatch.stolen or state == CANCELLED) and (
+                    dispatch.index not in self.remaining
+                    or self.others(dispatch)
+                ):
+                    # A steal-race loser: its cell lives on elsewhere.
+                    self._drop(dispatch)
+                else:
+                    self.fail(dispatch, WorkerError(f"job {state}: {error}"))
+            else:
+                writes = snapshot.get("writes_done", 0)
+                if isinstance(writes, int) and writes > dispatch.writes_done:
+                    dispatch.writes_done = writes
+                    self.emit(HEARTBEAT, dispatch.index, writes)
+
+    def complete(self, dispatch: _Dispatch, result: RunResult) -> None:
+        """Record a finished cell; the first completion of a cell wins."""
+        latency = self.clock() - dispatch.started
+        self._drop(dispatch)
+        worker, index = dispatch.worker, dispatch.index
+        if index not in self.remaining:
+            # Steal-race loser: the cell already completed elsewhere.
+            self.executor.count(worker, "duplicates")
+            worker.lane.event(
+                "cell.duplicate", cell=index, job_id=dispatch.job_id
+            )
+            return
+        self.remaining.discard(index)
+        self.latencies.append(latency)
+        self.sweep.complete(index, result)
+        self.executor.count(worker, "completed")
+        self.executor.telemetry.cell_seconds(
+            worker.name, latency, self.trace_id
+        )
+        worker.lane.event(
+            "cell.complete", cell=index, job_id=dispatch.job_id,
+            dur=round(latency, 6),
+        )
+        self.emit(DONE, index)
+        for other in self.others(dispatch):
+            self.cancel(other)
+
+    def fail(self, dispatch: _Dispatch, exc: Exception) -> None:
+        """Drop a failed dispatch; charge its cell's retry budget unless
+        the cell completed or still runs on another worker."""
+        self._drop(dispatch)
+        self.executor.count(dispatch.worker, "failed")
+        if dispatch.index in self.remaining and not self.others(dispatch):
+            self.sweep.budget.charge(dispatch.index, exc)
+
+    def transport_error(self, worker: _FleetWorker, why: str) -> None:
+        worker.errors += 1
+        if worker.errors >= DEAD_AFTER_ERRORS:
+            self.mark_dead(worker, why)
+
+    def mark_dead(self, worker: _FleetWorker, why: str) -> None:
+        """Take ``worker`` out of rotation and requeue its orphaned cells."""
+        if not worker.healthy and not worker.in_flight:
+            return
+        worker.healthy = False
+        self.executor.telemetry.gauge("fleet.worker_healthy", worker.name, 0)
+        lost = list(worker.in_flight.values())
+        worker.in_flight.clear()
+        self._in_flight_changed(worker)
+        requeued = 0
+        for dispatch in lost:
+            if dispatch.index in self.remaining and not self.others(dispatch):
+                self.sweep.budget.charge(
+                    dispatch.index,
+                    WorkerError(f"worker {worker.name} died: {why}"),
+                )
+                requeued += 1
+        if requeued:
+            self.executor.count(worker, "requeued", requeued)
+        worker.lane.event("worker.dead", reason=why, requeued=requeued)
+        self.tracer.event(
+            "worker.dead", worker=worker.name, requeued=requeued
+        )
+
+    def steal(self) -> None:
+        """Re-dispatch the worst straggler onto the least busy idle worker."""
+        idle = [
+            w for w in self.workers
+            if w.healthy and len(w.in_flight) < self.executor.window
+        ]
+        straggler = self.straggler()
+        if not idle or straggler is None:
+            return
+        victim = straggler.worker
+        thief = min(
+            (w for w in idle if w is not victim),
+            key=lambda w: len(w.in_flight),
+            default=None,
+        )
+        if thief is not None and self.submit(
+            thief, straggler.index, stolen=True
+        ):
+            self.executor.count(victim, "stolen")
+            self.tracer.event(
+                "cell.steal", cell=straggler.index,
+                victim=victim.name, thief=thief.name,
+            )
+
+    def straggler(self) -> _Dispatch | None:
+        """The oldest dispatch past the steal threshold that runs alone."""
+        threshold = self.executor.straggler_min_s
+        if self.latencies:
+            ordered = sorted(self.latencies)
+            threshold = max(
+                threshold,
+                self.executor.straggler_factor * ordered[len(ordered) // 2],
+            )
+        now = self.clock()
+        candidates = [
+            dispatch
+            for worker in self.workers if worker.healthy
+            for dispatch in worker.in_flight.values()
+            if dispatch.index in self.remaining
+            and now - dispatch.started >= threshold
+            and not self.others(dispatch)
+        ]
+        return min(candidates, key=lambda d: d.started, default=None)
+
+    # -- helpers -------------------------------------------------------------
+
+    def others(self, dispatch: _Dispatch) -> list[_Dispatch]:
+        """The other live dispatches of ``dispatch``'s cell."""
+        return [
+            other
+            for worker in self.workers
+            for other in worker.in_flight.values()
+            if other.index == dispatch.index and other is not dispatch
+        ]
+
+    def cancel(self, dispatch: _Dispatch) -> None:
+        try:
+            dispatch.worker.client.cancel(dispatch.job_id)
+        except WorkerError:
+            pass  # best-effort; the job will finish and be deduplicated
+
+    def emit(self, kind: str, index: int, writes_done: int = 0) -> None:
+        if self.progress is not None:
+            self.progress(ProgressEvent.for_cell(
+                kind, self.sweep.configs[index], index,
+                len(self.sweep.configs), writes_done,
+            ))
+
+    def _drop(self, dispatch: _Dispatch) -> None:
+        dispatch.worker.in_flight.pop(dispatch.job_id, None)
+        self._in_flight_changed(dispatch.worker)
+
+    def _in_flight_changed(self, worker: _FleetWorker) -> None:
+        self.executor.telemetry.gauge(
+            "fleet.worker_in_flight", worker.name, len(worker.in_flight)
+        )
 
 
 def _decode_cell_result(payload: dict) -> RunResult | None:

@@ -36,8 +36,6 @@ the crash are not re-simulated.
 from __future__ import annotations
 
 import itertools
-import json
-import os
 import queue
 import threading
 import time
@@ -49,10 +47,16 @@ from typing import Callable, Sequence
 from repro.api import Session
 from repro.obs.context import TraceContext
 from repro.obs.instruments import RunAborted
+from repro.obs.journal import append_record, read_records
 from repro.obs.progress import ProgressEvent
 from repro.obs.tracing import JsonlSink, Tracer
 from repro.service.telemetry import ServiceTelemetry
-from repro.sim.config import ConfigError, SimConfig, unknown_keys
+from repro.sim.config import (
+    ConfigError,
+    SimConfig,
+    check_minimum,
+    unknown_keys,
+)
 from repro.sim.experiments import EXHIBIT_OPTIONS, EXPERIMENTS
 from repro.sim.parallel import SweepCancelled
 
@@ -163,8 +167,11 @@ class JobSpec:
         workers = options.get("workers", 1)
         if workers is not None and (
             isinstance(workers, bool) or not isinstance(workers, int)
+            or workers < 0
         ):
-            raise JobError(f"'workers' must be an integer, got {workers!r}")
+            raise JobError(
+                f"'workers' must be a non-negative integer, got {workers!r}"
+            )
         timeout_s = options.get("timeout_s")
         if timeout_s is not None and (
             isinstance(timeout_s, bool)
@@ -224,10 +231,15 @@ class JobSpec:
             raise JobError(message)
         for key, value in extra.items():
             # A null n_writes is the exhibit's default; seed has none.
-            if not (key == "n_writes" and value is None) and (
-                isinstance(value, bool) or not isinstance(value, int)
-            ):
+            if key == "n_writes" and value is None:
+                continue
+            if isinstance(value, bool) or not isinstance(value, int):
                 raise JobError(f"{key!r} must be an integer, got {value!r}")
+            if key == "n_writes":
+                try:
+                    check_minimum(key, value)
+                except ConfigError as exc:
+                    raise JobError(str(exc)) from exc
         return cls(
             kind=kind,
             configs=configs,
@@ -434,29 +446,14 @@ class JobStore:
     def record(self, job: Job) -> None:
         """Append the job's current record (submit + every transition)."""
         self.root.mkdir(parents=True, exist_ok=True)
-        line = json.dumps(job.to_record(), sort_keys=True)
-        with self.path.open("a", encoding="utf-8") as fh:
-            fh.write(line + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
+        append_record(self.path, job.to_record())
 
     def load(self) -> dict[str, dict]:
         """Latest record per job id, in first-submission order."""
-        records: dict[str, dict] = {}
-        if not self.path.exists():
-            return records
-        with self.path.open("r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    rec = json.loads(line)
-                except json.JSONDecodeError:
-                    continue  # torn trailing line from a crash
-                if isinstance(rec, dict) and rec.get("job_id"):
-                    records[rec["job_id"]] = rec
-        return records
+        return {
+            rec["job_id"]: rec for rec in read_records(self.path)
+            if rec.get("job_id")
+        }
 
 
 #: Queue sentinel that tells a worker thread to exit.

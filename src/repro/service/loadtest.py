@@ -33,12 +33,11 @@ import math
 import random
 import threading
 import time
-import urllib.error
-import urllib.request
 from dataclasses import dataclass, field
 from typing import Iterator
 
 from repro.obs.ledger import RunLedger, build_manifest
+from repro.service.client import call
 from repro.service.jobs import JobManager
 from repro.service.server import SimulationServer
 
@@ -141,42 +140,6 @@ class LoadTestOptions:
         }
 
 
-def _http(
-    method: str,
-    url: str,
-    payload: object = None,
-    timeout: float = 30.0,
-) -> tuple[int, object, float]:
-    """One request → ``(status, decoded body or None, latency seconds)``.
-
-    Status 0 means the request never got an HTTP response (connection
-    refused, timeout, reset) — a *transport* error, counted separately
-    from server 5xx in the report.
-    """
-    data = None
-    headers = {}
-    if payload is not None:
-        data = json.dumps(payload).encode()
-        headers["Content-Type"] = "application/json"
-    req = urllib.request.Request(url, data=data, headers=headers,
-                                 method=method)
-    t0 = time.perf_counter()
-    try:
-        with urllib.request.urlopen(req, timeout=timeout) as resp:
-            raw = resp.read()
-            elapsed = time.perf_counter() - t0
-            try:
-                body = json.loads(raw) if raw else None
-            except json.JSONDecodeError:
-                body = None
-            return resp.status, body, elapsed
-    except urllib.error.HTTPError as exc:
-        exc.read()
-        return exc.code, None, time.perf_counter() - t0
-    except Exception:
-        return 0, None, time.perf_counter() - t0
-
-
 class _Soak:
     """Shared state of one running load test."""
 
@@ -218,51 +181,42 @@ class _Soak:
             "seed": rng.randrange(1_000_000),
         }
 
+    def _timed(
+        self, method: str, path: str, payload: object = None
+    ) -> tuple[int, object, float]:
+        """One :func:`call` and its client-side latency in seconds."""
+        t0 = time.perf_counter()
+        status, body = call(
+            method, self.base + path, payload, timeout=self.options.timeout_s
+        )
+        return status, body, time.perf_counter() - t0
+
     def _do_op(
         self, op: str, rng: random.Random
     ) -> tuple[str, int, float]:
-        timeout = self.options.timeout_s
-        if op == "run":
-            status, body, dt = _http(
-                "POST", f"{self.base}/v1/jobs",
-                {"kind": "run", "config": self._config(rng)},
-                timeout,
+        if op in ("run", "sweep"):
+            envelope = (
+                {"kind": "run", "config": self._config(rng)} if op == "run"
+                else {"kind": "sweep",
+                      "config": [self._config(rng), self._config(rng)],
+                      "options": {"workers": 1}}
             )
-            if status == 201 and isinstance(body, dict):
-                self._remember_job(body["job_id"])
-            return op, status, dt
-        if op == "sweep":
-            configs = [self._config(rng), self._config(rng)]
-            status, body, dt = _http(
-                "POST", f"{self.base}/v1/jobs",
-                {"kind": "sweep", "config": configs,
-                 "options": {"workers": 1}},
-                timeout,
-            )
+            status, body, dt = self._timed("POST", "/v1/jobs", envelope)
             if status == 201 and isinstance(body, dict):
                 self._remember_job(body["job_id"])
             return op, status, dt
         if op == "cancel":
             job_id = self._pick_job(rng)
             if job_id is not None:
-                status, _, dt = _http(
-                    "DELETE", f"{self.base}/v1/jobs/{job_id}",
-                    timeout=timeout,
-                )
+                status, _, dt = self._timed("DELETE", f"/v1/jobs/{job_id}")
                 return op, status, dt
             op = "status"  # nothing to cancel yet; fall through
         if op == "status":
             job_id = self._pick_job(rng)
-            url = (
-                f"{self.base}/v1/jobs/{job_id}"
-                if job_id is not None
-                else f"{self.base}/v1/jobs"
-            )
-            status, _, dt = _http("GET", url, timeout=timeout)
+            path = "/v1/jobs" if job_id is None else f"/v1/jobs/{job_id}"
+            status, _, dt = self._timed("GET", path)
             return op, status, dt
-        status, _, dt = _http(
-            "GET", f"{self.base}/v1/healthz", timeout=timeout
-        )
+        status, _, dt = self._timed("GET", "/v1/healthz")
         return "healthz", status, dt
 
     def _client_loop(self, index: int) -> None:
@@ -280,7 +234,7 @@ class _Soak:
 
     def _sampler_loop(self, t0: float) -> None:
         while time.monotonic() < self.deadline:
-            status, body, _ = _http(
+            status, body = call(
                 "GET", f"{self.base}/v1/healthz",
                 timeout=self.options.timeout_s,
             )
@@ -336,9 +290,9 @@ def run_loadtest(
 
     # Leave the service quiet: cancel anything the soak queued up.
     for job_id in soak.known_jobs():
-        _http("DELETE", f"{soak.base}/v1/jobs/{job_id}",
-              timeout=options.timeout_s)
-    _, metrics_body, _ = _http(
+        call("DELETE", f"{soak.base}/v1/jobs/{job_id}",
+             timeout=options.timeout_s)
+    _, metrics_body = call(
         "GET", f"{soak.base}/v1/metrics", timeout=options.timeout_s
     )
 

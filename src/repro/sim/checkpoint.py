@@ -3,8 +3,8 @@
 A *run checkpoint* is an exact snapshot of every piece of mutable
 simulation state at a write index: the scheme's line map and per-scheme
 extras (counters, modified bits, mode bits), the PCM wear arrays, the
-wear-leveling registers, the pad cache (contents, LRU order, and hit
-counters), and the partial :class:`~repro.sim.results.RunResult`
+wear-leveling registers, the pad cache (its keys in LRU order and its
+hit counters), and the partial :class:`~repro.sim.results.RunResult`
 aggregates.  The workload cursor is the write index itself — traces are
 fully materialized, deterministic functions of ``(workload, n_writes,
 seed, line_bytes)``, so resuming regenerates the identical stream and
@@ -26,8 +26,9 @@ checkpoint: the ``.npz`` lands first under a versioned name, then
 
 A *sweep checkpoint* (:class:`SweepCheckpoint`) is an append-only
 ``cells.jsonl`` of completed sweep cells keyed by config signature; a
-resumed sweep re-runs only the missing cells.  A torn trailing line (the
-appending process was SIGKILLed mid-write) is skipped on load.
+resumed sweep re-runs only the missing cells.  It is a
+:mod:`repro.obs.journal`, so a torn trailing line (the appending process
+was SIGKILLed mid-write) is skipped on load.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.obs.journal import append_record, read_records
 from repro.sim.config import SimConfig
 from repro.sim.results import RunResult
 
@@ -60,47 +62,6 @@ def config_signature(config: SimConfig) -> str:
     """Stable short hash of a config; keys sweep cells and resume checks."""
     payload = json.dumps(config.to_dict(), sort_keys=True)
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
-
-
-@dataclass(frozen=True)
-class CellSpec:
-    """One sweep cell as a wire-serializable unit of work.
-
-    The fleet coordinator dispatches cells to remote workers as
-    ``CellSpec``s; the worker re-validates the config through
-    :meth:`SimConfig.from_dict <repro.sim.config.SimConfig.from_dict>`
-    (and so through :mod:`repro.registry`), which is what makes a cell
-    spec checkable without bespoke per-type code.  ``signature`` is the
-    dedup/resume key — the same one :class:`SweepCheckpoint` rows use.
-    """
-
-    index: int
-    config: SimConfig
-
-    @property
-    def signature(self) -> str:
-        return config_signature(self.config)
-
-    def to_dict(self) -> dict[str, object]:
-        return {
-            "index": self.index,
-            "config": self.config.to_dict(),
-            "config_signature": self.signature,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "CellSpec":
-        spec = cls(
-            index=int(data["index"]),
-            config=SimConfig.from_dict(data["config"]),
-        )
-        claimed = data.get("config_signature")
-        if claimed is not None and str(claimed) != spec.signature:
-            raise CheckpointError(
-                f"cell spec signature mismatch: payload says {claimed!r} "
-                f"but the config hashes to {spec.signature!r}"
-            )
-        return spec
 
 
 @dataclass
@@ -304,19 +265,11 @@ class SweepCheckpoint:
 
     def load(self) -> dict[str, dict]:
         """Completed cells by config signature (raw records)."""
-        completed: dict[str, dict] = {}
-        if not self.path.is_file():
-            return completed
-        for line in self.path.read_text().splitlines():
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                continue  # torn trailing line from a crash mid-append
-            if isinstance(record, dict) and "config_signature" in record:
-                completed[str(record["config_signature"])] = record
-        return completed
+        return {
+            str(record["config_signature"]): record
+            for record in read_records(self.path)
+            if "config_signature" in record
+        }
 
     def restore(self) -> dict[str, RunResult]:
         """Completed cells as :class:`RunResult`s, by config signature."""
@@ -333,35 +286,9 @@ class SweepCheckpoint:
         run_id: str = "",
     ) -> None:
         """Durably append one completed cell."""
-        record = {
+        append_record(self.path, {
             "index": index,
             "config_signature": config_signature(config),
             "run_id": run_id,
             "result": result.to_dict(),
-        }
-        with open(self.path, "a") as fh:
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-
-    def merge_from(self, other: "SweepCheckpoint") -> int:
-        """Absorb another checkpoint's cells; returns how many were new.
-
-        Dedup is by config signature (first record wins — matching the
-        load semantics where a signature maps to one row), so merging a
-        per-worker or partial checkpoint into the coordinator's merged
-        one is idempotent.  Appended rows keep their original index,
-        run id, and result payload byte-for-byte.
-        """
-        seen = set(self.load())
-        added = 0
-        for signature, record in other.load().items():
-            if signature in seen:
-                continue
-            with open(self.path, "a") as fh:
-                fh.write(json.dumps(record, sort_keys=True) + "\n")
-                fh.flush()
-                os.fsync(fh.fileno())
-            seen.add(signature)
-            added += 1
-        return added
+        })

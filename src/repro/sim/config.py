@@ -171,12 +171,7 @@ class SimConfig:
                 ) from None
             object.__setattr__(self, "key", decoded)
         for f in dataclasses.fields(self):
-            minimum = f.metadata["minimum"]
-            value = getattr(self, f.name)
-            if minimum is not None and value < minimum:
-                raise ConfigError(
-                    f"config key {f.name!r} must be >= {minimum}, got {value}"
-                )
+            check_minimum(f.name, getattr(self, f.name))
 
     def with_(self, **changes: object) -> "SimConfig":
         """A modified copy (dataclasses.replace convenience).
@@ -256,3 +251,22 @@ class SimConfig:
         except registry.RegistryError as exc:
             raise ConfigError(str(exc)) from None
         return cls(**data)  # type: ignore[arg-type]
+
+
+def check_minimum(name: str, value: int) -> None:
+    """Hold ``value`` to the lower bound of :class:`SimConfig`'s field
+    ``name``; a :class:`ConfigError` naming the field when it is below.
+
+    Options that set a field, such as an exhibit's ``n_writes``, are
+    checked against the same bound as the field itself.
+    """
+    minimum = _MINIMUMS[name]
+    if minimum is not None and value < minimum:
+        raise ConfigError(
+            f"config key {name!r} must be >= {minimum}, got {value}"
+        )
+
+
+_MINIMUMS = {
+    f.name: f.metadata["minimum"] for f in dataclasses.fields(SimConfig)
+}

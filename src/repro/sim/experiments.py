@@ -28,7 +28,7 @@ from repro.analysis.tables import render_table
 from repro.obs.progress import ProgressEvent
 from repro.perf.energy import energy_report
 from repro.perf.system import CoreConfig, ExecutionResult, simulate_execution
-from repro.sim.config import SimConfig
+from repro.sim.config import SimConfig, check_minimum
 from repro.sim.parallel import run_suite_parallel
 from repro.sim.results import RunResult
 from repro.sim.runner import build_scheme, run
@@ -651,7 +651,8 @@ def run_exhibits(
     """Build the exhibits ``exhibits`` (ids), running each distinct cell once.
 
     ``n_writes`` is every exhibit's scale; with ``None`` each runs at its
-    own default.  The union of the exhibits' cells runs in one
+    own default, and a value below :class:`SimConfig`'s ``n_writes`` bound
+    is a :class:`~repro.sim.config.ConfigError`.  The union of the exhibits' cells runs in one
     :func:`~repro.sim.parallel.run_suite_parallel` call (``workers``
     processes, ``progress`` and ``should_stop`` as there; ``ledger``
     records each cell once, labelled with the ids of the exhibits that
@@ -662,8 +663,12 @@ def run_exhibits(
     unknown = [e for e in ids if e not in _EXHIBITS]
     if unknown:
         raise ValueError(f"unknown experiments: {unknown}")
+    if n_writes is not None:
+        check_minimum("n_writes", n_writes)
     wanted = {
-        e: _EXHIBITS[e].cells(n_writes or _EXHIBITS[e].n_writes, seed)
+        e: _EXHIBITS[e].cells(
+            _EXHIBITS[e].n_writes if n_writes is None else n_writes, seed
+        )
         for e in ids
     }
     sharers: dict[SimConfig, list[str]] = {}

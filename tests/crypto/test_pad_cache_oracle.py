@@ -59,13 +59,7 @@ class ReferenceLru:
     def state_dict(self) -> dict:
         return {
             "block_keys": np.array(list(self.blocks), np.int64).reshape(-1, 3),
-            "block_pads": np.frombuffer(
-                b"".join(self.blocks.values()), np.uint8
-            ).reshape(-1, 16),
             "line_keys": np.array(list(self.lines), np.int64).reshape(-1, 3),
-            "line_pads": np.concatenate(
-                [np.zeros(0, np.uint8), *self.lines.values()]
-            ),
             "hits": self.hits,
             "misses": self.misses,
         }
@@ -198,3 +192,25 @@ def test_long_mixed_stream_compacts_its_key_log():
             assert np.array_equal(apply(cache, step), expect(ref, step))
     assert ref.hits > 0
     assert_same_state(cache, ref)
+
+
+def test_a_state_that_still_carries_pads_loads():
+    """Older checkpoints also stored the cached pads; loading ignores them."""
+    whole = CachingPadSource(Blake2PadSource(KEY), capacity=4)
+    for address in range(6):
+        whole.line_pad_array(address, 0, 64)
+        whole.pad_block(address, 0, 1)
+    legacy = dict(
+        whole.state_dict(),
+        block_pads=np.zeros((4, 16), np.uint8),
+        line_pads=np.zeros(4 * 64, np.uint8),
+    )
+    resumed = CachingPadSource(Blake2PadSource(KEY), capacity=4)
+    resumed.load_state_dict(legacy)
+    for address in (5, 0, 3):
+        resumed.line_pad_array(address, 0, 64)
+        whole.line_pad_array(address, 0, 64)
+    assert (resumed.hits, resumed.misses) == (whole.hits, whole.misses)
+    assert resumed.state_dict().keys() == {
+        "block_keys", "line_keys", "hits", "misses"
+    }

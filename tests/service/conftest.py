@@ -3,16 +3,15 @@
 from __future__ import annotations
 
 import contextlib
-import json
 import threading
 import time
-import urllib.error
-import urllib.request
 from dataclasses import dataclass
 
 import pytest
 
 from repro.api import Session
+from repro.service.client import call
+from repro.service.coordinator import WorkerError
 from repro.service.jobs import JobManager
 from repro.service.loadtest import spawned_service
 from repro.service.server import SimulationServer
@@ -38,21 +37,14 @@ def request(
     headers: dict[str, str] | None = None,
     timeout: float = 60.0,
 ) -> tuple[int, dict[str, str], object]:
-    """``(status, headers, decoded JSON body)``; HTTP errors are returned."""
-    data = json.dumps(payload).encode() if payload is not None else None
-    req = urllib.request.Request(url, data=data, method=method)
-    if data is not None:
-        req.add_header("Content-Type", "application/json")
-    for name, value in (headers or {}).items():
-        req.add_header(name, value)
-    try:
-        with urllib.request.urlopen(req, timeout=timeout) as resp:
-            return (
-                resp.status, dict(resp.headers),
-                json.loads(resp.read() or b"null"),
-            )
-    except urllib.error.HTTPError as exc:
-        return exc.code, dict(exc.headers), json.loads(exc.read() or b"null")
+    """``(status, headers, decoded JSON body)`` of one :func:`call`."""
+    reply_headers: dict[str, str] = {}
+    status, body = call(
+        method, url, payload, timeout=timeout, headers=headers,
+        reply_headers=reply_headers,
+    )
+    assert status, body  # a transport error fails the test that sent it
+    return status, reply_headers, body
 
 
 def _poll_terminal(base: str, job_id: str, timeout: float = 60.0) -> dict:
@@ -76,6 +68,74 @@ def _two_inprocess_workers():
             )
             for _ in range(2)
         ]
+
+
+class FakeWorker:
+    """A fleet worker's client answering from memory, for scheduler tests.
+
+    A job reports ``running`` for its first ``delay_polls`` status polls
+    and then ``done``; with ``delay_polls=None`` it runs until
+    :meth:`finish`.  ``down`` refuses every call, a job dropped from
+    ``jobs`` answers 404, and a cancel is recorded but not honoured.
+    """
+
+    def __init__(
+        self, url: str, result: dict, delay_polls: int | None = 0
+    ) -> None:
+        self.url = url
+        self.result_body = result
+        self.delay_polls = delay_polls
+        self.down = False
+        self.jobs: dict[str, str] = {}
+        self.polls: dict[str, int] = {}
+        self.cells: dict[str, int] = {}
+        self.cancelled: list[str] = []
+
+    @property
+    def submitted(self) -> int:
+        return len(self.cells)
+
+    def _reach(self) -> None:
+        if self.down:
+            raise WorkerError(f"{self.url}: connection refused")
+
+    def healthz(self) -> dict:
+        self._reach()
+        return {"status": "ok"}
+
+    def submit(self, envelope: dict, trace_id: str = "") -> str:
+        self._reach()
+        job_id = f"{self.url}/job-{self.submitted}"
+        label = envelope["options"]["label"]  # fleet/cell-<i>[/steal]
+        self.cells[job_id] = int(label.split("cell-")[1].split("/")[0])
+        self.jobs[job_id] = "running"
+        self.polls[job_id] = 0
+        return job_id
+
+    def status(self, job_id: str) -> dict:
+        self._reach()
+        if job_id not in self.jobs:
+            raise WorkerError("HTTP 404: unknown job", status=404)
+        self.polls[job_id] += 1
+        done_after = self.delay_polls
+        if done_after is not None and self.polls[job_id] > done_after:
+            self.jobs[job_id] = "done"
+        return {"state": self.jobs[job_id], "writes_done": 1}
+
+    def result(self, job_id: str) -> dict:
+        self._reach()
+        return {"state": "done", "result": self.result_body}
+
+    def cancel(self, job_id: str) -> None:
+        self._reach()
+        self.cancelled.append(job_id)
+
+    def job_of(self, cell: int) -> str:
+        """The newest job this worker got for ``cell``."""
+        return [j for j, c in self.cells.items() if c == cell][-1]
+
+    def finish(self, cell: int) -> None:
+        self.jobs[self.job_of(cell)] = "done"
 
 
 @dataclass

@@ -23,15 +23,12 @@ import pytest
 
 from repro.api import Session
 from repro.obs.progress import DONE
-from repro.service.coordinator import (
-    FleetExecutor,
-    WorkerClient,
-    WorkerError,
-)
+from repro.service.coordinator import FleetExecutor
 from repro.service.jobs import Job, JobManager, JobSpec, JobStore
 from repro.sim.checkpoint import SweepCheckpoint, config_signature
 from repro.sim.config import SimConfig
 from tests.service.conftest import (
+    FakeWorker,
     _poll_terminal,
     _two_inprocess_workers,
     request,
@@ -230,55 +227,6 @@ class TestWorkerDeath:
         assert len(dead) == 1
 
 
-class _FakeWorker:
-    """Scripted in-memory worker for scheduler-path tests.
-
-    ``delay_polls`` holds a cell's DONE state for that many status polls
-    — long enough for the straggler logic to steal it — and then
-    completes anyway, exercising the duplicate-completion dedup.
-    """
-
-    def __init__(self, result_payload: dict, delay_polls: int = 0) -> None:
-        self.result_payload = result_payload
-        self.delay_polls = delay_polls
-        self.jobs: dict[str, int] = {}
-        self.cancelled: list[str] = []
-        self.submitted = 0
-
-    def client(self, url: str) -> "WorkerClient":
-        worker = self
-
-        class Client:
-            def __init__(self) -> None:
-                self.url = url
-
-            def healthz(self) -> dict:
-                return {"status": "ok"}
-
-            def submit(self, envelope: dict, trace_id: str = "") -> str:
-                worker.submitted += 1
-                job_id = f"{url}-job-{worker.submitted}"
-                worker.jobs[job_id] = 0
-                return job_id
-
-            def status(self, job_id: str) -> dict:
-                worker.jobs[job_id] += 1
-                if worker.jobs[job_id] <= worker.delay_polls:
-                    return {"state": "running", "writes_done": 1}
-                return {"state": "done"}
-
-            def result(self, job_id: str) -> dict:
-                return {"state": "done", "result": worker.result_payload}
-
-            def cancel(self, job_id: str) -> None:
-                # Deliberately NOT honoured: the slow job completes
-                # anyway, forcing the dedup path instead of the cancel
-                # path.
-                worker.cancelled.append(job_id)
-
-        return Client()
-
-
 class TestStealRaceDedup:
     def test_duplicate_completion_is_deduplicated(self):
         """Both sides of a steal race complete; each cell lands once.
@@ -294,8 +242,9 @@ class TestStealRaceDedup:
         canned = Session(ledger=False).run(config)
         payload = {"results": [canned.to_dict()], "run_ids": [""]}
 
-        slow = _FakeWorker(payload, delay_polls=2)
-        fast = _FakeWorker(payload, delay_polls=0)
+        # Two polls of "running" are long enough for a steal.
+        slow = FakeWorker("http://slow", payload, delay_polls=2)
+        fast = FakeWorker("http://fast", payload, delay_polls=0)
         workers = {"http://slow": slow, "http://fast": fast}
         executor = FleetExecutor(
             ["http://slow", "http://fast"],
@@ -304,7 +253,7 @@ class TestStealRaceDedup:
             probe_interval_s=10.0,
             straggler_min_s=0.0,
             straggler_factor=100.0,
-            client_factory=lambda url: workers[url].client(url),
+            client_factory=workers.__getitem__,
         )
         done_events = []
 
@@ -335,37 +284,17 @@ class TestStealRaceDedup:
         canned = Session(ledger=False).run(config)
         payload = {"results": [canned.to_dict()], "run_ids": [""]}
 
-        class DeadClient:
-            def __init__(self, url: str) -> None:
-                self.url = url
-
-            def healthz(self) -> dict:
-                raise WorkerError("connection refused")
-
-            def submit(self, envelope, trace_id="") -> str:
-                raise WorkerError("connection refused")
-
-            def status(self, job_id):
-                raise WorkerError("connection refused")
-
-            def result(self, job_id):
-                raise WorkerError("connection refused")
-
-            def cancel(self, job_id) -> None:
-                raise WorkerError("connection refused")
-
-        alive = _FakeWorker(payload)
-        clients = {
-            "http://dead": DeadClient,
-            "http://alive": lambda url: alive.client(url),
-        }
+        dead = FakeWorker("http://dead", payload)
+        dead.down = True
+        alive = FakeWorker("http://alive", payload)
+        clients = {"http://dead": dead, "http://alive": alive}
         executor = FleetExecutor(
             ["http://dead", "http://alive"],
             window=1,
             poll_interval_s=0.01,
             probe_interval_s=0.02,
             straggler_min_s=30.0,
-            client_factory=lambda url: clients[url](url),
+            client_factory=clients.__getitem__,
         )
         results = executor.run_suite([config], retries=2)
         assert len(results) == 1

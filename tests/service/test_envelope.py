@@ -81,6 +81,37 @@ class TestDecodeEnvelope:
         assert spec.options == {"n_writes": 300, "seed": 2}
         assert spec.workers == 2
 
+    @pytest.mark.parametrize("n_writes", [0, -5])
+    def test_experiment_scale_below_the_config_bound_is_rejected(
+        self, n_writes
+    ):
+        with pytest.raises(JobError) as info:
+            JobSpec.decode(
+                {"kind": "experiment", "config": "table2",
+                 "options": {"n_writes": n_writes}}
+            )
+        assert (
+            f"config key 'n_writes' must be >= 1, got {n_writes}"
+            in str(info.value)
+        )
+
+    def test_negative_workers_rejected(self):
+        with pytest.raises(JobError, match="'workers' must be a non-neg"):
+            JobSpec.decode(
+                {"kind": "sweep", "config": [RUN_CONFIG],
+                 "options": {"workers": -1}}
+            )
+
+    def test_bad_experiment_scale_is_a_400_naming_the_option(self, service):
+        status, _, body = request(
+            "POST", f"{service.url}/v1/jobs",
+            {"kind": "experiment", "config": "table2",
+             "options": {"n_writes": 0}},
+        )
+        assert status == 400
+        assert "'n_writes'" in body["error"]
+        assert service.manager.jobs() == []
+
     def test_minimal_run_payload_is_both_shapes(self):
         # {"kind","config"} is the smallest envelope: options default.
         spec = JobSpec.decode(

@@ -157,8 +157,8 @@ class TestSharedRegistry:
         def update(t: int) -> None:
             try:
                 for i in range(updates):
-                    fleet.dispatched(f"w{t}-{i}")
-                    fleet.dispatched("shared")
+                    fleet.count(f"w{t}-{i}", "dispatched")
+                    fleet.count("shared", "dispatched")
             except BaseException as exc:  # noqa: BLE001 - reported below
                 errors.append(exc)
 

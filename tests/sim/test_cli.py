@@ -288,6 +288,15 @@ class TestExperiment:
             in capsys.readouterr().err
         )
 
+    @pytest.mark.parametrize("name", ["table2", "fig18"])
+    def test_zero_writes_exits_2_instead_of_the_default_scale(
+        self, capsys, name
+    ):
+        assert main(["experiment", name, "--writes", "0"]) == 2
+        captured = capsys.readouterr()
+        assert "config key 'n_writes' must be >= 1, got 0" in captured.err
+        assert captured.out == ""
+
     def test_progress_renders_on_stderr(self, capsys):
         code = main(
             ["experiment", "fig12", "--writes", "400", "--progress"]
