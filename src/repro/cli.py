@@ -824,19 +824,24 @@ def _cmd_kv(args: argparse.Namespace) -> int:
     return 2
 
 
-def _limit(raw: str) -> int:
-    """``--limit``: newest N runs, ``0`` for all; never negative."""
-    try:
-        value = int(raw)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected an integer, got {raw!r}"
-        ) from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(
-            f"must be >= 0 (0 = all), got {value}"
-        )
-    return value
+def _count(zero_means: str):
+    """An argparse ``type``: a non-negative integer, ``0`` meaning
+    ``zero_means`` (``--limit`` 0 = all runs, ``--workers`` 0 = auto)."""
+
+    def parse(raw: str) -> int:
+        try:
+            value = int(raw)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer, got {raw!r}"
+            ) from None
+        if value < 0:
+            raise argparse.ArgumentTypeError(
+                f"must be >= 0 (0 = {zero_means}), got {value}"
+            )
+        return value
+
+    return parse
 
 
 def _add_ledger_flags(parser: argparse.ArgumentParser) -> None:
@@ -961,7 +966,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(p_sweep, skip=("workload", "scheme"))
     p_sweep.add_argument(
         "--workers",
-        type=int,
+        type=_count("auto"),
         default=0,
         help="worker processes (1 = serial, 0 = auto)",
     )
@@ -1029,7 +1034,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_exp.add_argument(
         "--workers",
-        type=int,
+        type=_count("auto"),
         default=1,
         help="worker processes for the sweep (1 = serial, 0 = auto)",
     )
@@ -1160,7 +1165,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_runs_list.add_argument("--scheme", default=None)
     p_runs_list.add_argument("--workload", default=None)
     p_runs_list.add_argument(
-        "--limit", type=_limit, default=20, help="newest N runs (0 = all)"
+        "--limit", type=_count("all"), default=20,
+        help="newest N runs (0 = all)",
     )
     p_runs_show = runs_sub.add_parser("show", help="print one run's manifest")
     p_runs_show.add_argument("run_id")
@@ -1271,7 +1277,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_dash.add_argument(
         "--limit",
-        type=_limit,
+        type=_count("all"),
         default=200,
         help="newest N ledger runs to chart (0 = all)",
     )

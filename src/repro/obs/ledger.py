@@ -32,6 +32,7 @@ test suite points it at a temp dir so runs never dirty the repo).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -70,11 +71,20 @@ def default_runs_dir() -> Path:
 
 
 def git_revision(cwd: str | Path | None = None) -> str:
-    """The current short git revision, or ``"unknown"`` outside a repo."""
+    """The current short git revision, or ``"unknown"`` outside a repo.
+
+    Read once per directory per process: every manifest asks, and a
+    ``git`` fork per run costs milliseconds.
+    """
+    return _git_revision(Path(cwd or ".").resolve())
+
+
+@functools.lru_cache(maxsize=None)
+def _git_revision(cwd: Path) -> str:
     try:
         out = subprocess.run(
             ["git", "rev-parse", "--short", "HEAD"],
-            cwd=str(cwd) if cwd else None,
+            cwd=cwd,
             capture_output=True,
             text=True,
             timeout=5,

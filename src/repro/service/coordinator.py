@@ -493,23 +493,25 @@ class FleetRun:
         now = self.clock()
         self.probe(now)
         healthy = [w for w in self.workers if w.healthy]
-        if not healthy:
-            self.fleet_down(now)
-            return
-        self.all_dead_since = None
-        self.dispatch(healthy)
-        for worker in self.workers:
-            if worker.healthy and worker.in_flight:
-                self.poll(worker)
-        # Work stealing: idle capacity + a straggler = duplicate dispatch.
-        if not self.ready and not budget.delayed:
-            self.steal()
+        if healthy:
+            self.all_dead_since = None
+            self.dispatch(healthy)
+            for worker in self.workers:
+                if worker.healthy and worker.in_flight:
+                    self.poll(worker)
+            # Work stealing: idle capacity + a straggler = duplicate
+            # dispatch.
+            if not self.ready and not budget.delayed:
+                self.steal()
+        # A stop is honoured during an outage too, not after it times out.
         stop = self.should_stop
         if self.remaining and stop is not None and stop():
             for worker in self.workers:
                 for dispatch in list(worker.in_flight.values()):
                     self.cancel(dispatch)
             raise self.sweep.cancelled()
+        if not healthy:
+            self.fleet_down(now)
 
     # -- steps ---------------------------------------------------------------
 

@@ -546,6 +546,7 @@ class JobManager:
         self._queue: queue.Queue = queue.Queue(maxsize=queue_size)
         self._jobs: dict[str, Job] = {}
         self._jobs_lock = threading.Lock()
+        self._submit_lock = threading.Lock()
         self._draining = threading.Event()
         self._threads: list[threading.Thread] = []
 
@@ -647,16 +648,20 @@ class JobManager:
         if self._draining.is_set():
             raise ServiceDraining("service is draining; not accepting jobs")
         job = Job(spec)
-        try:
-            self._queue.put_nowait(job)
-        except queue.Full:
-            raise QueueFullError(
-                f"job queue is full ({self._queue.maxsize} waiting); "
-                "retry after a job finishes"
-            ) from None
-        with self._jobs_lock:
-            self._jobs[job.id] = job
-        self._persist(job)
+        # Journal the job before a worker can see it, so its `queued` line
+        # precedes the worker's `running` and terminal ones (the last line
+        # per job wins on rehydrate).  The lock makes the room check hold
+        # until the put: only workers take from the queue meanwhile.
+        with self._submit_lock:
+            if self._queue.full():
+                raise QueueFullError(
+                    f"job queue is full ({self._queue.maxsize} waiting); "
+                    "retry after a job finishes"
+                )
+            self._persist(job)
+            with self._jobs_lock:
+                self._jobs[job.id] = job
+            self._queue.put(job)
         self.telemetry.job_submitted(spec.kind)
         return job
 

@@ -41,6 +41,10 @@ Graceful shutdown: SIGTERM/SIGINT flip the service into *draining* —
 ``POST /v1/jobs`` answers ``503``, ``/v1/healthz`` reports it — then the
 job manager drains (in-flight sweeps finish or cancel cooperatively, no
 orphaned worker processes) and the listener closes.
+
+Transport: a non-streaming reply leaves in one write (status line,
+headers and body together) on a ``TCP_NODELAY`` socket, and each
+``/events`` chunk goes out as it is written.
 """
 
 from __future__ import annotations
@@ -129,6 +133,9 @@ class _Handler(BaseHTTPRequestHandler):
 
     server: SimulationServer
     protocol_version = "HTTP/1.1"
+    #: ``TCP_NODELAY`` on every accepted socket: a reply already leaves in
+    #: one write, and each event-stream chunk goes out as it is written.
+    disable_nagle_algorithm = True
 
     #: The route path with the version prefix stripped, "" when the
     #: request did not use it (set per request).
@@ -148,10 +155,20 @@ class _Handler(BaseHTTPRequestHandler):
         self._status = code
         super().send_response(code, message)
 
-    def end_headers(self) -> None:
+    def end_headers(self, body: bytes = b"") -> None:
+        """End the header block and send it together with ``body``.
+
+        One write per reply: on a keep-alive connection a body sent after
+        its headers would wait in the kernel (Nagle) for the client's
+        delayed ACK of the headers, about 40 ms.
+        """
         if self._trace_id:
             self.send_header("X-Trace-Id", self._trace_id)
-        super().end_headers()
+        if self.request_version == "HTTP/0.9":  # a 0.9 reply has no head
+            self.wfile.write(body)
+            return
+        self._headers_buffer.extend((b"\r\n", body))
+        self.flush_headers()
 
     def do_GET(self) -> None:  # noqa: N802 - http.server API
         self._dispatch(self._get)
@@ -212,8 +229,7 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(body)))
         for name, value in headers.items():
             self.send_header(name.replace("_", "-"), value)
-        self.end_headers()
-        self.wfile.write(body)
+        self.end_headers(body)
 
     def _json(self, status: int, payload: object, **headers: str) -> None:
         text = json.dumps(payload, sort_keys=True) + "\n"
@@ -425,17 +441,22 @@ class _Handler(BaseHTTPRequestHandler):
                             },
                             sort_keys=True,
                         )
-                        + "\n"
+                        + "\n",
+                        last=True,
                     )
                     break
                 job.wait(EVENT_POLL_S)
-            self.wfile.write(b"0\r\n\r\n")
         except (BrokenPipeError, ConnectionResetError):
             pass  # client went away mid-stream; nothing to clean up
 
-    def _chunk(self, text: str) -> None:
+    def _chunk(self, text: str, *, last: bool = False) -> None:
+        """Send one chunk; ``last`` adds the terminating empty chunk to
+        the same write."""
         data = text.encode()
-        self.wfile.write(f"{len(data):x}\r\n".encode() + data + b"\r\n")
+        self.wfile.write(
+            f"{len(data):x}\r\n".encode() + data + b"\r\n"
+            + (b"0\r\n\r\n" if last else b"")
+        )
 
 
 def serve(

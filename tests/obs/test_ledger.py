@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import subprocess
 
 import pytest
 
@@ -67,6 +68,21 @@ class TestManifest:
         assert manifest.python_version.count(".") == 2
         assert manifest.numpy_version
         assert manifest.writes_per_s == pytest.approx(150 / 0.5)
+
+    def test_git_revision_is_read_once_per_directory(
+        self, monkeypatch, tmp_path
+    ):
+        calls = []
+
+        def fake_run(argv, **kwargs):
+            calls.append(argv)
+            return subprocess.CompletedProcess(argv, 0, "abc1234\n", "")
+
+        monkeypatch.setattr(subprocess, "run", fake_run)
+        monkeypatch.chdir(tmp_path)  # a directory no manifest has seen
+        first, second = make_manifest(), make_manifest()
+        assert first.git_rev == second.git_rev == "abc1234"
+        assert len(calls) == 1
 
     def test_manifest_from_result_carries_summary(self):
         config = small_config()

@@ -14,7 +14,12 @@ from repro.api import Session
 from repro.obs.progress import DONE
 from repro.service.coordinator import EVENTS, FleetExecutor, FleetRun
 from repro.sim.config import SimConfig
-from repro.sim.parallel import RetryBudget, SweepCellFailed, SweepRun
+from repro.sim.parallel import (
+    RetryBudget,
+    SweepCancelled,
+    SweepCellFailed,
+    SweepRun,
+)
 from tests.service.conftest import FakeWorker
 
 CONFIG = SimConfig("mcf", "deuce", n_writes=50, seed=0)
@@ -196,3 +201,23 @@ class TestTicks:
         assert info.value.results[0] is not None
         assert info.value.results[1:] == [None, None]
         assert info.value.index == 1
+
+    def test_a_stop_during_an_outage_cancels_at_once(self, payload):
+        (a,), run, clock = _fleet(
+            payload, 2, n_workers=1, fleet_down_timeout_s=60.0
+        )
+        stop = []
+        run.should_stop = lambda: bool(stop)
+        run.tick()
+        a.down = True
+        for _ in range(2):  # two failed polls: the only worker is dead
+            clock.now += 1.0
+            run.tick()
+        assert not run.workers[0].healthy
+        assert run.all_dead_since is not None
+
+        stop.append(True)
+        clock.now += 1.0  # far inside fleet_down_timeout_s
+        with pytest.raises(SweepCancelled) as info:
+            run.tick()
+        assert info.value.results == [None, None]

@@ -8,10 +8,12 @@ import time
 import pytest
 
 from repro.api import Session
+from repro.obs.journal import append_record, read_records
 from repro.service.jobs import (
     CANCELLED,
     DONE,
     QUEUED,
+    RUNNING,
     Job,
     JobError,
     JobManager,
@@ -201,6 +203,35 @@ class TestRehydration:
         }
         assert done_cells == {1}
         manager.drain(10)
+
+    def test_each_jobs_queued_line_precedes_the_workers_lines(
+        self, tmp_path
+    ):
+        class SlowFirstLine(JobStore):
+            """Appends each job's first line late, as a slow disk would:
+            the record is taken at once, written 0.2 s later."""
+
+            seen: set[str] = set()
+
+            def record(self, job: Job) -> None:
+                record = job.to_record()
+                if job.id not in self.seen:
+                    self.seen.add(job.id)
+                    time.sleep(0.2)
+                self.root.mkdir(parents=True, exist_ok=True)
+                append_record(self.path, record)
+
+        store = SlowFirstLine(tmp_path / "runs" / "service")
+        manager = JobManager(
+            Session(ledger=tmp_path / "runs"), job_workers=1, store=store
+        ).start()
+        jobs = [manager.submit(_spec()) for _ in range(2)]
+        assert all(job.wait(60) for job in jobs)
+        manager.drain(10)
+        states: dict[str, list[str]] = {job.id: [] for job in jobs}
+        for record in read_records(store.path):
+            states[record["job_id"]].append(record["state"])
+        assert list(states.values()) == [[QUEUED, RUNNING, DONE]] * 2
 
     def test_cancelled_while_queued_is_journaled(self, tmp_path):
         manager = self._manager(tmp_path)  # workers not started yet

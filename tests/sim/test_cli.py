@@ -104,6 +104,15 @@ class TestRun:
         err = capsys.readouterr().err
         assert "config key 'chunk_size' must be >= 1, got 0" in err
 
+    def test_sweep_negative_workers_exits_2_naming_the_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "sweep", "--workloads", "mcf", "--schemes", "deuce",
+                "--writes", "100", "--workers", "-1",
+            ])
+        assert exc.value.code == 2
+        assert "argument --workers: must be >= 0" in capsys.readouterr().err
+
 
 #: A non-default value for every SimConfig field: its flag and its value.
 EVERY_FIELD = {
@@ -287,6 +296,12 @@ class TestExperiment:
             "config key 'n_writes' must be >= 1, got -5"
             in capsys.readouterr().err
         )
+
+    def test_negative_workers_exits_2_naming_the_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["experiment", "fig12", "--writes", "100", "--workers", "-1"])
+        assert exc.value.code == 2
+        assert "argument --workers: must be >= 0" in capsys.readouterr().err
 
     @pytest.mark.parametrize("name", ["table2", "fig18"])
     def test_zero_writes_exits_2_instead_of_the_default_scale(
